@@ -73,10 +73,30 @@ def world_db() -> Database:
     return db
 
 
+def build_tiny_benchmark():
+    """A small but complete SpiderSim benchmark (fast to build)."""
+    return build_spider(seed=11, train_per_domain=30, dev_per_domain=6)
+
+
+def train_small_pipeline(benchmark):
+    """Train the small lgesql MetaSQL pipeline the integration tests share."""
+    from repro.core.classifier import ClassifierConfig
+    from repro.core.pipeline import MetaSQL, MetaSQLConfig
+    from repro.models.registry import create_model
+
+    config = MetaSQLConfig(
+        ranker_train_questions=90,
+        classifier=ClassifierConfig(epochs=25),
+    )
+    pipe = MetaSQL(create_model("lgesql"), config)
+    pipe.train(benchmark.train)
+    return pipe
+
+
 @pytest.fixture(scope="session")
 def tiny_benchmark():
     """A small but complete SpiderSim benchmark (fast to build)."""
-    return build_spider(seed=11, train_per_domain=30, dev_per_domain=6)
+    return build_tiny_benchmark()
 
 
 @pytest.fixture(scope="session")
@@ -91,18 +111,7 @@ def fitted_lgesql(tiny_benchmark):
 @pytest.fixture(scope="session")
 def trained_pipeline(tiny_benchmark):
     """One trained MetaSQL pipeline shared across integration tests."""
-    from repro.core.classifier import ClassifierConfig
-    from repro.core.pipeline import MetaSQL, MetaSQLConfig
-    from repro.models.registry import create_model
-
-    config = MetaSQLConfig(
-        ranker_train_questions=90,
-        classifier=ClassifierConfig(epochs=25),
-    )
-    model = create_model("lgesql")
-    pipe = MetaSQL(model, config)
-    pipe.train(tiny_benchmark.train)
-    return pipe
+    return train_small_pipeline(tiny_benchmark)
 
 
 @pytest.fixture()
