@@ -1,34 +1,16 @@
-"""Serving-layer benchmarks: hot-path overhead + batched throughput.
+"""Serving-layer benchmark: hot-path overhead.
 
-Two measurements live here:
-
-1. **Overhead** (PR 2): the per-translation cost of cooperative deadline
-   checks and circuit-breaker admission on the happy path, bounded
-   against an executor workload (<5%).
-2. **Continuous batching** (PR 10): N closed-loop concurrent clients
-   drive the same service with batching off and on; throughput and
-   p50/p99 latency are compared, asserting the micro-batcher turns
-   cross-request amortization into a ≥2× service-throughput win at
-   concurrency ≥ 8 without regressing tight-deadline p99.
-
-The batching benchmark isolates the *serving layer* with the same
-simulated-cost shard idiom as ``bench_tenancy``: each forward costs a
-fixed ``WORK_S`` plus a small per-member increment, mirroring the
-ranker's batched matrix forward whose real amortization
-``bench_pipeline`` measures directly (>=3x).  Worker count is identical
-in both modes — batching's claim is more throughput from the *same*
-workers.
+Measures the per-translation cost of cooperative deadline checks and
+circuit-breaker admission on the happy path, bounded against an
+executor workload (<5%).
 
 Run with ``pytest benchmarks/bench_serve.py``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 import timeit
 
-from repro.core.pipeline import RankedResult, RankedTranslation
 from repro.core.resilience import (
     CircuitBreaker,
     Deadline,
@@ -36,10 +18,7 @@ from repro.core.resilience import (
     TranslationReport,
     guarded_call,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.schema.executor import execute
-from repro.serve import ServiceConfig, TranslationService
-from repro.sqlkit.parser import parse_sql
 
 from benchmarks.bench_resilience import _workload
 
@@ -133,184 +112,3 @@ def test_serve_layer_overhead_under_five_percent(record_result, bench_metrics):
     assert bound < 0.05
     # Attaching a breaker must not blow up guarded_call itself either.
     assert guard_delta < 10 * t_guard_plain
-
-
-# ----------------------------------------------------------------------
-# Continuous batching: concurrent-load throughput, on vs off.
-
-#: Fixed cost of one model forward (the part batching amortizes).
-WORK_S = 0.005
-#: Marginal cost of each extra member inside a batched forward.
-PER_ITEM_S = 0.0002
-#: Closed-loop concurrent clients (the acceptance bar is >=8).
-CONCURRENCY = 8
-#: Same worker pool in both modes: the win must come from batching.
-WORKERS = 2
-REQUESTS_PER_CLIENT = 25
-
-_RANKED = RankedTranslation(
-    query=parse_sql("SELECT name FROM country"),
-    stage1_score=1.0,
-    stage2_score=1.0,
-    metadata=None,
-)
-
-
-class AmortizedShard:
-    """Simulated-cost shard with a genuinely amortizing batched forward.
-
-    A single translation costs ``WORK_S + PER_ITEM_S``; a batched
-    forward costs ``WORK_S + PER_ITEM_S * n`` — the fixed forward cost
-    is paid once per batch, exactly the shape of the ranker's stacked
-    matrix forward.
-    """
-
-    breakers = None
-    _trained = True
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.batch_sizes: list[int] = []
-
-    def _result(self, question: str) -> RankedResult:
-        return RankedResult(
-            [_RANKED], TranslationReport(question=question)
-        )
-
-    def translate_ranked_report(self, question, db, compositions=None):
-        time.sleep(WORK_S + PER_ITEM_S)
-        return self._result(question)
-
-    def translate_many(self, requests, deadline=None, deadlines=None):
-        items = list(requests)
-        time.sleep(WORK_S + PER_ITEM_S * len(items))
-        with self._lock:
-            self.batch_sizes.append(len(items))
-        return [self._result(question) for question, _db in items]
-
-
-def _drive(
-    service: TranslationService,
-    clients: int,
-    per_client: int,
-    deadline: float | None = None,
-) -> tuple[float, list[float]]:
-    """Closed-loop load: each client submits, waits, repeats."""
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-
-    def client(index: int) -> None:
-        for request in range(per_client):
-            started = time.perf_counter()
-            service.translate(
-                f"q{index}-{request}", None, deadline=deadline, timeout=60
-            )
-            latencies[index].append(time.perf_counter() - started)
-
-    threads = [
-        threading.Thread(target=client, args=(index,))
-        for index in range(clients)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-    return elapsed, [l for per in latencies for l in per]
-
-
-def _quantile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def _service(shard: AmortizedShard, **knobs) -> TranslationService:
-    defaults = dict(workers=WORKERS, queue_limit=512, max_retries=0)
-    defaults.update(knobs)
-    return TranslationService(
-        shard, ServiceConfig(**defaults), registry=MetricsRegistry()
-    )
-
-
-def test_batched_serving_doubles_concurrent_throughput(
-    record_result, bench_metrics
-):
-    total = CONCURRENCY * REQUESTS_PER_CLIENT
-
-    with _service(AmortizedShard()) as service_off:
-        elapsed_off, lat_off = _drive(
-            service_off, CONCURRENCY, REQUESTS_PER_CLIENT
-        )
-    rps_off = total / elapsed_off
-
-    shard_on = AmortizedShard()
-    with _service(
-        shard_on, batching=True, batch_wait_ms=1.0,
-        max_batch_size=CONCURRENCY,
-    ) as service_on:
-        elapsed_on, lat_on = _drive(
-            service_on, CONCURRENCY, REQUESTS_PER_CLIENT
-        )
-    rps_on = total / elapsed_on
-    speedup = rps_on / rps_off
-    stats = service_on._batcher.stats()
-    mean_batch = stats["requests"] / max(1, stats["batches"])
-
-    # Tight-deadline phase: a deliberately long tick that urgent
-    # requests must bypass — their p99 must beat the tick by a wide
-    # margin (no p99 regression for deadline-carrying traffic).
-    tick_s = 0.05
-    with _service(
-        AmortizedShard(), batching=True,
-        batch_wait_ms=tick_s * 1000.0, max_batch_size=CONCURRENCY,
-    ) as service_tight:
-        _elapsed, lat_tight = _drive(
-            service_tight, CONCURRENCY, 10, deadline=0.01
-        )
-    p99_tight = _quantile(lat_tight, 0.99)
-
-    rendered = "\n".join(
-        [
-            "continuous batching: "
-            f"{CONCURRENCY} closed-loop clients, {WORKERS} workers, "
-            f"{total} requests per mode",
-            f"  batching off:   {rps_off:8.0f} req/s   "
-            f"p50 {_quantile(lat_off, 0.5) * 1e3:7.2f} ms   "
-            f"p99 {_quantile(lat_off, 0.99) * 1e3:7.2f} ms",
-            f"  batching on:    {rps_on:8.0f} req/s   "
-            f"p50 {_quantile(lat_on, 0.5) * 1e3:7.2f} ms   "
-            f"p99 {_quantile(lat_on, 0.99) * 1e3:7.2f} ms",
-            f"  throughput gain: {speedup:6.2f} x   "
-            f"mean batch {mean_batch:.1f} "
-            f"(flush reasons {stats['flush_reasons']})",
-            f"  tight-deadline p99: {p99_tight * 1e3:7.2f} ms "
-            f"(vs {tick_s * 1e3:.0f} ms tick)",
-        ]
-    )
-    record_result("serve_batching", rendered)
-    bench_metrics(
-        "serve",
-        {
-            "batching_off_rps": rps_off,
-            "batching_on_rps": rps_on,
-            "batching_speedup": speedup,
-            "batching_mean_batch_size": mean_batch,
-            "batching_off_p50_ms": _quantile(lat_off, 0.5) * 1e3,
-            "batching_off_p99_ms": _quantile(lat_off, 0.99) * 1e3,
-            "batching_on_p50_ms": _quantile(lat_on, 0.5) * 1e3,
-            "batching_on_p99_ms": _quantile(lat_on, 0.99) * 1e3,
-            "tight_deadline_p99_ms": p99_tight * 1e3,
-        },
-    )
-
-    # The acceptance bar: same workers, >=2x throughput at
-    # concurrency >= 8, and the scheduler genuinely batched.
-    assert speedup >= 2.0, f"batching speedup only {speedup:.2f}x"
-    assert mean_batch >= 2.0, f"mean batch size only {mean_batch:.2f}"
-    assert shard_on.batch_sizes, "batched forward never used"
-    # Tight deadlines bypass the tick instead of waiting it out.
-    assert p99_tight < tick_s, (
-        f"tight-deadline p99 {p99_tight * 1e3:.1f} ms did not beat "
-        f"the {tick_s * 1e3:.0f} ms tick"
-    )

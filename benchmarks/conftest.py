@@ -42,27 +42,21 @@ def bench_metrics():
 
     Benchmarks call ``bench_metrics("serve", {"base_ms": 1.2, ...})``;
     each named suite is written to its own ``results/BENCH_<name>.json``
-    at session teardown, plus the combined ``results/BENCH_obs.json`` —
-    machine-readable artifacts regressions can be tracked against (CI
-    uploads them).
+    at session teardown — machine-readable artifacts regressions can be
+    tracked against (CI uploads them).
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     collected: dict[str, dict[str, float]] = {}
 
     def record(name: str, numbers: dict) -> None:
         # Merge rather than replace: several benchmarks may contribute
-        # to one named suite (e.g. serve overhead + serve batching).
+        # to one named suite.
         collected.setdefault(name, {}).update(
             {key: float(value) for key, value in sorted(numbers.items())}
         )
 
     yield record
-    if collected:
-        for name, numbers in collected.items():
-            (RESULTS_DIR / f"BENCH_{name}.json").write_text(
-                json.dumps({name: numbers}, indent=2, sort_keys=True) + "\n"
-            )
-        path = RESULTS_DIR / "BENCH_obs.json"
-        path.write_text(
-            json.dumps(collected, indent=2, sort_keys=True) + "\n"
+    for name, numbers in collected.items():
+        (RESULTS_DIR / f"BENCH_{name}.json").write_text(
+            json.dumps({name: numbers}, indent=2, sort_keys=True) + "\n"
         )

@@ -1037,43 +1037,19 @@ class MetaSQL:
             )
         return self._ranked_from_pruned(generated, pruned)
 
-    def translate_many(
-        self,
-        requests,
-        deadline: Deadline | None = None,
-        deadlines: "list[Deadline | None] | None" = None,
-    ) -> list[RankedResult]:
-        """Batched driver: rank many ``(question, db)`` requests.
+    def translate_many(self, requests) -> list[RankedResult]:
+        """Rank many ``(question, db)`` requests, in order.
 
         Distinct questions are pushed through the stage-1 query tower in
         one batched forward pass up front (priming the embedding cache),
         then each request runs through :meth:`translate_ranked_report`;
         repeated questions, repeated candidate SQL, and shared phrase
-        renderings amortize featurization across the whole batch.  Used
-        by :func:`repro.eval.evaluate.evaluate_metasql`, the experiment
-        drivers, and the serving layer's micro-batch scheduler.
-
-        *deadline* applies one shared budget to every item; *deadlines*
-        instead threads an independent per-item budget (``None`` members
-        fall back to any ambient deadline) — this is how batched serving
-        keeps each member's time budget, report, and degradation
-        behaviour exactly what it would have been served singly.
+        renderings amortize featurization across the whole list.  Used
+        by :func:`repro.eval.evaluate.evaluate_metasql` and the
+        experiment drivers.  Any ambient deadline applies to each
+        request.
         """
         items = [(question, db) for question, db in requests]
-        if deadlines is not None:
-            deadlines = list(deadlines)
-            if deadline is not None:
-                raise ValueError(
-                    "translate_many takes deadline or deadlines, not both"
-                )
-            if len(deadlines) != len(items):
-                raise ValueError(
-                    f"deadlines must match requests one-to-one: "
-                    f"{len(deadlines)} != {len(items)}"
-                )
-            per_item = deadlines
-        else:
-            per_item = [deadline] * len(items)
         if not self._trained:
             raise PipelineStateError(
                 "MetaSQL pipeline is not trained; call train() or "
@@ -1081,8 +1057,8 @@ class MetaSQL:
             )
         self._prewarm_stage1([question for question, __ in items])
         return [
-            self.translate_ranked_report(question, db, deadline=budget)
-            for (question, db), budget in zip(items, per_item)
+            self.translate_ranked_report(question, db)
+            for question, db in items
         ]
 
     def _prewarm_stage1(self, questions: list[str]) -> None:

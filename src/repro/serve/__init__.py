@@ -4,9 +4,6 @@
   admission control (typed ``Overloaded`` shedding), per-request
   deadlines, transient-fault retry with jittered backoff, and a
   health/readiness snapshot.
-- :class:`MicroBatcher` — the continuous micro-batching scheduler that
-  (with ``ServiceConfig.batching`` on) regroups queued requests into
-  per-tenant batches each ranked with one ``translate_many`` forward.
 - :class:`CheckpointStore` — rotating crash-safe checkpoints with
   last-good recovery, for warm-starting a service after a crash.
 
@@ -15,7 +12,6 @@ Multi-tenant serving (registry, router seam, quotas, hot swap) lives in
 :class:`~repro.tenancy.router.Router` wherever it accepts a pipeline.
 """
 
-from repro.serve.batcher import Batch, MicroBatcher, PreformedGroup
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.service import (
     HealthSnapshot,
@@ -24,11 +20,8 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "Batch",
     "CheckpointStore",
     "HealthSnapshot",
-    "MicroBatcher",
-    "PreformedGroup",
     "ServiceConfig",
     "TranslationService",
 ]

@@ -41,15 +41,6 @@ fault isolation (PR 1):
   service built from a bare pipeline wraps it as the unmetered
   ``default`` tenant — that path is bit-identical to the pre-tenancy
   behaviour.
-- **Continuous micro-batching** — with ``ServiceConfig.batching`` on, a
-  :class:`~repro.serve.batcher.MicroBatcher` scheduler thread drains
-  the admission queue on a short tick, regroups waiting requests by
-  tenant, and a worker ranks each group with **one**
-  ``translate_many`` forward on a single shard lease — amortizing the
-  matrix-forward cost PR 5 unlocked across live requests while every
-  member keeps its own Future, deadline, retries, report and journal
-  line.  ``batching=False`` (the default) keeps the pre-batching
-  worker loop bit-identical.
 
 The service is deliberately synchronous-thread-pool shaped: the pipeline
 is pure CPU-bound Python/numpy, so a small worker pool bounded by a
@@ -79,11 +70,9 @@ from repro.eval.evaluate import reports_degraded_rate
 from repro.obs.journal import Journal
 from repro.obs.metrics import MetricsRegistry, get_registry, registry_scope
 from repro.obs.ops import OpsServer
-from repro.obs.trace import Tracer, trace_scope
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import SloEngine, SloSpec
 from repro.schema.database import Database
-from repro.serve.batcher import Batch, MicroBatcher, PreformedGroup
 from repro.sqlkit.errors import (
     ConfigError,
     Overloaded,
@@ -131,16 +120,6 @@ class ServiceConfig:
     #: service endpoint-free.
     ops_port: int | None = None
     ops_host: str = "127.0.0.1"
-    #: Continuous micro-batching: when on, a scheduler thread regroups
-    #: queued requests into per-tenant batches ranked with one
-    #: ``translate_many`` forward each (see DESIGN.md §17).  Off keeps
-    #: the pre-batching worker loop, bit-identical to prior releases.
-    batching: bool = False
-    #: Scheduler tick: how long a forming batch waits for company,
-    #: in milliseconds.
-    batch_wait_ms: float = 2.0
-    #: A formed batch never exceeds this many members.
-    max_batch_size: int = 16
 
     def __post_init__(self) -> None:
         self.validate()
@@ -188,15 +167,6 @@ class ServiceConfig:
         if self.ops_port is not None and not 0 <= self.ops_port <= 65535:
             raise ConfigError(
                 f"ops_port must be a port number, got {self.ops_port!r}"
-            )
-        if self.batch_wait_ms < 0:
-            raise ConfigError(
-                f"batch wait must be >= 0 ms, got {self.batch_wait_ms!r}"
-            )
-        if self.max_batch_size < 1:
-            raise ConfigError(
-                f"max batch size must be >= 1, "
-                f"got {self.max_batch_size!r}"
             )
 
 
@@ -260,7 +230,6 @@ class _Job:
     tenant: Tenant
     submitted_at: float = 0.0  # service clock, for queue-wait metrics
     shard_epoch: int | None = None  # epoch the last attempt ran on
-    batch_size: int | None = None  # members in this job's micro-batch
 
 
 #: Queue sentinel that tells a worker to exit its loop.
@@ -358,30 +327,6 @@ class TranslationService:
             maxlen=self.config.health_window
         )
         self._init_metrics()
-        # Continuous micro-batching (ROADMAP item 1): with batching on,
-        # the scheduler thread owns the admission queue and the workers
-        # consume formed Batch groups from a second (unbounded: at most
-        # queue_limit requests deep) queue; with batching off the
-        # workers consume the admission queue directly — the
-        # pre-batching code path, bit-identical.  The scheduler runs on
-        # the real monotonic clock regardless of the injected service
-        # clock: its tick is a blocking-get timeout, and a frozen test
-        # clock must not be able to park a forming batch forever.
-        self._batches: queue.Queue | None = None
-        self._batcher: MicroBatcher | None = None
-        if self.config.batching:
-            self._batches = queue.Queue()
-            self._batcher = MicroBatcher(
-                self._queue,
-                self._batches.put,
-                wait_s=self.config.batch_wait_ms / 1000.0,
-                max_size=self.config.max_batch_size,
-                group_key=lambda job: job.tenant.tenant_id,
-                sentinel=_SHUTDOWN,
-                on_shutdown=self._stop_workers,
-                on_error=self._abandon_jobs,
-                registry=self.registry,
-            )
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -392,8 +337,6 @@ class TranslationService:
         ]
         for worker in self._workers:
             worker.start()
-        if self._batcher is not None:
-            self._batcher.start()
         # The ops endpoint starts last: by the time it is reachable the
         # instrument handles exist and the workers are live.
         self._ops: OpsServer | None = None
@@ -491,7 +434,7 @@ class TranslationService:
             ).inc()
             raise
         try:
-            self._queue.put_nowait(job)
+            queued = self._enqueue(job)
         except queue.Full:
             job.tenant.release()
             with self._lock:
@@ -502,8 +445,29 @@ class TranslationService:
             raise Overloaded(
                 self._queue.qsize(), self.config.queue_limit
             ) from None
+        if not queued:
+            # Shutdown began after the accepting check above: queued now,
+            # the job would sit behind the worker sentinels and never run.
+            job.tenant.release()
+            job.future.set_exception(
+                ServiceStopped("translation service is shut down")
+            )
         self._m_queue_depth.set(self._queue.qsize())
         return job.future
+
+    def _enqueue(self, job: _Job) -> bool:
+        """Queue *job* unless shutdown has begun; False when it has.
+
+        The accepting check and the put share the service lock, and
+        :meth:`shutdown` flips ``_accepting`` under that lock before it
+        queues the worker sentinels, so a queued job always sits ahead
+        of them.
+        """
+        with self._lock:
+            if not self._accepting:
+                return False
+            self._queue.put_nowait(job)
+            return True
 
     def _admit_job(
         self,
@@ -528,82 +492,6 @@ class TranslationService:
             submitted_at=self._clock(),
         )
 
-    def submit_many(
-        self,
-        requests: list[tuple[str, Database]],
-        deadline: Deadline | float | None = None,
-        tenant: str | None = None,
-    ) -> "list[Future[RankedResult]]":
-        """Admit a batch of ``(question, db)`` requests, one Future each.
-
-        With batching off this loops :meth:`submit`: admission is
-        all-or-nothing per request, in order — the first
-        :class:`Overloaded` rejection propagates, leaving the already
-        admitted prefix in flight (their futures were returned to
-        nobody, but they still complete and feed the health window).
-        Workers share the pipeline's bounded memo caches, so a batch
-        with repeated questions or overlapping candidate SQL amortizes
-        featurization across threads.
-
-        With batching on the group is admitted atomically — quota is
-        charged per member and *every* member is released again on any
-        rejection — and enqueued as one
-        :class:`~repro.serve.batcher.PreformedGroup`, which the
-        scheduler flushes immediately instead of re-discovering the
-        batch one tick at a time: same-tenant members rank in one
-        ``translate_many`` forward.
-        """
-        requests = list(requests)
-        if self._batcher is None or len(requests) <= 1:
-            return [
-                self.submit(question, db, deadline, tenant=tenant)
-                for question, db in requests
-            ]
-        with self._lock:
-            accepting = self._accepting
-        if not accepting:
-            raise ServiceStopped("translation service is shut down")
-        jobs: list[_Job] = []
-        try:
-            for question, db in requests:
-                jobs.append(self._admit_job(question, db, deadline, tenant))
-        except TenantOverloaded as exc:
-            self._release_group(jobs)
-            with self._lock:
-                self._rejected += 1
-            self._m_rejected.labels(
-                tenant=exc.tenant_id, reason="quota"
-            ).inc()
-            raise
-        # The group occupies one physical admission-queue slot but
-        # represents len(jobs) requests: enforce the logical capacity
-        # explicitly so bulk submits cannot smuggle load past the
-        # bounded queue.
-        if self._queue.qsize() + len(jobs) > self.config.queue_limit:
-            self._reject_group_queue(jobs)
-        try:
-            self._queue.put_nowait(PreformedGroup(jobs))
-        except queue.Full:
-            self._reject_group_queue(jobs)
-        self._m_queue_depth.set(self._queue.qsize())
-        return [job.future for job in jobs]
-
-    def _release_group(self, jobs: "list[_Job]") -> None:
-        for job in jobs:
-            job.tenant.release()
-
-    def _reject_group_queue(self, jobs: "list[_Job]") -> None:
-        """Shed an entire pre-formed group on queue pressure."""
-        self._release_group(jobs)
-        with self._lock:
-            self._rejected += 1
-        self._m_rejected.labels(
-            tenant=jobs[0].tenant.tenant_id, reason="queue"
-        ).inc()
-        raise Overloaded(
-            self._queue.qsize(), self.config.queue_limit
-        ) from None
-
     def translate(
         self,
         question: str,
@@ -621,21 +509,17 @@ class TranslationService:
     # Workers.
 
     def _worker_loop(self) -> None:
-        work = self._batches if self._batches is not None else self._queue
         while True:
-            item = work.get()
+            job = self._queue.get()
             try:
-                if item is _SHUTDOWN:
+                if job is _SHUTDOWN:
                     return
-                if isinstance(item, Batch):
-                    self._execute_batch(item)
-                else:
-                    self._execute_single(item)
+                self._execute_single(job)
             finally:
-                work.task_done()
+                self._queue.task_done()
 
     def _execute_single(self, job: _Job) -> None:
-        """The pre-batching per-job worker body (batching-off path)."""
+        """Run one admitted job and settle its Future."""
         self._m_queue_depth.set(self._queue.qsize())
         if not job.future.set_running_or_notify_cancel():
             return
@@ -648,178 +532,17 @@ class TranslationService:
         try:
             result = self._handle(job)
         except BaseException as exc:  # repolint: allow[broad-except] — to the future
-            self._fail_job(job, exc)
+            with self._lock:
+                self._failed += 1
+                self._in_flight -= 1
+            self._finish_job(job, "failed")
+            job.future.set_exception(exc)
         else:
             with self._lock:
                 self._completed += 1
                 self._in_flight -= 1
             self._finish_job(job, "completed")
             job.future.set_result(result)
-
-    def _fail_job(self, job: _Job, exc: BaseException) -> None:
-        """Account one in-flight job as failed and fail its Future."""
-        with self._lock:
-            self._failed += 1
-            self._in_flight -= 1
-        self._finish_job(job, "failed")
-        job.future.set_exception(exc)
-
-    def _stop_workers(self) -> None:
-        """Scheduler shutdown hook: release every batch-queue worker."""
-        for _ in self._workers:
-            self._batches.put(_SHUTDOWN)
-
-    def _abandon_jobs(self, jobs: list, exc: BaseException) -> None:
-        """Scheduler flush-failure hook: fail members never dispatched.
-
-        These jobs were admitted but never became in-flight, so only
-        quota, outcome counters and the Futures need settling.
-        """
-        for job in jobs:
-            with self._lock:
-                self._failed += 1
-            job.tenant.release()
-            self._m_requests.labels(
-                outcome="failed", tenant=job.tenant.tenant_id
-            ).inc()
-            if not job.future.done():
-                job.future.set_exception(exc)
-
-    def _execute_batch(self, batch: Batch) -> None:
-        """Run one scheduler-formed compatibility group on this worker."""
-        self._m_queue_depth.set(self._queue.qsize())
-        live: list[_Job] = []
-        for job in batch.jobs:
-            if not job.future.set_running_or_notify_cancel():
-                continue
-            self._m_queue_wait.labels(
-                tenant=job.tenant.tenant_id
-            ).observe(max(0.0, self._clock() - job.submitted_at))
-            live.append(job)
-        if not live:
-            return
-        with self._lock:
-            self._in_flight += len(live)
-        self._m_in_flight.inc(len(live))
-        ready: list[_Job] = []
-        for job in live:
-            # The same admission failpoint every single request passes
-            # through: an armed fault fails exactly this member.
-            try:
-                fire("serve.handle")
-            except BaseException as exc:  # repolint: allow[broad-except] — to the future
-                self._fail_job(job, exc)
-                continue
-            ready.append(job)
-        if ready:
-            self._run_group(batch, ready)
-
-    def _run_group(self, batch: Batch, jobs: "list[_Job]") -> None:
-        """First attempt as one group, then settle members one by one."""
-        try:
-            outcomes = self._translate_batch(batch, jobs)
-        except BaseException as exc:  # repolint: allow[broad-except] — to the futures
-            outcomes = [exc] * len(jobs)
-        for job, outcome in zip(jobs, outcomes):
-            if isinstance(outcome, BaseException):
-                self._fail_job(job, outcome)
-                continue
-            try:
-                result = self._finish_translation(job, outcome, 0)
-            except BaseException as exc:  # repolint: allow[broad-except] — to the future
-                self._fail_job(job, exc)
-                continue
-            with self._lock:
-                self._completed += 1
-                self._in_flight -= 1
-            self._finish_job(job, "completed")
-            job.future.set_result(result)
-
-    def _translate_batch(self, batch: Batch, jobs: "list[_Job]") -> list:
-        """One group forward on one shard lease; one outcome per member.
-
-        Returns a list parallel to *jobs* whose entries are each either
-        the member's first-attempt :class:`RankedResult` or the
-        exception that member raised — neighbours never see each
-        other's faults.  The whole group runs on a single atomically
-        captured ``(pipeline, epoch)`` lease, so a concurrent hot swap
-        can never tear the batch across epochs.
-        """
-        with registry_scope(self.registry):
-            with self.router.lease_group(
-                batch.tenant_id, len(jobs)
-            ) as lease:
-                for job in jobs:
-                    job.shard_epoch = lease.epoch
-                    job.batch_size = len(jobs)
-                self._journal_batch(batch, lease.epoch, len(jobs))
-                tracer = Tracer()
-                with trace_scope(tracer):
-                    with tracer.span(
-                        "serve.batch",
-                        size=len(jobs),
-                        tenant=batch.tenant_id,
-                        epoch=lease.epoch,
-                        reason=batch.reason,
-                    ):
-                        return self._rank_members(lease.pipeline, jobs)
-
-    def _rank_members(self, pipeline, jobs: "list[_Job]") -> list:
-        """Rank the group, preferring one batched forward.
-
-        ``translate_many`` amortizes the stage-1/stage-2 matrix
-        forwards across the group (PR 5) and threads each member's own
-        deadline; a shard without it — or a batched forward that fails
-        outright — falls back to member-by-member isolation on the same
-        lease, where one member's exception becomes only that member's
-        outcome.  Per-translation faults never surface here either
-        way: the pipeline degrades them into the member's report.
-        """
-        batched = getattr(pipeline, "translate_many", None)
-        if batched is not None and len(jobs) > 1:
-            try:
-                results = list(
-                    batched(
-                        [(job.question, job.db) for job in jobs],
-                        deadlines=[job.deadline for job in jobs],
-                    )
-                )
-            except Exception:  # repolint: allow[broad-except] — fall back to member isolation
-                results = None
-            if results is not None and len(results) == len(jobs):
-                for result in results:
-                    self._observe(result.report)
-                return results
-        outcomes: list = []
-        for job in jobs:
-            try:
-                with deadline_scope(job.deadline):
-                    result = pipeline.translate_ranked_report(
-                        job.question, job.db
-                    )
-            except BaseException as exc:  # repolint: allow[broad-except] — member isolation
-                outcomes.append(exc)
-                continue
-            self._observe(result.report)
-            outcomes.append(result)
-        return outcomes
-
-    def _journal_batch(self, batch: Batch, epoch: int, size: int) -> None:
-        """One ``batch_flush`` journal line per dispatched group."""
-        if self._journal is None:
-            return
-        record = {
-            "event": "batch_flush",
-            "tenant": batch.tenant_id,
-            "shard_epoch": epoch,
-            "size": size,
-            "reason": batch.reason,
-            "wait_s": round(max(0.0, batch.wait_s), 6),
-        }
-        try:
-            self._journal.append(record)
-        except Exception:  # repolint: allow[broad-except] — journalling never fails a batch
-            pass
 
     def _finish_job(self, job: _Job, outcome: str) -> None:
         job.tenant.release()
@@ -831,11 +554,26 @@ class TranslationService:
         )
 
     def _handle(self, job: _Job) -> RankedResult:
+        """First attempt, bounded transient retries, then publish."""
         fire("serve.handle")
-        return self._finish_translation(job, self._attempt(job), 0)
+        attempt = 0
+        result = self._attempt(job)
+        while (
+            self._retryable(result)
+            and attempt < self.config.max_retries
+            and not self._deadline_over(job.deadline)
+        ):
+            with self._lock:
+                self._retried += 1
+            self._m_retries.labels(tenant=job.tenant.tenant_id).inc()
+            self._sleep(self._backoff(attempt))
+            attempt += 1
+            result = self._attempt(job)
+        self._publish(job, result, attempt)
+        return result
 
     def _attempt(self, job: _Job) -> RankedResult:
-        """One single-request translation attempt on a fresh lease."""
+        """One translation attempt on a fresh shard lease."""
         # The registry scope routes the pipeline's per-stage metrics
         # (and breaker-transition callbacks) into this service's
         # registry even though workers run outside the constructor's
@@ -851,29 +589,6 @@ class TranslationService:
         self._observe(result.report)
         return result
 
-    def _finish_translation(
-        self, job: _Job, result: RankedResult, attempt: int
-    ) -> RankedResult:
-        """Settle a first attempt: bounded transient retries + publish.
-
-        Shared by the single path (first attempt from :meth:`_attempt`)
-        and the batched path (first attempt from the group forward);
-        retries always run singly, each on a fresh lease.
-        """
-        while (
-            self._retryable(result)
-            and attempt < self.config.max_retries
-            and not self._deadline_over(job.deadline)
-        ):
-            with self._lock:
-                self._retried += 1
-            self._m_retries.labels(tenant=job.tenant.tenant_id).inc()
-            self._sleep(self._backoff(attempt))
-            attempt += 1
-            result = self._attempt(job)
-        self._publish(job, result, attempt)
-        return result
-
     def _request_record(
         self, job: _Job, result: RankedResult, retries: int
     ) -> dict:
@@ -883,7 +598,6 @@ class TranslationService:
             "event": "translate",
             "tenant": job.tenant.tenant_id,
             "shard_epoch": job.shard_epoch,
-            "batch_size": job.batch_size,
             "question": job.question,
             "ok": bool(result.translations),
             "translations": len(result.translations),
@@ -1083,17 +797,9 @@ class TranslationService:
             if not self._accepting:
                 return
             self._accepting = False
-        if self._batcher is not None:
-            # One sentinel wakes the scheduler; it flushes whatever is
-            # still forming, then forwards a per-worker sentinel to the
-            # batch queue behind the already-dispatched batches.
+        for _ in self._workers:
             self._queue.put(_SHUTDOWN)
-        else:
-            for _ in self._workers:
-                self._queue.put(_SHUTDOWN)
         if wait:
-            if self._batcher is not None:
-                self._batcher.join()
             for worker in self._workers:
                 worker.join()
         if self._ops is not None:

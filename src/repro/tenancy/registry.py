@@ -62,28 +62,18 @@ class ShardGuard:
             return self._pipeline
 
     @contextmanager
-    def acquire(self, count: int = 1) -> Iterator[ShardLease]:
-        """Lease the current ``(pipeline, epoch)`` pair.
-
-        *count* is how many requests the lease covers: a serving
-        micro-batch leases its whole group with one atomic capture —
-        every member runs on the same ``(pipeline, epoch)`` pair even
-        if a hot swap lands mid-batch — while the epoch's in-flight
-        refcount still tracks each member, so :meth:`drain` waits for
-        all of them.
-        """
-        if count < 1:
-            raise ValueError(f"lease count must be >= 1, got {count!r}")
+    def acquire(self) -> Iterator[ShardLease]:
+        """Lease the current ``(pipeline, epoch)`` pair for one request."""
         with self._cond:
             lease = ShardLease(pipeline=self._pipeline, epoch=self._epoch)
             self._inflight[lease.epoch] = (
-                self._inflight.get(lease.epoch, 0) + count
+                self._inflight.get(lease.epoch, 0) + 1
             )
         try:
             yield lease
         finally:
             with self._cond:
-                remaining = self._inflight.get(lease.epoch, 0) - count
+                remaining = self._inflight.get(lease.epoch, 0) - 1
                 if remaining <= 0:
                     self._inflight.pop(lease.epoch, None)
                 else:

@@ -7,8 +7,7 @@ leases its shard for exactly one translation.  The seam is deliberately
 thin — ``Router.single(pipeline)`` wraps one pipeline as the ``default``
 tenant with no quota, and that path is bit-identical to calling the
 pipeline directly (same object, no extra work per call beyond one lock'd
-pointer read) — so continuous batching (ROADMAP item 1) can later ride
-on the same interface.
+pointer read).
 
 Zero-downtime hot swap (:meth:`Router.swap`):
 
@@ -105,21 +104,6 @@ class Router:
         """Lease the tenant's current shard for one translation."""
         tenant = self.resolve(tenant_id)
         with tenant.shard.acquire() as lease:
-            yield lease
-
-    @contextmanager
-    def lease_group(
-        self, tenant_id: str | None, size: int
-    ) -> Iterator[ShardLease]:
-        """Lease the tenant's shard once for a *size*-member batch.
-
-        The group shares one atomically captured ``(pipeline, epoch)``
-        pair — a hot swap never tears a batch across epochs — while the
-        epoch's in-flight refcount covers every member, so
-        :meth:`swap`'s drain still waits for all of them.
-        """
-        tenant = self.resolve(tenant_id)
-        with tenant.shard.acquire(count=size) as lease:
             yield lease
 
     @property

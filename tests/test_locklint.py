@@ -627,7 +627,6 @@ def test_src_inventory_covers_the_known_lock_set():
         "Journal._lock",
         "LRUCache._lock",
         "MetricsRegistry._lock",
-        "MicroBatcher._lock",
         "ShardGuard._cond",
         "SloEngine._lock",
         "Tenant._lock",

@@ -781,39 +781,6 @@ class TestOpsctl:
         assert "breaker" in report
         assert "slowest captured requests" in report
 
-    def test_render_bundle_surfaces_batch_occupancy(self, tmp_path):
-        registry = MetricsRegistry()
-        sizes = registry.histogram(
-            "metasql_serve_batch_size",
-            "batch sizes",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0),
-        )
-        for size in (1, 4, 8, 8, 8):
-            sizes.observe(float(size))
-        flushes = registry.counter(
-            "metasql_serve_batch_flush_total",
-            "flushes",
-            labelnames=("reason",),
-        )
-        flushes.labels(reason="size").inc(3)
-        flushes.labels(reason="tick").inc()
-        flushes.labels(reason="deadline").inc()
-        recorder = FlightRecorder(clock=lambda: 7.0, registry=registry)
-        bundle = load_bundle(
-            recorder.dump_bundle(tmp_path / "batched.json")
-        )
-        report = opsctl.render_bundle(bundle)
-        assert (
-            "batch occupancy: mean 5.8, p90<=8 "
-            "(5 batches, 29 requests)" in report
-        )
-        assert (
-            "batch flush reasons: size=3, deadline=1, tick=1" in report
-        )
-        # Bundles from a non-batching service render without the section.
-        plain = opsctl.render_bundle(load_bundle(self._bundle(tmp_path)))
-        assert "batch occupancy" not in plain
-
     def test_render_cli_exit_codes(self, tmp_path, capsys):
         bundle = self._bundle(tmp_path)
         assert opsctl.main(["render", str(bundle)]) == 0

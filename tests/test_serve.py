@@ -455,20 +455,26 @@ class TestServiceAdmission:
         with pytest.raises(ServiceStopped):
             service.submit("late", None)
 
-    def test_submit_many_returns_one_future_per_request(self):
-        stub = StubPipeline()
+    def test_submit_racing_shutdown_ends_with_service_stopped(
+        self, monkeypatch
+    ):
         service = TranslationService(
-            stub, ServiceConfig(workers=2, queue_limit=8)
+            StubPipeline(), ServiceConfig(workers=1, queue_limit=4)
         )
-        try:
-            futures = service.submit_many(
-                [(f"q{i}", None) for i in range(5)]
-            )
-            assert len(futures) == 5
-            assert all(f.result(timeout=5).translations for f in futures)
-            assert service.health().completed == 5
-        finally:
-            service.shutdown()
+        admit = service._admit_job
+
+        def admit_then_shut_down(*args):
+            # Shutdown lands after submit's accepting check but before
+            # the job is queued: the worker sentinels go in first.
+            job = admit(*args)
+            service.shutdown(wait=False)
+            return job
+
+        monkeypatch.setattr(service, "_admit_job", admit_then_shut_down)
+        future = service.submit("raced", None)
+        with pytest.raises(ServiceStopped):
+            future.result(timeout=5)
+        assert service.router.resolve(None).pending == 0
 
     def test_shutdown_drains_admitted_requests(self):
         stub = StubPipeline()

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import pathlib
 import sys
 import time
@@ -119,61 +118,6 @@ def _failing_stages(entries: list[dict]) -> dict[str, int]:
     return stages
 
 
-def _bucket_bound(bound: str) -> float:
-    return math.inf if bound == "+Inf" else float(bound)
-
-
-def _histogram_quantile(series: list[dict], quantile: float) -> float:
-    """Quantile upper-bound from merged histogram bucket snapshots."""
-    merged: dict[str, float] = {}
-    for entry in series:
-        for bound, cumulative in (entry.get("buckets") or {}).items():
-            merged[bound] = merged.get(bound, 0) + cumulative
-    total = sum(entry.get("count") or 0 for entry in series)
-    target = quantile * total
-    for bound in sorted(merged, key=_bucket_bound):
-        if merged[bound] >= target:
-            return _bucket_bound(bound)
-    return math.inf
-
-
-def _batch_occupancy(metrics: dict) -> list[str]:
-    """Micro-batcher occupancy lines from a bundle's metrics snapshot.
-
-    Reads the ``metasql_serve_batch_size`` histogram (mean + p90 bucket
-    bound) and the ``metasql_serve_batch_flush_total`` reason counters;
-    silent when the service never batched (pre-batching bundles render
-    unchanged).
-    """
-    family = metrics.get("metasql_serve_batch_size") or {}
-    series = family.get("series") or []
-    batches = sum(entry.get("count") or 0 for entry in series)
-    if not batches:
-        return []
-    requests = sum(entry.get("sum") or 0.0 for entry in series)
-    p90 = _histogram_quantile(series, 0.9)
-    lines = [
-        f"  batch occupancy: mean {requests / batches:.1f}, "
-        f"p90<={p90:g} ({batches} batches, {requests:.0f} requests)"
-    ]
-    reasons: dict[str, float] = {}
-    flushes = metrics.get("metasql_serve_batch_flush_total") or {}
-    for entry in flushes.get("series") or []:
-        reason = str((entry.get("labels") or {}).get("reason", "?"))
-        reasons[reason] = reasons.get(reason, 0) + (entry.get("value") or 0)
-    if reasons:
-        lines.append(
-            "  batch flush reasons: "
-            + ", ".join(
-                f"{reason}={int(count)}"
-                for reason, count in sorted(
-                    reasons.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            )
-        )
-    return lines
-
-
 def render_bundle(bundle: dict) -> str:
     """A human-readable incident report for one debug bundle."""
     lines = ["MetaSQL incident report"]
@@ -204,7 +148,6 @@ def render_bundle(bundle: dict) -> str:
             lines.append(
                 "  tenants with open breakers: " + ", ".join(open_tenants)
             )
-    lines.extend(_batch_occupancy(bundle.get("metrics") or {}))
     firing = [
         status
         for status in bundle.get("slo") or []
