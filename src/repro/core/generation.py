@@ -47,7 +47,7 @@ class GeneratedCandidate:
     #: only; error-severity findings prune before a candidate is built).
     diagnostics: tuple[Diagnostic, ...] = ()
     #: Canonical SQL text, rendered once by the generator's dedupe and
-    #: reused as the memo key for downstream surface/phrase renderings.
+    #: reused by the stage-1 surface rendering instead of printing again.
     sql_text: str = ""
 
 

@@ -73,16 +73,12 @@ from repro.data.dataset import Dataset
 from repro.models.base import TranslationModel
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Tracer, current_tracer, trace_scope
-from repro.perf.cache import caching_enabled
-from repro.perf.memo import (
-    cached_normal_sql,
-    cached_sql_surface,
-    cached_unit_phrases,
-)
 from repro.schema.database import Database
 from repro.sqlkit.ast import Query
 from repro.sqlkit.errors import PipelineStateError
+from repro.sqlkit.normalize import normalize
 from repro.sqlkit.printer import to_sql
+from repro.sqlkit.sql2nl import unit_phrases
 
 
 @dataclass
@@ -157,7 +153,7 @@ def _dedupe_candidates(
     """
     best: dict[str, int] = {}
     for position, candidate in enumerate(generated):
-        key = cached_normal_sql(candidate.query, candidate.sql_text or None)
+        key = to_sql(normalize(candidate.query))
         held = best.get(key)
         if held is None or generated[held].score < candidate.score:
             best[key] = position
@@ -212,7 +208,6 @@ class MetaSQL:
     _classifier_ok = True
     _stage1_ok = True
     _stage2_ok = True
-    last_report: TranslationReport | None = None
     breakers: BreakerBoard | None = None
 
     def __init__(
@@ -245,7 +240,6 @@ class MetaSQL:
         self._stage1_ok = True
         self._stage2_ok = True
         self.training_report = TranslationReport(question="<training>")
-        self.last_report: TranslationReport | None = None
 
     # ------------------------------------------------------------------
     # Training.
@@ -370,12 +364,10 @@ class MetaSQL:
             try:
                 unit_target = similarity_unit(candidate.query, example.sql)
                 target10 = similarity_score(candidate.query, example.sql)
-                surface = cached_sql_surface(
-                    candidate.query, schema, sql_text=candidate.sql_text or None
+                surface = sql_surface(
+                    candidate.query, schema, sql_text=candidate.sql_text
                 )
-                phrases = cached_unit_phrases(
-                    candidate.query, schema, sql_text=candidate.sql_text or None
-                )
+                phrases = tuple(unit_phrases(candidate.query, schema))
             except Exception as exc:  # repolint: allow[broad-except] — candidate isolation
                 if not policy.isolate_candidates:
                     raise
@@ -408,7 +400,7 @@ class MetaSQL:
             items.append(
                 ListItem(
                     surface=surface,
-                    phrases=cached_unit_phrases(example.sql, schema),
+                    phrases=tuple(unit_phrases(example.sql, schema)),
                     target=10.0,
                 )
             )
@@ -610,7 +602,6 @@ class MetaSQL:
         report = TranslationReport(question=question)
         if deadline is not None:
             report.deadline_budget = deadline.budget
-        self.last_report = report
         registry = get_registry()
         with ExitStack() as stack:
             tracer = current_tracer()
@@ -923,10 +914,8 @@ class MetaSQL:
         kept: list[GeneratedCandidate] = []
         for index, candidate in enumerate(generated):
             try:
-                surface = cached_sql_surface(
-                    candidate.query,
-                    schema,
-                    sql_text=candidate.sql_text or None,
+                surface = sql_surface(
+                    candidate.query, schema, sql_text=candidate.sql_text
                 )
             except Exception as exc:  # repolint: allow[broad-except] — isolation
                 if not policy.isolate_candidates:
@@ -986,10 +975,8 @@ class MetaSQL:
             rows: list[tuple[int, float]] = []
             for index, stage1_score in pruned:
                 try:
-                    phrases = cached_unit_phrases(
-                        generated[index].query,
-                        schema,
-                        sql_text=generated[index].sql_text or None,
+                    phrases = tuple(
+                        unit_phrases(generated[index].query, schema)
                     )
                 except Exception as exc:  # repolint: allow[broad-except] — isolation
                     if not policy.isolate_candidates:
@@ -1037,39 +1024,6 @@ class MetaSQL:
             )
         return self._ranked_from_pruned(generated, pruned)
 
-    def translate_many(self, requests) -> list[RankedResult]:
-        """Rank many ``(question, db)`` requests, in order.
-
-        Distinct questions are pushed through the stage-1 query tower in
-        one batched forward pass up front (priming the embedding cache),
-        then each request runs through :meth:`translate_ranked_report`;
-        repeated questions, repeated candidate SQL, and shared phrase
-        renderings amortize featurization across the whole list.  Used
-        by :func:`repro.eval.evaluate.evaluate_metasql` and the
-        experiment drivers.  Any ambient deadline applies to each
-        request.
-        """
-        items = [(question, db) for question, db in requests]
-        if not self._trained:
-            raise PipelineStateError(
-                "MetaSQL pipeline is not trained; call train() or "
-                "load_pipeline() before translating"
-            )
-        self._prewarm_stage1([question for question, __ in items])
-        return [
-            self.translate_ranked_report(question, db)
-            for question, db in items
-        ]
-
-    def _prewarm_stage1(self, questions: list[str]) -> None:
-        """Best-effort batch warm-up of the stage-1 question embeddings."""
-        if not self._stage1_ok or not caching_enabled():
-            return
-        try:
-            self.stage1.warm_questions(list(dict.fromkeys(questions)))
-        except Exception:  # repolint: allow[broad-except] — prewarm is best-effort
-            pass
-
     def translate_ranked(
         self,
         question: str,
@@ -1079,8 +1033,8 @@ class MetaSQL:
     ) -> list[RankedTranslation]:
         """Full two-stage ranking; returns translations best-first.
 
-        The resilience report for the call is kept on ``last_report``;
-        use :meth:`translate_ranked_report` to get it alongside the list.
+        Use :meth:`translate_ranked_report` to get the resilience report
+        alongside the list.
         """
         return self.translate_ranked_report(
             question, db, compositions, deadline=deadline
@@ -1094,8 +1048,8 @@ class MetaSQL:
     ) -> Query | None:
         """Best translation for *question*, or None.
 
-        Degrades rather than raises on stage faults: the report on
-        ``last_report`` records anything that was absorbed.
+        Degrades rather than raises on stage faults; use
+        :meth:`translate_ranked_report` to see what was absorbed.
         """
         result = self.translate_ranked_report(question, db, deadline=deadline)
         if not result.translations:

@@ -21,15 +21,23 @@ from repro.nn.autograd import Tensor
 from repro.nn.encoder import EncoderTower
 from repro.nn.optim import Adam
 from repro.nn.text import TextFeaturizer
-from repro.perf.cache import MISS, LRUCache
-from repro.perf.memo import cached_sql_surface
 from repro.schema.schema import Schema
 from repro.sqlkit.ast import Query
+from repro.sqlkit.printer import to_sql
+from repro.sqlkit.sql2nl import describe_query
 
 
-def sql_surface(query: Query, schema: Schema | None = None) -> str:
-    """Text form of a SQL query fed to the SQL tower (memoized)."""
-    return cached_sql_surface(query, schema)
+def sql_surface(
+    query: Query, schema: Schema | None = None, sql_text: str = ""
+) -> str:
+    """Text form of a SQL query fed to the SQL tower.
+
+    Canonical SQL plus its rule-based NL description; *sql_text* is the
+    query's canonical text when the caller already rendered it.
+    """
+    text = sql_text or to_sql(query)
+    vocab_args = (schema,) if schema is not None else ()
+    return f"{text} ; {describe_query(query, *vocab_args)}"
 
 
 @dataclass
@@ -41,9 +49,6 @@ class Stage1Config:
     learning_rate: float = 2e-3
     buckets: int = 1024
     seed: int = 4321
-    #: Entry bound for each of the ranker's memo caches (features and
-    #: per-tower embeddings); refitting invalidates every entry.
-    cache_entries: int = 8192
 
 
 @dataclass(frozen=True)
@@ -64,19 +69,6 @@ class DualTowerRanker:
         self._query_tower: EncoderTower | None = None
         self._sql_tower: EncoderTower | None = None
         self._losses: list[float] = []
-        entries = self.config.cache_entries
-        # TF-IDF vectors are valid for one featurizer fit; embeddings
-        # for one (featurizer, tower-weights) pair.  fit() invalidates
-        # all three, so stale entries can never leak across refits.
-        self._feature_cache = LRUCache("stage1.features", entries)
-        self._query_embed_cache = LRUCache("stage1.query_embed", entries)
-        self._sql_embed_cache = LRUCache("stage1.sql_embed", entries)
-
-    def invalidate_caches(self) -> None:
-        """Drop every memoized feature vector and tower embedding."""
-        self._feature_cache.invalidate()
-        self._query_embed_cache.invalidate()
-        self._sql_embed_cache.invalidate()
 
     # ------------------------------------------------------------------
 
@@ -84,7 +76,6 @@ class DualTowerRanker:
         """Train both towers with MSE on cosine vs the similarity target."""
         if not triples:
             raise ValueError("stage-1 ranker needs training triples")
-        self.invalidate_caches()
         rng = np.random.default_rng(self.config.seed)
         corpus = [t.question for t in triples] + [t.sql_text for t in triples]
         self._featurizer.fit(corpus)
@@ -124,126 +115,39 @@ class DualTowerRanker:
                 epoch_loss += loss.item()
                 batches += 1
             self._losses.append(epoch_loss / max(batches, 1))
-        # Entries stored while weights were still moving are invalid.
-        self.invalidate_caches()
         return self
 
     # ------------------------------------------------------------------
 
-    def encode_question(self, question: str) -> np.ndarray:
-        """Embed a question with the NL tower."""
-        if self._query_tower is None:
-            raise RuntimeError("stage-1 ranker is not fitted")
-        return self._query_tower.encode(question).numpy()
-
-    def encode_sql(self, sql_text: str) -> np.ndarray:
-        """Embed a SQL surface text with the SQL tower."""
-        if self._sql_tower is None:
-            raise RuntimeError("stage-1 ranker is not fitted")
-        return self._sql_tower.encode(sql_text).numpy()
-
-    def similarity(self, question: str, sql_text: str) -> float:
-        """Cosine similarity between the two tower embeddings (Eq. 1)."""
-        q = self.encode_question(question)
-        s = self.encode_sql(sql_text)
-        denominator = np.linalg.norm(q) * np.linalg.norm(s)
-        if denominator == 0:
-            return 0.0
-        return float(q @ s / denominator)
-
-    def _embed_batch(
-        self, tower: EncoderTower, cache: LRUCache, texts: list[str]
-    ) -> np.ndarray:
-        """Embeddings for *texts*: one batched forward over cache misses.
-
-        Duplicate texts are featurized and embedded once; hits come from
-        the bounded embedding cache (invalidated on refit).  With
-        caching ambiently disabled every lookup misses, so the compute
-        path — and therefore every result — is identical.
-        """
+    def _embed(self, tower: EncoderTower, texts: list[str]) -> np.ndarray:
+        """Embeddings for *texts*: distinct texts featurized and embedded once."""
         unique = list(dict.fromkeys(texts))
-        found: dict[str, np.ndarray] = {}
-        missing: list[str] = []
-        for text in unique:
-            value = cache.lookup(text)
-            if value is MISS:
-                missing.append(text)
-            else:
-                found[text] = value
-        if missing:
-            features = np.stack(
-                [
-                    self._feature_cache.get_or(
-                        text,
-                        lambda text=text: self._featurizer.transform(text),
-                    )
-                    for text in missing
-                ]
-            )
-            embedded = tower.embed_array(features)
-            for row, text in enumerate(missing):
-                value = embedded[row].copy()
-                cache.put(text, value)
-                found[text] = value
-        return np.stack([found[text] for text in texts])
-
-    def warm_questions(self, questions: list[str]) -> None:
-        """Prime the query-tower embedding cache with one batched pass."""
-        if self._query_tower is None or not questions:
-            return
-        self._embed_batch(self._query_tower, self._query_embed_cache, questions)
+        embedded = tower.embed_array(self._featurizer.transform_many(unique))
+        row = {text: index for index, text in enumerate(unique)}
+        return embedded[[row[text] for text in texts]]
 
     def rank(
         self, question: str, sql_texts: list[str], top_k: int = 10
     ) -> list[tuple[int, float]]:
-        """Indices of the top-k SQL texts with their cosine scores.
+        """Indices of the top-k SQL texts with their cosine scores (Eq. 1).
 
-        Batch-first: all cache-missing texts are featurized and pushed
-        through the SQL tower in one matrix forward pass, then scored
-        against the question embedding with a single matvec.  Matches
-        :meth:`rank_sequential` (the per-item reference) to float
-        precision.
+        One featurization and one tower forward each for the question
+        and the candidate texts, then one vectorized cosine.
         """
         fire("stage1.rank")
         if not sql_texts:
             return []
         if self._query_tower is None or self._sql_tower is None:
             raise RuntimeError("stage-1 ranker is not fitted")
-        q = self._embed_batch(
-            self._query_tower, self._query_embed_cache, [question]
-        )[0]
-        sql_embeddings = self._embed_batch(
-            self._sql_tower, self._sql_embed_cache, sql_texts
+        q = self._embed(self._query_tower, [question])[0]
+        sql_embeddings = self._embed(self._sql_tower, sql_texts)
+        denominators = float(np.linalg.norm(q)) * np.linalg.norm(
+            sql_embeddings, axis=1
         )
-        q_norm = float(np.linalg.norm(q))
-        sql_norms = np.linalg.norm(sql_embeddings, axis=1)
-        denominators = q_norm * sql_norms
         dots = sql_embeddings @ q
         safe = np.where(denominators == 0.0, 1.0, denominators)
         scores = np.where(denominators == 0.0, 0.0, dots / safe)
         scored = [(index, float(score)) for index, score in enumerate(scores)]
-        scored.sort(key=lambda item: -item[1])
-        return scored[:top_k]
-
-    def rank_sequential(
-        self, question: str, sql_texts: list[str], top_k: int = 10
-    ) -> list[tuple[int, float]]:
-        """Per-item reference ranking (one forward pass per candidate).
-
-        Kept as the uncached, unbatched baseline that :meth:`rank` is
-        verified against (tests) and benchmarked against
-        (``benchmarks/bench_pipeline.py``).
-        """
-        if not sql_texts:
-            return []
-        q = self.encode_question(question)
-        q_norm = np.linalg.norm(q)
-        scored = []
-        for index, text in enumerate(sql_texts):
-            s = self.encode_sql(text)
-            denominator = q_norm * np.linalg.norm(s)
-            score = float(q @ s / denominator) if denominator else 0.0
-            scored.append((index, score))
         scored.sort(key=lambda item: -item[1])
         return scored[:top_k]
 

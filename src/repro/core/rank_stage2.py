@@ -37,7 +37,6 @@ from repro.nn.autograd import Tensor
 from repro.nn.layers import MLP
 from repro.nn.losses import neural_ndcg_loss
 from repro.nn.optim import Adam
-from repro.perf.cache import LRUCache
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,6 @@ class Stage2Config:
     triplet_margin: float = 1.0
     phrase_supervision: bool = True
     seed: int = 987
-    #: Entry bound for the alignment-feature memo caches.
-    cache_entries: int = 16384
 
 
 class MultiGrainedRanker:
@@ -82,17 +79,6 @@ class MultiGrainedRanker:
         self._fine_head = MLP([PHRASE_FEATURE_DIM, 16, 1], rng)
         self._losses: list[float] = []
         self._fitted = False
-        # Alignment features are pure functions of (question, text) —
-        # weight-independent — so these memos never go stale on refit;
-        # they are still bounded and invalidated on fit() for hygiene.
-        entries = self.config.cache_entries
-        self._sentence_cache = LRUCache("stage2.sentence", entries)
-        self._phrase_cache = LRUCache("stage2.phrase", entries)
-
-    def invalidate_caches(self) -> None:
-        """Drop every memoized alignment-feature vector."""
-        self._sentence_cache.invalidate()
-        self._phrase_cache.invalidate()
 
     # ------------------------------------------------------------------
     # Feature extraction (cached per list during training).
@@ -124,7 +110,6 @@ class MultiGrainedRanker:
         """Train the heads with the paper's multi-scale listwise losses."""
         if not lists:
             raise ValueError("stage-2 ranker needs training lists")
-        self.invalidate_caches()
         rng = np.random.default_rng(self.config.seed)
         prepared = []
         for ranking in lists:
@@ -199,18 +184,6 @@ class MultiGrainedRanker:
 
     # ------------------------------------------------------------------
 
-    def score(
-        self, question: str, surface: str, phrases: tuple[str, ...]
-    ) -> float:
-        """Inference score ``y_G + y_L`` (Eq. 5)."""
-        sentence = sentence_features(question, surface, phrases)
-        y_global = float(self._coarse_head(Tensor(sentence)).numpy()[0])
-        features = np.stack(
-            [phrase_features(question, p) for p in (phrases or (surface,))]
-        )
-        phrase_scores = self._fine_head(Tensor(features)).numpy().reshape(-1)
-        return y_global + float(phrase_scores.mean())
-
     def score_many(
         self,
         question: str,
@@ -221,21 +194,13 @@ class MultiGrainedRanker:
         All sentence features are stacked into one coarse-head forward;
         the candidates' distinct phrases form a single fine-head batch
         whose scores are segment-mean-reduced back to per-candidate
-        ``y_L``.  Alignment features come from the bounded memo caches
-        (they repeat heavily across candidates sharing phrases and
-        across repeated questions).  Matches :meth:`score` per item to
-        float precision.
+        ``y_L``.
         """
         if not candidates:
             return []
         sentence_rows = np.stack(
             [
-                self._sentence_cache.get_or(
-                    (question, surface, phrases),
-                    lambda surface=surface, phrases=phrases: (
-                        sentence_features(question, surface, phrases)
-                    ),
-                )
+                sentence_features(question, surface, phrases)
                 for surface, phrases in candidates
             ]
         )
@@ -246,13 +211,7 @@ class MultiGrainedRanker:
             dict.fromkeys(phrase for group in groups for phrase in group)
         )
         phrase_rows = np.stack(
-            [
-                self._phrase_cache.get_or(
-                    (question, phrase),
-                    lambda phrase=phrase: phrase_features(question, phrase),
-                )
-                for phrase in unique
-            ]
+            [phrase_features(question, phrase) for phrase in unique]
         )
         unique_scores = self._fine_head.forward_array(phrase_rows).reshape(-1)
         position = {phrase: i for i, phrase in enumerate(unique)}
@@ -269,28 +228,13 @@ class MultiGrainedRanker:
         question: str,
         candidates: list[tuple[str, tuple[str, ...]]],
     ) -> list[tuple[int, float]]:
-        """Rank (surface, phrases) candidates, best first.
+        """Rank (surface, phrases) candidates by Eq. 5, best first.
 
-        Batch-first: one coarse-head forward over all candidates plus
-        one fine-head forward over their distinct phrases
-        (:meth:`score_many`) replaces the per-candidate loop, which is
-        kept as :meth:`rank_sequential` for verification.
+        One coarse-head forward over all candidates plus one fine-head
+        forward over their distinct phrases (:meth:`score_many`).
         """
         fire("stage2.rank")
         scored = list(enumerate(self.score_many(question, candidates)))
-        scored.sort(key=lambda item: -item[1])
-        return scored
-
-    def rank_sequential(
-        self,
-        question: str,
-        candidates: list[tuple[str, tuple[str, ...]]],
-    ) -> list[tuple[int, float]]:
-        """Per-item reference ranking (one :meth:`score` per candidate)."""
-        scored = [
-            (index, self.score(question, surface, phrases))
-            for index, (surface, phrases) in enumerate(candidates)
-        ]
         scored.sort(key=lambda item: -item[1])
         return scored
 

@@ -278,20 +278,9 @@ def evaluate_metasql(
         owns_journal = True
     examples = dataset.examples[:limit] if limit else dataset.examples
     try:
-        pairs = [
-            (example.question, dataset.database(example.db_id))
-            for example in examples
-        ]
-        # The batched driver prewarms shared featurization (stage-1
-        # question embeddings, rendering memos) across the whole pass.
-        if hasattr(pipeline, "translate_many"):
-            outcomes = pipeline.translate_many(pairs)
-        else:
-            outcomes = [
-                pipeline.translate_ranked_report(question, db)
-                for question, db in pairs
-            ]
-        for example, (__, db), outcome in zip(examples, pairs, outcomes):
+        for example in examples:
+            db = dataset.database(example.db_id)
+            outcome = pipeline.translate_ranked_report(example.question, db)
             predictions = [r.query for r in outcome.translations]
             flags = [exact_match(p, example.sql) for p in predictions[:5]]
             execution_hit = False

@@ -1,38 +1,9 @@
-"""Performance layer: batch-first scoring support and bounded memoization.
+"""Performance layer: :class:`~repro.perf.cache.LRUCache`, a bounded LRU cache.
 
-The ranking hot path evaluates one candidate per sampled metadata
-composition (Section III-C of the paper); the generate-then-rank cost is
-governed by how cheaply the rankers sweep that candidate list.  This
-package supplies the two mechanisms the rest of the codebase batches and
-memoizes with:
-
-- :mod:`repro.perf.cache` — a bounded, thread-safe LRU cache with
-  hit/miss/eviction counters wired into the ambient metrics registry and
-  an ambient kill-switch (:func:`~repro.perf.cache.caching_scope`) that
-  bypasses every cache without changing any result;
-- :mod:`repro.perf.memo` — process-wide memos for the SQL2NL renderings
-  (``sql_surface`` / ``unit_phrases``) and normalized-SQL keys, which
-  repeat heavily across compositions within a request and across
-  requests in the serving layer.
-
-The batch-first scoring itself lives with the models it accelerates
-(:mod:`repro.core.rank_stage1`, :mod:`repro.core.rank_stage2`,
-:mod:`repro.nn.encoder`); DESIGN.md §12 documents cache keys,
-invalidation-on-refit, and the thread-safety contract with ``serve/``.
+The pipeline constructs none; batched ranking lives with the models it
+serves (DESIGN.md §12).
 """
 
-from repro.perf.cache import LRUCache, caching_enabled, caching_scope
-from repro.perf.memo import (
-    cached_normal_sql,
-    cached_sql_surface,
-    cached_unit_phrases,
-)
+from repro.perf.cache import LRUCache
 
-__all__ = [
-    "LRUCache",
-    "caching_enabled",
-    "caching_scope",
-    "cached_normal_sql",
-    "cached_sql_surface",
-    "cached_unit_phrases",
-]
+__all__ = ["LRUCache"]

@@ -1,55 +1,20 @@
-"""Bounded, thread-safe LRU memoization for the ranking hot path.
+"""A bounded, thread-safe LRU cache (not used by the pipeline).
 
-:class:`LRUCache` is the one cache primitive the performance layer uses:
-a dict-ordered LRU with a hard entry bound, a version counter bumped on
-:meth:`~LRUCache.invalidate` (refitting a tower invalidates its
-embeddings), and hit/miss/eviction counters published to the *ambient*
-metrics registry (:func:`repro.obs.metrics.get_registry`) so the serving
-layer's per-service registry sees cache behaviour without extra wiring.
-
-Caching is globally defeasible: :func:`caching_scope` installs a
-:class:`~contextvars.ContextVar` override under which every
-:meth:`~LRUCache.get_or` computes fresh and stores nothing.  The contract
-— verified by test and relied on throughout — is that enabling or
-disabling caching never changes any computed result, only how often the
-underlying computation runs.
-
-Thread-safety contract (relied on by ``serve/``'s worker pool): all
-mutations happen under a per-cache lock; metric increments and user
-compute callbacks run *outside* the lock, so a slow featurization never
-blocks other workers' lookups.  Two threads missing the same key may
-both compute it; last store wins, which is harmless because cached
-computations are deterministic functions of their key.
+:class:`LRUCache` is a dict-ordered LRU with a hard entry bound and
+hit/miss/eviction counters published to the *ambient* metrics registry.
+Mutations happen under a per-cache lock; metric increments and compute
+callbacks run outside it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.devtools.lockdep import new_lock
 from repro.obs.metrics import get_registry
 
-_CACHING: ContextVar[bool] = ContextVar("perf_caching_enabled", default=True)
-
 #: Sentinel returned by :meth:`LRUCache.lookup` on a miss.
 MISS = object()
-
-
-def caching_enabled() -> bool:
-    """Whether the ambient scope currently allows cache hits/stores."""
-    return _CACHING.get()
-
-
-@contextmanager
-def caching_scope(enabled: bool) -> Iterator[None]:
-    """Ambiently enable/disable every :class:`LRUCache` in this context."""
-    token = _CACHING.set(enabled)
-    try:
-        yield
-    finally:
-        _CACHING.reset(token)
 
 
 class LRUCache:
@@ -113,11 +78,8 @@ class LRUCache:
     def lookup(self, key):
         """The cached value for *key*, or the :data:`MISS` sentinel.
 
-        Counts a hit or miss; a hit refreshes the entry's recency.  When
-        caching is ambiently disabled this is an uncounted miss.
+        Counts a hit or miss; a hit refreshes the entry's recency.
         """
-        if not _CACHING.get():
-            return MISS
         with self._lock:
             if key in self._data:
                 value = self._data.pop(key)
@@ -131,12 +93,7 @@ class LRUCache:
         return value
 
     def put(self, key, value) -> None:
-        """Store *key* -> *value*, evicting LRU entries past the bound.
-
-        A no-op when caching is ambiently disabled.
-        """
-        if not _CACHING.get():
-            return
+        """Store *key* -> *value*, evicting LRU entries past the bound."""
         evicted = 0
         with self._lock:
             version = self._version

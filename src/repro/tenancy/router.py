@@ -3,11 +3,9 @@
 :class:`Router` sits between :class:`~repro.serve.service.TranslationService`
 and the pipelines: every submit/translate call resolves a tenant id to a
 :class:`~repro.tenancy.registry.Tenant`, charges its admission quota, and
-leases its shard for exactly one translation.  The seam is deliberately
-thin — ``Router.single(pipeline)`` wraps one pipeline as the ``default``
-tenant with no quota, and that path is bit-identical to calling the
-pipeline directly (same object, no extra work per call beyond one lock'd
-pointer read).
+leases its shard for exactly one translation.  A bare pipeline is served
+through the same code: ``Router.single(pipeline)`` registers it as the
+unmetered ``default`` tenant, so there is no separate single-tenant path.
 
 Zero-downtime hot swap (:meth:`Router.swap`):
 
@@ -69,9 +67,8 @@ class Router:
     def single(cls, pipeline: object, journal=None) -> "Router":
         """A router serving one unmetered ``default`` tenant.
 
-        This is the single-tenant fast path the service wraps a bare
-        pipeline in: no quota, no extra admission work, bit-identical
-        translate output.
+        The service wraps a bare pipeline in this; requests take the
+        ordinary resolve/admit/lease path with no quota attached.
         """
         router = cls(journal=journal)
         router.registry.register(DEFAULT_TENANT, pipeline)

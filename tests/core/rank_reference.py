@@ -1,0 +1,45 @@
+"""Per-item reference rankers: one autograd forward pass per candidate.
+
+The plain reading of Eq. 1 (stage 1) and Eq. 5 (stage 2), which the
+library's batched ``rank`` paths are checked against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.align import phrase_features, sentence_features
+from repro.nn.autograd import Tensor
+
+
+def _ranked(scores: list[float]) -> list[tuple[int, float]]:
+    return sorted(enumerate(scores), key=lambda item: -item[1])
+
+
+def stage1_rank(ranker, question, sql_texts, top_k=10):
+    """Stage-1 top-k: the cosine of each text's embedding with the question's."""
+    q = ranker._query_tower.encode(question).numpy()
+    scores = []
+    for text in sql_texts:
+        s = ranker._sql_tower.encode(text).numpy()
+        denominator = np.linalg.norm(q) * np.linalg.norm(s)
+        scores.append(float(q @ s / denominator) if denominator else 0.0)
+    return _ranked(scores)[:top_k]
+
+
+def stage2_score(ranker, question, surface, phrases) -> float:
+    """Eq. 5 for one candidate: ``y_G + y_L``."""
+    sentence = sentence_features(question, surface, phrases)
+    y_global = float(ranker._coarse_head(Tensor(sentence)).numpy()[0])
+    features = np.stack(
+        [phrase_features(question, p) for p in (phrases or (surface,))]
+    )
+    phrase_scores = ranker._fine_head(Tensor(features)).numpy().reshape(-1)
+    return y_global + float(phrase_scores.mean())
+
+
+def stage2_rank(ranker, question, candidates):
+    """Stage-2 order with one :func:`stage2_score` per candidate."""
+    return _ranked(
+        [stage2_score(ranker, question, *candidate) for candidate in candidates]
+    )

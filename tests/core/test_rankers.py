@@ -58,9 +58,12 @@ class TestStage1:
         assert losses[-1] < losses[0]
 
     def test_similarity_reflects_overlap(self, ranker):
-        same = ranker.similarity("alpha beta gamma", "alpha beta gamma")
-        different = ranker.similarity("alpha beta gamma", "zeta eta delta")
-        assert same > different
+        scores = dict(
+            ranker.rank(
+                "alpha beta gamma", ["alpha beta gamma", "zeta eta delta"]
+            )
+        )
+        assert scores[0] > scores[1]
 
     def test_rank_returns_topk(self, ranker):
         ranked = ranker.rank(
@@ -71,7 +74,7 @@ class TestStage1:
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            DualTowerRanker().encode_question("x")
+            DualTowerRanker().rank("x", ["y"])
 
     def test_sql_surface_includes_description(self, world_db):
         query = parse_sql("SELECT name FROM country WHERE code = 'ABW'")
@@ -136,5 +139,5 @@ class TestStage2:
         assert ranker.training_losses()
 
     def test_score_is_finite(self, ranker):
-        value = ranker.score("alpha", "beta", ("beta",))
+        [(__, value)] = ranker.rank("alpha", [("beta", ("beta",))])
         assert np.isfinite(value)

@@ -1,16 +1,8 @@
-"""Performance-layer tests: bounded LRU caching + batched scoring.
+"""Batched-scoring tests, plus the :class:`LRUCache` primitive.
 
-Two contracts are verified here, both load-bearing for the vectorized
-ranking hot path:
-
-1. **Equivalence** — batching and memoization never change what is
-   computed.  The batched rankers match their per-item references to
-   float precision, cold caches match disabled caches exactly (the
-   compute path is the same), and a hypothesis sweep checks the full
-   pipeline returns the same ranked SQL with caching on and off.
-2. **Boundedness** — every cache has a hard entry bound with
-   least-recently-*used* eviction, refitting invalidates, and hit/miss/
-   eviction counts flow into the ambient metrics registry.
+The batched rankers must match the per-item references in
+:mod:`tests.core.rank_reference` to float precision: stage 1's top-k
+order and cosines, stage 2's ``y_G + y_L`` per candidate.
 """
 
 from __future__ import annotations
@@ -19,31 +11,23 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.pipeline import _dedupe_candidates
 from repro.core.generation import GeneratedCandidate
-from repro.core.rank_stage1 import DualTowerRanker, RankingTriple, Stage1Config
+from repro.core.rank_stage1 import DualTowerRanker, Stage1Config
 from repro.core.rank_stage2 import MultiGrainedRanker, Stage2Config
 from repro.nn.text import HashingVectorizer, TextFeaturizer, _fnv1a, _hash_token
 from repro.obs.metrics import MetricsRegistry, registry_scope
-from repro.perf.cache import MISS, LRUCache, caching_enabled, caching_scope
-from repro.perf.memo import (
-    cached_normal_sql,
-    cached_sql_surface,
-    cached_unit_phrases,
-)
-from repro.sqlkit.normalize import normalize
+from repro.perf.cache import MISS, LRUCache
 from repro.sqlkit.parser import parse_sql
 from repro.sqlkit.printer import to_sql
-from repro.sqlkit.sql2nl import describe_query, unit_phrases
+from tests.core import rank_reference
 
 pytestmark = pytest.mark.perf
 
 
 # ----------------------------------------------------------------------
-# LRUCache: bound, recency, invalidation, kill-switch, metrics, threads.
+# LRUCache: bound, recency, invalidation, metrics, threads.
 
 
 class TestLRUCache:
@@ -93,27 +77,6 @@ class TestLRUCache:
         assert cache.version == version + 1
         assert cache.lookup("a") is MISS
 
-    def test_caching_scope_disables_without_changing_results(self):
-        cache = LRUCache("t", max_entries=4)
-        cache.put("a", 1)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 1
-
-        assert caching_enabled()
-        with caching_scope(False):
-            assert not caching_enabled()
-            assert cache.lookup("a") is MISS  # bypass, not eviction
-            assert cache.get_or("a", compute) == 1
-            assert cache.get_or("a", compute) == 1
-        assert len(calls) == 2  # recomputed every time while disabled
-        assert cache.lookup("a") == 1  # entry survived the scope
-        stats = cache.stats()
-        assert stats["misses"] == 0  # disabled lookups are uncounted
-        assert stats["hits"] == 1
-
     def test_counters_flow_into_ambient_registry(self):
         registry = MetricsRegistry()
         with registry_scope(registry):
@@ -161,39 +124,6 @@ class TestLRUCache:
 
 
 # ----------------------------------------------------------------------
-# Rendering memos: cached values match direct computation.
-
-
-class TestRenderingMemos:
-    SQL = "SELECT name FROM country WHERE code = 'ABW'"
-
-    def test_cached_sql_surface_matches_direct(self, world_db):
-        query = parse_sql(self.SQL)
-        schema = world_db.schema
-        direct = f"{to_sql(query)} ; {describe_query(query, schema)}"
-        assert cached_sql_surface(query, schema) == direct
-        assert cached_sql_surface(query, schema) == direct  # warm hit
-
-    def test_cached_unit_phrases_matches_direct(self, world_db):
-        query = parse_sql(self.SQL)
-        schema = world_db.schema
-        assert cached_unit_phrases(query, schema) == tuple(
-            unit_phrases(query, schema)
-        )
-
-    def test_cached_normal_sql_matches_direct(self):
-        query = parse_sql("SELECT name FROM country WHERE code = 'ABW'")
-        assert cached_normal_sql(query) == to_sql(normalize(query))
-
-    def test_default_vocabulary_key_is_distinct(self, world_db):
-        query = parse_sql(self.SQL)
-        with_schema = cached_sql_surface(query, world_db.schema)
-        without = cached_sql_surface(query)
-        assert with_schema.startswith(to_sql(query))
-        assert without.startswith(to_sql(query))
-
-
-# ----------------------------------------------------------------------
 # Text featurization: the shared accumulation path + token-hash memo.
 
 
@@ -225,30 +155,13 @@ class TestTextBatching:
 # Batched rankers match their per-item references.
 
 
-def _triples(n: int = 80, seed: int = 3) -> list[RankingTriple]:
-    rng = np.random.default_rng(seed)
-    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
-    triples = []
-    for __ in range(n):
-        size = int(rng.integers(2, 5))
-        question = list(rng.choice(words, size=size, replace=False))
-        sql = list(rng.choice(words, size=size, replace=False))
-        shared = len(set(sql) & set(question))
-        triples.append(
-            RankingTriple(
-                question=" ".join(question),
-                sql_text=" ".join(sql),
-                target=shared / size,
-            )
-        )
-    return triples
-
-
 class TestStage1Batching:
     @pytest.fixture(scope="class")
     def ranker(self):
+        from tests.core.test_rankers import _synthetic_triples
+
         config = Stage1Config(epochs=10, buckets=128, embed_dim=16)
-        return DualTowerRanker(config).fit(_triples())
+        return DualTowerRanker(config).fit(_synthetic_triples(n=80, seed=3))
 
     CANDIDATES = [
         "alpha beta",
@@ -261,8 +174,8 @@ class TestStage1Batching:
 
     def _assert_matches_sequential(self, ranker, top_k):
         batched = ranker.rank("alpha beta gamma", self.CANDIDATES, top_k)
-        reference = ranker.rank_sequential(
-            "alpha beta gamma", self.CANDIDATES, top_k
+        reference = rank_reference.stage1_rank(
+            ranker, "alpha beta gamma", self.CANDIDATES, top_k
         )
         assert [i for i, __ in batched] == [i for i, __ in reference]
         np.testing.assert_allclose(
@@ -276,44 +189,6 @@ class TestStage1Batching:
 
     def test_batched_matches_sequential_topk(self, ranker):
         self._assert_matches_sequential(ranker, top_k=3)
-
-    def test_cold_cache_equals_disabled_exactly(self, ranker):
-        with caching_scope(False):
-            disabled = ranker.rank("alpha beta", self.CANDIDATES)
-        ranker.invalidate_caches()
-        cold = ranker.rank("alpha beta", self.CANDIDATES)
-        assert cold == disabled  # same compute path -> bit-identical
-        warm = ranker.rank("alpha beta", self.CANDIDATES)
-        assert warm == cold
-
-    def test_eviction_under_pressure_stays_correct(self, ranker):
-        ranker._sql_embed_cache.resize(2)  # far smaller than the batch
-        try:
-            for __ in range(3):
-                self._assert_matches_sequential(ranker, top_k=10)
-            assert len(ranker._sql_embed_cache) <= 2
-            assert ranker._sql_embed_cache.stats()["evictions"] > 0
-        finally:
-            ranker._sql_embed_cache.resize(
-                ranker.config.cache_entries
-            )
-            ranker.invalidate_caches()
-
-    def test_fit_invalidates_caches(self, ranker):
-        ranker.rank("alpha beta", self.CANDIDATES)
-        assert len(ranker._sql_embed_cache) > 0
-        version = ranker._sql_embed_cache.version
-        ranker.fit(_triples(n=40, seed=9))
-        assert len(ranker._sql_embed_cache) == 0
-        assert ranker._sql_embed_cache.version > version
-
-    def test_warm_questions_primes_cache(self, ranker):
-        ranker.invalidate_caches()
-        ranker.warm_questions(["alpha beta", "eta zeta"])
-        assert "alpha beta" in ranker._query_embed_cache
-        before = ranker._query_embed_cache.stats()["hits"]
-        ranker.rank("alpha beta", self.CANDIDATES)
-        assert ranker._query_embed_cache.stats()["hits"] == before + 1
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -341,7 +216,7 @@ class TestStage2Batching:
         question = "alpha beta gamma"
         batched = ranker.score_many(question, self.CANDIDATES)
         reference = [
-            ranker.score(question, surface, phrases)
+            rank_reference.stage2_score(ranker, question, surface, phrases)
             for surface, phrases in self.CANDIDATES
         ]
         np.testing.assert_allclose(batched, reference, atol=1e-9)
@@ -349,7 +224,9 @@ class TestStage2Batching:
     def test_rank_matches_sequential(self, ranker):
         question = "alpha beta gamma"
         batched = ranker.rank(question, self.CANDIDATES)
-        reference = ranker.rank_sequential(question, self.CANDIDATES)
+        reference = rank_reference.stage2_rank(
+            ranker, question, self.CANDIDATES
+        )
         assert [i for i, __ in batched] == [i for i, __ in reference]
         np.testing.assert_allclose(
             [s for __, s in batched],
@@ -361,16 +238,9 @@ class TestStage2Batching:
         assert ranker.score_many("q", []) == []
         assert ranker.rank("q", []) == []
 
-    def test_cold_cache_equals_disabled_exactly(self, ranker):
-        with caching_scope(False):
-            disabled = ranker.rank("alpha zeta", self.CANDIDATES)
-        ranker.invalidate_caches()
-        cold = ranker.rank("alpha zeta", self.CANDIDATES)
-        assert cold == disabled
-
 
 # ----------------------------------------------------------------------
-# Pipeline: dedupe, batched driver, and the caching-is-invisible sweep.
+# Pipeline: normalized-SQL dedupe and the stage spans.
 
 
 def _candidate(sql: str, score: float) -> GeneratedCandidate:
@@ -424,22 +294,7 @@ class TestCandidateDedupe:
         assert generate["attributes"]["deduped"] >= 0
 
 
-class TestTranslateMany:
-    def test_matches_per_item_translation(
-        self, trained_pipeline, tiny_benchmark
-    ):
-        examples = tiny_benchmark.dev.examples[:4]
-        pairs = [
-            (e.question, tiny_benchmark.dev.database(e.db_id))
-            for e in examples
-        ]
-        batched = trained_pipeline.translate_many(pairs)
-        for (question, db), outcome in zip(pairs, batched):
-            single = trained_pipeline.translate_ranked_report(question, db)
-            assert [to_sql(t.query) for t in outcome.translations] == [
-                to_sql(t.query) for t in single.translations
-            ]
-
+class TestStageSpans:
     def test_stage_spans_carry_batch_size(
         self, trained_pipeline, tiny_benchmark
     ):
@@ -453,48 +308,3 @@ class TestTranslateMany:
         }
         assert spans["stage1"]["attributes"]["batch_size"] >= 1
         assert spans["stage2"]["attributes"]["batch_size"] >= 1
-
-    def test_cache_traffic_reaches_ambient_registry(
-        self, trained_pipeline, tiny_benchmark
-    ):
-        example = tiny_benchmark.dev.examples[0]
-        db = tiny_benchmark.dev.database(example.db_id)
-        registry = MetricsRegistry()
-        with registry_scope(registry):
-            trained_pipeline.translate_ranked_report(example.question, db)
-            trained_pipeline.translate_ranked_report(example.question, db)
-        rendered = registry.render_prometheus()
-        assert "metasql_cache_hits_total" in rendered
-        assert "metasql_cache_misses_total" in rendered
-
-
-class TestCachingIsInvisible:
-    """Property: caching on/off never changes the translation output."""
-
-    @settings(max_examples=12, deadline=None)
-    @given(index=st.integers(min_value=0, max_value=11))
-    def test_cache_toggle_preserves_output(
-        self, trained_pipeline, tiny_benchmark, index
-    ):
-        examples = tiny_benchmark.dev.examples
-        example = examples[index % len(examples)]
-        db = tiny_benchmark.dev.database(example.db_id)
-        with caching_scope(False):
-            uncached = trained_pipeline.translate_ranked_report(
-                example.question, db
-            )
-        with caching_scope(True):
-            cached = trained_pipeline.translate_ranked_report(
-                example.question, db
-            )
-        assert [to_sql(t.query) for t in cached.translations] == [
-            to_sql(t.query) for t in uncached.translations
-        ]
-        np.testing.assert_allclose(
-            [t.stage2_score for t in cached.translations],
-            [t.stage2_score for t in uncached.translations],
-            atol=1e-9,
-        )
-        # Report fields other than timing/trace are unchanged too.
-        assert cached.report.degraded == uncached.report.degraded
-        assert len(cached.report.faults) == len(uncached.report.faults)

@@ -249,12 +249,15 @@ class TestDegradationChain:
         db = tiny_benchmark.dev.database(example.db_id)
         with FAULTS.inject(site, times=1):
             query = trained_pipeline.translate(example.question, db)
-        report = trained_pipeline.last_report
-        assert site in [record.site for record in report.faults]
         if site == "generator.generate":
             assert query is None  # clean None, not an exception
         else:
             assert query is not None
+        with FAULTS.inject(site, times=1):
+            report = trained_pipeline.translate_ranked_report(
+                example.question, db
+            ).report
+        assert site in [record.site for record in report.faults]
 
     def test_persistent_generation_fault_yields_clean_none(
         self, trained_pipeline, tiny_benchmark
@@ -263,7 +266,10 @@ class TestDegradationChain:
         db = tiny_benchmark.dev.database(example.db_id)
         with FAULTS.inject("generator.generate", times=None):
             assert trained_pipeline.translate(example.question, db) is None
-        assert trained_pipeline.last_report.degraded
+            result = trained_pipeline.translate_ranked_report(
+                example.question, db
+            )
+        assert result.report.degraded
 
     def test_transient_fault_recovers_via_retry(
         self, trained_pipeline, tiny_benchmark
