@@ -154,9 +154,6 @@ class JournalSummary:
     repair_attempts: int = 0
     repair_succeeded: int = 0
     fault_counts: dict[str, int] = field(default_factory=dict)
-    #: Alert transitions per objective (keyed ``name`` or
-    #: ``name[tenant]``): ``{"firing": n, "resolved": n}``.
-    slo_alerts: dict[str, dict[str, int]] = field(default_factory=dict)
     by_hardness: dict[str, HardnessBucket] = field(default_factory=dict)
     by_tenant: dict[str, TenantBucket] = field(default_factory=dict)
     stage_latencies: dict[str, list[float]] = field(default_factory=dict)
@@ -176,10 +173,6 @@ class JournalSummary:
             "repair_attempts": self.repair_attempts,
             "repair_succeeded": self.repair_succeeded,
             "fault_counts": dict(sorted(self.fault_counts.items())),
-            "slo_alerts": {
-                name: dict(sorted(counts.items()))
-                for name, counts in sorted(self.slo_alerts.items())
-            },
             "latency": LatencySummary.of(self.latencies).as_dict(),
             "by_hardness": {
                 level: bucket.as_dict()
@@ -226,14 +219,15 @@ class JournalSummary:
                 f"  repair attempts {self.repair_attempts}, "
                 f"succeeded {self.repair_succeeded}"
             )
-        if self.slo_alerts:
-            lines.append("  slo alerts:")
-            for name, counts in sorted(self.slo_alerts.items()):
-                fired = counts.get("firing", 0)
-                resolved = counts.get("resolved", 0)
-                lines.append(
-                    f"    {name:20s} fired={fired} resolved={resolved}"
+        if self.fault_counts:
+            faults = ", ".join(
+                f"{stage}={count}"
+                for stage, count in sorted(
+                    self.fault_counts.items(),
+                    key=lambda item: (-item[1], item[0]),
                 )
+            )
+            lines.append(f"  faults by stage: {faults}")
         overall = LatencySummary.of(self.latencies)
         lines.append(
             f"  latency p50/p90/p99: {overall.p50 * 1e3:.2f}/"
@@ -300,9 +294,6 @@ def aggregate_journal(
             if event == "tenant_swap":
                 _fold_swap(summary, record)
                 continue  # swap events carry no request fields
-            if event == "slo_alert":
-                _fold_slo_alert(summary, record)
-                continue  # alert transitions carry no request fields
             _fold_tenant(summary, record)
             _fold_common(summary, record)
     return summary
@@ -317,16 +308,6 @@ def _fold_swap(summary: JournalSummary, record: dict) -> None:
     epoch = record.get("epoch")
     if isinstance(epoch, int):
         bucket.max_epoch = max(bucket.max_epoch, epoch)
-
-
-def _fold_slo_alert(summary: JournalSummary, record: dict) -> None:
-    """An ``slo_alert`` journal event: count transitions per objective."""
-    name = record.get("slo", "unknown")
-    tenant = record.get("tenant")
-    key = f"{name}[{tenant}]" if tenant else str(name)
-    counts = summary.slo_alerts.setdefault(key, {})
-    state = record.get("state", "unknown")
-    counts[state] = counts.get(state, 0) + 1
 
 
 def _fold_tenant(summary: JournalSummary, record: dict) -> None:

@@ -12,19 +12,8 @@ without cycles):
   (``registry.render_prometheus()``) and an ambient default
   (``get_registry`` / ``registry_scope``);
 - :mod:`repro.obs.journal` — crash-safe append-only JSONL event log
-  with torn-tail-tolerant replay (and a ``follow=True`` tail mode),
-  aggregated offline by :mod:`repro.eval.journal_analysis`.
-
-And an operational-intelligence layer on top (PR 8), consumed by the
-serving front-end:
-
-- :mod:`repro.obs.slo` — declarative :class:`SloSpec` objectives with
-  multi-window burn-rate alerting (:class:`SloEngine`);
-- :mod:`repro.obs.recorder` — a tail-sampling :class:`FlightRecorder`
-  ring buffer plus one-file debug bundles;
-- :mod:`repro.obs.ops` — a stdlib HTTP :class:`OpsServer` exposing
-  ``/metrics``, ``/healthz``, ``/readyz``, ``/slo`` and
-  ``/debug/flightrecorder``.
+  with torn-tail-tolerant replay, aggregated offline by
+  :mod:`repro.eval.journal_analysis`.
 """
 
 from repro.obs.journal import Journal, iter_journal, read_journal
@@ -38,16 +27,6 @@ from repro.obs.metrics import (
     get_registry,
     registry_scope,
 )
-from repro.obs.ops import OpsServer
-from repro.obs.recorder import FlightRecorder, load_bundle
-from repro.obs.slo import (
-    Alert,
-    SloEngine,
-    SloError,
-    SloSpec,
-    SloStatus,
-    default_slos,
-)
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -57,27 +36,18 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Alert",
     "Counter",
     "DEFAULT_BUCKETS",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "Journal",
     "MetricError",
     "MetricsRegistry",
-    "OpsServer",
-    "SloEngine",
-    "SloError",
-    "SloSpec",
-    "SloStatus",
     "Span",
     "Tracer",
     "current_tracer",
-    "default_slos",
     "get_registry",
     "iter_journal",
-    "load_bundle",
     "maybe_span",
     "read_journal",
     "registry_scope",

@@ -118,75 +118,19 @@ class Journal:
         self.close()
 
 
-def iter_journal(
-    path: str | pathlib.Path,
-    follow: bool = False,
-    poll_interval: float = 0.05,
-    timeout: float | None = None,
-    max_records: int | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.monotonic,
-) -> Iterator[dict]:
+def iter_journal(path: str | pathlib.Path) -> Iterator[dict]:
     """Replay a journal, skipping torn/corrupt lines (crash tolerance).
 
-    With ``follow=True`` the iterator behaves like ``tail -f``: after
-    draining the existing records it polls the file (every
-    *poll_interval* seconds, on the injectable *sleep*/*clock* pair) for
-    newly appended lines, tolerating the file not existing yet.  A
-    follow must be bounded — by *timeout* seconds, *max_records* yielded
-    records, or both — so a watcher cannot hang forever; an unbounded
-    follow raises ``ValueError`` up front.
-
-    Only newline-terminated lines are parsed in follow mode: a line
-    still being written (no ``\\n`` yet) is left in place and re-read on
-    the next poll once its terminator lands, preserving the skip-corrupt
-    semantics without ever yielding a torn prefix of a good record.
+    A missing file replays as empty.
     """
     path = pathlib.Path(path)
-    if not follow:
-        if not path.is_file():
-            return
-        count = 0
-        with open(path, "rb") as handle:
-            for raw in handle:
-                record = _parse_line(raw)
-                if record is not None:
-                    yield record
-                    count += 1
-                    if max_records is not None and count >= max_records:
-                        return
+    if not path.is_file():
         return
-    if timeout is None and max_records is None:
-        raise ValueError(
-            "iter_journal(follow=True) needs a bound: "
-            "pass timeout= and/or max_records="
-        )
-    deadline = None if timeout is None else clock() + timeout
-    offset = 0
-    count = 0
-    while True:
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-        except FileNotFoundError:
-            chunk = b""
-        # Parse only complete lines; a trailing partial stays unread
-        # (offset does not advance past it) until its newline arrives.
-        consumed = chunk.rfind(b"\n") + 1
-        if consumed:
-            for raw in chunk[:consumed].splitlines():
-                record = _parse_line(raw)
-                if record is None:
-                    continue
+    with open(path, "rb") as handle:
+        for raw in handle:
+            record = _parse_line(raw)
+            if record is not None:
                 yield record
-                count += 1
-                if max_records is not None and count >= max_records:
-                    return
-            offset += consumed
-        if deadline is not None and clock() >= deadline:
-            return
-        sleep(poll_interval)
 
 
 def _parse_line(raw: bytes) -> dict | None:

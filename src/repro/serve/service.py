@@ -1,8 +1,7 @@
 """A hardened serving front-end for trained MetaSQL pipelines.
 
-:class:`TranslationService` puts the production controls the ROADMAP's
-heavy-traffic north star needs *around* the pipeline's per-translation
-fault isolation (PR 1):
+:class:`TranslationService` puts production controls *around* the
+pipeline's per-translation fault isolation:
 
 - **Admission control** — a bounded work queue; when it is full the
   submit path sheds load immediately with a typed
@@ -29,7 +28,9 @@ fault isolation (PR 1):
   :meth:`TranslationService.metrics` renders it in the Prometheus text
   format, and an optional :class:`~repro.obs.journal.Journal` records a
   per-request JSONL summary for offline analysis
-  (:mod:`repro.eval.journal_analysis`).
+  (:mod:`repro.eval.journal_analysis`).  Those views — plus the span
+  tree on every report and :meth:`TranslationService.health` — are the
+  service's only outputs besides the answers themselves.
 - **Multi-tenancy** — every submit/translate call dispatches through a
   :class:`~repro.tenancy.router.Router`: the tenant's admission quota
   is charged *before* the shared queue (a noisy tenant gets typed
@@ -69,9 +70,6 @@ from repro.core.resilience import (
 from repro.eval.evaluate import reports_degraded_rate
 from repro.obs.journal import Journal
 from repro.obs.metrics import MetricsRegistry, get_registry, registry_scope
-from repro.obs.ops import OpsServer
-from repro.obs.recorder import FlightRecorder
-from repro.obs.slo import SloEngine, SloSpec
 from repro.schema.database import Database
 from repro.sqlkit.errors import (
     ConfigError,
@@ -109,17 +107,6 @@ class ServiceConfig:
     #: When set, a per-request JSONL event journal is appended here
     #: (crash-safe; see :mod:`repro.obs.journal`).
     journal_path: str | pathlib.Path | None = None
-    #: Declarative service objectives (:class:`~repro.obs.slo.SloSpec`);
-    #: empty disables the SLO engine entirely.
-    slos: tuple = ()
-    #: Ring-buffer capacity of the tail-sampling flight recorder; 0
-    #: disables the recorder entirely.
-    recorder_capacity: int = 0
-    #: When set, an :class:`~repro.obs.ops.OpsServer` is started on
-    #: ``(ops_host, ops_port)`` (0 = ephemeral port); None keeps the
-    #: service endpoint-free.
-    ops_port: int | None = None
-    ops_host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
         self.validate()
@@ -154,25 +141,11 @@ class ServiceConfig:
                 f"health window must be positive, "
                 f"got {self.health_window!r}"
             )
-        for spec in self.slos:
-            if not isinstance(spec, SloSpec):
-                raise ConfigError(
-                    f"slos must hold SloSpec objects, got {spec!r}"
-                )
-        if self.recorder_capacity < 0:
-            raise ConfigError(
-                f"recorder capacity cannot be negative, "
-                f"got {self.recorder_capacity!r}"
-            )
-        if self.ops_port is not None and not 0 <= self.ops_port <= 65535:
-            raise ConfigError(
-                f"ops_port must be a port number, got {self.ops_port!r}"
-            )
 
 
 @dataclass(frozen=True)
 class HealthSnapshot:
-    """Point-in-time service health for readiness/liveness endpoints."""
+    """Point-in-time service health for readiness/liveness checks."""
 
     accepting: bool
     queue_depth: int
@@ -208,7 +181,7 @@ class HealthSnapshot:
     def as_dict(self) -> dict:
         """JSON-ready representation (round-trips via :meth:`from_dict`).
 
-        The derived ``ready`` flag is included for endpoint consumers
+        The derived ``ready`` flag is included for readers of the dict
         but ignored on the way back in.
         """
         record = asdict(self)
@@ -262,8 +235,6 @@ class TranslationService:
         clock=time.monotonic,
         registry: MetricsRegistry | None = None,
         journal: Journal | None = None,
-        slo_engine: SloEngine | None = None,
-        recorder: FlightRecorder | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self.config.validate()
@@ -288,31 +259,6 @@ class TranslationService:
         # router already writes its own).
         if self.router.journal is None:
             self.router.journal = self._journal
-        # Operational-intelligence layer (all opt-in): SLO engine, flight
-        # recorder, ops endpoint.  Injected instances win over config so
-        # tests can drive the engine on a synthetic clock.
-        if slo_engine is not None:
-            self.slo_engine: SloEngine | None = slo_engine
-        elif self.config.slos:
-            self.slo_engine = SloEngine(
-                self.config.slos,
-                clock=clock,
-                journal=self._journal,
-                registry=self.registry,
-            )
-        else:
-            self.slo_engine = None
-        if recorder is not None:
-            self.recorder: FlightRecorder | None = recorder
-        elif self.config.recorder_capacity > 0:
-            self.recorder = FlightRecorder(
-                capacity=self.config.recorder_capacity,
-                registry=self.registry,
-            )
-        else:
-            self.recorder = None
-        if self.recorder is not None:
-            self.router.on_event = self._on_router_event
         self._rng = random.Random(self.config.jitter_seed)
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_limit)
         self._lock = new_lock("TranslationService._lock")
@@ -337,19 +283,6 @@ class TranslationService:
         ]
         for worker in self._workers:
             worker.start()
-        # The ops endpoint starts last: by the time it is reachable the
-        # instrument handles exist and the workers are live.
-        self._ops: OpsServer | None = None
-        if self.config.ops_port is not None:
-            self._ops = OpsServer(
-                host=self.config.ops_host,
-                port=self.config.ops_port,
-                metrics=self.metrics,
-                health=lambda: self.health().as_dict(),
-                slo=self._slo_statuses,
-                recorder=self._recorder_entries,
-            )
-            self._ops.start()
 
     @property
     def pipeline(self):
@@ -554,7 +487,7 @@ class TranslationService:
         )
 
     def _handle(self, job: _Job) -> RankedResult:
-        """First attempt, bounded transient retries, then publish."""
+        """First attempt, bounded transient retries, then journal."""
         fire("serve.handle")
         attempt = 0
         result = self._attempt(job)
@@ -569,7 +502,7 @@ class TranslationService:
             self._sleep(self._backoff(attempt))
             attempt += 1
             result = self._attempt(job)
-        self._publish(job, result, attempt)
+        self._journal_request(job, result, attempt)
         return result
 
     def _attempt(self, job: _Job) -> RankedResult:
@@ -623,30 +556,21 @@ class TranslationService:
             },
         }
 
-    def _publish(
+    def _journal_request(
         self, job: _Job, result: RankedResult, retries: int
     ) -> None:
-        """Fan the finished request out to journal, SLO engine, recorder.
+        """Append the finished request's record to the journal, if any.
 
-        Runs on the worker thread after the retry loop settles; none of
-        the sinks may fail the request (journalling swallows errors, the
-        SLO engine and recorder only touch their own state plus the
-        service registry captured at construction).
+        Runs on the worker thread after the retry loop settles;
+        journalling swallows its errors so it never fails the request.
         """
+        if self._journal is None:
+            return
         record = self._request_record(job, result, retries)
-        if self._journal is not None:
-            try:
-                self._journal.append(record)
-            except Exception:  # repolint: allow[broad-except] — journalling never fails a request
-                pass
-        alerting = False
-        if self.slo_engine is not None:
-            self.slo_engine.observe(record)
-            alerting = self.slo_engine.alerting()
-        if self.recorder is not None:
-            self.recorder.consider(
-                record, report=result.report, slo_alerting=alerting
-            )
+        try:
+            self._journal.append(record)
+        except Exception:  # repolint: allow[broad-except] — journalling never fails a request
+            pass
 
     @staticmethod
     def _retryable(result: RankedResult) -> bool:
@@ -724,8 +648,8 @@ class TranslationService:
     def metrics(self) -> str:
         """The service's registry in the Prometheus text format.
 
-        The endpoint-style companion to :meth:`health`: scrape-ready
-        text covering the queue/latency/outcome metrics recorded here
+        The text companion to :meth:`health`: scrape-ready text
+        covering the queue/latency/outcome metrics recorded here
         plus the per-stage pipeline metrics recorded under this
         service's ambient registry scope.
         """
@@ -734,65 +658,8 @@ class TranslationService:
             self._m_in_flight.set(self._in_flight)
         return self.registry.render_prometheus()
 
-    # ------------------------------------------------------------------
-    # Operational intelligence (SLO engine / recorder / ops endpoint).
-
-    @property
-    def ops_address(self) -> "tuple[str, int] | None":
-        """``(host, port)`` of the live ops endpoint, or None."""
-        return self._ops.address if self._ops is not None else None
-
-    @property
-    def ops_url(self) -> str | None:
-        """Base URL of the live ops endpoint, or None."""
-        return self._ops.url if self._ops is not None else None
-
-    def _slo_statuses(self) -> list:
-        if self.slo_engine is None:
-            return []
-        return self.slo_engine.evaluate()
-
-    def _recorder_entries(
-        self, tenant: str | None = None, limit: int | None = None
-    ) -> list[dict]:
-        if self.recorder is None:
-            return []
-        return self.recorder.entries(tenant=tenant, limit=limit)
-
-    def _on_router_event(self, record: dict) -> None:
-        """Flight-record swap rollbacks (wired as ``Router.on_event``)."""
-        if self.recorder is None:
-            return
-        if record.get("outcome") == "rollback":
-            self.recorder.capture(record, reason="swap_rollback")
-
-    def dump_bundle(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Write the flight recorder's debug bundle for this service.
-
-        The bundle carries the captured entries plus the service's
-        current metrics snapshot, health snapshot, and SLO state — one
-        file an operator can pull off a degraded box and inspect with
-        ``tools/opsctl.py render``.  Requires an enabled recorder.
-        """
-        if self.recorder is None:
-            raise ConfigError(
-                "dump_bundle needs a flight recorder "
-                "(set ServiceConfig.recorder_capacity > 0)"
-            )
-        return self.recorder.dump_bundle(
-            path,
-            health=self.health().as_dict(),
-            slo=[status.as_dict() for status in self._slo_statuses()],
-            registry=self.registry,
-        )
-
     def shutdown(self, wait: bool = True) -> None:
-        """Stop admitting; drain admitted requests; stop the workers.
-
-        The ops endpoint is closed after the workers drain (so a scrape
-        can still observe the drain) and before the journal closes (its
-        sources stop being read before their sink goes away).
-        """
+        """Stop admitting; drain admitted requests; stop the workers."""
         with self._lock:
             if not self._accepting:
                 return
@@ -802,8 +669,6 @@ class TranslationService:
         if wait:
             for worker in self._workers:
                 worker.join()
-        if self._ops is not None:
-            self._ops.close()
         if self._journal is not None:
             self._journal.close()
 

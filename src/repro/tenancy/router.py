@@ -58,10 +58,6 @@ class Router:
         self.registry = registry if registry is not None else TenantRegistry()
         self.journal = journal
         self._clock = clock if clock is not None else time.monotonic
-        #: Optional observer called with every swap event record (the
-        #: serving layer hooks this to flight-record rollbacks); raising
-        #: observers are swallowed — routing never fails on telemetry.
-        self.on_event: Callable[[dict], None] | None = None
 
     @classmethod
     def single(cls, pipeline: object, journal=None) -> "Router":
@@ -244,11 +240,6 @@ class Router:
         }
         if error is not None:
             record["error"] = error
-        if self.on_event is not None:
-            try:
-                self.on_event(dict(record))
-            except Exception:  # repolint: allow[broad-except] — observers never fail a swap
-                pass
         if self.journal is None:
             return
         try:

@@ -367,6 +367,24 @@ def test_metric_catalog_flags_undocumented_names(tmp_path):
     assert findings[0].line == 2
 
 
+def test_metric_catalog_flags_stale_rows(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        'registry.counter("metasql_live_total", "h")\n'
+    )
+    doc = tmp_path / "DESIGN.md"
+    doc.write_text(
+        "| Metric | Type |\n"
+        "| `metasql_live_total` | counter |\n"
+        "| `metasql_gone_total` | counter |\n"
+    )
+    findings = repolint.check_metric_catalog(
+        [str(tmp_path)], [str(doc)]
+    )
+    assert [f.rule for f in findings] == ["metric-catalog"]
+    assert "metasql_gone_total" in findings[0].message
+    assert (findings[0].path, findings[0].line) == (str(doc), 3)
+
+
 def test_metric_catalog_clean_when_documented(tmp_path):
     (tmp_path / "mod.py").write_text(
         'registry.counter("metasql_documented_total", "h")\n'

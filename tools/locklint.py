@@ -2,8 +2,8 @@
 """Whole-repo lock-order and lock-discipline analysis for MetaSQL.
 
 The serving stack is deeply concurrent: worker threads, per-tenant
-epoch/refcount shard guards, breaker boards, the SLO engine, the flight
-recorder ring and the ops endpoint all share state under ~a dozen
+epoch/refcount shard guards, breaker boards, quota buckets and the
+metrics registry all share state under about ten
 ``threading.Lock``/``RLock``/``Condition`` sites.  ``repolint`` enforces
 *lexical* invariants (no callbacks under ``with self._lock``); this tool
 goes further with an AST-based **interprocedural** pass over the whole

@@ -51,13 +51,15 @@ walks Python sources with :mod:`ast` and enforces them:
     name passed literally to a registry factory
     (``.counter``/``.gauge``/``.histogram``) in the linted sources must
     appear in the given catalog doc(s) — a new metric that skips the
-    catalog is silent metric drift for operators.
+    catalog is silent metric drift for operators.  The check runs both
+    ways: a catalog row (`` | `metasql_…` | ``) whose name no linted
+    source constructs is a stale row for a metric that no longer exists.
 
 ``event-catalog``
     Opt-in (``--events-doc DESIGN.md``): every journal event name — the
     literal string value of an ``"event"`` key in a dict literal — must
     appear in the given catalog doc(s).  Journal consumers (the replay
-    analyzer, ops dashboards) key on these strings; an undocumented
+    analyzer, dashboards) key on these strings; an undocumented
     event is silent schema drift.
 
 ``stale-pragma``
@@ -121,7 +123,8 @@ RULES: dict[str, str] = {
     ),
     "metric-catalog": (
         "metasql_* metric name constructed in code but missing from the "
-        "metrics catalog doc (pass --metrics-doc)"
+        "metrics catalog doc, or catalogued but never constructed "
+        "(pass --metrics-doc)"
     ),
     "event-catalog": (
         "journal event name emitted in code but missing from the "
@@ -135,6 +138,9 @@ RULES: dict[str, str] = {
 
 #: Registry factory methods whose literal first argument is a metric name.
 _METRIC_FACTORIES = {"counter", "gauge", "histogram"}
+
+#: A metrics-catalog table row: ``| `metasql_name` | ...``.
+_CATALOG_ROW = re.compile(r"^\s*\|\s*`(metasql_\w+)`\s*\|")
 
 def pragma_pattern(tool: str) -> "re.Pattern[str]":
     """The ``# <tool>: allow[...]`` pragma regex for one lint tool.
@@ -576,12 +582,32 @@ def collect_metric_names(
 def check_metric_catalog(
     paths: list[str], docs: list[str]
 ) -> list[Finding]:
-    """Findings for constructed metric names absent from every doc."""
-    catalog = ""
-    for doc in docs:
-        catalog += pathlib.Path(doc).read_text(encoding="utf-8")
+    """Findings for constructed metric names absent from every doc, and
+    for catalog rows naming a metric nothing under *paths* constructs."""
+    texts = {
+        doc: pathlib.Path(doc).read_text(encoding="utf-8") for doc in docs
+    }
+    catalog = "".join(texts.values())
+    constructed = collect_metric_names(paths)
     findings = []
-    for name, sites in sorted(collect_metric_names(paths).items()):
+    for doc, text in texts.items():
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            match = _CATALOG_ROW.match(line)
+            if match is None or match.group(1) in constructed:
+                continue
+            findings.append(
+                Finding(
+                    rule="metric-catalog",
+                    path=doc,
+                    line=lineno,
+                    message=(
+                        f"catalog row for metric {match.group(1)!r} but "
+                        f"no factory call under {', '.join(paths)} "
+                        f"constructs it"
+                    ),
+                )
+            )
+    for name, sites in sorted(constructed.items()):
         if name in catalog:
             continue
         path, line = sites[0]
