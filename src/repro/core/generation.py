@@ -100,8 +100,13 @@ class CandidateGenerator:
         a single candidate whose value grounding or rendering raises is
         dropped.  Each isolation is recorded in *report* when one is given.
 
+        The model's question-level work (``model.prepare``) runs once
+        and is shared by every decode of this call.  If it raises, the
+        fault is recorded and the call returns no candidates.
+
         When an ambient tracer is installed (the pipeline installs one
-        per translation) each condition decode gets a
+        per translation) the question-level work gets a
+        ``generate.prepare`` sub-span, each condition decode a
         ``generate.condition`` sub-span and each candidate's grounding a
         ``ground`` sub-span, so a slow condition or a pathological
         candidate is visible in the trace tree.
@@ -176,6 +181,20 @@ class CandidateGenerator:
                         fallback="skip",
                     )
 
+        with (
+            tracer.span("generate.prepare")
+            if tracer is not None
+            else nullcontext()
+        ):
+            try:
+                prepared = self.model.prepare(question, db)
+            except Exception as exc:  # repolint: allow[broad-except] — isolation
+                if report is not None:
+                    report.record_exception(
+                        "generate", exc, candidate=None, fallback="skip"
+                    )
+                return []
+
         for condition_index, metadata in enumerate(compositions):
             with (
                 tracer.span("generate.condition", condition=condition_index)
@@ -188,6 +207,7 @@ class CandidateGenerator:
                         db,
                         metadata=metadata,
                         beam_size=config.beam_per_condition,
+                        prepared=prepared,
                     )
                 except Exception as exc:  # repolint: allow[broad-except] — isolation
                     if report is not None:
@@ -214,7 +234,10 @@ class CandidateGenerator:
             ):
                 try:
                     beam = self.model.translate(
-                        question, db, beam_size=config.unconditioned_beam
+                        question,
+                        db,
+                        beam_size=config.unconditioned_beam,
+                        prepared=prepared,
                     )
                 except Exception as exc:  # repolint: allow[broad-except] — isolation
                     beam = []

@@ -29,6 +29,10 @@ class TranslationModel(abc.ABC):
     a metadata-aware model conditions its decoding on it; models not trained
     with metadata ignore it (mirroring the paper's optional augmented
     training step).
+
+    Work that depends only on ``(question, db)`` can be done once per
+    question: ``prepare`` returns a request-local context that the caller
+    hands to every ``translate`` of that question as ``prepared=``.
     """
 
     #: Whether the model fills literal values (BRIDGE/RESDSQL/LLMs do,
@@ -44,6 +48,15 @@ class TranslationModel(abc.ABC):
     def fit(self, train: Dataset) -> "TranslationModel":
         """Train (or, for LLM sims, index demonstrations) on *train*."""
 
+    def prepare(self, question: str, db: Database):
+        """Question-level decode context for *question* on *db*, or None.
+
+        The result is valid only for translations of this same question
+        and database, and is never kept past the caller's request.  The
+        default has nothing to share.
+        """
+        return None
+
     @abc.abstractmethod
     def translate(
         self,
@@ -51,8 +64,13 @@ class TranslationModel(abc.ABC):
         db: Database,
         metadata=None,
         beam_size: int = 5,
+        prepared=None,
     ) -> list[Candidate]:
-        """Decode up to *beam_size* candidates, best first."""
+        """Decode up to *beam_size* candidates, best first.
+
+        *prepared* is ``self.prepare(question, db)``, or None to build
+        whatever question-level state the decode needs itself.
+        """
 
     def top1(self, question: str, db: Database, **kwargs) -> Query | None:
         """Convenience: the best candidate's query, or None."""

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 
 from repro.data.dataset import Dataset
 from repro.nn.text import tokenize_text
-from repro.schema.schema import Schema, Table
+from repro.schema.schema import Table
 from repro.sqlkit.ast import (
     Query,
     iter_column_refs,
@@ -153,16 +153,3 @@ class Lexicon:
         phrases = [column.name, column.nl, *column.synonyms]
         overlap = self._name_overlap(token_set, phrases)
         return learned + 4.0 * overlap
-
-    def rank_columns(
-        self, question: str, db_id: str, schema: Schema, tables: list[str]
-    ) -> list[tuple[float, str, str]]:
-        """All (score, table, column) over *tables*, best first."""
-        scored = []
-        for table_name in tables:
-            table = schema.table(table_name)
-            for column in table.columns:
-                score = self.score_column(question, db_id, table, column.name)
-                scored.append((score, table.name.lower(), column.name.lower()))
-        scored.sort(key=lambda item: (-item[0], item[1], item[2]))
-        return scored

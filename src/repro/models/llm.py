@@ -126,10 +126,10 @@ class FewShotLLM(GrammarSeq2Seq):
     # ------------------------------------------------------------------
     # Sketch proposals from retrieval instead of the NB classifier.
 
-    def _candidate_sketches(self, question: str, metadata, db: Database):
-        from repro.models.cues import cue_bonus, extract_cues
+    def _question_sketches(self, question: str, cues):
+        """Retrieved demonstrations' sketches, weighted by rank and cues."""
+        from repro.models.cues import cue_bonus
 
-        cues = extract_cues(question, db)
         demos = self.retrieve(question)
         weights: dict[Sketch, float] = {}
         for rank, demo in enumerate(demos):
@@ -141,13 +141,16 @@ class FewShotLLM(GrammarSeq2Seq):
                     weights.get(simplified, 0.0)
                     + self.llm_profile.simplify_bias / (rank + 1.0)
                 )
-        scored = sorted(
+        return sorted(
             (
                 (float(np.log(w + 1e-9)) + 0.6 * cue_bonus(sk, cues), sk)
                 for sk, w in weights.items()
             ),
             key=lambda item: -item[0],
         )
+
+    def _candidate_sketches(self, prepared, metadata):
+        scored = prepared.sketches
         if metadata is not None:
             tags = frozenset(getattr(metadata, "tags", frozenset()))
             if tags:
@@ -174,7 +177,7 @@ class FewShotLLM(GrammarSeq2Seq):
                     for s, sk in scored
                 ]
                 scored.sort(key=lambda item: -item[0])
-        return scored[: self.profile.sketch_top]
+        return list(scored[: self.profile.sketch_top])
 
     # ------------------------------------------------------------------
     # Decoding with style variants.
@@ -185,10 +188,12 @@ class FewShotLLM(GrammarSeq2Seq):
         db: Database,
         metadata=None,
         beam_size: int = 5,
+        prepared=None,
     ) -> list[Candidate]:
         """Decode candidates and append execution-equivalent style variants."""
         base = super().translate(
-            question, db, metadata=metadata, beam_size=beam_size
+            question, db, metadata=metadata, beam_size=beam_size,
+            prepared=prepared,
         )
         rng = self._decode_rng(question, metadata)
         augmented: list[Candidate] = []

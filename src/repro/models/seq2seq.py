@@ -148,16 +148,32 @@ class GrammarSeq2Seq(TranslationModel):
     # ------------------------------------------------------------------
     # Decoding entry point.
 
+    def prepare(self, question: str, db: Database) -> "QuestionContext":
+        """The decode work shared by every conditioning of *question*."""
+        if not self._fitted:
+            raise RuntimeError(f"model {self.name} is not fitted")
+        from repro.models.cues import extract_cues
+
+        cues = extract_cues(question, db)
+        return QuestionContext(
+            self, question, db, cues, self._question_sketches(question, cues)
+        )
+
     def translate(
         self,
         question: str,
         db: Database,
         metadata=None,
         beam_size: int = 5,
+        prepared: "QuestionContext | None" = None,
     ) -> list[Candidate]:
         """Decode up to *beam_size* candidates via staged beam search."""
         if not self._fitted:
             raise RuntimeError(f"model {self.name} is not fitted")
+        if prepared is None:
+            prepared = self.prepare(question, db)
+        elif prepared.question != question or prepared.db is not db:
+            raise ValueError("prepared context belongs to another question or db")
         if not self.metadata_trained:
             # Models not trained with metadata prefixes ignore the condition
             # entirely (Section III-B1).
@@ -173,17 +189,11 @@ class GrammarSeq2Seq(TranslationModel):
             elif indicator is None or indicator == "none":
                 noise_scale = noise_scale * 1.4 + 0.2
 
-        sketches = self._candidate_sketches(question, metadata, db)
+        sketches = self._candidate_sketches(prepared, metadata)
         if not sketches:
             return []
 
-        context = _Context(
-            model=self,
-            question=question,
-            db=db,
-            rng=rng,
-            noise=noise_scale,
-        )
+        context = _Context(prepared, rng=rng, noise=noise_scale)
         initial = [
             beamlib.Beam(score=score, state=_State(sketch=sk))
             for score, sk in sketches
@@ -218,13 +228,18 @@ class GrammarSeq2Seq(TranslationModel):
     # ------------------------------------------------------------------
     # Sketch stage.
 
-    def _candidate_sketches(
-        self, question: str, metadata, db: Database
+    def _question_sketches(
+        self, question: str, cues
     ) -> list[tuple[float, Sketch]]:
-        from repro.models.cues import extract_cues
+        """Every sketch scored for *question*, best first, before metadata."""
+        return self.sketch_model.score_sketches(question, cues=cues)
 
-        cues = extract_cues(question, db)
-        scored = self.sketch_model.score_sketches(question, cues=cues)
+    def _candidate_sketches(
+        self, prepared: "QuestionContext", metadata
+    ) -> list[tuple[float, Sketch]]:
+        """The question's sketches filtered and re-weighted by *metadata*."""
+        question = prepared.question
+        scored = prepared.sketches
         if metadata is not None and self.metadata_trained:
             tags = frozenset(getattr(metadata, "tags", frozenset()))
             if tags:
@@ -251,7 +266,7 @@ class GrammarSeq2Seq(TranslationModel):
                 ]
                 scored.sort(key=lambda item: -item[0])
             scored = self._apply_correctness(question, metadata, scored)
-        return scored[: self.profile.sketch_top]
+        return list(scored[: self.profile.sketch_top])
 
     def _apply_correctness(self, question, metadata, scored):
         """Honour the correctness indicator at the sketch stage.
@@ -285,25 +300,32 @@ class GrammarSeq2Seq(TranslationModel):
         return np.random.default_rng(digest)
 
 
-class _Context:
-    """Per-question decode context: scoring, stages and finalisation."""
+class QuestionContext:
+    """Decode state that depends only on ``(question, db)``.
+
+    Built once per question by :meth:`GrammarSeq2Seq.prepare` and shared by
+    every decode of that question, one per metadata condition: the cue
+    evidence, the scored sketch list (a tuple, so no decode can reorder
+    it), the question's tokens, mentions and regions, and lexicon base
+    scores filled in on first use.  Metadata only filters and re-weights
+    these.  The per-decision Gumbel draws stay with each decode's own
+    ``_Context``, seeded per ``(question, metadata)``.  The context is
+    request-local: nothing keeps it after the decodes it was built for.
+    """
 
     def __init__(
         self,
         model: GrammarSeq2Seq,
         question: str,
         db: Database,
-        rng: np.random.Generator,
-        noise: float,
+        cues,
+        sketches: list[tuple[float, Sketch]],
     ) -> None:
         self.model = model
-        self.profile = model.profile
-        self.lexicon = model.lexicon
         self.question = question
         self.db = db
-        self.schema: Schema = db.schema
-        self.rng = rng
-        self.noise = noise
+        self.cues = cues
+        self.sketches = tuple(sketches)
         self.tokens = set(content_tokens(question))
         self.qtokens = question_tokens(question)
         self.mentions = extract_mentions(question)
@@ -313,7 +335,8 @@ class _Context:
             for m in self.mentions
             if not (m.is_limit or m.is_count_threshold or m.is_between_bound)
         ]
-        self._phrase_cache: dict[str, list[int]] = {}
+        #: question positions mentioning each column, by ``ColumnRef.key()``.
+        self.phrase_positions: dict[str, list[int]] = {}
         # Question regions: projections are phrased before the first
         # table/filter marker, grouping after "for each"/"per", ordering
         # after sort/superlative markers.
@@ -321,21 +344,74 @@ class _Context:
             "of", "from", "for", "whose", "with", "that", "who", "which",
             "sorted", "ordered", "per", "grouped", "but", "excluding",
         }
-        self._proj_end = next(
+        self.proj_end = next(
             (i for i, t in enumerate(self.qtokens) if t in markers and i > 0),
             len(self.qtokens),
         )
-        self._group_pos = self._find_marker(("each", "per", "grouped"))
-        self._order_pos = self._find_marker(
+        self.group_pos = self.find_marker(("each", "per", "grouped"))
+        self.order_pos = self.find_marker(
             ("sorted", "ordered", "highest", "lowest", "largest",
              "smallest", "top")
         )
+        self._table_scores: dict[str, float] = {}
+        self._column_scores: dict[tuple[str, str], float] = {}
 
-    def _find_marker(self, words: tuple[str, ...]) -> int | None:
+    def find_marker(self, words: tuple[str, ...]) -> int | None:
+        """Position of the first question token in *words*, or None."""
         for index, token in enumerate(self.qtokens):
             if token in words:
                 return index
         return None
+
+    def table_score(self, table_name: str) -> float:
+        """Noise-free lexicon score of one table."""
+        score = self._table_scores.get(table_name)
+        if score is None:
+            schema = self.db.schema
+            score = self.model.lexicon.score_table(
+                self.question, schema.db_id, schema.table(table_name)
+            )
+            self._table_scores[table_name] = score
+        return score
+
+    def column_score(self, table_name: str, column_name: str) -> float:
+        """Noise-free lexicon score of one column."""
+        key = (table_name, column_name)
+        score = self._column_scores.get(key)
+        if score is None:
+            schema = self.db.schema
+            score = self.model.lexicon.score_column(
+                self.question, schema.db_id, schema.table(table_name),
+                column_name,
+            )
+            self._column_scores[key] = score
+        return score
+
+
+class _Context:
+    """One decode of a prepared question: noise, stages and finalisation."""
+
+    def __init__(
+        self,
+        prepared: QuestionContext,
+        rng: np.random.Generator,
+        noise: float,
+    ) -> None:
+        self.prepared = prepared
+        self.profile = prepared.model.profile
+        self.question = prepared.question
+        self.db = prepared.db
+        self.schema: Schema = prepared.db.schema
+        self.rng = rng
+        self.noise = noise
+        self.tokens = prepared.tokens
+        self.qtokens = prepared.qtokens
+        self.mentions = prepared.mentions
+        self.cmp_mentions = prepared.cmp_mentions
+        self._phrase_cache = prepared.phrase_positions
+        self._proj_end = prepared.proj_end
+        self._group_pos = prepared.group_pos
+        self._order_pos = prepared.order_pos
 
     # -- noise ---------------------------------------------------------
 
@@ -356,16 +432,10 @@ class _Context:
     # -- element scores --------------------------------------------------
 
     def _table_score(self, table_name: str) -> float:
-        table = self.schema.table(table_name)
-        return self.lexicon.score_table(
-            self.question, self.schema.db_id, table
-        ) + self._gumbel(0.6)
+        return self.prepared.table_score(table_name) + self._gumbel(0.6)
 
     def _column_score(self, table_name: str, column_name: str) -> float:
-        table = self.schema.table(table_name)
-        base = self.lexicon.score_column(
-            self.question, self.schema.db_id, table, column_name
-        )
+        base = self.prepared.column_score(table_name, column_name)
         return base + self._gumbel(self.profile.column_noise)
 
     def _ranked_columns(
@@ -763,7 +833,7 @@ class _Context:
         if table is None:
             return []
         if sketch.shape == "nested:scalar":
-            anchor = self._find_marker(("average", "mean", "total"))
+            anchor = self.prepared.find_marker(("average", "mean", "total"))
             choices = []
             for score, ref in self._ranked_columns(state.tables, NUMBER)[:3]:
                 score = score + self._near_bonus(ref, anchor, weight=3.0)

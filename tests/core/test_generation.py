@@ -2,10 +2,11 @@
 
 import pytest
 
+import repro.models.cues
 from repro.core.generation import CandidateGenerator, GeneratorConfig
 from repro.core.metadata import QueryMetadata, extract_metadata
 from repro.core.resilience import TranslationReport
-from repro.models.base import Candidate
+from repro.models.base import Candidate, TranslationModel
 from repro.obs.metrics import MetricsRegistry, registry_scope
 from repro.sqlkit.parser import parse_sql
 from repro.sqlkit.printer import to_sql
@@ -104,7 +105,96 @@ class TestGenerate:
         assert raw_text.count("'value'") >= grounded_text.count("'value'")
 
 
-class _FixedModel:
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` with a pass-through that logs each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _failing_prepare(question, db):
+    raise RuntimeError("prepare exploded")
+
+
+class TestPreparedQuestion:
+    """Question-level decode work runs once per ``generate`` call."""
+
+    COMPOSITIONS = [
+        QueryMetadata(tags=frozenset({"project"}), rating=100),
+        QueryMetadata(tags=frozenset({"project", "where"}), rating=200),
+        QueryMetadata(tags=frozenset({"project", "order", "limit"}), rating=175),
+        QueryMetadata(
+            tags=frozenset({"project", "where"}), rating=200, correctness="none"
+        ),
+    ]
+
+    def _generate_counting(self, model, tiny_benchmark, example, monkeypatch):
+        decodes = _count_calls(monkeypatch, model, "translate")
+        cues = _count_calls(monkeypatch, repro.models.cues, "extract_cues")
+        db = tiny_benchmark.dev.database(example.db_id)
+        CandidateGenerator(model, GeneratorConfig()).generate(
+            example.question, db, self.COMPOSITIONS
+        )
+        assert len(decodes) == len(self.COMPOSITIONS) + 1
+        return cues
+
+    def test_seq2seq_scores_sketches_once(
+        self, meta_model, tiny_benchmark, example, monkeypatch
+    ):
+        sketches = _count_calls(
+            monkeypatch, meta_model.sketch_model, "score_sketches"
+        )
+        cues = self._generate_counting(
+            meta_model, tiny_benchmark, example, monkeypatch
+        )
+        assert len(cues) == 1
+        assert len(sketches) == 1
+
+    def test_llm_retrieves_once(self, tiny_benchmark, example, monkeypatch):
+        from repro.models.registry import create_model
+
+        model = create_model("chatgpt").fit(tiny_benchmark.train)
+        retrievals = _count_calls(monkeypatch, model, "retrieve")
+        cues = self._generate_counting(
+            model, tiny_benchmark, example, monkeypatch
+        )
+        assert len(cues) == 1
+        assert len(retrievals) == 1
+
+    def test_prepare_failure_fails_open(
+        self, meta_model, tiny_benchmark, example, monkeypatch
+    ):
+        monkeypatch.setattr(meta_model, "prepare", _failing_prepare)
+        report = TranslationReport()
+        db = tiny_benchmark.dev.database(example.db_id)
+        candidates = CandidateGenerator(meta_model).generate(
+            example.question, db, self.COMPOSITIONS, report=report
+        )
+        assert candidates == []
+        assert [(f.stage, f.fallback) for f in report.faults] == [
+            ("generate", "skip")
+        ]
+
+    def test_prepare_failure_not_counted_by_breaker(
+        self, trained_pipeline, tiny_benchmark, example, monkeypatch
+    ):
+        monkeypatch.setattr(trained_pipeline.model, "prepare", _failing_prepare)
+        db = tiny_benchmark.dev.database(example.db_id)
+        out = trained_pipeline.translate_ranked_report(example.question, db)
+        assert ("generate", "skip") in [
+            (f.stage, f.fallback) for f in out.report.faults
+        ]
+        breaker = trained_pipeline.breakers["generate"]
+        assert breaker.snapshot()["consecutive_failures"] == 0
+
+
+class _FixedModel(TranslationModel):
     """Stub model decoding a fixed SQL list regardless of conditioning."""
 
     name = "fixed"
@@ -112,7 +202,10 @@ class _FixedModel:
     def __init__(self, sqls):
         self.sqls = sqls
 
-    def translate(self, question, db, metadata=None, beam_size=5):
+    def fit(self, train):
+        return self
+
+    def translate(self, question, db, metadata=None, beam_size=5, prepared=None):
         return [
             Candidate(query=parse_sql(sql), score=-float(i))
             for i, sql in enumerate(self.sqls[:beam_size])

@@ -46,14 +46,6 @@ class TestLexicon:
         major = lexicon.score_column(question, "pets", student, "major")
         assert age > major
 
-    def test_rank_columns_sorted(self, lexicon, tiny_benchmark):
-        schema = tiny_benchmark.train.schema("pets")
-        ranked = lexicon.rank_columns(
-            "student ages", "pets", schema, ["student"]
-        )
-        scores = [s for s, __, __ in ranked]
-        assert scores == sorted(scores, reverse=True)
-
     def test_unseen_schema_uses_name_overlap(self, lexicon, world_db):
         """Zero-shot: identifier matching works without any training."""
         country = world_db.schema.table("country")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.metadata import extract_metadata
 from repro.models.llm import (
     FewShotLLM,
     _rewrite_between,
@@ -112,6 +113,33 @@ class TestStyleVariants:
             "WHERE countrylanguage.percentage >= 10"
         )
         assert not _can_rewrite_int_cmp(query, world_db)
+
+
+class TestPreparedContext:
+    """A shared ``prepare`` result decodes exactly like a fresh one."""
+
+    @pytest.fixture(scope="class")
+    def chatgpt(self, tiny_benchmark):
+        return create_model("chatgpt").fit(tiny_benchmark.train)
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_prepared_matches_unprepared(self, chatgpt, tiny_benchmark, index):
+        dev = tiny_benchmark.dev
+        example = dev.examples[index * 5]
+        db = dev.database(example.db_id)
+        prepared = chatgpt.prepare(example.question, db)
+        gold = extract_metadata(example.sql)
+        for metadata in [None] + [
+            gold.with_correctness(indicator)
+            for indicator in ("correct", "incorrect", "none")
+        ]:
+            shared = chatgpt.translate(
+                example.question, db, metadata, beam_size=3, prepared=prepared
+            )
+            fresh = chatgpt.translate(example.question, db, metadata, beam_size=3)
+            assert [(to_sql(c.query), c.score) for c in shared] == [
+                (to_sql(c.query), c.score) for c in fresh
+            ]
 
 
 class TestTranslation:

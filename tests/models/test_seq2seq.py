@@ -90,13 +90,49 @@ class TestDecoding:
         assert "Biology" in joined
 
 
-class TestMetadataConditioning:
-    @pytest.fixture(scope="class")
-    def meta_model(self, tiny_benchmark):
-        model = create_model("lgesql")
-        model.fit(tiny_benchmark.train, with_metadata=True)
-        return model
+@pytest.fixture(scope="module")
+def meta_model(tiny_benchmark):
+    model = create_model("lgesql")
+    model.fit(tiny_benchmark.train, with_metadata=True)
+    return model
 
+
+class TestPreparedContext:
+    """A shared ``prepare`` result decodes exactly like a fresh one."""
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_prepared_matches_unprepared(
+        self, meta_model, tiny_benchmark, index
+    ):
+        dev = tiny_benchmark.dev
+        example = dev.examples[index * 5]
+        db = dev.database(example.db_id)
+        prepared = meta_model.prepare(example.question, db)
+        gold = extract_metadata(example.sql)
+        for metadata in [None] + [
+            gold.with_correctness(indicator)
+            for indicator in ("correct", "incorrect", "none")
+        ]:
+            shared = meta_model.translate(
+                example.question, db, metadata, beam_size=3, prepared=prepared
+            )
+            fresh = meta_model.translate(
+                example.question, db, metadata, beam_size=3
+            )
+            assert [(to_sql(c.query), c.score) for c in shared] == [
+                (to_sql(c.query), c.score) for c in fresh
+            ]
+
+    def test_context_of_another_question_rejected(
+        self, meta_model, tiny_benchmark
+    ):
+        db = tiny_benchmark.dev.database("pets")
+        prepared = meta_model.prepare("How many pets are there?", db)
+        with pytest.raises(ValueError):
+            meta_model.translate("List all students", db, prepared=prepared)
+
+
+class TestMetadataConditioning:
     def test_tags_steer_structure(self, meta_model, tiny_benchmark):
         db = tiny_benchmark.dev.database("pets")
         question = "Find the last names of students"
