@@ -5,7 +5,17 @@ trained and run over the whole ``tiny_benchmark`` dev split, in order,
 first directly through ``translate_ranked_report`` and then through a
 default ``TranslationService``.  The test pins the first 12 hex digits of
 the sha256 of each question's top-1 SQL ('' when there is none), plus
-the EM and EX counts.  A change that is meant to keep behaviour
+the EM and EX counts.
+
+It also pins the decoders themselves, which the top-1 answers only see
+through the rankers: ``lgesql``, ``bridge`` (which keeps values) and
+``chatgpt`` are fitted with metadata on the same training split, and
+every dev question is decoded with no metadata and with its gold
+metadata under each correctness indicator.  One sha256 per model covers
+every candidate's SQL and the exact bits of its score (``float.hex``),
+so a one-ulp score drift fails it; one more covers the sketch scores.
+
+A change that is meant to keep behaviour
 (a speed-up, a deletion) must leave every pinned value in place; a
 change that moves an answer on purpose re-pins it.
 
@@ -82,6 +92,73 @@ def _answer_hash(result) -> str:
     return hashlib.sha256(sql.encode()).hexdigest()[:12]
 
 
+#: sha256 over every decoded candidate's ``(to_sql, score.hex())``, per
+#: model, and over ``score_sketches`` for every dev question.
+PINNED_DECODE = {
+    "lgesql": (
+        "2cb357376495c707c42e0a1ddad887c3"
+        "c867f78a670dac9bc527ef62878be9a7"
+    ),
+    "bridge": (
+        "3e4b42a4ba2ea91e3b88085a8019b24f"
+        "41fc24b7d2c35ceab70cd017b49c54b7"
+    ),
+    "chatgpt": (
+        "75771dd32c9e9ea971a0d732f34e5dde"
+        "a342c864f2d18252bc1d01a5b3d13933"
+    ),
+    "sketches": (
+        "7dc1e1e7c284987f3ba733ee738d9177"
+        "2fa9eeeca4015d24f9368fcd6efe4d75"
+    ),
+}
+
+DECODE_MODELS = ("lgesql", "bridge", "chatgpt")
+
+
+def decode_fingerprint(benchmark) -> dict:
+    """Hash every decode of the dev split under every metadata condition."""
+    from repro.core.metadata import extract_metadata
+    from repro.models.cues import extract_cues
+    from repro.models.registry import create_model
+    from repro.sqlkit.printer import to_sql
+
+    dev = benchmark.dev
+    items = [(e, dev.database(e.db_id)) for e in dev.examples]
+    result = {}
+    sketch_model = None
+    for name in DECODE_MODELS:
+        model = create_model(name)
+        model.fit(benchmark.train, with_metadata=True)
+        digest = hashlib.sha256()
+        for example, db in items:
+            gold = extract_metadata(example.sql)
+            prepared = model.prepare(example.question, db)
+            for metadata in [None] + [
+                gold.with_correctness(indicator)
+                for indicator in ("correct", "incorrect", "none")
+            ]:
+                for candidate in model.translate(
+                    example.question, db, metadata, prepared=prepared
+                ):
+                    line = f"{to_sql(candidate.query)}\t{float(candidate.score).hex()}\n"
+                    digest.update(line.encode())
+                digest.update(b"--\n")
+        result[name] = digest.hexdigest()
+        if sketch_model is None:
+            sketch_model = model.sketch_model
+    digest = hashlib.sha256()
+    for example, db in items:
+        cues = extract_cues(example.question, db)
+        for score, sketch in sketch_model.score_sketches(
+            example.question, cues=cues
+        ):
+            digest.update(f"{float(score).hex()}\t{sketch!r}\n".encode())
+        digest.update(b"--\n")
+    result["sketches"] = digest.hexdigest()
+    return result
+
+
 def fingerprint() -> dict:
     """Train, answer the dev split directly and served, and score it."""
     from repro.eval.metrics import execution_match
@@ -109,6 +186,7 @@ def fingerprint() -> dict:
         "served": [_answer_hash(r) for r in served],
         "em": em,
         "ex": ex,
+        "decode": decode_fingerprint(benchmark),
     }
 
 
@@ -146,6 +224,10 @@ def test_served_answers_match_direct(measured):
 
 def test_accuracy_is_pinned(measured):
     assert (measured["em"], measured["ex"]) == (PINNED_EM, PINNED_EX)
+
+
+def test_decodes_are_pinned(measured):
+    assert measured["decode"] == PINNED_DECODE
 
 
 if __name__ == "__main__":
