@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.models.mentions import extract_mentions, question_tokens
@@ -284,6 +285,22 @@ def _value_position(tokens: list[str], value: str) -> int:
     return -1
 
 
+def multiset_distance(items: tuple, counts: Mapping) -> int:
+    """Size of the symmetric difference of *items* (a multiset) and *counts*.
+
+    Equals ``sum((a - b).values()) + sum((b - a).values())`` for
+    ``a = Counter(items)`` and ``b = Counter(counts)`` -- the sum of
+    ``|a[k] - b[k]|`` over every key -- without building either Counter.
+    """
+    own: dict = {}
+    for item in items:
+        own[item] = own.get(item, 0) + 1
+    distance = 0
+    for key, count in counts.items():
+        distance += abs(own.pop(key, 0) - count)
+    return distance + sum(own.values())
+
+
 def cue_bonus(sketch, cues: CueEvidence) -> float:
     """Log-score agreement between a sketch and the surface evidence."""
     bonus = 0.0
@@ -309,10 +326,7 @@ def cue_bonus(sketch, cues: CueEvidence) -> float:
         # inside the nested query, not in the outer WHERE.
         expected = max(expected - 1, 0)
     bonus -= 2.6 * abs(sketch.n_predicates - min(expected, 3))
-    sketch_kinds = Counter(sketch.predicate_kinds)
-    diff = sum((sketch_kinds - cues.kind_counts).values()) + sum(
-        (cues.kind_counts - sketch_kinds).values()
-    )
+    diff = multiset_distance(sketch.predicate_kinds, cues.kind_counts)
     if not sketch.shape.startswith("nested:"):
         bonus -= 1.5 * diff
     bonus += 1.2 if sketch.has_or == cues.has_or else -1.2
@@ -346,11 +360,7 @@ def cue_bonus(sketch, cues: CueEvidence) -> float:
         bonus -= 1.4
 
     # Aggregate projections.
-    sketch_aggs = Counter(sketch.select_aggs)
-    agg_diff = sum((sketch_aggs - cues.agg_counts).values()) + sum(
-        (cues.agg_counts - sketch_aggs).values()
-    )
-    bonus -= 3.5 * agg_diff
+    bonus -= 3.5 * multiset_distance(sketch.select_aggs, cues.agg_counts)
 
     # Distinct.
     bonus += 0.8 if sketch.distinct == cues.distinct else -0.8

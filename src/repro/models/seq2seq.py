@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 import zlib
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +69,8 @@ class ModelProfile:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class _State:
-    """Partial decode state for one sketch."""
+class _State(NamedTuple):
+    """Partial decode state for one sketch (stages derive it by ``_replace``)."""
 
     sketch: Sketch
     tables: tuple[str, ...] = ()
@@ -306,8 +306,10 @@ class QuestionContext:
     Built once per question by :meth:`GrammarSeq2Seq.prepare` and shared by
     every decode of that question, one per metadata condition: the cue
     evidence, the scored sketch list (a tuple, so no decode can reorder
-    it), the question's tokens, mentions and regions, and lexicon base
-    scores filled in on first use.  Metadata only filters and re-weights
+    it), the question's tokens, mentions and regions, and tables filled in
+    on first use: lexicon base scores, the noise-free column list of each
+    ``(tables, ctype)``, each column's SELECT-region evidence and each text
+    column's best-matching value.  Metadata only filters and re-weights
     these.  The per-decision Gumbel draws stay with each decode's own
     ``_Context``, seeded per ``(question, metadata)``.  The context is
     request-local: nothing keeps it after the decodes it was built for.
@@ -355,6 +357,9 @@ class QuestionContext:
         )
         self._table_scores: dict[str, float] = {}
         self._column_scores: dict[tuple[str, str], float] = {}
+        self._columns: dict[tuple, list[tuple[float, ColumnRef]]] = {}
+        self._select_bonus: dict[ColumnRef, tuple[float, float]] = {}
+        self._text_values: dict[ColumnRef, tuple[str, float] | None] = {}
 
     def find_marker(self, words: tuple[str, ...]) -> int | None:
         """Position of the first question token in *words*, or None."""
@@ -387,6 +392,176 @@ class QuestionContext:
             self._column_scores[key] = score
         return score
 
+    def columns(
+        self, tables: tuple[str, ...], ctype: str | None = None
+    ) -> list[tuple[float, ColumnRef]]:
+        """``(base score, ColumnRef)`` of every column of *tables*, in schema
+        order, restricted to *ctype* when given."""
+        key = (tables, ctype)
+        columns = self._columns.get(key)
+        if columns is None:
+            columns = []
+            for table_name in tables:
+                for column in self.db.schema.table(table_name).columns:
+                    if ctype is not None and column.ctype != ctype:
+                        continue
+                    columns.append(
+                        (
+                            self.column_score(table_name, column.name),
+                            ColumnRef(
+                                column=column.name.lower(),
+                                table=table_name.lower(),
+                            ),
+                        )
+                    )
+            self._columns[key] = columns
+        return columns
+
+    def select_bonus(self, ref: ColumnRef) -> tuple[float, float]:
+        """A projected column's region bonus and key penalty, kept apart so
+        the caller adds them in the same order as before."""
+        bonus = self._select_bonus.get(ref)
+        if bonus is None:
+            bonus = (
+                self.region_bonus(ref, 0, self.proj_end),
+                self.key_penalty(ref),
+            )
+            self._select_bonus[ref] = bonus
+        return bonus
+
+    def text_value(self, ref: ColumnRef) -> tuple[str, float] | None:
+        """The column's stored value best covered by the question, with its
+        noise-free evidence; None when no value shares a token."""
+        if ref in self._text_values:
+            return self._text_values[ref]
+        best_value, best_hit = None, 0.0
+        seen_values = set()
+        for value in self.db.column_values(ref.table, ref.column):
+            if not isinstance(value, str) or value in seen_values:
+                continue
+            seen_values.add(value)
+            value_tokens = set(re.findall(r"[a-z0-9]+", value.lower()))
+            if not value_tokens:
+                continue
+            hit = len(value_tokens & self.tokens) / len(value_tokens)
+            if hit > best_hit:
+                best_hit, best_value = hit, value
+        found = None
+        if best_value is not None:
+            evidence = self.model.profile.value_skill * 2.5 * best_hit
+            evidence += self.value_proximity(ref, best_value)
+            found = (best_value, evidence)
+        self._text_values[ref] = found
+        return found
+
+    # -- column mention evidence -----------------------------------------
+
+    def column_positions(self, ref: ColumnRef) -> list[int]:
+        """Question positions where the column is mentioned.
+
+        Contiguous full-phrase matches are preferred; otherwise tokens of
+        the phrase that are *distinctive* (not part of the table's own
+        phrase) are used, so "battle id" and "battle year" don't collide on
+        the shared word "battle".
+        """
+        key = ref.key()
+        if key in self.phrase_positions:
+            return self.phrase_positions[key]
+        schema = self.db.schema
+        table = schema.table(ref.table) if ref.table else None
+        phrases = [ref.column.replace("_", " ")]
+        table_words: set[str] = set()
+        if table is not None:
+            table_words = set(question_tokens(table.nl)) | set(
+                question_tokens(table.name.replace("_", " "))
+            )
+            if table.has_column(ref.column):
+                column = table.column(ref.column)
+                phrases.append(column.nl)
+                phrases.extend(column.synonyms)
+        exact: list[int] = []
+        loose: list[int] = []
+        for phrase in phrases:
+            words = question_tokens(phrase)
+            if not words:
+                continue
+            # Contiguous full-phrase match.
+            for start in range(len(self.qtokens) - len(words) + 1):
+                if self.qtokens[start : start + len(words)] == words:
+                    exact.extend(range(start, start + len(words)))
+            distinctive = [w for w in words if w not in table_words] or words
+            loose.extend(
+                i for i, t in enumerate(self.qtokens) if t in set(distinctive)
+            )
+        positions = sorted(set(exact)) if exact else sorted(set(loose))
+        self.phrase_positions[key] = positions
+        return positions
+
+    def proximity(self, ref: ColumnRef, mention: NumberMention) -> float:
+        """Affinity between a column mention and a number mention."""
+        positions = self.column_positions(ref)
+        if not positions:
+            return 0.0
+        distance = min(abs(p - mention.position) for p in positions)
+        return max(0.0, 4.5 - 0.9 * distance)
+
+    def value_proximity(self, ref: ColumnRef, value: str) -> float:
+        """Affinity between a column mention and a literal value mention."""
+        value_words = re.findall(r"[a-z0-9]+", value.lower())
+        if not value_words:
+            return 0.0
+        value_positions = [
+            i for i, t in enumerate(self.qtokens) if t == value_words[0]
+        ]
+        positions = self.column_positions(ref)
+        if not value_positions or not positions:
+            return 0.0
+        distance = min(
+            abs(p - v) for p in positions for v in value_positions
+        )
+        return max(0.0, 4.0 - 0.8 * distance)
+
+    def region_bonus(
+        self, ref: ColumnRef, start: int, end: int, weight: float = 3.0
+    ) -> float:
+        """Bipolar region evidence for a column mention.
+
+        Mentioned inside the region: +weight.  Mentioned in the question but
+        only *outside* the region (it plays some other role): -0.8*weight.
+        Not mentioned at all: neutral.
+        """
+        positions = self.column_positions(ref)
+        if not positions:
+            return 0.0
+        if any(start <= p < end for p in positions):
+            return weight
+        return -0.8 * weight
+
+    def key_penalty(self, ref: ColumnRef) -> float:
+        """Id/key columns are rarely projected or sorted on."""
+        if ref.table is not None and self.db.schema.is_key_column(
+            ref.table, ref.column
+        ):
+            return -3.0
+        return 0.0
+
+    def near_bonus(
+        self, ref: ColumnRef, anchor: int | None, weight: float = 2.5
+    ) -> float:
+        """Bonus when the column is mentioned just after an anchor token."""
+        if anchor is None:
+            return 0.0
+        positions = self.column_positions(ref)
+        if not positions:
+            return 0.0
+        if any(anchor < p <= anchor + 6 for p in positions):
+            return weight
+        return 0.0
+
+
+#: Gumbel draws made per ``rng.random`` call; a decode makes about 100.
+_NOISE_BLOCK = 64
+
 
 class _Context:
     """One decode of a prepared question: noise, stages and finalisation."""
@@ -400,24 +575,46 @@ class _Context:
         self.prepared = prepared
         self.profile = prepared.model.profile
         self.question = prepared.question
-        self.db = prepared.db
         self.schema: Schema = prepared.db.schema
         self.rng = rng
         self.noise = noise
-        self.tokens = prepared.tokens
-        self.qtokens = prepared.qtokens
         self.mentions = prepared.mentions
         self.cmp_mentions = prepared.cmp_mentions
-        self._phrase_cache = prepared.phrase_positions
-        self._proj_end = prepared.proj_end
         self._group_pos = prepared.group_pos
         self._order_pos = prepared.order_pos
+        self._raw: list[float] = []
+        self._std: list[float] = []
+        self._drawn = 0
 
     # -- noise ---------------------------------------------------------
 
+    def _draw(self) -> int:
+        """Index of the next raw double, drawing a new block when spent.
+
+        ``rng.random(n)`` yields the doubles that *n* scalar draws would,
+        so every decision sees the value it always did.  ``uniform(lo,
+        hi)`` is ``lo + (hi - lo) * raw``; the standard Gumbel transform is
+        applied to the whole block with ``np.log``, which matches the
+        scalar calls bit for bit (``math.log`` does not).
+        """
+        if self._drawn == len(self._raw):
+            raw = self.rng.random(_NOISE_BLOCK)
+            u = 1e-9 + ((1.0 - 1e-9) - 1e-9) * raw
+            self._raw = raw.tolist()
+            self._std = (-np.log(-np.log(u))).tolist()
+            self._drawn = 0
+        index = self._drawn
+        self._drawn += 1
+        return index
+
     def _gumbel(self, scale: float = 1.0) -> float:
-        u = float(self.rng.uniform(1e-9, 1.0 - 1e-9))
-        return -np.log(-np.log(u)) * self.noise * scale
+        index = self._draw()  # may replace the block: index it afterwards
+        return self._std[index] * self.noise * scale
+
+    def _random(self) -> float:
+        """The next uniform double in ``[0, 1)``, from the same stream."""
+        index = self._draw()
+        return self._raw[index]
 
     @staticmethod
     def _log_normalize(choices):
@@ -434,28 +631,14 @@ class _Context:
     def _table_score(self, table_name: str) -> float:
         return self.prepared.table_score(table_name) + self._gumbel(0.6)
 
-    def _column_score(self, table_name: str, column_name: str) -> float:
-        base = self.prepared.column_score(table_name, column_name)
-        return base + self._gumbel(self.profile.column_noise)
-
     def _ranked_columns(
         self, tables: tuple[str, ...], ctype: str | None = None
     ) -> list[tuple[float, ColumnRef]]:
-        scored = []
-        for table_name in tables:
-            table = self.schema.table(table_name)
-            for column in table.columns:
-                if ctype is not None and column.ctype != ctype:
-                    continue
-                score = self._column_score(table_name, column.name)
-                scored.append(
-                    (
-                        score,
-                        ColumnRef(
-                            column=column.name.lower(), table=table_name.lower()
-                        ),
-                    )
-                )
+        scale = self.profile.column_noise
+        scored = [
+            (base + self._gumbel(scale), ref)
+            for base, ref in self.prepared.columns(tables, ctype)
+        ]
         scored.sort(key=lambda item: -item[0])
         return scored
 
@@ -471,7 +654,7 @@ class _Context:
                 key=lambda item: -item[0],
             )
             for score, name in scored[:3]:
-                choices.append((score, replace(state, tables=(name,))))
+                choices.append((score, state._replace(tables=(name,))))
             return self._log_normalize(choices)
         # Join: FK-linked pairs, or FK chains of three tables.
         def fk_join(fk) -> JoinCond:
@@ -514,7 +697,7 @@ class _Context:
                 options.append((score, (child, parent), (fk_join(fk),)))
         options.sort(key=lambda item: -item[0])
         for score, tables, joins in options[:4]:
-            choices.append((score, replace(state, tables=tables, joins=joins)))
+            choices.append((score, state._replace(tables=tables, joins=joins)))
         return self._log_normalize(choices)
 
     # -- stage 2: select ---------------------------------------------------
@@ -567,11 +750,8 @@ class _Context:
                 for score, ref in pool:
                     if slot == "col" and ref.key() in used:
                         continue
-                    score = (
-                        score
-                        + self._region_bonus(ref, 0, self._proj_end)
-                        + self._key_penalty(ref)
-                    )
+                    region, penalty = self.prepared.select_bonus(ref)
+                    score = score + region + penalty
                     if slot.startswith("agg:"):
                         func = slot.split(":", 1)[1]
                         expr = AggExpr(func=func, arg=ref)
@@ -588,7 +768,7 @@ class _Context:
         for score, items in combos:
             if not items:
                 continue
-            choices.append((score, replace(state, select=items)))
+            choices.append((score, state._replace(select=items)))
         return self._log_normalize(choices)
 
     # -- stage 3: where (plain predicates + nested subqueries) -----------
@@ -610,23 +790,10 @@ class _Context:
     def _text_predicates(self, tables, kind):
         out = []
         for score, ref in self._ranked_columns(tables, TEXT)[:5]:
-            values = self.db.column_values(ref.table, ref.column)
-            best_value, best_hit = None, 0.0
-            seen_values = set()
-            for value in values:
-                if not isinstance(value, str) or value in seen_values:
-                    continue
-                seen_values.add(value)
-                value_tokens = set(re.findall(r"[a-z0-9]+", value.lower()))
-                if not value_tokens:
-                    continue
-                hit = len(value_tokens & self.tokens) / len(value_tokens)
-                if hit > best_hit:
-                    best_hit, best_value = hit, value
-            if best_value is None:
+            found = self.prepared.text_value(ref)
+            if found is None:
                 continue
-            evidence = self.profile.value_skill * 2.5 * best_hit
-            evidence += self._value_proximity(ref, best_value)
+            best_value, evidence = found
             if kind == "like":
                 token = best_value.split()[0]
                 predicate = Predicate(
@@ -638,107 +805,6 @@ class _Context:
             out.append((score + evidence + self._gumbel(0.5), predicate))
         return out
 
-    def _column_positions(self, ref: ColumnRef) -> list[int]:
-        """Question positions where the column is mentioned.
-
-        Contiguous full-phrase matches are preferred; otherwise tokens of
-        the phrase that are *distinctive* (not part of the table's own
-        phrase) are used, so "battle id" and "battle year" don't collide on
-        the shared word "battle".
-        """
-        key = ref.key()
-        if key in self._phrase_cache:
-            return self._phrase_cache[key]
-        table = self.schema.table(ref.table) if ref.table else None
-        phrases = [ref.column.replace("_", " ")]
-        table_words: set[str] = set()
-        if table is not None:
-            table_words = set(question_tokens(table.nl)) | set(
-                question_tokens(table.name.replace("_", " "))
-            )
-            if table.has_column(ref.column):
-                column = table.column(ref.column)
-                phrases.append(column.nl)
-                phrases.extend(column.synonyms)
-        exact: list[int] = []
-        loose: list[int] = []
-        for phrase in phrases:
-            words = question_tokens(phrase)
-            if not words:
-                continue
-            # Contiguous full-phrase match.
-            for start in range(len(self.qtokens) - len(words) + 1):
-                if self.qtokens[start : start + len(words)] == words:
-                    exact.extend(range(start, start + len(words)))
-            distinctive = [w for w in words if w not in table_words] or words
-            loose.extend(
-                i for i, t in enumerate(self.qtokens) if t in set(distinctive)
-            )
-        positions = sorted(set(exact)) if exact else sorted(set(loose))
-        self._phrase_cache[key] = positions
-        return positions
-
-    def _proximity(self, ref: ColumnRef, mention: NumberMention) -> float:
-        """Affinity between a column mention and a number mention."""
-        positions = self._column_positions(ref)
-        if not positions:
-            return 0.0
-        distance = min(abs(p - mention.position) for p in positions)
-        return max(0.0, 4.5 - 0.9 * distance)
-
-    def _value_proximity(self, ref: ColumnRef, value: str) -> float:
-        """Affinity between a column mention and a literal value mention."""
-        value_words = re.findall(r"[a-z0-9]+", value.lower())
-        if not value_words:
-            return 0.0
-        value_positions = [
-            i for i, t in enumerate(self.qtokens) if t == value_words[0]
-        ]
-        positions = self._column_positions(ref)
-        if not value_positions or not positions:
-            return 0.0
-        distance = min(
-            abs(p - v) for p in positions for v in value_positions
-        )
-        return max(0.0, 4.0 - 0.8 * distance)
-
-    def _region_bonus(
-        self, ref: ColumnRef, start: int, end: int, weight: float = 3.0
-    ) -> float:
-        """Bipolar region evidence for a column mention.
-
-        Mentioned inside the region: +weight.  Mentioned in the question but
-        only *outside* the region (it plays some other role): -0.8*weight.
-        Not mentioned at all: neutral.
-        """
-        positions = self._column_positions(ref)
-        if not positions:
-            return 0.0
-        if any(start <= p < end for p in positions):
-            return weight
-        return -0.8 * weight
-
-    def _key_penalty(self, ref: ColumnRef) -> float:
-        """Id/key columns are rarely projected or sorted on."""
-        if ref.table is not None and self.schema.is_key_column(
-            ref.table, ref.column
-        ):
-            return -3.0
-        return 0.0
-
-    def _near_bonus(
-        self, ref: ColumnRef, anchor: int | None, weight: float = 2.5
-    ) -> float:
-        """Bonus when the column is mentioned just after an anchor token."""
-        if anchor is None:
-            return 0.0
-        positions = self._column_positions(ref)
-        if not positions:
-            return 0.0
-        if any(anchor < p <= anchor + 6 for p in positions):
-            return weight
-        return 0.0
-
     def _number_predicates(self, tables, kind):
         out = []
         ranked = self._ranked_columns(tables, NUMBER)[:5]
@@ -748,7 +814,7 @@ class _Context:
                 return out
             low, high = sorted((bounds[0].value, bounds[1].value))
             for score, ref in ranked:
-                affinity = self._proximity(ref, bounds[0])
+                affinity = self.prepared.proximity(ref, bounds[0])
                 predicate = Predicate(
                     left=ref,
                     op="between",
@@ -763,9 +829,9 @@ class _Context:
             op = mention.op
             if op == "=":
                 # Numeric equality is rare; treat as a weak comparison guess.
-                op = ">" if self.rng.random() < 0.5 else "<"
+                op = ">" if self._random() < 0.5 else "<"
             affinities = [
-                (self._proximity(ref, mention), score, ref)
+                (self.prepared.proximity(ref, mention), score, ref)
                 for score, ref in ranked
             ]
             best_affinity = max((a for a, __, __ in affinities), default=0.0)
@@ -820,8 +886,8 @@ class _Context:
             choices.append(
                 (
                     score,
-                    replace(
-                        state, where_predicates=preds, connectors=connectors
+                    state._replace(
+                        where_predicates=preds, connectors=connectors
                     ),
                 )
             )
@@ -836,7 +902,7 @@ class _Context:
             anchor = self.prepared.find_marker(("average", "mean", "total"))
             choices = []
             for score, ref in self._ranked_columns(state.tables, NUMBER)[:3]:
-                score = score + self._near_bonus(ref, anchor, weight=3.0)
+                score = score + self.prepared.near_bonus(ref, anchor, weight=3.0)
                 inner = SelectQuery(
                     select=(AggExpr(func="avg", arg=ref),),
                     from_=FromClause(tables=(ref.table,)),
@@ -847,7 +913,7 @@ class _Context:
                 op = ">" if direction_up else "<"
                 predicate = Predicate(left=ref, op=op, right=inner)
                 choices.append(
-                    (score, replace(state, where_predicates=(predicate,)))
+                    (score, state._replace(where_predicates=(predicate,)))
                 )
             return self._log_normalize(choices)
         # nested:in / nested:not_in over a foreign key.
@@ -884,7 +950,7 @@ class _Context:
                 choices.append(
                     (
                         link_score + extra + self._gumbel(0.5),
-                        replace(state, where_predicates=(predicate,)),
+                        state._replace(where_predicates=(predicate,)),
                     )
                 )
         choices.sort(key=lambda item: -item[0])
@@ -898,11 +964,11 @@ class _Context:
             return []
         choices = []
         for score, ref in self._ranked_columns(state.tables, TEXT)[:3]:
-            score = score + self._near_bonus(ref, self._group_pos)
-            choices.append((score, replace(state, group_by=(ref,))))
+            score = score + self.prepared.near_bonus(ref, self._group_pos)
+            choices.append((score, state._replace(group_by=(ref,))))
         if not choices:
             for score, ref in self._ranked_columns(state.tables)[:2]:
-                choices.append((score, replace(state, group_by=(ref,))))
+                choices.append((score, state._replace(group_by=(ref,))))
         return self._log_normalize(choices)
 
     def _count_threshold(self) -> tuple[int, str]:
@@ -930,7 +996,7 @@ class _Context:
                 ),
             )
         )
-        return [(0.0, replace(state, having=having))]
+        return [(0.0, state._replace(having=having))]
 
     # -- stage 6: order + limit ------------------------------------------
 
@@ -964,8 +1030,7 @@ class _Context:
             choices.append(
                 (
                     0.5,
-                    replace(
-                        state,
+                    state._replace(
                         order_by=(OrderItem(expr=expr, desc=desc),),
                         limit=limit,
                     ),
@@ -975,14 +1040,13 @@ class _Context:
         for score, ref in self._ranked_columns(state.tables, NUMBER)[:3]:
             score = (
                 score
-                + self._near_bonus(ref, self._order_pos)
-                + self._key_penalty(ref)
+                + self.prepared.near_bonus(ref, self._order_pos)
+                + self.prepared.key_penalty(ref)
             )
             choices.append(
                 (
                     score,
-                    replace(
-                        state,
+                    state._replace(
                         order_by=(OrderItem(expr=ref, desc=desc),),
                         limit=limit,
                     ),
@@ -1016,7 +1080,7 @@ class _Context:
                 from_=FromClause(tables=state.tables, joins=state.joins),
                 where=Condition(predicates=(predicate,)),
             )
-            choices.append((score, replace(state, setop_right=right)))
+            choices.append((score, state._replace(setop_right=right)))
         return self._log_normalize(choices)
 
     def _stage_from_subquery(self, state: _State):
@@ -1037,7 +1101,7 @@ class _Context:
                     )
                 ),
             )
-            choices.append((score, replace(state, from_inner=inner)))
+            choices.append((score, state._replace(from_inner=inner)))
         return self._log_normalize(choices)
 
     # -- finalisation -------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.data.dataset import Dataset
 from repro.models.lexicon import content_tokens
@@ -73,6 +74,11 @@ class Sketch:
 
     def operator_tags(self) -> frozenset[str]:
         """The metadata operator tags implied by this structure."""
+        return self._operator_tags
+
+    @cached_property
+    def _operator_tags(self) -> frozenset[str]:
+        # Computed once per sketch: metadata filters ask for it per decode.
         tags = {"project"}
         if self.shape.startswith("setop:"):
             tags.add(self.shape.split(":", 1)[1])
@@ -188,6 +194,10 @@ class SketchModel:
     per facet value; a full sketch signature scores the sum of its facet
     log-posteriors plus a signature prior.  Only signatures observed in
     training are considered.
+
+    The per-signature part of that score (facet values and prior term)
+    lives in a signature table built on first use and dropped by ``fit``:
+    :mod:`repro.core.persist` restores the counts without calling ``fit``.
     """
 
     def __init__(self, smoothing: float = 0.3) -> None:
@@ -200,6 +210,7 @@ class SketchModel:
         self._facet_token_totals: dict[tuple[str, object], int] = defaultdict(int)
         self._vocab: set[str] = set()
         self._total = 0
+        self._table: list[tuple[Sketch, tuple, float]] | None = None
 
     def fit(self, train: Dataset) -> "SketchModel":
         """Count sketch signatures and facet/token statistics."""
@@ -215,12 +226,27 @@ class SketchModel:
                 for token in tokens:
                     counter[token] += 1
                 self._facet_token_totals[(facet, value)] += len(tokens)
+        self._table = None
         return self
+
+    def _signature_table(self) -> list[tuple[Sketch, tuple, float]]:
+        """``(sketch, facet values, prior term)``, most frequent first."""
+        if self._table is None:
+            self._table = [
+                self._table_row(sketch, count)
+                for sketch, count in self._signatures.most_common()
+            ]
+        return self._table
+
+    @staticmethod
+    def _table_row(sketch: Sketch, count: int) -> tuple[Sketch, tuple, float]:
+        values = tuple(sketch.facets().values())
+        return sketch, values, 0.35 * math.log(count + 1.0)
 
     @property
     def signatures(self) -> list[Sketch]:
         """All training signatures, most frequent first."""
-        return [s for s, __ in self._signatures.most_common()]
+        return [row[0] for row in self._signature_table()]
 
     def facet_log_posteriors(
         self, question: str
@@ -265,16 +291,20 @@ class SketchModel:
         from repro.models.cues import cue_bonus
 
         posteriors = self.facet_log_posteriors(question)
+        facet_posts = [posteriors.get(facet, {}) for facet in FACET_NAMES]
         if candidates is None:
-            candidates = self.signatures
+            rows = self._signature_table()
+        else:
+            rows = [
+                self._table_row(sketch, self._signatures.get(sketch, 0))
+                for sketch in candidates
+            ]
         scored = []
-        for sketch in candidates:
+        for sketch, values, prior_term in rows:
             score = 0.0
-            for facet, value in sketch.facets().items():
-                facet_post = posteriors.get(facet, {})
+            for facet_post, value in zip(facet_posts, values):
                 score += 0.15 * facet_post.get(value, -8.0)
-            prior = self._signatures.get(sketch, 0)
-            score += 0.35 * math.log(prior + 1.0)
+            score += prior_term
             if cues is not None:
                 score += cue_bonus(sketch, cues)
             scored.append((score, sketch))
