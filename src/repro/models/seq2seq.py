@@ -418,8 +418,9 @@ class QuestionContext:
         return columns
 
     def select_bonus(self, ref: ColumnRef) -> tuple[float, float]:
-        """A projected column's region bonus and key penalty, kept apart so
-        the caller adds them in the same order as before."""
+        """A projected column's region bonus and key penalty, kept apart:
+        the caller adds them to its score one at a time, and summing them
+        first could round differently."""
         bonus = self._select_bonus.get(ref)
         if bonus is None:
             bonus = (

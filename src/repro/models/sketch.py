@@ -230,7 +230,8 @@ class SketchModel:
         return self
 
     def _signature_table(self) -> list[tuple[Sketch, tuple, float]]:
-        """``(sketch, facet values, prior term)``, most frequent first."""
+        """``(sketch, facet values in FACET_NAMES order, prior term)``, most
+        frequent first."""
         if self._table is None:
             self._table = [
                 self._table_row(sketch, count)

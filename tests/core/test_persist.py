@@ -84,6 +84,48 @@ class TestPersistence:
 ALL_FILES = ("manifest.json",) + CHECKPOINT_FILES
 
 
+class TestSignatureTable:
+    """The sketch model's lazily built signature table follows its counts."""
+
+    def test_restored_model_scores_and_decodes_like_the_original(
+        self, saved_dir, trained_pipeline, tiny_benchmark
+    ):
+        from repro.models.cues import extract_cues
+
+        loaded = load_pipeline(saved_dir)
+        dev = tiny_benchmark.dev
+        for example in dev.examples[:10]:
+            db = dev.database(example.db_id)
+            cues = extract_cues(example.question, db)
+            assert loaded.model.sketch_model.score_sketches(
+                example.question, cues=cues
+            ) == trained_pipeline.model.sketch_model.score_sketches(
+                example.question, cues=cues
+            )
+            original = trained_pipeline.model.translate(example.question, db)
+            restored = loaded.model.translate(example.question, db)
+            assert [(to_sql(c.query), c.score) for c in restored] == [
+                (to_sql(c.query), c.score) for c in original
+            ]
+
+    def test_second_fit_rebuilds_the_table(self, tiny_benchmark):
+        from repro.data.dataset import Dataset
+        from repro.models.sketch import SketchModel
+
+        train = tiny_benchmark.train
+        head = Dataset(train.name, train.examples[:20], train.databases)
+        question = "How many pets are there?"
+        scored_between = SketchModel().fit(head)
+        first = scored_between.score_sketches(question)  # builds the table
+        scored_between.fit(train)
+        # The same two fits with no scoring in between never saw a table.
+        unscored = SketchModel().fit(head).fit(train)
+        rebuilt = scored_between.score_sketches(question)
+        assert rebuilt != first
+        assert rebuilt == unscored.score_sketches(question)
+        assert scored_between.signatures == unscored.signatures
+
+
 class TestCheckpointCorruption:
     """Truncation, bit-flips and missing files raise typed errors —
     never a partial load."""

@@ -1,12 +1,17 @@
 """Surface-cue extraction tests."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.models.cues import (
     CueEvidence,
     cue_bonus,
     extract_cues,
     find_mentioned_values,
+    multiset_distance,
 )
 from repro.models.sketch import extract_sketch
 from repro.sqlkit.parser import parse_sql
@@ -118,3 +123,27 @@ class TestCueBonus:
         )
         plain = extract_sketch(parse_sql("SELECT code FROM country"))
         assert cue_bonus(setop, cues) > cue_bonus(plain, cues)
+
+
+#: Predicate kinds and aggregate functions, as sketches and cues name them.
+_KEYS = ("eq", "neq", "cmp", "like", "between", "avg", "sum", "min", "max")
+
+
+class TestMultisetDistance:
+    """The Counter-free difference ``cue_bonus`` uses matches Counter math."""
+
+    @given(
+        items=st.lists(st.sampled_from(_KEYS), max_size=6).map(tuple),
+        counts=st.dictionaries(
+            st.sampled_from(_KEYS), st.integers(-3, 5), max_size=6
+        ).map(Counter),
+    )
+    def test_matches_counter_arithmetic(self, items, counts):
+        own = Counter(items)
+        expected = sum((own - counts).values()) + sum((counts - own).values())
+        assert multiset_distance(items, counts) == expected
+
+    def test_examples(self):
+        assert multiset_distance((), Counter()) == 0
+        assert multiset_distance(("eq", "eq"), Counter(eq=2)) == 0
+        assert multiset_distance(("eq", "cmp"), Counter(eq=3)) == 3
