@@ -447,6 +447,56 @@ class TestTrainingIsolation:
         ranked = pipe.translate_ranked(example.question, db)
         assert isinstance(ranked, list) and ranked
 
+    def test_failed_fits_degrade_instead_of_raising(
+        self, fitted_lgesql, tiny_benchmark, monkeypatch
+    ):
+        from repro.core.classifier import MetadataClassifier
+        from repro.core.rank_stage1 import DualTowerRanker
+        from repro.core.rank_stage2 import MultiGrainedRanker
+
+        def broken_fit(self, *args, **kwargs):
+            raise RuntimeError("fit failed")
+
+        for cls in (MetadataClassifier, DualTowerRanker, MultiGrainedRanker):
+            monkeypatch.setattr(cls, "fit", broken_fit)
+        config = MetaSQLConfig(
+            ranker_train_questions=12,
+            classifier=ClassifierConfig(epochs=4),
+            stage1=Stage1Config(epochs=4),
+            stage2=Stage2Config(epochs=3),
+        )
+        pipe = MetaSQL(fitted_lgesql, config)
+        pipe.train(tiny_benchmark.train, fit_base_model=False)
+        assert pipe._trained
+        training = pipe.training_report
+        expected = {
+            "train.classify": "all-compositions",
+            "train.stage1": "generation-order",
+            "train.stage2": "stage1-order",
+        }
+        for stage, fallback in expected.items():
+            records = training.stage_faults(stage)
+            assert [r.fallback for r in records] == [fallback]
+            assert records[0].error_type == "RuntimeError"
+
+        example = tiny_benchmark.dev.examples[0]
+        db = tiny_benchmark.dev.database(example.db_id)
+        out = pipe.translate_ranked_report(example.question, db)
+        assert out.translations
+        unavailable = {
+            "classify": ("classifier", "all-compositions"),
+            "stage1": ("stage-1 ranker", "generation-order"),
+            "stage2": ("stage-2 ranker", "stage1-order"),
+        }
+        for stage, (component, fallback) in unavailable.items():
+            records = out.report.stage_faults(stage)
+            assert [(r.error, r.fallback) for r in records] == [
+                (f"{component} unavailable (training failed)", fallback)
+            ]
+        # Stage 2 fell back to the generation-order pruning.
+        assert len(out.translations) <= config.first_stage_top
+        assert all(t.stage2_score == t.stage1_score for t in out.translations)
+
 
 # ----------------------------------------------------------------------
 # Execution budget guard.

@@ -353,6 +353,36 @@ class _RepairingPipeline(_StubPipeline):
         ]
 
 
+class _ScoredGenerator:
+    """Yields one candidate per ``(sql, beam score)`` pair."""
+
+    def __init__(self, scored):
+        self._scored = list(scored)
+
+    def generate(self, question, db, compositions, report=None):
+        from repro.core.generation import GeneratedCandidate
+
+        return [
+            GeneratedCandidate(
+                query=parse_sql(sql),
+                score=score,
+                metadata=compositions[0] if compositions else None,
+            )
+            for sql, score in self._scored
+        ]
+
+
+class _UnprunedRepairingPipeline(_RepairingPipeline):
+    """A repairing stub whose stage-1 ranker is unavailable."""
+
+    def __init__(self, repair, pool, scored):
+        super().__init__(repair, pool)
+        self.generator = _ScoredGenerator(scored)
+
+    def _stage1_pruned(self, question, surfaces, policy, report):
+        return None
+
+
 def _pool(count):
     return [
         QueryMetadata(tags=frozenset({"project", f"tag{i}"}), rating=400)
@@ -507,6 +537,37 @@ class TestRepairUnits:
         assert report.repair_attempts == 1
         assert out[0].sql != failing.sql
         assert out[-1].sql == failing.sql  # original order follows
+
+    def test_repair_without_stage1_orders_by_beam_score(self, verify_db):
+        scored = [
+            ("SELECT a FROM t", 0.2),
+            ("SELECT n FROM t", 0.9),
+            ("SELECT a, n FROM t", 0.5),
+        ]
+        pipe = _UnprunedRepairingPipeline(
+            RepairConfig(max_attempts=1), pool=_pool(4), scored=scored
+        )
+        pipe.config.first_stage_top = 2
+        report = TranslationReport(question="q")
+        failing = _ranked(ERROR_SQL)
+        out = run_repair(
+            pipe,
+            "q",
+            verify_db,
+            [failing],
+            _failing_result(),
+            set(),
+            DegradationPolicy(),
+            report,
+        )
+        assert report.repair_succeeded
+        # The top-2 by beam score lead, best first; the original follows.
+        assert [t.sql for t in out] == [
+            _ranked("SELECT n FROM t").sql,
+            _ranked("SELECT a, n FROM t").sql,
+            failing.sql,
+        ]
+        assert [t.stage1_score for t in out[:2]] == [0.9, 0.5]
 
     @settings(deadline=None, max_examples=30)
     @given(
