@@ -101,15 +101,6 @@ class MetadataClassifier:
         """Label vocabulary: tag strings plus ('rating', value) pairs."""
         return list(self._labels)
 
-    @property
-    def rating_labels(self) -> list[int]:
-        """The observed hardness-rating label values, sorted."""
-        return sorted(
-            value for kind, value in (
-                label for label in self._labels if isinstance(label, tuple)
-            )
-        )
-
     def _features(self, question: str, db: Database) -> np.ndarray:
         text = self._featurizer.transform(question)
         cues = _cue_feature_vector(extract_cues(question, db))

@@ -51,6 +51,20 @@ class GeneratedCandidate:
     sql_text: str = ""
 
 
+def generation_order(
+    generated: list[GeneratedCandidate], top: int
+) -> list[tuple[int, float]]:
+    """The stage-1 fallback: the *top* candidates by the model's beam score.
+
+    Returns ``(index, beam score)`` pairs best first, in the shape of
+    :meth:`DualTowerRanker.rank <repro.core.rank_stage1.DualTowerRanker.rank>`
+    so the pruned list feeds stage 2 either way.  Ties keep generation
+    order.
+    """
+    order = sorted(range(len(generated)), key=lambda i: -generated[i].score)
+    return [(i, generated[i].score) for i in order[:top]]
+
+
 @dataclass
 class GeneratorConfig:
     """Candidate-generation knobs (beam sizes, caps, grounding, lint)."""

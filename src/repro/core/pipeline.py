@@ -23,9 +23,9 @@ Every inference stage is wrapped by the resilience layer
 (:mod:`repro.core.resilience`): a failing candidate is recorded and
 skipped, a failing stage degrades to the previous stage's ordering
 (stage-2 -> stage-1 -> generation order, classifier -> observed
-compositions) under the configured :class:`DegradationPolicy`, and the
-:class:`TranslationReport` attached to the output says exactly what was
-absorbed.
+compositions), with retries and breakers set by
+:class:`DegradationPolicy`, and the :class:`TranslationReport` attached
+to the output says exactly what was absorbed.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.core.generation import (
     CandidateGenerator,
     GeneratedCandidate,
     GeneratorConfig,
+    generation_order,
 )
 from repro.core.metadata import QueryMetadata, extract_metadata
 from repro.core.rank_stage1 import (
@@ -57,7 +58,6 @@ from repro.core.rank_stage2 import (
 )
 from repro.core.resilience import (
     FAULTS,
-    BreakerBoard,
     CircuitBreaker,
     Deadline,
     DegradationPolicy,
@@ -202,14 +202,6 @@ class RankedResult:
 class MetaSQL:
     """Generate-then-rank framework around a base translation model."""
 
-    # Class-level defaults so pipeline *views* built around ``__new__``
-    # (e.g. experiments cloning a trained pipeline with one component
-    # swapped) inherit sane stage-health state without running __init__.
-    _classifier_ok = True
-    _stage1_ok = True
-    _stage2_ok = True
-    breakers: BreakerBoard | None = None
-
     def __init__(
         self,
         model: TranslationModel,
@@ -260,16 +252,13 @@ class MetaSQL:
             # LLM sims index demonstrations instead and always honour
             # prompt metadata.
             self.model.fit(train, with_metadata=True)
-        if policy.classifier_fallback:
-            self._classifier_ok, __ = guarded_call(
-                "train.classify",
-                lambda: self.classifier.fit(train),
-                policy,
-                self.training_report,
-                fallback="all-compositions",
-            )
-        else:
-            self.classifier.fit(train)
+        self._classifier_ok, __ = guarded_call(
+            "train.classify",
+            lambda: self.classifier.fit(train),
+            policy,
+            self.training_report,
+            fallback="all-compositions",
+        )
         self.composer.fit(train)
         self._fit_rankers(train)
         self._trained = True
@@ -291,8 +280,6 @@ class MetaSQL:
                     example, train, report
                 )
             except Exception as exc:  # repolint: allow[broad-except] — example isolation
-                if not policy.isolate_candidates:
-                    raise
                 report.record_exception(
                     "train", exc, candidate=int(raw_index), fallback="skip"
                 )
@@ -316,27 +303,21 @@ class MetaSQL:
         )
         if ok:
             triples.extend(negatives)
-        if policy.stage1_fallback:
-            self._stage1_ok, __ = guarded_call(
-                "train.stage1",
-                lambda: self.stage1.fit(triples),
+        self._stage1_ok, __ = guarded_call(
+            "train.stage1",
+            lambda: self.stage1.fit(triples),
+            policy,
+            report,
+            fallback="generation-order",
+        )
+        if self.config.use_stage2:
+            self._stage2_ok, __ = guarded_call(
+                "train.stage2",
+                lambda: self.stage2.fit(lists),
                 policy,
                 report,
-                fallback="generation-order",
+                fallback="stage1-order",
             )
-        else:
-            self.stage1.fit(triples)
-        if self.config.use_stage2:
-            if policy.stage2_fallback:
-                self._stage2_ok, __ = guarded_call(
-                    "train.stage2",
-                    lambda: self.stage2.fit(lists),
-                    policy,
-                    report,
-                    fallback="stage1-order",
-                )
-            else:
-                self.stage2.fit(lists)
 
     def _ranker_supervision(
         self,
@@ -350,7 +331,6 @@ class MetaSQL:
         recorded and skipped; the example's remaining candidates (plus the
         gold positive) still supervise the rankers.
         """
-        policy = self.config.resilience
         db = train.database(example.db_id)
         schema = db.schema
         compositions = self._compositions_for(example.question, db)
@@ -369,8 +349,6 @@ class MetaSQL:
                 )
                 phrases = tuple(unit_phrases(candidate.query, schema))
             except Exception as exc:  # repolint: allow[broad-except] — candidate isolation
-                if not policy.isolate_candidates:
-                    raise
                 report.record_exception(
                     "train", exc, candidate=index, fallback="skip"
                 )
@@ -522,8 +500,6 @@ class MetaSQL:
                     if compositions:
                         return compositions
                     return self.composer.all_compositions(limit=4)
-            if not policy.classifier_fallback:
-                return []
         elif self.config.use_classifier and not self._classifier_ok:
             report.record(
                 FaultRecord(
@@ -699,29 +675,20 @@ class MetaSQL:
         if not generated:
             return []
 
-        def generation_order() -> list[tuple[int, float]]:
-            # Generation order: the base model's own beam scores.
-            order = sorted(
-                range(len(generated)), key=lambda i: -generated[i].score
-            )
-            return [
-                (i, generated[i].score)
-                for i in order[: self.config.first_stage_top]
-            ]
-
         with self._stage_span(tracer, registry, "stage1") as span:
             if self._deadline_expired(
                 deadline, report, "stage1", "generation-order"
             ):
                 return self._ranked_from_pruned(
-                    generated, generation_order()
+                    generated,
+                    generation_order(generated, self.config.first_stage_top),
                 )
             span.attributes["batch_size"] = len(surfaces)
             pruned = self._stage1_pruned(question, surfaces, policy, report)
             if pruned is None:
-                if not policy.stage1_fallback:
-                    return []
-                pruned = generation_order()
+                pruned = generation_order(
+                    generated, self.config.first_stage_top
+                )
             span.attributes["kept"] = len(pruned)
             registry.counter(
                 "metasql_candidates_pruned_total",
@@ -807,10 +774,6 @@ class MetaSQL:
                     "Candidates demoted or pruned by the verify stage.",
                 ).inc(result.demoted)
             verified = [ranked[index] for index in result.order]
-        registry.histogram(
-            "metasql_verify_latency_seconds",
-            "Wall seconds spent executing candidates in the verify stage.",
-        ).observe(span.duration)
         if not (self.config.repair.enabled and result.top1_failed and verified):
             return verified
         with self._stage_span(tracer, registry, "repair") as span:
@@ -834,10 +797,6 @@ class MetaSQL:
             )
             span.attributes["attempts"] = report.repair_attempts
             span.attributes["succeeded"] = report.repair_succeeded
-        registry.histogram(
-            "metasql_repair_latency_seconds",
-            "Wall seconds spent in the bounded repair loop.",
-        ).observe(span.duration)
         if report.repair_attempts:
             registry.counter(
                 "metasql_repair_attempts_total",
@@ -905,10 +864,12 @@ class MetaSQL:
         """Stage-1 surfaces for a candidate set, duplicates dropped.
 
         Per-candidate rendering failures are isolated (recorded and
-        skipped) under the degradation policy; normalized-SQL duplicates
-        are collapsed to the best-scoring copy.  Shared by the main
-        translate path and the repair loop's regeneration pass.  Returns
-        ``(kept candidates, surfaces, duplicates dropped)``.
+        skipped); normalized-SQL duplicates are collapsed to the
+        best-scoring copy.  Shared by the main translate path and the
+        repair loop's regeneration pass.  *policy* goes unused, since
+        rendering has nothing to retry; it keeps the signature every
+        stage hook shares.  Returns ``(kept candidates, surfaces,
+        duplicates dropped)``.
         """
         surfaces: list[str] = []
         kept: list[GeneratedCandidate] = []
@@ -918,8 +879,6 @@ class MetaSQL:
                     candidate.query, schema, sql_text=candidate.sql_text
                 )
             except Exception as exc:  # repolint: allow[broad-except] — isolation
-                if not policy.isolate_candidates:
-                    raise
                 report.record_exception(
                     "surface", exc, candidate=index, fallback="skip"
                 )
@@ -979,8 +938,6 @@ class MetaSQL:
                         unit_phrases(generated[index].query, schema)
                     )
                 except Exception as exc:  # repolint: allow[broad-except] — isolation
-                    if not policy.isolate_candidates:
-                        raise
                     report.record_exception(
                         "stage2", exc, candidate=index, fallback="skip"
                     )
@@ -1011,8 +968,6 @@ class MetaSQL:
                             )
                         )
                     return ranked
-                if not policy.stage2_fallback:
-                    return []
         elif self.config.use_stage2 and not self._stage2_ok:
             report.record(
                 FaultRecord(

@@ -25,12 +25,17 @@ The loop is strictly bounded:
 A repair that does not produce a verified-passing top-1 keeps the
 original (verified) order — the stage never makes the answer worse than
 what ranking produced.
+
+The pipeline imports this module, so this module must not import the
+pipeline: it drives the owning ``MetaSQL`` duck-typed and takes the
+shared stage-1 fallback from :mod:`repro.core.generation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.generation import generation_order
 from repro.core.metadata import CORRECT, QueryMetadata
 from repro.core.resilience import (
     Deadline,
@@ -224,13 +229,7 @@ def _attempt_once(
         return [], None
     pruned = pipeline._stage1_pruned(question, surfaces, policy, report)
     if pruned is None:
-        order = sorted(
-            range(len(generated)), key=lambda i: -generated[i].score
-        )
-        pruned = [
-            (i, generated[i].score)
-            for i in order[: pipeline.config.first_stage_top]
-        ]
+        pruned = generation_order(generated, pipeline.config.first_stage_top)
     ranked = pipeline._stage2_ranked(
         question, generated, surfaces, pruned, schema, policy, report
     )

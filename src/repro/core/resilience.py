@@ -11,10 +11,11 @@ pieces the pipeline threads through every stage:
   :func:`fire` at entry; tests arm a site to make it raise, which is how
   the degradation chain is exercised deterministically.  With nothing
   armed, ``fire`` is a single truthiness check on an empty dict.
-- :class:`DegradationPolicy` — knobs governing the fallback chain:
-  stage-2 failure falls back to stage-1 ordering, stage-1 failure to
-  generation order, classifier failure to the composer's observed
-  compositions, with bounded deterministic retries for transient faults.
+- :class:`DegradationPolicy` — retry and breaker knobs for the one
+  fallback chain: stage-2 failure falls back to stage-1 ordering,
+  stage-1 failure to generation order, classifier failure to the
+  composer's observed compositions, with bounded deterministic retries
+  for transient faults.
 - :class:`TranslationReport` / :class:`FaultRecord` — structured
   observability attached to pipeline output: which stages degraded, which
   candidates were skipped, and why.
@@ -444,15 +445,6 @@ class BreakerBoard:
     def states(self) -> dict[str, str]:
         return {s: b.state for s, b in self._breakers.items()}
 
-    def any_open(self) -> bool:
-        """Whether any stage's breaker is currently open.
-
-        The tenancy layer's readiness check: a tenant whose board has an
-        open breaker is degraded (some stage is being skipped), which
-        the service surfaces through ``HealthSnapshot.ready``.
-        """
-        return any(state == "open" for state in self.states().values())
-
     def snapshot(self) -> dict[str, dict]:
         return {s: b.snapshot() for s, b in self._breakers.items()}
 
@@ -465,27 +457,16 @@ class BreakerBoard:
 class DegradationPolicy:
     """Governs the graceful-degradation chain of a pipeline.
 
-    The default policy never fails closed: every stage has a fallback and
-    transient faults get ``max_retries`` bounded deterministic retries.
-    Setting a flag to False makes that stage's failure terminal for the
-    translation (an empty result, still with a report — never an
-    unhandled exception out of ``translate``).
+    Every stage fails open: stage-2 falls back to stage-1 ordering,
+    stage-1 to generation order, the classifier to the composer's
+    observed compositions, and a failing candidate is skipped.  Transient
+    faults get ``max_retries`` bounded deterministic retries first.
     """
 
     max_retries: int = 2
-    classifier_fallback: bool = True  # -> composer.all_compositions
-    stage1_fallback: bool = True  # -> generation order
-    stage2_fallback: bool = True  # -> stage-1 ordering
-    isolate_candidates: bool = True  # skip, never abort, on candidate errors
     #: Consecutive terminal faults before a stage's breaker opens
     #: (0 disables breakers entirely).
     breaker_threshold: int = 5
-    #: Seconds an open breaker waits before admitting a half-open probe.
-    breaker_cooldown: float = 30.0
-    #: Injectable clock for the breakers (tests); None -> time.monotonic.
-    breaker_clock: Callable[[], float] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def make_breakers(
         self,
@@ -495,10 +476,7 @@ class DegradationPolicy:
         if self.breaker_threshold <= 0:
             return None
         return BreakerBoard(
-            threshold=self.breaker_threshold,
-            cooldown=self.breaker_cooldown,
-            clock=self.breaker_clock,
-            on_transition=on_transition,
+            threshold=self.breaker_threshold, on_transition=on_transition
         )
 
 

@@ -11,6 +11,7 @@ Two design choices DESIGN.md calls out get their own ablations:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.core.generation import CandidateGenerator, GeneratorConfig
@@ -47,19 +48,8 @@ class SupplementaryResult:
 
 def _clone_with_generator(pipeline: MetaSQL, generator_config) -> MetaSQL:
     """A view of *pipeline* with a different candidate generator."""
-    clone = MetaSQL.__new__(MetaSQL)
-    clone.model = pipeline.model
-    clone.config = pipeline.config
-    clone.classifier = pipeline.classifier
-    clone.composer = pipeline.composer
+    clone = copy.copy(pipeline)
     clone.generator = CandidateGenerator(pipeline.model, generator_config)
-    clone.stage1 = pipeline.stage1
-    clone.stage2 = pipeline.stage2
-    clone._trained = True
-    clone._classifier_ok = pipeline._classifier_ok
-    clone._stage1_ok = pipeline._stage1_ok
-    clone._stage2_ok = pipeline._stage2_ok
-    clone.training_report = pipeline.training_report
     return clone
 
 

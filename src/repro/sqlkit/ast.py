@@ -228,25 +228,6 @@ def iter_column_refs(expr: ValueExpr):
         yield from iter_column_refs(expr.right)
 
 
-def query_columns(query: Query) -> set[str]:
-    """Return the canonical keys of every column referenced by *query*."""
-    keys: set[str] = set()
-    for select in iter_selects(query):
-        for expr in select.select:
-            keys.update(ref.key() for ref in iter_column_refs(expr))
-        for condition in (select.where, select.having):
-            if condition is None:
-                continue
-            for predicate in condition.predicates:
-                keys.update(ref.key() for ref in iter_column_refs(predicate.left))
-                if not isinstance(predicate.right, (SelectQuery, SetQuery, tuple)):
-                    keys.update(
-                        ref.key() for ref in iter_column_refs(predicate.right)
-                    )
-        keys.update(ref.key() for ref in select.group_by)
-        for item in select.order_by:
-            keys.update(ref.key() for ref in iter_column_refs(item.expr))
-    return keys
 
 
 def query_tables(query: Query) -> set[str]:

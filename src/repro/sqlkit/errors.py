@@ -72,14 +72,6 @@ class StageError(PipelineError):
         self.stage = stage
 
 
-class CandidateError(PipelineError):
-    """A single candidate failed processing; isolable, never fatal."""
-
-    def __init__(self, message: str, index: int | None = None) -> None:
-        super().__init__(message)
-        self.index = index
-
-
 class TransientError(PipelineError):
     """A retryable fault (flaky backend, timeout); bounded retries apply.
 

@@ -130,14 +130,6 @@ class Router:
         """Per-tenant health sections, keyed by tenant id."""
         return self.registry.snapshot()
 
-    def any_breaker_open(self) -> bool:
-        """Whether any tenant's board has an open breaker (readiness)."""
-        for tenant in self.registry.tenants():
-            board = tenant.breakers
-            if board is not None and board.any_open():
-                return True
-        return False
-
     # ------------------------------------------------------------------
     # Hot swap.
 

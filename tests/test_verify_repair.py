@@ -569,6 +569,23 @@ class TestRepairUnits:
         ]
         assert [t.stage1_score for t in out[:2]] == [0.9, 0.5]
 
+    def test_generation_order_keeps_ties_in_order_and_cuts_at_top(self):
+        from repro.core.generation import GeneratedCandidate, generation_order
+
+        generated = [
+            GeneratedCandidate(
+                query=parse_sql(OK_SQL), score=score, metadata=None
+            )
+            for score in (0.5, 0.9, 0.5, 0.1, 0.9)
+        ]
+        assert generation_order(generated, top=3) == [
+            (1, 0.9),
+            (4, 0.9),
+            (0, 0.5),
+        ]
+        assert generation_order(generated, top=0) == []
+        assert generation_order([], top=3) == []
+
     @settings(deadline=None, max_examples=30)
     @given(
         max_attempts=st.integers(min_value=0, max_value=4),
