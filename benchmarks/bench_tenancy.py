@@ -56,7 +56,9 @@ class FixedCostPipeline:
     breakers = None
     _trained = True
 
-    def translate_ranked_report(self, question, db, compositions=None):
+    def translate_ranked_report(
+        self, question, db, compositions=None, deadline=None
+    ):
         time.sleep(WORK_S)
         return RankedResult([_RANKED], TranslationReport(question=question))
 
@@ -83,7 +85,7 @@ def test_tenant_isolation_and_swap_cost(record_result, bench_metrics):
         "noisy", FixedCostPipeline(), quota=TenantQuota(max_share=1)
     )
     router.register("victim", FixedCostPipeline())
-    config = ServiceConfig(workers=4, queue_limit=256, max_retries=0)
+    config = ServiceConfig(workers=4, queue_limit=256)
 
     with TranslationService(router, config) as service:
         # Warm the worker pool, then measure tenant B alone.

@@ -26,8 +26,8 @@ from repro.eval.evaluate import evaluate_metasql
 PAIRS = 9
 REPS = 2
 
-VERIFY_ON = VerifyConfig(policy="demote", top_k=3)
-VERIFY_OFF = VerifyConfig(policy="off")
+VERIFY_ON = VerifyConfig(top_k=3)
+VERIFY_OFF = VerifyConfig(top_k=0)
 REPAIR_OFF = RepairConfig(max_attempts=0)
 
 

@@ -17,8 +17,6 @@ _EXPORTS = {
     "FaultRecord": ("repro.core.resilience", "FaultRecord"),
     "TranslationReport": ("repro.core.resilience", "TranslationReport"),
     "Deadline": ("repro.core.resilience", "Deadline"),
-    "deadline_scope": ("repro.core.resilience", "deadline_scope"),
-    "current_deadline": ("repro.core.resilience", "current_deadline"),
     "CircuitBreaker": ("repro.core.resilience", "CircuitBreaker"),
     "BreakerBoard": ("repro.core.resilience", "BreakerBoard"),
     "VerifyConfig": ("repro.core.verify", "VerifyConfig"),

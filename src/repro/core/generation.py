@@ -69,15 +69,12 @@ def generation_order(
 class GeneratorConfig:
     """Candidate-generation knobs (beam sizes, caps, grounding, lint)."""
     beam_per_condition: int = 2
-    include_unconditioned: bool = True
     unconditioned_beam: int = 3
     max_candidates: int = 24
     ground_placeholder_values: bool = True
-    #: Run the schema-aware semantic analyzer over every candidate.
+    #: Run the schema-aware semantic analyzer over every candidate and
+    #: prune those with error-severity diagnostics.
     lint_candidates: bool = True
-    #: Prune candidates with error-severity diagnostics (False keeps
-    #: them, annotated, so callers can inspect what *would* be pruned).
-    lint_prune_errors: bool = True
 
 
 def _record_lint_rejection(codes: list[str]) -> None:
@@ -147,7 +144,7 @@ class CandidateGenerator:
                     )
                 return True, ()
             codes = error_codes(diagnostics)
-            if codes and config.lint_prune_errors:
+            if codes:
                 distinct = sorted(set(codes))
                 _record_lint_rejection(distinct)
                 if report is not None:
@@ -240,7 +237,7 @@ class CandidateGenerator:
             if len(collected) >= config.max_candidates:
                 break
 
-        if config.include_unconditioned and len(collected) < config.max_candidates:
+        if len(collected) < config.max_candidates:
             with (
                 tracer.span("generate.unconditioned")
                 if tracer is not None

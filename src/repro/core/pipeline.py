@@ -63,7 +63,6 @@ from repro.core.resilience import (
     DegradationPolicy,
     FaultRecord,
     TranslationReport,
-    current_deadline,
     guarded_call,
 )
 from repro.core.repair import RepairConfig, run_repair
@@ -553,9 +552,8 @@ class MetaSQL:
         returned report.  Only lifecycle misuse (untrained pipeline)
         raises.
 
-        A *deadline* (explicit, or ambient via
-        :func:`repro.core.resilience.deadline_scope`) is checked
-        cooperatively at every stage boundary; once expired the
+        A *deadline* is checked cooperatively at every stage
+        boundary; once expired the
         translation degrades to the best answer produced so far —
         stage-1 ordering if stage-1 ran, generation order if only the
         generator ran, empty otherwise — with the expiry recorded on the
@@ -573,8 +571,6 @@ class MetaSQL:
                 "load_pipeline() before translating"
             )
         policy = self.config.resilience
-        if deadline is None:
-            deadline = current_deadline()
         report = TranslationReport(question=question)
         if deadline is not None:
             report.deadline_budget = deadline.budget
@@ -723,12 +719,12 @@ class MetaSQL:
         """Execution-guided verification plus the bounded repair loop.
 
         Executes the top-k ranked candidates (``config.verify``) and
-        re-emits the order with runtime failures demoted or pruned; when
-        the best candidate the stage can offer *still* hard-fails,
+        re-emits the order with runtime failures demoted; when the best
+        candidate the stage can offer *still* hard-fails,
         metadata-perturbed regeneration (``config.repair``) gets a
         bounded number of attempts to replace it.  With
-        ``verify.policy == "off"`` this method is an identity: no spans,
-        no metrics, bit-identical ranked output.
+        ``verify.top_k == 0`` this method is an identity: no spans, no
+        metrics, bit-identical ranked output.
 
         Fail-open contract: a verify-stage crash (injected or organic)
         is absorbed by ``guarded_call`` as ``FaultRecord(stage="verify",
@@ -771,7 +767,7 @@ class MetaSQL:
             if result.demoted:
                 registry.counter(
                     "metasql_verify_demoted_total",
-                    "Candidates demoted or pruned by the verify stage.",
+                    "Candidates demoted by the verify stage.",
                 ).inc(result.demoted)
             verified = [ranked[index] for index in result.order]
         if not (self.config.repair.enabled and result.top1_failed and verified):

@@ -59,6 +59,9 @@ _DROP_BY_DIAGNOSTIC: dict[str, tuple[str, ...]] = {
 
 _CompositionKey = tuple[frozenset, int]
 
+#: Perturbed metadata conditions generated per repair attempt.
+COMPOSITIONS_PER_ATTEMPT = 4
+
 
 @dataclass
 class RepairConfig:
@@ -66,8 +69,6 @@ class RepairConfig:
 
     #: Repair attempts per translation (0 disables the loop entirely).
     max_attempts: int = 1
-    #: Perturbed metadata conditions generated per attempt.
-    compositions_per_attempt: int = 4
 
     @property
     def enabled(self) -> bool:
@@ -170,7 +171,7 @@ def run_repair(
             diagnostic,
             pipeline.composer,
             tried,
-            config.compositions_per_attempt,
+            COMPOSITIONS_PER_ATTEMPT,
         )
         if not variants:
             break

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator
 
@@ -234,29 +233,6 @@ class Deadline:
             f"Deadline(budget={self.budget:.3f}, "
             f"remaining={self.remaining():.3f})"
         )
-
-
-#: Ambient deadline, mirroring the executor's ambient ExecutionBudget:
-#: the serving layer installs it once per request and every pipeline
-#: entered under the scope observes it without plumbing changes.
-_DEADLINE: ContextVar[Deadline | None] = ContextVar(
-    "metasql_deadline", default=None
-)
-
-
-def current_deadline() -> Deadline | None:
-    """The ambient :class:`Deadline` for this context, if any."""
-    return _DEADLINE.get()
-
-
-@contextmanager
-def deadline_scope(deadline: Deadline | None) -> Iterator[Deadline | None]:
-    """Install *deadline* as the ambient deadline for the ``with`` body."""
-    token = _DEADLINE.set(deadline)
-    try:
-        yield deadline
-    finally:
-        _DEADLINE.reset(token)
 
 
 # ----------------------------------------------------------------------

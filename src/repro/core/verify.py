@@ -6,15 +6,14 @@ result ships anyway.  This module is the dynamic half of the candidate
 quality story (the static half is the PR-4 semantic-lint gate): after
 ranking, the top-k candidates are executed against the request's database
 under one small shared :class:`~repro.schema.executor.ExecutionBudget`,
-and candidates whose execution fails are reordered according to the
-configured policy.
+and candidates whose execution fails move behind the rest.
 
 Outcome taxonomy per executed candidate:
 
 - ``ok`` — executed and produced at least one row,
-- ``empty`` — executed cleanly but returned no rows (suspicious for many
-  NL questions; demotion is opt-in via ``demote_empty`` because a gold
-  query can legitimately return nothing),
+- ``empty`` — executed cleanly but returned no rows; not a failure,
+  because a gold query can legitimately return nothing (demoting empty
+  results cost ~2 EM points for zero EX gain, DESIGN.md §13),
 - ``error`` — raised :class:`~repro.sqlkit.errors.SqlExecutionError` or
   :class:`~repro.sqlkit.errors.SchemaError`,
 - ``budget`` — exhausted the verify stage's shared execution budget,
@@ -22,15 +21,10 @@ Outcome taxonomy per executed candidate:
   request deadline) expired, or the shared budget was already gone;
   skipped candidates are presumed innocent and keep their rank.
 
-Reordering policies (:attr:`VerifyConfig.policy`):
-
-- ``demote`` — failing candidates move behind every passing and
-  unverified one, preserving relative order inside each group,
-- ``prune`` — failing candidates are dropped; if *nothing* survives the
-  original order stands (the stage fails open, never returning an empty
-  answer it was handed a non-empty one for),
-- ``off`` — identity; the stage is disabled and the ranked order is
-  bit-identical to today's.
+Failing candidates (``error``/``budget``) move behind every passing and
+unverified one, preserving relative order inside each group; nothing is
+dropped.  ``top_k=0`` disables the stage, leaving the ranked order
+bit-identical.
 
 The stage is wrapped by the pipeline in
 :func:`~repro.core.resilience.guarded_call` with a dedicated ``verify``
@@ -65,15 +59,8 @@ FAILING = ("error", "budget")
 class VerifyConfig:
     """Knobs for the post-rank execution-guided verify stage."""
 
-    #: ``demote`` | ``prune`` | ``off``.
-    policy: str = "demote"
-    #: How many top-ranked candidates to execute.
+    #: How many top-ranked candidates to execute (0 disables the stage).
     top_k: int = 3
-    #: Treat an empty result set as a failure (demoted below non-empty
-    #: passing candidates, but above runtime errors).  Off by default:
-    #: on the synthetic dev set demoting correct-but-empty top-1s costs
-    #: ~2 EM points for zero EX gain (see DESIGN.md §13).
-    demote_empty: bool = False
     #: Shared step allowance for the whole top-k sweep (None = unlimited).
     budget_steps: int | None = 200_000
     #: Largest intermediate row set any one execution may materialise.
@@ -86,16 +73,9 @@ class VerifyConfig:
         default=None, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self.policy not in ("demote", "prune", "off"):
-            raise ValueError(
-                f"unknown verify policy {self.policy!r} "
-                "(expected 'demote', 'prune' or 'off')"
-            )
-
     @property
     def enabled(self) -> bool:
-        return self.policy != "off" and self.top_k > 0
+        return self.top_k > 0
 
 
 @dataclass(frozen=True)
@@ -114,9 +94,8 @@ class VerifyResult:
 
     verdicts: list[CandidateVerdict]
     #: The re-emitted candidate order as indices into the input list.
-    #: Under ``prune`` failing indices are absent (unless nothing passed).
     order: list[int]
-    #: Candidates that were demoted or pruned.
+    #: Candidates that were demoted.
     demoted: int
     #: Candidates actually executed (not ``skipped``).
     checked: int
@@ -148,12 +127,6 @@ class VerifyResult:
         """
         verdict = self.top1_verdict
         return verdict is not None and verdict.outcome in FAILING
-
-
-def _failing(verdict: CandidateVerdict, config: VerifyConfig) -> bool:
-    if verdict.outcome in FAILING:
-        return True
-    return verdict.outcome == "empty" and config.demote_empty
 
 
 def verify_candidates(
@@ -210,7 +183,7 @@ def verify_candidates(
                 verdicts.append(
                     CandidateVerdict(index, outcome, rows=len(rows))
                 )
-    order, demoted = _reorder(len(queries), verdicts, config)
+    order, demoted = _reorder(len(queries), verdicts)
     checked = sum(1 for v in verdicts if v.outcome != "skipped")
     return VerifyResult(
         verdicts=verdicts,
@@ -222,41 +195,28 @@ def verify_candidates(
 
 
 def _reorder(
-    total: int, verdicts: list[CandidateVerdict], config: VerifyConfig
+    total: int, verdicts: list[CandidateVerdict]
 ) -> tuple[list[int], int]:
-    """Apply the demotion policy; returns (new order, demoted count).
+    """Demote failing candidates; returns (new order, demoted count).
 
-    Groups, in order: verified-passing, unverified (skipped or beyond
-    top-k — presumed innocent), empty-result failures, hard failures
+    Groups, in order: verified-passing (``ok`` and ``empty``),
+    unverified (skipped or beyond top-k — presumed innocent), failures
     (error/budget).  Original relative order is preserved inside each
     group, so the stage is a stable partition of the ranked list.
-    ``prune`` drops both failing groups unless nothing else remains, in
-    which case the original order stands (fail open).
     """
     identity = list(range(total))
-    if config.policy == "off":
-        return identity, 0
     by_index = {v.index: v for v in verdicts}
     passing: list[int] = []
     unverified: list[int] = []
-    empty: list[int] = []
-    hard: list[int] = []
+    failing: list[int] = []
     for index in identity:
         verdict = by_index.get(index)
         if verdict is None or verdict.outcome == "skipped":
             unverified.append(index)
         elif verdict.outcome in FAILING:
-            hard.append(index)
-        elif _failing(verdict, config):
-            empty.append(index)
+            failing.append(index)
         else:
             passing.append(index)
-    failing = empty + hard
     if not failing:
         return identity, 0
-    if config.policy == "prune":
-        survivors = passing + unverified
-        if not survivors:
-            return identity, 0
-        return survivors, len(failing)
     return passing + unverified + failing, len(failing)

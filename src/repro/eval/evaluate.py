@@ -106,7 +106,7 @@ class EvalResult:
 
     @property
     def verify_demoted_total(self) -> int:
-        """Candidates demoted/pruned by the verify stage, across examples."""
+        """Candidates demoted by the verify stage, across examples."""
         return sum(
             r.report.verify_demoted
             for r in self.records

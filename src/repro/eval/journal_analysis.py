@@ -68,7 +68,7 @@ class HardnessBucket:
     em_hits: int = 0
     ex_hits: int = 0
     degraded: int = 0
-    #: Candidates the verify stage demoted/pruned (sum over records).
+    #: Candidates the verify stage demoted (sum over records).
     verify_demoted: int = 0
     #: Records with at least one verify demotion.
     demoted_records: int = 0

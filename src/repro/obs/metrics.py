@@ -433,7 +433,7 @@ class MetricsRegistry:
 #: The process-wide default registry (the ambient fallback).
 _DEFAULT_REGISTRY = MetricsRegistry()
 
-#: Ambient override, mirroring deadline_scope/trace_scope: tests and the
+#: Ambient override, mirroring budget_scope/trace_scope: tests and the
 #: serving layer install an isolated registry for a scope.
 _REGISTRY: ContextVar[MetricsRegistry | None] = ContextVar(
     "metasql_metrics_registry", default=None

@@ -10,8 +10,8 @@ candidate's grounding.
 Design choices mirror the resilience layer's primitives:
 
 - **Ambient installation.** :func:`trace_scope` installs a tracer in a
-  :class:`~contextvars.ContextVar` (the same pattern as
-  ``deadline_scope``), so deeply nested components pick it up via
+  :class:`~contextvars.ContextVar` (the same pattern as the executor's
+  ``budget_scope``), so deeply nested components pick it up via
   :func:`current_tracer` without parameter plumbing.  With no tracer
   installed every hook is a single ``is None`` branch.
 - **Injectable clock.**  Tests drive span durations deterministically;

@@ -2,8 +2,7 @@
 
 - :class:`TranslationService` — bounded work queue, worker pool,
   admission control (typed ``Overloaded`` shedding), per-request
-  deadlines, transient-fault retry with jittered backoff, and a
-  health/readiness snapshot.
+  deadlines, and a health/readiness snapshot.
 - :class:`CheckpointStore` — rotating crash-safe checkpoints with
   last-good recovery, for warm-starting a service after a crash.
 

@@ -9,20 +9,18 @@ pipeline's per-translation fault isolation:
   unboundedly, while already-admitted requests keep draining.
 - **Deadline budgets** — every request carries a
   :class:`~repro.core.resilience.Deadline` (explicit or the configured
-  default), installed ambiently via
-  :func:`~repro.core.resilience.deadline_scope` so the pipeline's
-  cooperative stage-boundary checkpoints observe it and degrade an
-  expired request to the best answer produced so far.
-- **Retry with jittered backoff** — a request whose translation came
-  back empty because of a *transient* terminal fault (per the PR-1
-  taxonomy) is retried a bounded number of times with full-jitter
-  exponential backoff, deadline permitting.
+  default), passed to the pipeline so its cooperative stage-boundary
+  checkpoints observe it and degrade an expired request to the best
+  answer produced so far.  Transient faults are retried inside the
+  pipeline, per stage, under its
+  :class:`~repro.core.resilience.DegradationPolicy`; the service adds
+  no retry layer of its own.
 - **Health/readiness** — :meth:`TranslationService.health` snapshots
   queue depth, per-stage circuit-breaker states, counters, uptime, and
   the rolling degraded-rate (same notion as ``EvalResult.degraded_rate``).
 - **Observability** — every request feeds the service's
   :class:`~repro.obs.metrics.MetricsRegistry` (queue depth/wait,
-  in-flight, retries, rejections, end-to-end latency — all
+  in-flight, rejections, end-to-end latency — all
   tenant-labelled; the pipeline adds its per-stage metrics under the
   same registry via an ambient scope),
   :meth:`TranslationService.metrics` renders it in the Prometheus text
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 import pathlib
 import queue
-import random
 import threading
 import time
 from collections import deque
@@ -64,7 +61,6 @@ from repro.core.pipeline import MetaSQL, RankedResult
 from repro.core.resilience import (
     Deadline,
     TranslationReport,
-    deadline_scope,
     fire,
 )
 from repro.eval.evaluate import reports_degraded_rate
@@ -96,14 +92,6 @@ class ServiceConfig:
     #: Per-request time budget in seconds applied when the caller does
     #: not pass an explicit Deadline; None disables default deadlines.
     default_deadline: float | None = None
-    #: Service-level retries for transient-fault translations.
-    max_retries: int = 2
-    backoff_base: float = 0.05  # first backoff upper bound, seconds
-    backoff_cap: float = 2.0  # backoff upper bound ceiling, seconds
-    #: Seed for the jitter RNG; None draws a fresh seed per service.
-    jitter_seed: int | None = None
-    #: How many recent reports the rolling degraded-rate covers.
-    health_window: int = 256
     #: When set, a per-request JSONL event journal is appended here
     #: (crash-safe; see :mod:`repro.obs.journal`).
     journal_path: str | pathlib.Path | None = None
@@ -127,20 +115,6 @@ class ServiceConfig:
                 f"default deadline must be positive seconds, "
                 f"got {self.default_deadline!r}"
             )
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries cannot be negative, got {self.max_retries!r}"
-            )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ConfigError(
-                f"backoff bounds cannot be negative, got "
-                f"base={self.backoff_base!r} cap={self.backoff_cap!r}"
-            )
-        if self.health_window <= 0:
-            raise ConfigError(
-                f"health window must be positive, "
-                f"got {self.health_window!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -154,11 +128,9 @@ class HealthSnapshot:
     in_flight: int
     completed: int
     rejected: int
-    retried: int
     failed: int
     degraded_rate: float
     deadline_expired: int
-    breakers: dict[str, str] = field(default_factory=dict)
     #: Seconds since the service started, on its injectable clock.
     uptime_seconds: float = 0.0
     #: Per-tenant section: queue share (pending/max_share), breaker
@@ -202,8 +174,11 @@ class _Job:
     future: Future
     tenant: Tenant
     submitted_at: float = 0.0  # service clock, for queue-wait metrics
-    shard_epoch: int | None = None  # epoch the last attempt ran on
+    shard_epoch: int | None = None  # epoch the translation ran on
 
+
+#: How many recent reports the rolling degraded-rate covers.
+HEALTH_WINDOW = 256
 
 #: Queue sentinel that tells a worker to exit its loop.
 _SHUTDOWN = object()
@@ -231,14 +206,12 @@ class TranslationService:
         self,
         pipeline: "MetaSQL | Router",
         config: ServiceConfig | None = None,
-        sleep=time.sleep,
         clock=time.monotonic,
         registry: MetricsRegistry | None = None,
         journal: Journal | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self.config.validate()
-        self._sleep = sleep
         self._clock = clock
         self._started = clock()
         # The registry is captured at construction (worker threads do not
@@ -259,18 +232,16 @@ class TranslationService:
         # router already writes its own).
         if self.router.journal is None:
             self.router.journal = self._journal
-        self._rng = random.Random(self.config.jitter_seed)
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_limit)
         self._lock = new_lock("TranslationService._lock")
         self._accepting = True
         self._in_flight = 0
         self._completed = 0
         self._rejected = 0
-        self._retried = 0
         self._failed = 0
         self._deadline_expired = 0
         self._recent_reports: deque[TranslationReport] = deque(
-            maxlen=self.config.health_window
+            maxlen=HEALTH_WINDOW
         )
         self._init_metrics()
         self._workers = [
@@ -324,11 +295,6 @@ class TranslationService:
             "Requests shed by admission control, by tenant and reason "
             "(queue = global bounded queue, quota = per-tenant limits).",
             labelnames=("tenant", "reason"),
-        )
-        self._m_retries = registry.counter(
-            "serve_retries_total",
-            "Service-level transient-fault retries.",
-            labelnames=("tenant",),
         )
 
     # ------------------------------------------------------------------
@@ -487,44 +453,24 @@ class TranslationService:
         )
 
     def _handle(self, job: _Job) -> RankedResult:
-        """First attempt, bounded transient retries, then journal."""
+        """One translation on a shard lease, then the journal write."""
         fire("serve.handle")
-        attempt = 0
-        result = self._attempt(job)
-        while (
-            self._retryable(result)
-            and attempt < self.config.max_retries
-            and not self._deadline_over(job.deadline)
-        ):
-            with self._lock:
-                self._retried += 1
-            self._m_retries.labels(tenant=job.tenant.tenant_id).inc()
-            self._sleep(self._backoff(attempt))
-            attempt += 1
-            result = self._attempt(job)
-        self._journal_request(job, result, attempt)
-        return result
-
-    def _attempt(self, job: _Job) -> RankedResult:
-        """One translation attempt on a fresh shard lease."""
         # The registry scope routes the pipeline's per-stage metrics
         # (and breaker-transition callbacks) into this service's
         # registry even though workers run outside the constructor's
-        # context.  The shard lease is taken per attempt: one
-        # translation runs entirely on one (pipeline, epoch) pair,
-        # and a retry after a hot swap lands on the new shard.
-        with registry_scope(self.registry), deadline_scope(job.deadline):
+        # context.  The lease pins the whole translation to one
+        # (pipeline, epoch) pair across a concurrent hot swap.
+        with registry_scope(self.registry):
             with self.router.lease(job.tenant.tenant_id) as lease:
                 job.shard_epoch = lease.epoch
                 result = lease.pipeline.translate_ranked_report(
-                    job.question, job.db
+                    job.question, job.db, deadline=job.deadline
                 )
         self._observe(result.report)
+        self._journal_request(job, result)
         return result
 
-    def _request_record(
-        self, job: _Job, result: RankedResult, retries: int
-    ) -> dict:
+    def _request_record(self, job: _Job, result: RankedResult) -> dict:
         """The request's journal-style summary record."""
         report = result.report
         return {
@@ -546,7 +492,6 @@ class TranslationService:
                 {"stage": f.stage, "fallback": f.fallback}
                 for f in report.faults
             ],
-            "retries": retries,
             "latency_s": round(
                 max(0.0, self._clock() - job.submitted_at), 6
             ),
@@ -556,42 +501,19 @@ class TranslationService:
             },
         }
 
-    def _journal_request(
-        self, job: _Job, result: RankedResult, retries: int
-    ) -> None:
+    def _journal_request(self, job: _Job, result: RankedResult) -> None:
         """Append the finished request's record to the journal, if any.
 
-        Runs on the worker thread after the retry loop settles;
-        journalling swallows its errors so it never fails the request.
+        Runs on the worker thread after the translation; journalling
+        swallows its errors so it never fails the request.
         """
         if self._journal is None:
             return
-        record = self._request_record(job, result, retries)
+        record = self._request_record(job, result)
         try:
             self._journal.append(record)
         except Exception:  # repolint: allow[broad-except] — journalling never fails a request
             pass
-
-    @staticmethod
-    def _retryable(result: RankedResult) -> bool:
-        """An empty answer caused by a transient terminal fault."""
-        if result.translations:
-            return False
-        return any(
-            record.transient and record.fallback != "retry"
-            for record in result.report.faults
-        )
-
-    @staticmethod
-    def _deadline_over(deadline: Deadline | None) -> bool:
-        return deadline is not None and deadline.expired()
-
-    def _backoff(self, attempt: int) -> float:
-        """Full-jitter exponential backoff (AWS-style)."""
-        ceiling = min(
-            self.config.backoff_cap, self.config.backoff_base * (2**attempt)
-        )
-        return self._rng.uniform(0.0, ceiling)
 
     def _observe(self, report: TranslationReport) -> None:
         with self._lock:
@@ -608,11 +530,9 @@ class TranslationService:
         Every counter — including ``accepting`` and the uptime read —
         is taken under the one service lock, so the snapshot is a
         consistent point-in-time view, not a mix of racing reads.  The
-        per-tenant section (and the top-level ``breakers``, which stays
-        the default tenant's board for backward compatibility) is
+        per-tenant section (each tenant's breaker states included) is
         assembled outside the lock: tenant state has its own locks.
         """
-        board = getattr(self.pipeline, "breakers", None)
         tenants = self.router.snapshot()
         with self._lock:
             return HealthSnapshot(
@@ -623,11 +543,9 @@ class TranslationService:
                 in_flight=self._in_flight,
                 completed=self._completed,
                 rejected=self._rejected,
-                retried=self._retried,
                 failed=self._failed,
                 degraded_rate=reports_degraded_rate(self._recent_reports),
                 deadline_expired=self._deadline_expired,
-                breakers=board.states() if board is not None else {},
                 uptime_seconds=max(0.0, self._clock() - self._started),
                 tenants=tenants,
             )

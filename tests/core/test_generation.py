@@ -30,9 +30,7 @@ class TestGenerate:
     def test_one_beam_per_condition(self, meta_model, tiny_benchmark, example):
         generator = CandidateGenerator(
             meta_model,
-            GeneratorConfig(
-                beam_per_condition=1, include_unconditioned=False
-            ),
+            GeneratorConfig(beam_per_condition=1),
         )
         db = tiny_benchmark.dev.database(example.db_id)
         gold_meta = extract_metadata(example.sql)
@@ -57,22 +55,11 @@ class TestGenerate:
         assert len(candidates) <= 3
 
     def test_unconditioned_fallback(self, meta_model, tiny_benchmark, example):
-        generator = CandidateGenerator(
-            meta_model, GeneratorConfig(include_unconditioned=True)
-        )
+        generator = CandidateGenerator(meta_model, GeneratorConfig())
         db = tiny_benchmark.dev.database(example.db_id)
         candidates = generator.generate(example.question, db, [])
         assert candidates
         assert all(c.metadata is None for c in candidates)
-
-    def test_no_unconditioned_when_disabled(
-        self, meta_model, tiny_benchmark, example
-    ):
-        generator = CandidateGenerator(
-            meta_model, GeneratorConfig(include_unconditioned=False)
-        )
-        db = tiny_benchmark.dev.database(example.db_id)
-        assert generator.generate(example.question, db, []) == []
 
     def test_deduplication(self, meta_model, tiny_benchmark, example):
         generator = CandidateGenerator(meta_model, GeneratorConfig())
@@ -222,10 +209,7 @@ class TestLintGate:
     def _generate(self, db, sqls, config=None, report=None):
         generator = CandidateGenerator(
             _FixedModel(sqls),
-            config
-            or GeneratorConfig(
-                include_unconditioned=True, ground_placeholder_values=False
-            ),
+            config or GeneratorConfig(ground_placeholder_values=False),
         )
         return generator.generate("q", db, [], report=report)
 
@@ -245,25 +229,9 @@ class TestLintGate:
         assert len(candidates) == 1
         assert [d.code for d in candidates[0].diagnostics] == ["SQL101"]
 
-    def test_prune_disabled_keeps_invalid(self, world_db):
-        config = GeneratorConfig(
-            include_unconditioned=True,
-            ground_placeholder_values=False,
-            lint_prune_errors=False,
-        )
-        candidates = self._generate(
-            world_db, [self.INVALID, self.VALID], config=config
-        )
-        assert len(candidates) == 2
-        assert any(
-            d.code == "SQL002" for d in candidates[0].diagnostics
-        )
-
     def test_lint_disabled_is_passthrough(self, world_db):
         config = GeneratorConfig(
-            include_unconditioned=True,
-            ground_placeholder_values=False,
-            lint_candidates=False,
+            ground_placeholder_values=False, lint_candidates=False
         )
         report = TranslationReport()
         candidates = self._generate(

@@ -281,7 +281,9 @@ class EpochPipeline:
     def __init__(self, tag: str) -> None:
         self.tag = tag
 
-    def translate_ranked_report(self, question, db, compositions=None):
+    def translate_ranked_report(
+        self, question, db, compositions=None, deadline=None
+    ):
         report = TranslationReport(question=question)
         result = RankedResult([_ranked()], report)
         result.shard_tag = self.tag
@@ -313,7 +315,7 @@ def test_swap_under_fire_reports_zero_inversions(world_db, tmp_path):
             "alpha", EpochPipeline("epoch-1"), quota=TenantQuota(max_share=48)
         )
         router.register("beta", EpochPipeline("epoch-1"))
-        config = ServiceConfig(workers=4, queue_limit=256, max_retries=0)
+        config = ServiceConfig(workers=4, queue_limit=256)
         futures = []
         submitted_lock = threading.Lock()
 
@@ -373,7 +375,7 @@ def test_serve_hammer_reports_zero_inversions(world_db):
         registry = MetricsRegistry()
         router = Router()
         router.register("alpha", EpochPipeline("epoch-1"))
-        config = ServiceConfig(workers=2, queue_limit=128, max_retries=0)
+        config = ServiceConfig(workers=2, queue_limit=128)
         errors: list[BaseException] = []
 
         with TranslationService(

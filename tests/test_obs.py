@@ -460,12 +460,11 @@ def test_health_snapshot_round_trips_through_json():
         in_flight=1,
         completed=10,
         rejected=4,
-        retried=3,
         failed=1,
         degraded_rate=0.25,
         deadline_expired=2,
-        breakers={"stage1": "open"},
         uptime_seconds=12.5,
+        tenants={"default": {"breakers": {"stage1": "open"}}},
     )
     data = json.loads(json.dumps(snapshot.as_dict()))
     assert data["ready"] is snapshot.ready

@@ -298,7 +298,7 @@ class TestDegradationChain:
         # Verify off: this test asserts the raw stage-1 ordering, which
         # the (orthogonal) verify stage is allowed to reshuffle.
         saved = trained_pipeline.config.verify
-        trained_pipeline.config.verify = VerifyConfig(policy="off")
+        trained_pipeline.config.verify = VerifyConfig(top_k=0)
         try:
             with FAULTS.inject("stage2.rank", times=1):
                 result = trained_pipeline.translate_ranked_report(

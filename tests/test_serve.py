@@ -1,9 +1,10 @@
 """Serving + durability layer tests: deadlines, breakers, admission
-control, retry/backoff, crash-safe checkpointing, warm-start recovery.
+control, the single retry layer, crash-safe checkpointing, warm-start
+recovery.
 
-Everything is deterministic: clocks are injected, jitter is seeded,
-faults come from the PR-1 ``FAULTS`` registry, and blocking jobs are
-gated on events rather than sleeps.
+Everything is deterministic: clocks are injected, faults come from the
+``FAULTS`` registry, and blocking jobs are gated on events rather than
+sleeps.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from repro.core.resilience import (
     FaultRecord,
     InjectedFault,
     TranslationReport,
-    current_deadline,
-    deadline_scope,
     guarded_call,
 )
 from repro.serve import CheckpointStore, ServiceConfig, TranslationService
@@ -77,6 +76,17 @@ class SteppingClock:
         return self.t
 
 
+@pytest.fixture()
+def fake_board(trained_pipeline):
+    """Swap a fresh, deterministic breaker board onto the shared pipeline."""
+    clock = FakeClock()
+    board = BreakerBoard(threshold=3, cooldown=30.0, clock=clock.now)
+    previous = trained_pipeline.breakers
+    trained_pipeline.breakers = board
+    yield board, clock
+    trained_pipeline.breakers = previous
+
+
 def _ranked(sql: str = "SELECT name FROM country") -> RankedTranslation:
     return RankedTranslation(
         query=parse_sql(sql), stage1_score=1.0, stage2_score=1.0, metadata=None
@@ -87,9 +97,9 @@ class StubPipeline:
     """Duck-typed pipeline for service unit tests.
 
     ``script`` is a list of behaviours consumed one per call:
-    ``"ok"`` returns one translation, ``"transient"``/``"fatal"`` return
-    an empty result with a terminal fault record of that taxonomy class,
-    ``"block"`` waits on :attr:`gate` first, then returns ok.
+    ``"ok"`` returns one translation, ``"fatal"`` returns an empty
+    result with a terminal fault record, ``"block"`` waits on
+    :attr:`gate` first, then returns ok.
     """
 
     breakers = None
@@ -100,9 +110,11 @@ class StubPipeline:
         self.gate = threading.Event()
         self.seen_deadlines: list[Deadline | None] = []
 
-    def translate_ranked_report(self, question, db, compositions=None):
+    def translate_ranked_report(
+        self, question, db, compositions=None, deadline=None
+    ):
         self.calls += 1
-        self.seen_deadlines.append(current_deadline())
+        self.seen_deadlines.append(deadline)
         action = self.script.pop(0) if self.script else "ok"
         report = TranslationReport(question=question)
         if action == "block":
@@ -113,10 +125,9 @@ class StubPipeline:
         report.record(
             FaultRecord(
                 stage="generate",
-                error_type="TransientError" if action == "transient" else "StageError",
+                error_type="StageError",
                 error="injected by StubPipeline",
                 fallback="empty",
-                transient=(action == "transient"),
             )
         )
         return RankedResult([], report)
@@ -146,16 +157,6 @@ class TestDeadline:
             deadline.check("stage1")
         assert info.value.stage == "stage1"
         assert info.value.budget == pytest.approx(1.0)
-
-    def test_ambient_scope_installs_and_restores(self):
-        assert current_deadline() is None
-        deadline = Deadline(1.0)
-        with deadline_scope(deadline):
-            assert current_deadline() is deadline
-            with deadline_scope(None):
-                assert current_deadline() is None
-            assert current_deadline() is deadline
-        assert current_deadline() is None
 
 
 # ----------------------------------------------------------------------
@@ -273,16 +274,6 @@ class TestPipelineBreakers:
     def example_db(self, tiny_benchmark):
         example = tiny_benchmark.dev.examples[0]
         return example, tiny_benchmark.dev.database(example.db_id)
-
-    @pytest.fixture()
-    def fake_board(self, trained_pipeline):
-        """Swap a deterministic breaker board onto the shared pipeline."""
-        clock = FakeClock()
-        board = BreakerBoard(threshold=3, cooldown=30.0, clock=clock.now)
-        previous = trained_pipeline.breakers
-        trained_pipeline.breakers = board
-        yield board, clock
-        trained_pipeline.breakers = previous
 
     def test_breaker_opens_skips_and_recovers(
         self, trained_pipeline, example_db, fake_board
@@ -408,15 +399,6 @@ class TestPipelineDeadlines:
             to_sql(r.query) for r in baseline
         ]
 
-    def test_ambient_deadline_is_observed(self, trained_pipeline, example_db):
-        example, db = example_db
-        with deadline_scope(Deadline(0.0)):
-            result = trained_pipeline.translate_ranked_report(
-                example.question, db
-            )
-        assert result.translations == []
-        assert result.report.deadline_expired
-
 
 # ----------------------------------------------------------------------
 # TranslationService: admission control, retries, health, lifecycle.
@@ -426,7 +408,7 @@ class TestServiceAdmission:
     def test_sheds_load_at_capacity_while_inflight_completes(self):
         stub = StubPipeline(script=["block", "ok"])
         service = TranslationService(
-            stub, ServiceConfig(workers=1, queue_limit=1, jitter_seed=0)
+            stub, ServiceConfig(workers=1, queue_limit=1)
         )
         try:
             first = service.submit("block", None)
@@ -488,71 +470,30 @@ class TestServiceAdmission:
 
 
 class TestServiceRetry:
-    def _service(self, stub, max_retries=2):
-        sleeps: list[float] = []
-        service = TranslationService(
-            stub,
-            ServiceConfig(
-                workers=1,
-                queue_limit=4,
-                max_retries=max_retries,
-                backoff_base=0.05,
-                backoff_cap=2.0,
-                jitter_seed=7,
-            ),
-            sleep=sleeps.append,
-        )
-        return service, sleeps
-
-    def test_transient_empty_result_is_retried_with_backoff(self):
-        stub = StubPipeline(script=["transient", "transient", "ok"])
-        service, sleeps = self._service(stub)
+    def test_retries_stop_at_the_budget(
+        self, trained_pipeline, tiny_benchmark, fake_board
+    ):
+        """A persistent transient fault is retried by the pipeline only."""
+        example = tiny_benchmark.dev.examples[0]
+        db = tiny_benchmark.dev.database(example.db_id)
+        service = TranslationService(trained_pipeline, ServiceConfig(workers=1))
         try:
-            result = service.translate("q", None, timeout=5)
-            assert result.translations
-            assert stub.calls == 3
-            assert len(sleeps) == 2
-            assert 0.0 <= sleeps[0] <= 0.05  # full jitter in [0, base)
-            assert 0.0 <= sleeps[1] <= 0.10  # doubled ceiling
-            assert service.health().retried == 2
+            with FAULTS.inject("generator.generate", transient=True, times=None):
+                result = service.translate(example.question, db, timeout=30)
+                fired = FAULTS.fired("generator.generate")
         finally:
             service.shutdown()
-
-    def test_fatal_empty_result_is_not_retried(self):
-        stub = StubPipeline(script=["fatal", "ok"])
-        service, sleeps = self._service(stub)
-        try:
-            result = service.translate("q", None, timeout=5)
-            assert result.translations == []
-            assert stub.calls == 1 and sleeps == []
-        finally:
-            service.shutdown()
-
-    def test_retries_stop_at_the_budget(self):
-        stub = StubPipeline(script=["transient"] * 10)
-        service, sleeps = self._service(stub, max_retries=2)
-        try:
-            result = service.translate("q", None, timeout=5)
-            assert result.translations == []
-            assert stub.calls == 3  # 1 + max_retries
-        finally:
-            service.shutdown()
-
-    def test_expired_deadline_suppresses_retry(self):
-        stub = StubPipeline(script=["transient", "ok"])
-        service, sleeps = self._service(stub)
-        try:
-            result = service.translate(
-                "q", None, deadline=Deadline(0.0), timeout=5
-            )
-            assert result.translations == []
-            assert stub.calls == 1 and sleeps == []
-        finally:
-            service.shutdown()
+        # One pipeline pass: the stage's own retries, nothing on top.
+        assert fired == DegradationPolicy().max_retries + 1
+        assert result.translations == []
+        generate = result.report.stage_faults("generate")
+        assert [(f.fallback, f.transient) for f in generate] == [
+            ("empty", True)
+        ]
 
 
 class TestServiceHealth:
-    def test_deadline_is_installed_ambiently(self):
+    def test_deadline_reaches_the_pipeline(self):
         stub = StubPipeline()
         service = TranslationService(
             stub, ServiceConfig(workers=1, queue_limit=2, default_deadline=30.0)
@@ -588,7 +529,7 @@ class TestServiceHealth:
             trained_pipeline, ServiceConfig(workers=1, queue_limit=2)
         )
         try:
-            breakers = service.health().breakers
+            breakers = service.health().tenants["default"]["breakers"]
             assert breakers.get("stage1") == "closed"
             assert set(breakers) == set(BreakerBoard.STAGES)
         finally:

@@ -88,7 +88,9 @@ class EpochPipeline:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def translate_ranked_report(self, question, db, compositions=None):
+    def translate_ranked_report(
+        self, question, db, compositions=None, deadline=None
+    ):
         with self._lock:
             self.calls += 1
         report = TranslationReport(question=question)
@@ -167,10 +169,6 @@ class TestServiceConfigValidation:
             {"queue_limit": 0},
             {"default_deadline": 0.0},
             {"default_deadline": -1.0},
-            {"max_retries": -1},
-            {"backoff_base": -0.1},
-            {"backoff_cap": -1.0},
-            {"health_window": 0},
         ],
     )
     def test_bad_values_fail_at_construction(self, kwargs):
@@ -450,7 +448,7 @@ class TestServiceTenancy:
         router.register("faulty", faulty)
         router.register("healthy", healthy)
         with TranslationService(
-            router, ServiceConfig(workers=2, max_retries=0)
+            router, ServiceConfig(workers=2)
         ) as service:
             bad = service.submit("q", example_db, tenant="faulty")
             good = service.submit("q", example_db, tenant="healthy")
@@ -495,7 +493,6 @@ class TestServiceTenancy:
             in_flight=0,
             completed=0,
             rejected=0,
-            retried=0,
             failed=0,
             degraded_rate=0.0,
             deadline_expired=0,
@@ -556,7 +553,7 @@ class TestSwapUnderFire:
             "alpha", shard_a1, quota=TenantQuota(max_share=48)
         )
         router.register("beta", shard_b)
-        config = ServiceConfig(workers=4, queue_limit=256, max_retries=0)
+        config = ServiceConfig(workers=4, queue_limit=256)
         submitted: dict[str, list] = {"alpha": [], "beta": []}
         overloaded = {"alpha": 0, "beta": 0}
         stop = threading.Event()
@@ -657,9 +654,7 @@ class TestJournalAnalysis:
         router.register(
             "beta", EpochPipeline("epoch-1", fail_sites=("translate",))
         )
-        config = ServiceConfig(
-            workers=1, max_retries=0, journal_path=journal_path
-        )
+        config = ServiceConfig(workers=1, journal_path=journal_path)
         with TranslationService(router, config) as service:
             service.translate("q1", example_db, tenant="alpha", timeout=30)
             service.swap(EpochPipeline("epoch-2"), tenant="alpha")

@@ -71,10 +71,6 @@ def _queries(*sqls):
 
 
 class TestVerifyCandidates:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="unknown verify policy"):
-            VerifyConfig(policy="bogus")
-
     def test_outcomes_ok_empty_error(self, verify_db):
         result = verify_candidates(
             _queries(ERROR_SQL, OK_SQL, EMPTY_SQL),
@@ -91,41 +87,14 @@ class TestVerifyCandidates:
         result = verify_candidates(
             _queries(ERROR_SQL, OK_SQL, EMPTY_SQL),
             verify_db,
-            VerifyConfig(policy="demote", top_k=3, demote_empty=True),
+            VerifyConfig(top_k=3),
         )
-        # Passing, then empty failures, then hard failures.
-        assert result.order == [1, 2, 0]
-        assert result.demoted == 2
-
-    def test_demote_empty_off_by_default(self, verify_db):
-        result = verify_candidates(
-            _queries(ERROR_SQL, OK_SQL, EMPTY_SQL),
-            verify_db,
-            VerifyConfig(policy="demote", top_k=3),
-        )
+        # Passing (an empty result included), then hard failures.
         assert result.order == [1, 2, 0]
         assert result.demoted == 1  # only the hard failure
 
-    def test_prune_drops_failing(self, verify_db):
-        result = verify_candidates(
-            _queries(ERROR_SQL, OK_SQL, EMPTY_SQL),
-            verify_db,
-            VerifyConfig(policy="prune", top_k=3, demote_empty=True),
-        )
-        assert result.order == [1]
-        assert result.demoted == 2
-
-    def test_prune_fails_open_when_nothing_survives(self, verify_db):
-        result = verify_candidates(
-            _queries(ERROR_SQL, ERROR_SQL),
-            verify_db,
-            VerifyConfig(policy="prune", top_k=2),
-        )
-        assert result.order == [0, 1]
-        assert result.demoted == 0
-
     def test_off_is_identity(self, verify_db):
-        config = VerifyConfig(policy="off")
+        config = VerifyConfig(top_k=0)
         assert not config.enabled
         result = verify_candidates(
             _queries(ERROR_SQL, OK_SQL, EMPTY_SQL), verify_db, config
@@ -137,7 +106,7 @@ class TestVerifyCandidates:
         result = verify_candidates(
             _queries(ERROR_SQL, EMPTY_SQL, OK_SQL),
             verify_db,
-            VerifyConfig(policy="demote", top_k=1),
+            VerifyConfig(top_k=1),
         )
         # Only candidate 0 executed; 1 and 2 are presumed innocent.
         assert [v.outcome for v in result.verdicts] == ["error"]
@@ -638,7 +607,7 @@ class TestPipelineIntegration:
     ):
         example = tiny_benchmark.dev.examples[0]
         db = tiny_benchmark.dev.database(example.db_id)
-        guarded_pipeline.config.verify = VerifyConfig(policy="off")
+        guarded_pipeline.config.verify = VerifyConfig(top_k=0)
         guarded_pipeline.config.repair = RepairConfig(max_attempts=0)
         disabled = guarded_pipeline.translate_ranked_report(
             example.question, db
@@ -664,7 +633,7 @@ class TestPipelineIntegration:
     ):
         example = tiny_benchmark.dev.examples[0]
         db = tiny_benchmark.dev.database(example.db_id)
-        guarded_pipeline.config.verify = VerifyConfig(policy="off")
+        guarded_pipeline.config.verify = VerifyConfig(top_k=0)
         baseline = guarded_pipeline.translate_ranked_report(
             example.question, db
         )
