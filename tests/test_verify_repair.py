@@ -85,11 +85,21 @@ class TestVerifyCandidates:
 
     def test_demote_reorders_passing_first(self, verify_db):
         result = verify_candidates(
+            _queries(ERROR_SQL, ERROR_SQL, OK_SQL),
+            verify_db,
+            VerifyConfig(top_k=3),
+        )
+        # Passing, then hard failures in their beam order.
+        assert result.order == [2, 0, 1]
+        assert result.demoted == 2
+
+    def test_demote_empty_off_by_default(self, verify_db):
+        result = verify_candidates(
             _queries(ERROR_SQL, OK_SQL, EMPTY_SQL),
             verify_db,
             VerifyConfig(top_k=3),
         )
-        # Passing (an empty result included), then hard failures.
+        # An empty result counts as passing: it is never demoted.
         assert result.order == [1, 2, 0]
         assert result.demoted == 1  # only the hard failure
 
