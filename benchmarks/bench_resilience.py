@@ -18,7 +18,6 @@ import timeit
 
 from repro.core.resilience import (
     FAULTS,
-    DegradationPolicy,
     TranslationReport,
     guarded_call,
 )
@@ -119,13 +118,12 @@ def test_guard_layer_overhead_under_five_percent(record_result, bench_metrics):
             lambda: FAULTS.fire("executor.execute"), number=n, repeat=3
         )
     ) / n
-    policy = DegradationPolicy()
     report = TranslationReport(question="bench")
     n_guard = 20_000
     t_guard = min(
         timeit.repeat(
             lambda: guarded_call(
-                "bench", lambda: None, policy, report, fallback="skip"
+                "bench", lambda: None, report, fallback="skip"
             ),
             number=n_guard,
             repeat=3,

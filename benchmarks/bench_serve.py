@@ -14,7 +14,6 @@ import timeit
 from repro.core.resilience import (
     CircuitBreaker,
     Deadline,
-    DegradationPolicy,
     TranslationReport,
     guarded_call,
 )
@@ -51,12 +50,11 @@ def test_serve_layer_overhead_under_five_percent(record_result, bench_metrics):
     t_allow = _per_call(breaker.allow, 200_000)
     t_success = _per_call(breaker.record_success, 200_000)
 
-    policy = DegradationPolicy()
     report = TranslationReport(question="bench")
     n_guard = 20_000
     t_guard_plain = _per_call(
         lambda: guarded_call(
-            "bench", lambda: None, policy, report, fallback="skip"
+            "bench", lambda: None, report, fallback="skip"
         ),
         n_guard,
     )
@@ -64,7 +62,6 @@ def test_serve_layer_overhead_under_five_percent(record_result, bench_metrics):
         lambda: guarded_call(
             "bench",
             lambda: None,
-            policy,
             report,
             fallback="skip",
             breaker=breaker,

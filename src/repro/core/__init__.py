@@ -11,7 +11,6 @@ _EXPORTS = {
     "extract_metadata": ("repro.core.metadata", "extract_metadata"),
     "MetaSQL": ("repro.core.pipeline", "MetaSQL"),
     "MetaSQLConfig": ("repro.core.pipeline", "MetaSQLConfig"),
-    "DegradationPolicy": ("repro.core.resilience", "DegradationPolicy"),
     "FaultInjector": ("repro.core.resilience", "FaultInjector"),
     "FAULTS": ("repro.core.resilience", "FAULTS"),
     "FaultRecord": ("repro.core.resilience", "FaultRecord"),

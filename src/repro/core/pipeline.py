@@ -23,9 +23,9 @@ Every inference stage is wrapped by the resilience layer
 (:mod:`repro.core.resilience`): a failing candidate is recorded and
 skipped, a failing stage degrades to the previous stage's ordering
 (stage-2 -> stage-1 -> generation order, classifier -> observed
-compositions), with retries and breakers set by
-:class:`DegradationPolicy`, and the :class:`TranslationReport` attached
-to the output says exactly what was absorbed.
+compositions), after a fixed retry budget for transient faults and
+behind a circuit breaker per stage, and the :class:`TranslationReport`
+attached to the output says exactly what was absorbed.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ from repro.core.rank_stage2 import (
 )
 from repro.core.resilience import (
     FAULTS,
+    BreakerBoard,
     CircuitBreaker,
     Deadline,
-    DegradationPolicy,
     FaultRecord,
     TranslationReport,
     guarded_call,
@@ -96,7 +96,6 @@ class MetaSQLConfig:
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     stage1: Stage1Config = field(default_factory=Stage1Config)
     stage2: Stage2Config = field(default_factory=Stage2Config)
-    resilience: DegradationPolicy = field(default_factory=DegradationPolicy)
     verify: VerifyConfig = field(default_factory=VerifyConfig)
     repair: RepairConfig = field(default_factory=RepairConfig)
     seed: int = 20240501
@@ -221,9 +220,7 @@ class MetaSQL:
         self.stage1 = DualTowerRanker(self.config.stage1)
         self.stage2 = MultiGrainedRanker(stage2_config)
         self._trained = False
-        self.breakers = self.config.resilience.make_breakers(
-            on_transition=_record_breaker_transition
-        )
+        self.breakers = BreakerBoard(on_transition=_record_breaker_transition)
         # "Not known broken": a restored pipeline (persist.load_pipeline)
         # keeps these True; a guarded training failure flips them so
         # inference degrades instead of raising.
@@ -240,11 +237,10 @@ class MetaSQL:
 
         The base model and the composition index are load-bearing (without
         them there is nothing to rank) so their failures propagate; the
-        classifier and both rankers train under the degradation policy —
+        classifier and both rankers train under :func:`guarded_call` —
         a guarded failure is recorded in ``training_report`` and the
         corresponding stage degrades at inference instead of raising.
         """
-        policy = self.config.resilience
         self.training_report = TranslationReport(question="<training>")
         if fit_base_model:
             # Metadata-augmented supervised training (Seq2seq models);
@@ -254,7 +250,6 @@ class MetaSQL:
         self._classifier_ok, __ = guarded_call(
             "train.classify",
             lambda: self.classifier.fit(train),
-            policy,
             self.training_report,
             fallback="all-compositions",
         )
@@ -264,7 +259,6 @@ class MetaSQL:
         return self
 
     def _fit_rankers(self, train: Dataset) -> None:
-        policy = self.config.resilience
         report = self.training_report
         rng = np.random.default_rng(self.config.seed)
         count = min(self.config.ranker_train_questions, len(train.examples))
@@ -296,7 +290,6 @@ class MetaSQL:
         ok, negatives = guarded_call(
             "train.negatives",
             lambda: self._negative_triples(train),
-            policy,
             report,
             fallback="skip",
         )
@@ -305,7 +298,6 @@ class MetaSQL:
         self._stage1_ok, __ = guarded_call(
             "train.stage1",
             lambda: self.stage1.fit(triples),
-            policy,
             report,
             fallback="generation-order",
         )
@@ -313,7 +305,6 @@ class MetaSQL:
             self._stage2_ok, __ = guarded_call(
                 "train.stage2",
                 lambda: self.stage2.fit(lists),
-                policy,
                 report,
                 fallback="stage1-order",
             )
@@ -415,9 +406,8 @@ class MetaSQL:
     # ------------------------------------------------------------------
     # Inference.
 
-    def _breaker(self, stage: str) -> CircuitBreaker | None:
-        board = self.breakers
-        return board.get(stage) if board is not None else None
+    def _breaker(self, stage: str) -> CircuitBreaker:
+        return self.breakers[stage]
 
     @staticmethod
     def _deadline_expired(
@@ -455,7 +445,6 @@ class MetaSQL:
         self,
         question: str,
         db: Database,
-        policy: DegradationPolicy,
         report: TranslationReport,
     ) -> list[QueryMetadata]:
         """The degradation-aware composition chain.
@@ -478,7 +467,6 @@ class MetaSQL:
                     db,
                     threshold=self.config.classification_threshold,
                 ),
-                policy,
                 report,
                 fallback="all-compositions",
                 site="classifier.predict",
@@ -489,7 +477,6 @@ class MetaSQL:
                 ok, compositions = guarded_call(
                     "compose",
                     lambda: self.composer.compose(tags, ratings),
-                    policy,
                     report,
                     fallback="all-compositions",
                     site="compose",
@@ -511,7 +498,6 @@ class MetaSQL:
         ok, compositions = guarded_call(
             "compose",
             lambda: all_observed(),
-            policy,
             report,
             fallback="unconditioned",
             breaker=self._breaker("compose"),
@@ -570,7 +556,6 @@ class MetaSQL:
                 "MetaSQL pipeline is not trained; call train() or "
                 "load_pipeline() before translating"
             )
-        policy = self.config.resilience
         report = TranslationReport(question=question)
         if deadline is not None:
             report.deadline_budget = deadline.budget
@@ -586,7 +571,6 @@ class MetaSQL:
                     db,
                     compositions,
                     deadline,
-                    policy,
                     report,
                     tracer,
                     registry,
@@ -617,7 +601,6 @@ class MetaSQL:
         db: Database,
         compositions: list[QueryMetadata] | None,
         deadline: Deadline | None,
-        policy: DegradationPolicy,
         report: TranslationReport,
         tracer: Tracer,
         registry: MetricsRegistry,
@@ -628,7 +611,7 @@ class MetaSQL:
                 return []
             if compositions is None:
                 compositions = self._compositions_guarded(
-                    question, db, policy, report
+                    question, db, report
                 )
             span.attributes["compositions"] = len(compositions)
 
@@ -640,7 +623,6 @@ class MetaSQL:
                 lambda: self.generator.generate(
                     question, db, compositions, report=report
                 ),
-                policy,
                 report,
                 fallback="empty",
                 site="generator.generate",
@@ -652,7 +634,7 @@ class MetaSQL:
 
             schema = db.schema
             generated, surfaces, deduped = self._render_surfaces(
-                schema, generated, policy, report
+                schema, generated, report
             )
             span.attributes["candidates"] = len(generated)
             span.attributes["deduped"] = deduped
@@ -680,7 +662,7 @@ class MetaSQL:
                     generation_order(generated, self.config.first_stage_top),
                 )
             span.attributes["batch_size"] = len(surfaces)
-            pruned = self._stage1_pruned(question, surfaces, policy, report)
+            pruned = self._stage1_pruned(question, surfaces, report)
             if pruned is None:
                 pruned = generation_order(
                     generated, self.config.first_stage_top
@@ -698,11 +680,11 @@ class MetaSQL:
                 return self._ranked_from_pruned(generated, pruned)
             span.attributes["batch_size"] = len(pruned)
             ranked = self._stage2_ranked(
-                question, generated, surfaces, pruned, schema, policy, report
+                question, generated, surfaces, pruned, schema, report
             )
             span.attributes["ranked"] = len(ranked)
         return self._verify_and_repair(
-            question, db, ranked, deadline, policy, report, tracer, registry
+            question, db, ranked, deadline, report, tracer, registry
         )
 
     def _verify_and_repair(
@@ -711,7 +693,6 @@ class MetaSQL:
         db: Database,
         ranked: list[RankedTranslation],
         deadline: Deadline | None,
-        policy: DegradationPolicy,
         report: TranslationReport,
         tracer: Tracer,
         registry: MetricsRegistry,
@@ -745,7 +726,6 @@ class MetaSQL:
                     config,
                     deadline=deadline,
                 ),
-                policy,
                 report,
                 fallback="keep",
                 site="verify.execute",
@@ -787,7 +767,6 @@ class MetaSQL:
                 verified,
                 result,
                 tried,
-                policy,
                 report,
                 deadline=deadline,
             )
@@ -854,7 +833,6 @@ class MetaSQL:
         self,
         schema,
         generated: list[GeneratedCandidate],
-        policy: DegradationPolicy,
         report: TranslationReport,
     ) -> tuple[list[GeneratedCandidate], list[str], int]:
         """Stage-1 surfaces for a candidate set, duplicates dropped.
@@ -862,9 +840,7 @@ class MetaSQL:
         Per-candidate rendering failures are isolated (recorded and
         skipped); normalized-SQL duplicates are collapsed to the
         best-scoring copy.  Shared by the main translate path and the
-        repair loop's regeneration pass.  *policy* goes unused, since
-        rendering has nothing to retry; it keeps the signature every
-        stage hook shares.  Returns ``(kept candidates, surfaces,
+        repair loop's regeneration pass.  Returns ``(kept candidates, surfaces,
         duplicates dropped)``.
         """
         surfaces: list[str] = []
@@ -887,7 +863,6 @@ class MetaSQL:
         self,
         question: str,
         surfaces: list[str],
-        policy: DegradationPolicy,
         report: TranslationReport,
     ) -> list[tuple[int, float]] | None:
         """Stage-1 pruning, or None when it failed/was unavailable."""
@@ -906,7 +881,6 @@ class MetaSQL:
             lambda: self.stage1.rank(
                 question, surfaces, top_k=self.config.first_stage_top
             ),
-            policy,
             report,
             fallback="generation-order",
             site="stage1.rank",
@@ -921,7 +895,6 @@ class MetaSQL:
         surfaces: list[str],
         pruned: list[tuple[int, float]],
         schema,
-        policy: DegradationPolicy,
         report: TranslationReport,
     ) -> list[RankedTranslation]:
         """Stage-2 re-ranking with fallback to the stage-1 ordering."""
@@ -944,7 +917,6 @@ class MetaSQL:
                 ok, stage2_ranked = guarded_call(
                     "stage2",
                     lambda: self.stage2.rank(question, stage2_input),
-                    policy,
                     report,
                     fallback="stage1-order",
                     site="stage2.rank",

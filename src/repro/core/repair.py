@@ -3,10 +3,9 @@
 When the execution-guided verify stage (:mod:`repro.core.verify`) finds
 that even the *best* ranked candidate fails at runtime, the translation
 is wrong in a way the rankers cannot see.  Following PURPLE's
-failure-feedback loop, this module turns the typed diagnostic — an
-``SQL001``–``SQL012`` lint code from the generation gate or the executor
-error class from the verify verdict — into a *perturbation of the
-metadata conditions* that produced the failing candidate, re-generates,
+failure-feedback loop, this module turns the typed diagnostic — the
+executor error class from the verify verdict — into a *perturbation of
+the metadata conditions* that produced the failing candidate, re-generates,
 re-ranks and re-verifies, hoping a structurally different composition
 decodes into a query that actually runs.
 
@@ -39,7 +38,6 @@ from repro.core.generation import generation_order
 from repro.core.metadata import CORRECT, QueryMetadata
 from repro.core.resilience import (
     Deadline,
-    DegradationPolicy,
     TranslationReport,
     fire,
     guarded_call,
@@ -48,11 +46,10 @@ from repro.core.verify import VerifyResult, verify_candidates
 from repro.schema.database import Database
 
 #: Which operator tags to drop first, per diagnostic class.  A budget
-#: blow-up points at join/subquery explosions; an empty result at
-#: over-restrictive filtering; execution errors at aggregate/arith misuse.
+#: blow-up points at join/subquery explosions; execution errors at
+#: aggregate/arith misuse.
 _DROP_BY_DIAGNOSTIC: dict[str, tuple[str, ...]] = {
     "ExecutionBudgetError": ("join", "subquery"),
-    "empty-result": ("where", "having", "intersect", "except"),
     "SqlExecutionError": ("agg", "having", "subquery"),
     "SchemaError": ("join", "subquery"),
 }
@@ -75,23 +72,14 @@ class RepairConfig:
         return self.max_attempts > 0
 
 
-def diagnose(report: TranslationReport, result: VerifyResult) -> str:
+def diagnose(result: VerifyResult) -> str:
     """The typed diagnostic for a failing verified top-1.
 
-    Prefers the executor error class from the verify verdict
-    (``SqlExecutionError`` / ``ExecutionBudgetError`` / ``SchemaError``),
-    then ``empty-result``, then the most frequent lint code the
-    generation gate pruned on (``SQL001``–``SQL012``).
+    The repair loop runs only while the top-1 fails, so its verdict is
+    ``error`` or ``budget`` and carries the executor error class
+    (``SqlExecutionError`` / ``ExecutionBudgetError`` / ``SchemaError``).
     """
-    verdict = result.top1_verdict
-    if verdict is not None:
-        if verdict.detail:
-            return verdict.detail
-        if verdict.outcome == "empty":
-            return "empty-result"
-    if report.lint_codes:
-        return max(sorted(report.lint_codes), key=report.lint_codes.get)
-    return verdict.outcome if verdict is not None else "unknown"
+    return result.top1_verdict.detail
 
 
 def perturb_compositions(
@@ -147,7 +135,6 @@ def run_repair(
     ranked: list,
     verify_result: VerifyResult,
     tried: set[_CompositionKey],
-    policy: DegradationPolicy,
     report: TranslationReport,
     deadline: Deadline | None = None,
 ) -> list:
@@ -165,7 +152,7 @@ def run_repair(
     for _attempt in range(config.max_attempts):
         if deadline is not None and deadline.expired():
             break
-        diagnostic = diagnose(report, verify_result)
+        diagnostic = diagnose(verify_result)
         variants = perturb_compositions(
             failing_meta,
             diagnostic,
@@ -180,9 +167,8 @@ def run_repair(
         ok, outcome = guarded_call(
             "repair",
             lambda: _attempt_once(
-                pipeline, question, db, variants, policy, report, deadline
+                pipeline, question, db, variants, report, deadline
             ),
-            policy,
             report,
             fallback="keep",
             site="repair.regenerate",
@@ -211,7 +197,6 @@ def _attempt_once(
     question: str,
     db: Database,
     compositions: list[QueryMetadata],
-    policy: DegradationPolicy,
     report: TranslationReport,
     deadline: Deadline | None,
 ) -> tuple[list, VerifyResult | None]:
@@ -224,15 +209,15 @@ def _attempt_once(
         return [], None
     schema = db.schema
     generated, surfaces, __ = pipeline._render_surfaces(
-        schema, generated, policy, report
+        schema, generated, report
     )
     if not generated:
         return [], None
-    pruned = pipeline._stage1_pruned(question, surfaces, policy, report)
+    pruned = pipeline._stage1_pruned(question, surfaces, report)
     if pruned is None:
         pruned = generation_order(generated, pipeline.config.first_stage_top)
     ranked = pipeline._stage2_ranked(
-        question, generated, surfaces, pruned, schema, policy, report
+        question, generated, surfaces, pruned, schema, report
     )
     if not ranked:
         return [], None

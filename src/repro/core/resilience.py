@@ -11,11 +11,12 @@ pieces the pipeline threads through every stage:
   :func:`fire` at entry; tests arm a site to make it raise, which is how
   the degradation chain is exercised deterministically.  With nothing
   armed, ``fire`` is a single truthiness check on an empty dict.
-- :class:`DegradationPolicy` — retry and breaker knobs for the one
-  fallback chain: stage-2 failure falls back to stage-1 ordering,
-  stage-1 failure to generation order, classifier failure to the
-  composer's observed compositions, with bounded deterministic retries
-  for transient faults.
+- :func:`guarded_call` — the one fallback rule every stage shares:
+  stage-2 failure falls back to stage-1 ordering, stage-1 failure to
+  generation order, classifier failure to the composer's observed
+  compositions.  Transient faults first get :data:`MAX_RETRIES`
+  deterministic retries, and each inference stage has a
+  :class:`CircuitBreaker` on the pipeline's :class:`BreakerBoard`.
 - :class:`TranslationReport` / :class:`FaultRecord` — structured
   observability attached to pipeline output: which stages degraded, which
   candidates were skipped, and why.
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator
 
 from repro.devtools.lockdep import new_lock
-from repro.sqlkit.errors import DeadlineExceeded, PipelineError, StageError
+from repro.sqlkit.errors import PipelineError, StageError
 
 #: Named injection sites, one per guarded pipeline stage.  ``fire(site)``
 #: is called at the entry of the corresponding function.
@@ -106,10 +107,6 @@ class FaultInjector:
     def sites(self) -> tuple[str, ...]:
         """All registered failpoint names."""
         return tuple(sorted(self._sites))
-
-    def register(self, site: str) -> None:
-        """Add a new failpoint name (for downstream extensions)."""
-        self._sites.add(site)
 
     def _check(self, site: str) -> None:
         if site not in self._sites:
@@ -222,11 +219,6 @@ class Deadline:
 
     def expired(self) -> bool:
         return self.remaining() <= 0.0
-
-    def check(self, stage: str) -> None:
-        """Raise :class:`DeadlineExceeded` when the budget is exhausted."""
-        if self.expired():
-            raise DeadlineExceeded(stage, self.budget, self.elapsed())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -414,10 +406,6 @@ class BreakerBoard:
     def __getitem__(self, stage: str) -> CircuitBreaker:
         return self._breakers[stage]
 
-    def reset(self) -> None:
-        for breaker in self._breakers.values():
-            breaker.reset()
-
     def states(self) -> dict[str, str]:
         return {s: b.state for s, b in self._breakers.items()}
 
@@ -426,34 +414,11 @@ class BreakerBoard:
 
 
 # ----------------------------------------------------------------------
-# Degradation policy and observability.
+# Retry budget and observability.
 
-
-@dataclass
-class DegradationPolicy:
-    """Governs the graceful-degradation chain of a pipeline.
-
-    Every stage fails open: stage-2 falls back to stage-1 ordering,
-    stage-1 to generation order, the classifier to the composer's
-    observed compositions, and a failing candidate is skipped.  Transient
-    faults get ``max_retries`` bounded deterministic retries first.
-    """
-
-    max_retries: int = 2
-    #: Consecutive terminal faults before a stage's breaker opens
-    #: (0 disables breakers entirely).
-    breaker_threshold: int = 5
-
-    def make_breakers(
-        self,
-        on_transition: Callable[[str, str, str], None] | None = None,
-    ) -> BreakerBoard | None:
-        """The per-stage breaker board this policy prescribes, if any."""
-        if self.breaker_threshold <= 0:
-            return None
-        return BreakerBoard(
-            threshold=self.breaker_threshold, on_transition=on_transition
-        )
+#: Deterministic retries a stage gets for a transient fault before its
+#: fallback applies.
+MAX_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -655,35 +620,21 @@ class TranslationReport:
             for child in self.trace.get("children", ())
         }
 
-    def summary(self) -> str:
-        """One-line human summary (for eval output and logs)."""
-        if not self.faults:
-            return "ok"
-        parts = []
-        for record in self.faults:
-            where = record.stage
-            if record.candidate is not None:
-                where += f"[{record.candidate}]"
-            label = record.fallback or "fault"
-            parts.append(f"{where}:{label}")
-        return "degraded(" + ", ".join(parts) + ")"
-
 
 def is_transient(exc: BaseException) -> bool:
-    """Whether *exc* is retryable under a :class:`DegradationPolicy`."""
+    """Whether *exc* is retryable under :func:`guarded_call`."""
     return bool(getattr(exc, "transient", False))
 
 
 def guarded_call(
     stage: str,
     fn: Callable[[], object],
-    policy: DegradationPolicy,
     report: TranslationReport,
     fallback: str | None = None,
     site: str | None = None,
     breaker: CircuitBreaker | None = None,
 ) -> tuple[bool, object]:
-    """Run *fn* with bounded retries for transient faults.
+    """Run *fn* with up to :data:`MAX_RETRIES` retries for transient faults.
 
     Returns ``(True, value)`` on success — recording a ``retry`` record if
     transient faults were absorbed on the way — or ``(False, None)`` after
@@ -710,12 +661,12 @@ def guarded_call(
         )
         return False, None
     last_exc: BaseException | None = None
-    for attempt in range(policy.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         try:
             value = fn()
         except Exception as exc:  # repolint: allow[broad-except] — isolation boundary
             last_exc = exc
-            if is_transient(exc) and attempt < policy.max_retries:
+            if is_transient(exc) and attempt < MAX_RETRIES:
                 continue
             report.record_exception(
                 stage, exc, site=site, retries=attempt, fallback=fallback

@@ -12,8 +12,8 @@ pipeline's per-translation fault isolation:
   default), passed to the pipeline so its cooperative stage-boundary
   checkpoints observe it and degrade an expired request to the best
   answer produced so far.  Transient faults are retried inside the
-  pipeline, per stage, under its
-  :class:`~repro.core.resilience.DegradationPolicy`; the service adds
+  pipeline, per stage, up to
+  :data:`~repro.core.resilience.MAX_RETRIES` times; the service adds
   no retry layer of its own.
 - **Health/readiness** — :meth:`TranslationService.health` snapshots
   queue depth, per-stage circuit-breaker states, counters, uptime, and
@@ -614,12 +614,4 @@ class TranslationService:
         the last *good* checkpoint is used — corrupt or torn snapshots
         are skipped.
         """
-        from repro.core.persist import load_pipeline
-        from repro.serve.checkpoint import CheckpointStore
-
-        root = pathlib.Path(source)
-        if (root / "manifest.json").is_file():
-            pipeline = load_pipeline(root, pipeline_config)
-        else:
-            pipeline = CheckpointStore(root).load_latest(pipeline_config)
-        return cls(pipeline, config)
+        return cls(Router._load(source, pipeline_config), config)

@@ -4,9 +4,13 @@ Two branches share the :class:`SqlError` root so callers with an existing
 ``except SqlError`` net keep catching everything:
 
 - **substrate errors** (tokenize / parse / execute / schema), and
-- **pipeline errors** — the structured taxonomy used by the resilience
-  layer (:mod:`repro.core.resilience`) to classify stage failures, decide
-  retries and drive graceful degradation.
+- **pipeline errors** — lifecycle misuse, whole-stage failures and the
+  serving, tenancy and checkpoint errors.
+
+Retries are decided by a truthy ``transient`` attribute, not by a class:
+:func:`repro.core.resilience.guarded_call` retries any exception that
+carries one (an armed failpoint's ``InjectedFault(transient=True)``,
+for instance).
 """
 
 
@@ -70,49 +74,6 @@ class StageError(PipelineError):
     def __init__(self, stage: str, message: str) -> None:
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
-
-
-class TransientError(PipelineError):
-    """A retryable fault (flaky backend, timeout); bounded retries apply.
-
-    The resilience layer also honours a truthy ``transient`` attribute on
-    any exception, so foreign exception types can opt in without
-    subclassing.
-    """
-
-    transient = True
-
-
-class DeadlineExceeded(PipelineError):
-    """A request's time budget ran out at a cooperative checkpoint.
-
-    Not transient: retrying an expired request inside the same deadline
-    cannot succeed.  The pipeline normally *absorbs* expiry (degrading to
-    the best answer produced so far); this type is raised only when a
-    caller asks a :class:`~repro.core.resilience.Deadline` to ``check()``
-    explicitly.
-    """
-
-    def __init__(self, stage: str, budget: float, elapsed: float) -> None:
-        super().__init__(
-            f"deadline of {budget:.3f}s exceeded at {stage!r} "
-            f"(elapsed {elapsed:.3f}s)"
-        )
-        self.stage = stage
-        self.budget = budget
-        self.elapsed = elapsed
-
-
-class BreakerOpen(StageError):
-    """A stage was skipped because its circuit breaker is open.
-
-    The resilience layer records this instead of invoking a stage that
-    has failed persistently; the stage's normal fallback applies until a
-    half-open probe succeeds.
-    """
-
-    def __init__(self, stage: str) -> None:
-        super().__init__(stage, "circuit breaker open; stage skipped")
 
 
 # ----------------------------------------------------------------------

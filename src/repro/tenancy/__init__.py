@@ -1,8 +1,8 @@
 """Multi-tenant registry, routing seam, and per-tenant fault isolation.
 
 One process, many schema worlds (ROADMAP item 4): a
-:class:`TenantRegistry` maps tenant id -> (schema, lexicon, trained
-ranker shard, checkpoint store); a :class:`Router` dispatches every
+:class:`TenantRegistry` maps tenant id -> (trained ranker shard,
+admission quota); a :class:`Router` dispatches every
 tenant-addressed translate call through an epoch/refcount
 :class:`ShardGuard` so a shard can be hot-swapped with zero downtime;
 :class:`TenantQuota` bounds each tenant's admission rate and queue share

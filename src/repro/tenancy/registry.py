@@ -1,9 +1,8 @@
 """Tenant registry: per-tenant shards behind an epoch/refcount guard.
 
-A *tenant* is one schema world: its database schema, lexicon, trained
-ranker shard (a ``MetaSQL`` pipeline — duck-typed, so tests can register
-stubs), optional :class:`~repro.serve.checkpoint.CheckpointStore`, and
-admission quota.  The registry maps tenant id to that bundle; the
+A *tenant* is one trained ranker shard (a ``MetaSQL`` pipeline —
+duck-typed, so tests can register stubs) plus its admission quota and
+swap history.  The registry maps tenant id to that bundle; the
 :class:`~repro.tenancy.router.Router` dispatches translate calls through
 it.
 
@@ -110,9 +109,6 @@ class Tenant:
         tenant_id: str,
         pipeline: object,
         quota: TenantQuota | None = None,
-        store: object | None = None,
-        schema: object | None = None,
-        lexicon: object | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         if not tenant_id:
@@ -120,9 +116,6 @@ class Tenant:
         self.tenant_id = tenant_id
         self.shard = ShardGuard(pipeline)
         self.quota = quota or TenantQuota()
-        self.store = store
-        self.schema = schema
-        self.lexicon = lexicon
         self._clock = clock if clock is not None else time.monotonic
         self._bucket = (
             TokenBucket(self.quota.rate, self.quota.burst, clock=self._clock)
@@ -230,20 +223,9 @@ class TenantRegistry:
         tenant_id: str,
         pipeline: object,
         quota: TenantQuota | None = None,
-        store: object | None = None,
-        schema: object | None = None,
-        lexicon: object | None = None,
     ) -> Tenant:
         """Add a tenant; duplicate ids are a configuration error."""
-        tenant = Tenant(
-            tenant_id,
-            pipeline,
-            quota=quota,
-            store=store,
-            schema=schema,
-            lexicon=lexicon,
-            clock=self._clock,
-        )
+        tenant = Tenant(tenant_id, pipeline, quota=quota, clock=self._clock)
         with self._lock:
             if tenant_id in self._tenants:
                 raise ConfigError(f"tenant {tenant_id!r} already registered")

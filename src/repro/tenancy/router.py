@@ -112,19 +112,9 @@ class Router:
         tenant_id: str,
         pipeline: object,
         quota: TenantQuota | None = None,
-        store: object | None = None,
-        schema: object | None = None,
-        lexicon: object | None = None,
     ) -> Tenant:
         """Convenience passthrough to the registry."""
-        return self.registry.register(
-            tenant_id,
-            pipeline,
-            quota=quota,
-            store=store,
-            schema=schema,
-            lexicon=lexicon,
-        )
+        return self.registry.register(tenant_id, pipeline, quota=quota)
 
     def snapshot(self) -> dict[str, dict]:
         """Per-tenant health sections, keyed by tenant id."""

@@ -18,10 +18,10 @@ from repro.core.persist import load_pipeline, save_pipeline
 from repro.core.pipeline import RankedResult, RankedTranslation
 from repro.core.resilience import (
     FAULTS,
+    MAX_RETRIES,
     BreakerBoard,
     CircuitBreaker,
     Deadline,
-    DegradationPolicy,
     FaultRecord,
     InjectedFault,
     TranslationReport,
@@ -30,7 +30,6 @@ from repro.core.resilience import (
 from repro.serve import CheckpointStore, ServiceConfig, TranslationService
 from repro.sqlkit.errors import (
     CheckpointError,
-    DeadlineExceeded,
     Overloaded,
     ServiceStopped,
 )
@@ -148,16 +147,6 @@ class TestDeadline:
         assert deadline.expired()
         assert deadline.remaining() == pytest.approx(-0.5)
 
-    def test_check_raises_typed_error(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock.now)
-        deadline.check("stage1")  # not expired: no raise
-        clock.advance(2.0)
-        with pytest.raises(DeadlineExceeded) as info:
-            deadline.check("stage1")
-        assert info.value.stage == "stage1"
-        assert info.value.budget == pytest.approx(1.0)
-
 
 # ----------------------------------------------------------------------
 # Circuit-breaker state machine.
@@ -220,7 +209,6 @@ class TestCircuitBreaker:
         assert snap["times_opened"] == 1
 
     def test_guarded_call_feeds_the_breaker(self):
-        policy = DegradationPolicy(max_retries=1)
         report = TranslationReport(question="q")
         breaker = CircuitBreaker("stage1", threshold=2, cooldown=30.0)
 
@@ -229,7 +217,7 @@ class TestCircuitBreaker:
 
         for _ in range(2):
             ok, _ = guarded_call(
-                "stage1", boom, policy, report, fallback="skip", breaker=breaker
+                "stage1", boom, report, fallback="skip", breaker=breaker
             )
             assert not ok
         assert breaker.state == "open"
@@ -237,7 +225,6 @@ class TestCircuitBreaker:
         ok, _ = guarded_call(
             "stage1",
             lambda: pytest.fail("must not be called"),
-            policy,
             report,
             fallback="skip",
             breaker=breaker,
@@ -246,7 +233,6 @@ class TestCircuitBreaker:
         assert report.faults[-1].error_type == "BreakerOpen"
 
     def test_transient_recovery_counts_as_success(self):
-        policy = DegradationPolicy(max_retries=2)
         report = TranslationReport(question="q")
         breaker = CircuitBreaker("stage1", threshold=1, cooldown=30.0)
         calls = {"n": 0}
@@ -258,7 +244,7 @@ class TestCircuitBreaker:
             return "value"
 
         ok, value = guarded_call(
-            "stage1", flaky, policy, report, fallback="skip", breaker=breaker
+            "stage1", flaky, report, fallback="skip", breaker=breaker
         )
         assert ok and value == "value"
         assert breaker.state == "closed"
@@ -321,8 +307,22 @@ class TestPipelineBreakers:
         trained_pipeline.translate_ranked_report(example.question, db)
         assert board["stage1"].state == "open"
 
-    def test_breakers_disabled_by_policy(self):
-        assert DegradationPolicy(breaker_threshold=0).make_breakers() is None
+    def test_restored_pipeline_builds_the_default_board(
+        self, trained_pipeline, example_db, tmp_path
+    ):
+        """No fake board: a real pipeline's stage-1 breaker trips at 5."""
+        example, db = example_db
+        save_pipeline(trained_pipeline, tmp_path)
+        pipeline = load_pipeline(tmp_path)
+        board = pipeline.breakers
+        assert set(board.states()) == set(BreakerBoard.STAGES)
+        FAULTS.arm("stage1.rank", times=None)
+        for _ in range(4):
+            pipeline.translate_ranked_report(example.question, db)
+        assert board["stage1"].state == "closed"
+        pipeline.translate_ranked_report(example.question, db)
+        assert FAULTS.fired("stage1.rank") == 5
+        assert board["stage1"].state == "open"
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +484,7 @@ class TestServiceRetry:
         finally:
             service.shutdown()
         # One pipeline pass: the stage's own retries, nothing on top.
-        assert fired == DegradationPolicy().max_retries + 1
+        assert fired == MAX_RETRIES + 1
         assert result.translations == []
         generate = result.report.stage_faults("generate")
         assert [(f.fallback, f.transient) for f in generate] == [

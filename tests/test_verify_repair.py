@@ -18,7 +18,6 @@ from repro.core.resilience import (
     FAULTS,
     CircuitBreaker,
     Deadline,
-    DegradationPolicy,
     TranslationReport,
 )
 from repro.core.verify import (
@@ -312,14 +311,14 @@ class _RepairingPipeline(_StubPipeline):
         super().__init__(repair, pool)
         self.generator = _OkGenerator(sql)
 
-    def _render_surfaces(self, schema, generated, policy, report):
+    def _render_surfaces(self, schema, generated, report):
         return generated, [c.sql_text or "s" for c in generated], 0
 
-    def _stage1_pruned(self, question, surfaces, policy, report):
+    def _stage1_pruned(self, question, surfaces, report):
         return [(i, 1.0) for i in range(len(surfaces))]
 
     def _stage2_ranked(
-        self, question, generated, surfaces, pruned, schema, policy, report
+        self, question, generated, surfaces, pruned, schema, report
     ):
         return [
             RankedTranslation(
@@ -358,7 +357,7 @@ class _UnprunedRepairingPipeline(_RepairingPipeline):
         super().__init__(repair, pool)
         self.generator = _ScoredGenerator(scored)
 
-    def _stage1_pruned(self, question, surfaces, policy, report):
+    def _stage1_pruned(self, question, surfaces, report):
         return None
 
 
@@ -371,24 +370,7 @@ def _pool(count):
 
 class TestRepairUnits:
     def test_diagnose_prefers_executor_error_class(self):
-        report = TranslationReport(question="q")
-        report.lint_codes["SQL003"] = 2
-        assert diagnose(report, _failing_result()) == "SqlExecutionError"
-
-    def test_diagnose_empty_then_lint_code(self):
-        report = TranslationReport(question="q")
-        empty = VerifyResult(
-            verdicts=[CandidateVerdict(0, "empty")],
-            order=[0],
-            demoted=0,
-            checked=1,
-        )
-        assert diagnose(report, empty) == "empty-result"
-        report.lint_codes.update({"SQL007": 1, "SQL002": 3})
-        unverified = VerifyResult(
-            verdicts=[], order=[0], demoted=0, checked=0
-        )
-        assert diagnose(report, unverified) == "SQL002"
+        assert diagnose(_failing_result()) == "SqlExecutionError"
 
     def test_perturbation_never_repeats_tried_conditions(self):
         meta = QueryMetadata(
@@ -428,7 +410,6 @@ class TestRepairUnits:
             ranked,
             _failing_result(),
             set(),
-            DegradationPolicy(),
             report,
         )
         assert out == ranked
@@ -445,7 +426,6 @@ class TestRepairUnits:
             [_ranked()],
             _failing_result(),
             set(),
-            DegradationPolicy(),
             report,
         )
         # Two pool conditions fit in one attempt's batch; the second
@@ -463,7 +443,6 @@ class TestRepairUnits:
             [_ranked()],
             _failing_result(),
             set(),
-            DegradationPolicy(),
             report,
             deadline=deadline,
         )
@@ -488,7 +467,6 @@ class TestRepairUnits:
             ranked,
             _failing_result(),
             set(),
-            DegradationPolicy(),
             report,
         )
         assert out == ranked
@@ -509,7 +487,6 @@ class TestRepairUnits:
             [failing],
             _failing_result(),
             set(),
-            DegradationPolicy(),
             report,
         )
         assert report.repair_succeeded
@@ -536,7 +513,6 @@ class TestRepairUnits:
             [failing],
             _failing_result(),
             set(),
-            DegradationPolicy(),
             report,
         )
         assert report.repair_succeeded
@@ -583,7 +559,6 @@ class TestRepairUnits:
             [_ranked(metadata=meta)],
             _failing_result(),
             set(),
-            DegradationPolicy(),
             report,
         )
         assert isinstance(out, list)
