@@ -51,7 +51,7 @@ FAILPOINTS: tuple[str, ...] = (
     "persist.save",
     "persist.finalize",
     "serve.handle",
-    "router.swap",
+    "serve.swap",
 )
 
 

@@ -23,8 +23,8 @@ Detected at runtime:
   seconds (measured with an injectable clock).
 
 Nesting two *different instances* under the same name (e.g. two
-``Tenant._lock`` objects) is counted (``same_key_nesting``) but does
-not create a self-edge: instance order among peers is a policy
+``CircuitBreaker._lock`` objects) is counted (``same_key_nesting``) but
+does not create a self-edge: instance order among peers is a policy
 question, not an automatic deadlock.
 
 The disabled path is free: with no ambient scope the factories return

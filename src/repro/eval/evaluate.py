@@ -86,25 +86,6 @@ class EvalResult:
         return counts
 
     @property
-    def lint_rejected_total(self) -> int:
-        """Candidates pruned by the semantic-lint gate, across all examples."""
-        return sum(
-            r.report.lint_rejected
-            for r in self.records
-            if r.report is not None
-        )
-
-    def lint_reject_counts(self) -> dict[str, int]:
-        """Lint rejections per diagnostic code, across all examples."""
-        counts: dict[str, int] = {}
-        for record in self.records:
-            if record.report is None:
-                continue
-            for code, count in record.report.lint_codes.items():
-                counts[code] = counts.get(code, 0) + count
-        return counts
-
-    @property
     def verify_demoted_total(self) -> int:
         """Candidates demoted by the verify stage, across examples."""
         return sum(
@@ -112,16 +93,6 @@ class EvalResult:
             for r in self.records
             if r.report is not None
         )
-
-    def verify_outcome_counts(self) -> dict[str, int]:
-        """Verify-stage execution outcomes, summed across all examples."""
-        counts: dict[str, int] = {}
-        for record in self.records:
-            if record.report is None:
-                continue
-            for outcome, count in record.report.verify_outcomes.items():
-                counts[outcome] = counts.get(outcome, 0) + count
-        return counts
 
     @property
     def repair_attempts_total(self) -> int:

@@ -113,32 +113,6 @@ class HardnessBucket:
 
 
 @dataclass
-class TenantBucket:
-    """Per-tenant traffic/health view (multi-tenant serving journals)."""
-
-    total: int = 0
-    degraded: int = 0
-    deadline_expired: int = 0
-    faults: int = 0
-    #: Hot-swap events by outcome (``ok``/``rollback`` -> count).
-    swaps: dict[str, int] = field(default_factory=dict)
-    #: Highest shard epoch observed serving this tenant's requests.
-    max_epoch: int = 0
-    latencies: list[float] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "degraded": self.degraded,
-            "deadline_expired": self.deadline_expired,
-            "faults": self.faults,
-            "swaps": dict(sorted(self.swaps.items())),
-            "max_epoch": self.max_epoch,
-            "latency": LatencySummary.of(self.latencies).as_dict(),
-        }
-
-
-@dataclass
 class JournalSummary:
     """Aggregated view over every record in one or more journals."""
 
@@ -154,8 +128,9 @@ class JournalSummary:
     repair_attempts: int = 0
     repair_succeeded: int = 0
     fault_counts: dict[str, int] = field(default_factory=dict)
+    #: Shard hot-swap events by outcome (``ok``/``rollback`` -> count).
+    swaps: dict[str, int] = field(default_factory=dict)
     by_hardness: dict[str, HardnessBucket] = field(default_factory=dict)
-    by_tenant: dict[str, TenantBucket] = field(default_factory=dict)
     stage_latencies: dict[str, list[float]] = field(default_factory=dict)
     latencies: list[float] = field(default_factory=list)
 
@@ -173,14 +148,11 @@ class JournalSummary:
             "repair_attempts": self.repair_attempts,
             "repair_succeeded": self.repair_succeeded,
             "fault_counts": dict(sorted(self.fault_counts.items())),
+            "swaps": dict(sorted(self.swaps.items())),
             "latency": LatencySummary.of(self.latencies).as_dict(),
             "by_hardness": {
                 level: bucket.as_dict()
                 for level, bucket in sorted(self.by_hardness.items())
-            },
-            "by_tenant": {
-                tenant: bucket.as_dict()
-                for tenant, bucket in sorted(self.by_tenant.items())
             },
             "by_stage": {
                 stage: LatencySummary.of(values).as_dict()
@@ -228,6 +200,12 @@ class JournalSummary:
                 )
             )
             lines.append(f"  faults by stage: {faults}")
+        if self.swaps:
+            swaps = ", ".join(
+                f"{outcome}={count}"
+                for outcome, count in sorted(self.swaps.items())
+            )
+            lines.append(f"  shard swaps: {swaps}")
         overall = LatencySummary.of(self.latencies)
         lines.append(
             f"  latency p50/p90/p99: {overall.p50 * 1e3:.2f}/"
@@ -243,19 +221,6 @@ class JournalSummary:
                     f"demote={bucket.demotion_rate:.3f} "
                     f"repair={bucket.repair_success_rate:.3f} "
                     f"p90={latency.p90 * 1e3:.2f}ms"
-                )
-        if self.by_tenant:
-            lines.append("  by tenant:")
-            for tenant, bucket in sorted(self.by_tenant.items()):
-                latency = LatencySummary.of(bucket.latencies)
-                swaps = sum(bucket.swaps.values())
-                rollbacks = bucket.swaps.get("rollback", 0)
-                lines.append(
-                    f"    {tenant:10s} n={bucket.total:<5d} "
-                    f"degraded={bucket.degraded} faults={bucket.faults} "
-                    f"swaps={swaps} (rollback={rollbacks}) "
-                    f"epoch={bucket.max_epoch} "
-                    f"p99={latency.p99 * 1e3:.2f}ms"
                 )
         if self.stage_latencies:
             lines.append("  by stage:")
@@ -291,48 +256,13 @@ def aggregate_journal(
                 _fold_eval(summary, record)
             elif event == "translate":
                 summary.serve_records += 1
-            if event == "tenant_swap":
-                _fold_swap(summary, record)
-                continue  # swap events carry no request fields
-            _fold_tenant(summary, record)
+            if event == "swap":
+                # Swap events carry no request fields: count the outcome.
+                outcome = record.get("outcome", "unknown")
+                summary.swaps[outcome] = summary.swaps.get(outcome, 0) + 1
+                continue
             _fold_common(summary, record)
     return summary
-
-
-def _fold_swap(summary: JournalSummary, record: dict) -> None:
-    """A ``tenant_swap`` journal event: count it per tenant and outcome."""
-    tenant = record.get("tenant", "unknown")
-    bucket = summary.by_tenant.setdefault(tenant, TenantBucket())
-    outcome = record.get("outcome", "unknown")
-    bucket.swaps[outcome] = bucket.swaps.get(outcome, 0) + 1
-    epoch = record.get("epoch")
-    if isinstance(epoch, int):
-        bucket.max_epoch = max(bucket.max_epoch, epoch)
-
-
-def _fold_tenant(summary: JournalSummary, record: dict) -> None:
-    """Fold one tenant-labelled request record into its tenant bucket.
-
-    Pre-tenancy journals have no ``tenant`` key and simply produce an
-    empty ``by_tenant`` section — aggregation never fails on an older
-    schema.
-    """
-    tenant = record.get("tenant")
-    if not isinstance(tenant, str):
-        return
-    bucket = summary.by_tenant.setdefault(tenant, TenantBucket())
-    bucket.total += 1
-    bucket.degraded += bool(record.get("degraded"))
-    bucket.deadline_expired += bool(record.get("deadline_expired"))
-    faults = record.get("faults")
-    if isinstance(faults, list):
-        bucket.faults += len(faults)
-    epoch = record.get("shard_epoch")
-    if isinstance(epoch, int):
-        bucket.max_epoch = max(bucket.max_epoch, epoch)
-    latency = record.get("latency_s")
-    if isinstance(latency, (int, float)):
-        bucket.latencies.append(float(latency))
 
 
 def _fold_eval(summary: JournalSummary, record: dict) -> None:

@@ -2,13 +2,11 @@
 
 - :class:`TranslationService` — bounded work queue, worker pool,
   admission control (typed ``Overloaded`` shedding), per-request
-  deadlines, and a health/readiness snapshot.
+  deadlines, a health/readiness snapshot, and tear-free hot swap of
+  the one pipeline shard it serves, with automatic rollback.
 - :class:`CheckpointStore` — rotating crash-safe checkpoints with
-  last-good recovery, for warm-starting a service after a crash.
-
-Multi-tenant serving (registry, router seam, quotas, hot swap) lives in
-:mod:`repro.tenancy`; the service accepts a
-:class:`~repro.tenancy.router.Router` wherever it accepts a pipeline.
+  last-good recovery, for warm-starting a service after a crash or
+  swapping in a new snapshot.
 """
 
 from repro.serve.checkpoint import CheckpointStore

@@ -91,7 +91,7 @@ class CheckpointStore:
         started = time.perf_counter()
         save_pipeline(pipeline, path)
         self._write_pointer(path.name)
-        self._prune(keep_name=path.name)
+        self.prune(protect=path.name)
         _observe_seconds(
             "checkpoint_save_seconds",
             "Wall seconds to write, point at, and prune one snapshot.",
@@ -107,9 +107,6 @@ class CheckpointStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(staged, pointer)
-
-    def _prune(self, keep_name: str) -> None:
-        self.prune(protect=keep_name)
 
     def prune(self, keep: int | None = None, protect: str | None = None) -> list[str]:
         """Delete stale ``ckpt-NNNNNNNN`` rotations beyond *keep*.

@@ -20,26 +20,21 @@ pipeline's per-translation fault isolation:
   the rolling degraded-rate (same notion as ``EvalResult.degraded_rate``).
 - **Observability** — every request feeds the service's
   :class:`~repro.obs.metrics.MetricsRegistry` (queue depth/wait,
-  in-flight, rejections, end-to-end latency — all
-  tenant-labelled; the pipeline adds its per-stage metrics under the
-  same registry via an ambient scope),
+  in-flight, rejections, end-to-end latency; the pipeline adds its
+  per-stage metrics under the same registry via an ambient scope),
   :meth:`TranslationService.metrics` renders it in the Prometheus text
   format, and an optional :class:`~repro.obs.journal.Journal` records a
   per-request JSONL summary for offline analysis
   (:mod:`repro.eval.journal_analysis`).  Those views — plus the span
   tree on every report and :meth:`TranslationService.health` — are the
   service's only outputs besides the answers themselves.
-- **Multi-tenancy** — every submit/translate call dispatches through a
-  :class:`~repro.tenancy.router.Router`: the tenant's admission quota
-  is charged *before* the shared queue (a noisy tenant gets typed
-  :class:`~repro.sqlkit.errors.TenantOverloaded` while its neighbours'
-  admission path is untouched), each translation runs on a
-  :class:`~repro.tenancy.registry.ShardLease` so in-flight requests
-  survive a zero-downtime :meth:`Router.swap`, and
-  :meth:`TranslationService.health` carries a per-tenant section.  A
-  service built from a bare pipeline wraps it as the unmetered
-  ``default`` tenant — that path is bit-identical to the pre-tenancy
-  behaviour.
+- **Hot swap** — the service serves one shard, held as an immutable
+  :class:`ShardLease` ``(pipeline, epoch)`` pair.  Each translation
+  reads the pair once under the service lock and runs on the pipeline
+  it read, so a :meth:`TranslationService.swap` mid-request never tears
+  it; a corrupt, untrained or unloadable snapshot rolls back with a
+  typed :class:`~repro.sqlkit.errors.SwapError` and the previous epoch
+  keeps serving.
 
 The service is deliberately synchronous-thread-pool shaped: the pipeline
 is pure CPU-bound Python/numpy, so a small worker pool bounded by a
@@ -57,6 +52,7 @@ from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field, fields
 
 from repro.devtools.lockdep import new_lock
+from repro.core.persist import load_pipeline
 from repro.core.pipeline import MetaSQL, RankedResult
 from repro.core.resilience import (
     Deadline,
@@ -67,14 +63,14 @@ from repro.eval.evaluate import reports_degraded_rate
 from repro.obs.journal import Journal
 from repro.obs.metrics import MetricsRegistry, get_registry, registry_scope
 from repro.schema.database import Database
+from repro.serve.checkpoint import CheckpointStore
 from repro.sqlkit.errors import (
     ConfigError,
     Overloaded,
     ServiceStopped,
-    TenantOverloaded,
+    SqlError,
+    SwapError,
 )
-from repro.tenancy.registry import Tenant
-from repro.tenancy.router import Router
 
 
 @dataclass
@@ -133,22 +129,20 @@ class HealthSnapshot:
     deadline_expired: int
     #: Seconds since the service started, on its injectable clock.
     uptime_seconds: float = 0.0
-    #: Per-tenant section: queue share (pending/max_share), breaker
-    #: states, shard epoch, last swap time/outcome — one entry per
-    #: registered tenant (see :meth:`Tenant.snapshot`).
-    tenants: dict[str, dict] = field(default_factory=dict)
+    #: Epoch of the shard serving new requests (1 until the first swap).
+    shard_epoch: int = 1
+    #: The shard's breaker states, stage -> ``closed``/``open``/``half-open``.
+    breakers: dict[str, str] = field(default_factory=dict)
 
     @property
     def ready(self) -> bool:
-        """Whether a new request would currently be admitted *and* every
-        tenant is healthy: a tenant stuck with an open breaker board
-        makes the service not-ready so orchestrators stop routing to it.
+        """Whether a new request would currently be admitted *and* no
+        stage breaker is open: a shard stuck with an open breaker makes
+        the service not-ready so orchestrators stop routing to it.
         """
         if not (self.accepting and self.queue_depth < self.queue_capacity):
             return False
-        return not any(
-            tenant.get("breaker_open") for tenant in self.tenants.values()
-        )
+        return "open" not in self.breakers.values()
 
     def as_dict(self) -> dict:
         """JSON-ready representation (round-trips via :meth:`from_dict`).
@@ -166,13 +160,24 @@ class HealthSnapshot:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
+@dataclass(frozen=True)
+class ShardLease:
+    """The shard one request runs on: a ``(pipeline, epoch)`` pair.
+
+    Immutable, and replaced whole by :meth:`TranslationService.swap`, so
+    no reader can see a new pipeline with an old epoch or the reverse.
+    """
+
+    pipeline: object
+    epoch: int
+
+
 @dataclass
 class _Job:
     question: str
     db: Database
     deadline: Deadline | None
     future: Future
-    tenant: Tenant
     submitted_at: float = 0.0  # service clock, for queue-wait metrics
     shard_epoch: int | None = None  # epoch the translation ran on
 
@@ -185,26 +190,21 @@ _SHUTDOWN = object()
 
 
 class TranslationService:
-    """Bounded-queue, deadline-aware front-end around tenant shards.
+    """Bounded-queue, deadline-aware front-end around one pipeline shard.
 
     >>> service = TranslationService(pipeline, ServiceConfig(workers=4))
     >>> result = service.translate("How many heads are older than 56?", db)
     >>> service.health().ready
     True
 
-    The first argument is either one pipeline — wrapped as the
-    unmetered ``default`` tenant of a fresh
-    :class:`~repro.tenancy.router.Router`, preserving the pre-tenancy
-    behaviour bit-for-bit — or a ready Router holding many tenants, in
-    which case ``submit(..., tenant="acme")`` addresses a specific
-    tenant's shard and quota.  Pipeline objects are shared across
-    workers; their stages are stateless at inference time and breaker
-    boards are thread-safe.
+    The pipeline object is shared across workers; its stages are
+    stateless at inference time and its breaker board is thread-safe.
+    :meth:`swap` replaces it with zero downtime.
     """
 
     def __init__(
         self,
-        pipeline: "MetaSQL | Router",
+        pipeline: MetaSQL,
         config: ServiceConfig | None = None,
         clock=time.monotonic,
         registry: MetricsRegistry | None = None,
@@ -224,14 +224,7 @@ class TranslationService:
             self._journal = Journal(self.config.journal_path)
         else:
             self._journal = None
-        if isinstance(pipeline, Router):
-            self.router = pipeline
-        else:
-            self.router = Router.single(pipeline)
-        # Swap events land in the same journal as requests (unless the
-        # router already writes its own).
-        if self.router.journal is None:
-            self.router.journal = self._journal
+        self._shard = ShardLease(pipeline, 1)
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_limit)
         self._lock = new_lock("TranslationService._lock")
         self._accepting = True
@@ -255,19 +248,13 @@ class TranslationService:
         for worker in self._workers:
             worker.start()
 
-    @property
-    def pipeline(self):
-        """The default tenant's *current* shard (live across hot swaps)."""
-        return self.router.default_pipeline
+    def _lease(self) -> ShardLease:
+        """The shard new requests run on, read under the service lock."""
+        with self._lock:
+            return self._shard
 
     def _init_metrics(self) -> None:
-        """Create (or re-bind) the service's instrument handles.
-
-        Every per-request series carries a ``tenant`` label so one
-        tenant's traffic, rejections and latency can be read apart from
-        its neighbours'; the single-tenant path labels everything
-        ``default``.
-        """
+        """Create (or re-bind) the service's instrument handles."""
         registry = self.registry
         self._m_queue_depth = registry.gauge(
             "serve_queue_depth", "Requests waiting in the admission queue."
@@ -278,23 +265,24 @@ class TranslationService:
         self._m_queue_wait = registry.histogram(
             "serve_queue_wait_seconds",
             "Seconds a request waited in the queue before a worker took it.",
-            labelnames=("tenant",),
         )
         self._m_latency = registry.histogram(
             "serve_e2e_latency_seconds",
             "End-to-end seconds from admission to completion.",
-            labelnames=("tenant",),
         )
         self._m_requests = registry.counter(
             "serve_requests_total",
-            "Finished requests by outcome and tenant.",
-            labelnames=("outcome", "tenant"),
+            "Finished requests by outcome.",
+            labelnames=("outcome",),
         )
         self._m_rejected = registry.counter(
             "serve_rejected_total",
-            "Requests shed by admission control, by tenant and reason "
-            "(queue = global bounded queue, quota = per-tenant limits).",
-            labelnames=("tenant", "reason"),
+            "Requests shed because the admission queue was full.",
+        )
+        self._m_swaps = registry.counter(
+            "serve_swap_total",
+            "Shard hot-swap attempts by outcome (ok or rollback).",
+            labelnames=("outcome",),
         )
 
     # ------------------------------------------------------------------
@@ -305,49 +293,30 @@ class TranslationService:
         question: str,
         db: Database,
         deadline: Deadline | float | None = None,
-        tenant: str | None = None,
     ) -> "Future[RankedResult]":
         """Admit a translation request; returns a Future of RankedResult.
 
-        *tenant* addresses a registered tenant's shard and quota (None:
-        the default/only tenant).  Raises
-        :class:`~repro.sqlkit.errors.TenantOverloaded` when the tenant's
-        token-bucket rate or bounded queue share is exhausted — other
-        tenants are unaffected — :class:`Overloaded` when the shared
-        work queue is full (shed load; the caller may retry after
-        backoff), :class:`~repro.sqlkit.errors.UnknownTenant` for an
-        unregistered tenant id, and :class:`ServiceStopped` after
-        :meth:`shutdown`.
+        Raises :class:`Overloaded` when the work queue is full (shed
+        load; the caller may retry after backoff) and
+        :class:`ServiceStopped` after :meth:`shutdown`.
         """
         with self._lock:
             accepting = self._accepting
         if not accepting:
             raise ServiceStopped("translation service is shut down")
-        try:
-            job = self._admit_job(question, db, deadline, tenant)
-        except TenantOverloaded as exc:
-            with self._lock:
-                self._rejected += 1
-            self._m_rejected.labels(
-                tenant=exc.tenant_id, reason="quota"
-            ).inc()
-            raise
+        job = self._admit_job(question, db, deadline)
         try:
             queued = self._enqueue(job)
         except queue.Full:
-            job.tenant.release()
             with self._lock:
                 self._rejected += 1
-            self._m_rejected.labels(
-                tenant=job.tenant.tenant_id, reason="queue"
-            ).inc()
+            self._m_rejected.inc()
             raise Overloaded(
                 self._queue.qsize(), self.config.queue_limit
             ) from None
         if not queued:
             # Shutdown began after the accepting check above: queued now,
             # the job would sit behind the worker sentinels and never run.
-            job.tenant.release()
             job.future.set_exception(
                 ServiceStopped("translation service is shut down")
             )
@@ -373,21 +342,18 @@ class TranslationService:
         question: str,
         db: Database,
         deadline: Deadline | float | None,
-        tenant: str | None,
     ) -> _Job:
-        """Charge the tenant's quota and build the queued job."""
+        """Resolve the request's deadline and build the queued job."""
         if deadline is None:
             if self.config.default_deadline is not None:
                 deadline = Deadline(self.config.default_deadline)
         elif not isinstance(deadline, Deadline):
             deadline = Deadline(float(deadline))
-        tenant_obj = self.router.admit(tenant)
         return _Job(
             question=question,
             db=db,
             deadline=deadline,
             future=Future(),
-            tenant=tenant_obj,
             submitted_at=self._clock(),
         )
 
@@ -397,12 +363,9 @@ class TranslationService:
         db: Database,
         deadline: Deadline | float | None = None,
         timeout: float | None = None,
-        tenant: str | None = None,
     ) -> RankedResult:
         """Synchronous submit + wait (the simple-client entry point)."""
-        return self.submit(question, db, deadline, tenant=tenant).result(
-            timeout=timeout
-        )
+        return self.submit(question, db, deadline).result(timeout=timeout)
 
     # ------------------------------------------------------------------
     # Workers.
@@ -422,9 +385,7 @@ class TranslationService:
         self._m_queue_depth.set(self._queue.qsize())
         if not job.future.set_running_or_notify_cancel():
             return
-        self._m_queue_wait.labels(
-            tenant=job.tenant.tenant_id
-        ).observe(max(0.0, self._clock() - job.submitted_at))
+        self._m_queue_wait.observe(max(0.0, self._clock() - job.submitted_at))
         with self._lock:
             self._in_flight += 1
         self._m_in_flight.inc()
@@ -444,13 +405,9 @@ class TranslationService:
             job.future.set_result(result)
 
     def _finish_job(self, job: _Job, outcome: str) -> None:
-        job.tenant.release()
-        tenant_id = job.tenant.tenant_id
         self._m_in_flight.dec()
-        self._m_requests.labels(outcome=outcome, tenant=tenant_id).inc()
-        self._m_latency.labels(tenant=tenant_id).observe(
-            max(0.0, self._clock() - job.submitted_at)
-        )
+        self._m_requests.labels(outcome=outcome).inc()
+        self._m_latency.observe(max(0.0, self._clock() - job.submitted_at))
 
     def _handle(self, job: _Job) -> RankedResult:
         """One translation on a shard lease, then the journal write."""
@@ -460,14 +417,15 @@ class TranslationService:
         # registry even though workers run outside the constructor's
         # context.  The lease pins the whole translation to one
         # (pipeline, epoch) pair across a concurrent hot swap.
+        lease = self._lease()
+        job.shard_epoch = lease.epoch
         with registry_scope(self.registry):
-            with self.router.lease(job.tenant.tenant_id) as lease:
-                job.shard_epoch = lease.epoch
-                result = lease.pipeline.translate_ranked_report(
-                    job.question, job.db, deadline=job.deadline
-                )
+            result = lease.pipeline.translate_ranked_report(
+                job.question, job.db, deadline=job.deadline
+            )
         self._observe(result.report)
-        self._journal_request(job, result)
+        if self._journal is not None:
+            self._append_journal(self._request_record(job, result))
         return result
 
     def _request_record(self, job: _Job, result: RankedResult) -> dict:
@@ -475,7 +433,6 @@ class TranslationService:
         report = result.report
         return {
             "event": "translate",
-            "tenant": job.tenant.tenant_id,
             "shard_epoch": job.shard_epoch,
             "question": job.question,
             "ok": bool(result.translations),
@@ -501,18 +458,17 @@ class TranslationService:
             },
         }
 
-    def _journal_request(self, job: _Job, result: RankedResult) -> None:
-        """Append the finished request's record to the journal, if any.
+    def _append_journal(self, record: dict) -> None:
+        """Append *record* to the journal, if any.
 
-        Runs on the worker thread after the translation; journalling
-        swallows its errors so it never fails the request.
+        Journalling swallows its errors so it never fails the request
+        or swap it records.
         """
         if self._journal is None:
             return
-        record = self._request_record(job, result)
         try:
             self._journal.append(record)
-        except Exception:  # repolint: allow[broad-except] — journalling never fails a request
+        except Exception:  # repolint: allow[broad-except] — journalling never fails a request or swap
             pass
 
     def _observe(self, report: TranslationReport) -> None:
@@ -530,10 +486,12 @@ class TranslationService:
         Every counter — including ``accepting`` and the uptime read —
         is taken under the one service lock, so the snapshot is a
         consistent point-in-time view, not a mix of racing reads.  The
-        per-tenant section (each tenant's breaker states included) is
-        assembled outside the lock: tenant state has its own locks.
+        breaker states are read outside it, from the shard it leases:
+        each breaker has its own lock.
         """
-        tenants = self.router.snapshot()
+        lease = self._lease()
+        board = getattr(lease.pipeline, "breakers", None)
+        breakers = board.states() if board is not None else {}
         with self._lock:
             return HealthSnapshot(
                 accepting=self._accepting,
@@ -547,21 +505,60 @@ class TranslationService:
                 degraded_rate=reports_degraded_rate(self._recent_reports),
                 deadline_expired=self._deadline_expired,
                 uptime_seconds=max(0.0, self._clock() - self._started),
-                tenants=tenants,
+                shard_epoch=lease.epoch,
+                breakers=breakers,
             )
 
-    def swap(self, source, tenant: str | None = None, config=None) -> int:
-        """Hot-swap a tenant's shard with zero downtime.
+    def swap(self, source, config=None) -> int:
+        """Replace the shard from *source* with zero downtime.
 
-        Passthrough to :meth:`repro.tenancy.router.Router.swap` (None
-        addresses the default/only tenant): in-flight requests finish on
-        the old shard, new admissions see the new epoch, and a corrupt
-        snapshot rolls back automatically with a typed
-        :class:`~repro.sqlkit.errors.TenantSwapError`.
+        *source* is a ready pipeline, a zero-argument loader, a
+        :class:`~repro.serve.checkpoint.CheckpointStore` (last good
+        snapshot wins) or a checkpoint/store directory path.  Loading
+        runs outside the service lock, so traffic keeps flowing on the
+        current epoch; the new ``(pipeline, epoch)`` pair is then
+        installed under the lock.  In-flight requests finish on the
+        pipeline they leased, and every later request sees the new
+        epoch, which is returned.
+
+        A corrupt, unloadable or untrained snapshot never installs: the
+        previous epoch keeps serving, ``serve_swap_total`` counts a
+        ``rollback`` outcome, and :class:`~repro.sqlkit.errors.SwapError`
+        is raised.  Each attempt appends a ``swap`` journal event with
+        no fault records — a rollback is the protocol working, not a
+        pipeline fault.
         """
-        tenant_obj = self.router.resolve(tenant)
-        with registry_scope(self.registry):
-            return self.router.swap(tenant_obj.tenant_id, source, config)
+        previous = self._lease().epoch
+        try:
+            fire("serve.swap")
+            # Loading a store reports skipped snapshots to the ambient
+            # registry; route them to this service's.
+            with registry_scope(self.registry):
+                pipeline = _load(source, config)
+            if not getattr(pipeline, "_trained", True):
+                raise SwapError(
+                    previous, "snapshot restored an untrained pipeline"
+                )
+        except (SqlError, OSError) as exc:
+            self._record_swap("rollback", previous, error=str(exc))
+            if isinstance(exc, SwapError):
+                raise
+            raise SwapError(previous, str(exc)) from exc
+        with self._lock:
+            self._shard = ShardLease(pipeline, self._shard.epoch + 1)
+            epoch = self._shard.epoch
+        self._record_swap("ok", epoch)
+        return epoch
+
+    def _record_swap(
+        self, outcome: str, epoch: int, error: str | None = None
+    ) -> None:
+        """Count one swap attempt and journal it."""
+        self._m_swaps.labels(outcome=outcome).inc()
+        record = {"event": "swap", "outcome": outcome, "epoch": epoch}
+        if error is not None:
+            record["error"] = error
+        self._append_journal(record)
 
     def metrics(self) -> str:
         """The service's registry in the Prometheus text format.
@@ -614,4 +611,18 @@ class TranslationService:
         the last *good* checkpoint is used — corrupt or torn snapshots
         are skipped.
         """
-        return cls(Router._load(source, pipeline_config), config)
+        return cls(_load(source, pipeline_config), config)
+
+
+def _load(source: object, config) -> object:
+    """Materialize a pipeline from any accepted snapshot *source*."""
+    if hasattr(source, "translate_ranked_report"):
+        return source  # a ready shard
+    if callable(source):
+        return source()  # injectable loader (tests, custom stores)
+    if isinstance(source, CheckpointStore):
+        return source.load_latest(config)
+    path = pathlib.Path(source)
+    if (path / "manifest.json").is_file():
+        return load_pipeline(path, config)
+    return CheckpointStore(path).load_latest(config)

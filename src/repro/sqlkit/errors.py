@@ -5,7 +5,7 @@ Two branches share the :class:`SqlError` root so callers with an existing
 
 - **substrate errors** (tokenize / parse / execute / schema), and
 - **pipeline errors** — lifecycle misuse, whole-stage failures and the
-  serving, tenancy and checkpoint errors.
+  serving and checkpoint errors.
 
 Retries are decided by a truthy ``transient`` attribute, not by a class:
 :func:`repro.core.resilience.guarded_call` retries any exception that
@@ -107,67 +107,27 @@ class ServiceStopped(ServiceError, RuntimeError):
 
 
 class ConfigError(SqlError, ValueError):
-    """A service/tenancy configuration value is invalid at construction.
+    """A service configuration value is invalid at construction.
 
     Raised eagerly when the config object is built (``__post_init__``)
-    so a bad queue size, worker count, or quota rate fails at the call
-    site instead of deep inside a worker loop.  Also a
+    so a bad queue size, worker count, or default deadline fails at the
+    call site instead of deep inside a worker loop.  Also a
     :class:`ValueError` so callers with an existing ``except ValueError``
     net keep catching construction failures.
     """
 
 
-# ----------------------------------------------------------------------
-# Tenancy taxonomy (used by repro.tenancy).
-
-
-class TenancyError(ServiceError):
-    """Base class for errors raised by the multi-tenant routing layer."""
-
-
-class UnknownTenant(TenancyError):
-    """A request addressed a tenant id the registry does not hold."""
-
-    def __init__(self, tenant_id: str, known: tuple[str, ...] = ()) -> None:
-        hint = f" (known: {', '.join(known)})" if known else ""
-        super().__init__(f"unknown tenant {tenant_id!r}{hint}")
-        self.tenant_id = tenant_id
-
-
-class TenantOverloaded(Overloaded):
-    """Admission control shed this request at the *tenant* boundary.
-
-    A noisy tenant that exhausts its token-bucket rate or its bounded
-    queue share is rejected here — before touching the shared global
-    queue — so other tenants' latency stays flat.  Subclasses
-    :class:`Overloaded` (and is therefore transient): clients holding an
-    ``except Overloaded`` retry net keep working unchanged.
-    """
-
-    def __init__(self, tenant_id: str, reason: str, detail: str = "") -> None:
-        message = f"tenant {tenant_id!r} overloaded ({reason})"
-        if detail:
-            message += f": {detail}"
-        # Overloaded.__init__ formats queue numbers; bypass it and keep
-        # the shared transient semantics.
-        ServiceError.__init__(self, message)
-        self.tenant_id = tenant_id
-        self.reason = reason
-
-
-class TenantSwapError(TenancyError):
+class SwapError(ServiceError):
     """A shard hot swap failed and was rolled back to the previous epoch.
 
-    The tenant keeps serving on the epoch it was on — a corrupt snapshot
+    The service keeps serving on the epoch it was on — a corrupt snapshot
     costs the swap, never the traffic.
     """
 
-    def __init__(self, tenant_id: str, epoch: int, message: str) -> None:
+    def __init__(self, epoch: int, message: str) -> None:
         super().__init__(
-            f"swap for tenant {tenant_id!r} failed; "
-            f"rolled back to epoch {epoch}: {message}"
+            f"swap failed; rolled back to epoch {epoch}: {message}"
         )
-        self.tenant_id = tenant_id
         self.epoch = epoch
 
 

@@ -10,10 +10,10 @@ Three layers:
    measured on an injected clock.
 2. A seeded deterministic multi-thread hammer: every thread takes lock
    pairs in the globally sorted order, so the run must stay clean.
-3. The regression the tentpole exists for: the tenancy swap-under-fire
-   scenario and a serving hammer rebuilt *inside* ``lockdep_scope()``
-   (the factory seam only instruments locks constructed under an active
-   scope) must finish with **zero** order inversions.
+3. The repo's own serving stack: the hot-swap-under-fire scenario and a
+   serving hammer rebuilt *inside* ``lockdep_scope()`` (the factory seam
+   only instruments locks constructed under an active scope) must finish
+   with **zero** order inversions.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import threading
 
 import pytest
 
-from repro.core.resilience import FAULTS, InjectedFault, TranslationReport
-from repro.core.pipeline import RankedResult
+from repro.core.resilience import FAULTS, InjectedFault
 from repro.devtools.lockdep import (
     LockdepViolation,
     lockdep_scope,
@@ -35,14 +34,8 @@ from repro.devtools.lockdep import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServiceConfig, TranslationService
-from repro.sqlkit.errors import (
-    CheckpointCorrupt,
-    Overloaded,
-    TenantOverloaded,
-    TenantSwapError,
-)
-from repro.tenancy import Router, TenantQuota
-from tests.test_serve import _ranked
+from repro.sqlkit.errors import CheckpointCorrupt, Overloaded, SwapError
+from tests.test_serve import EpochPipeline
 
 pytestmark = pytest.mark.concurrency
 
@@ -188,11 +181,11 @@ def test_double_acquire_raises_instead_of_hanging():
 
 
 def test_same_name_different_instances_tolerated():
-    # Two Tenant._lock instances nested is peer-order policy, not an
-    # automatic deadlock; counted but not an inversion.
+    # Two CircuitBreaker._lock instances nested is peer-order policy,
+    # not an automatic deadlock; counted but not an inversion.
     with lockdep_scope() as dep:
-        first = new_lock("Tenant._lock")
-        second = new_lock("Tenant._lock")
+        first = new_lock("CircuitBreaker._lock")
+        second = new_lock("CircuitBreaker._lock")
         with first:
             with second:
                 pass
@@ -272,24 +265,6 @@ def test_seeded_hammer_with_global_order_stays_clean():
 # Instrumented chaos regressions: the repo's own stack, zero inversions.
 
 
-class EpochPipeline:
-    """Stub shard stamping its identity into every translation."""
-
-    breakers = None
-    _trained = True
-
-    def __init__(self, tag: str) -> None:
-        self.tag = tag
-
-    def translate_ranked_report(
-        self, question, db, compositions=None, deadline=None
-    ):
-        report = TranslationReport(question=question)
-        result = RankedResult([_ranked()], report)
-        result.shard_tag = self.tag
-        return result
-
-
 def _drain(futures) -> int:
     resolved = 0
     for future in futures:
@@ -302,41 +277,37 @@ def _drain(futures) -> int:
 
 
 def test_swap_under_fire_reports_zero_inversions(world_db, tmp_path):
-    """The tenancy swap-under-fire scenario under full instrumentation.
+    """The hot-swap-under-fire scenario under full instrumentation.
 
-    Everything — router, tenants, service, quotas — is constructed
-    inside the scope, so every seam lock (ShardGuard._cond,
-    Tenant._lock, TenantRegistry._lock, TranslationService._lock,
-    TokenBucket._lock, CircuitBreaker._lock, ...) is witnessed.
+    The service, its metrics registry and its journal are constructed
+    inside the scope, so their locks (TranslationService._lock,
+    MetricsRegistry._lock, _Family._lock, Journal._lock) are witnessed
+    while four threads submit and the shard is swapped twice.
     """
     with lockdep_scope() as dep:
-        router = Router()
-        router.register(
-            "alpha", EpochPipeline("epoch-1"), quota=TenantQuota(max_share=48)
+        registry = MetricsRegistry()
+        config = ServiceConfig(
+            workers=4,
+            queue_limit=256,
+            journal_path=tmp_path / "fire.jsonl",
         )
-        router.register("beta", EpochPipeline("epoch-1"))
-        config = ServiceConfig(workers=4, queue_limit=256)
         futures = []
         submitted_lock = threading.Lock()
 
-        with TranslationService(router, config) as service:
+        with TranslationService(
+            EpochPipeline("epoch-1"), config, registry=registry
+        ) as service:
 
-            def hammer(tenant: str) -> None:
+            def hammer() -> None:
                 for _ in range(60):
                     try:
-                        future = service.submit(
-                            "q", world_db, tenant=tenant
-                        )
-                    except (TenantOverloaded, Overloaded):
+                        future = service.submit("q", world_db)
+                    except Overloaded:
                         continue
                     with submitted_lock:
                         futures.append(future)
 
-            pool = [
-                threading.Thread(target=hammer, args=(tenant,))
-                for tenant in ("alpha", "beta")
-                for _ in range(2)
-            ]
+            pool = [threading.Thread(target=hammer) for _ in range(4)]
             for thread in pool:
                 thread.start()
 
@@ -347,9 +318,9 @@ def test_swap_under_fire_reports_zero_inversions(world_db, tmp_path):
             def corrupt():
                 raise CheckpointCorrupt("bit flip")
 
-            with pytest.raises(TenantSwapError):
-                service.swap(corrupt, tenant="alpha")
-            assert service.swap(EpochPipeline("epoch-2"), tenant="alpha") == 2
+            with pytest.raises(SwapError):
+                service.swap(corrupt)
+            assert service.swap(EpochPipeline("epoch-2")) == 2
 
             for thread in pool:
                 thread.join(timeout=30)
@@ -363,9 +334,9 @@ def test_swap_under_fire_reports_zero_inversions(world_db, tmp_path):
         assert dep.acquisitions > 0
         assert {
             "TranslationService._lock",
-            "TenantRegistry._lock",
-            "Tenant._lock",
-            "ShardGuard._cond",
+            "MetricsRegistry._lock",
+            "_Family._lock",
+            "Journal._lock",
         } <= dep.seen
 
 
@@ -373,13 +344,11 @@ def test_serve_hammer_reports_zero_inversions(world_db):
     """Service traffic while observers read metrics and health."""
     with lockdep_scope() as dep:
         registry = MetricsRegistry()
-        router = Router()
-        router.register("alpha", EpochPipeline("epoch-1"))
         config = ServiceConfig(workers=2, queue_limit=128)
         errors: list[BaseException] = []
 
         with TranslationService(
-            router, config, registry=registry
+            EpochPipeline("epoch-1"), config, registry=registry
         ) as service:
 
             def traffic() -> None:
@@ -387,10 +356,8 @@ def test_serve_hammer_reports_zero_inversions(world_db):
                 try:
                     for _ in range(40):
                         try:
-                            futures.append(
-                                service.submit("q", world_db, tenant="alpha")
-                            )
-                        except (TenantOverloaded, Overloaded):
+                            futures.append(service.submit("q", world_db))
+                        except Overloaded:
                             continue
                     _drain(futures)
                 except BaseException as exc:  # repolint: allow[broad-except] — surfacing hammer failures

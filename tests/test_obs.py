@@ -464,7 +464,8 @@ def test_health_snapshot_round_trips_through_json():
         degraded_rate=0.25,
         deadline_expired=2,
         uptime_seconds=12.5,
-        tenants={"default": {"breakers": {"stage1": "open"}}},
+        shard_epoch=3,
+        breakers={"stage1": "open"},
     )
     data = json.loads(json.dumps(snapshot.as_dict()))
     assert data["ready"] is snapshot.ready
@@ -584,20 +585,14 @@ class TestServiceObservability:
         stage_latency = registry.get("metasql_stage_latency_seconds")
         for name in STAGES:
             assert stage_latency.labels(stage=name).count >= 1
-        assert registry.get("serve_e2e_latency_seconds").labels(
-            tenant="default"
-        ).count == 1
-        assert registry.get("serve_queue_wait_seconds").labels(
-            tenant="default"
-        ).count == 1
+        assert registry.get("serve_e2e_latency_seconds").count == 1
+        assert registry.get("serve_queue_wait_seconds").count == 1
         assert registry.get("serve_requests_total").labels(
-            outcome="completed", tenant="default"
+            outcome="completed"
         ).value == 1
 
         # (3) The exposition parses and carries both layers' series.
-        assert (
-            'serve_e2e_latency_seconds_count{tenant="default"} 1' in rendered
-        )
+        assert "serve_e2e_latency_seconds_count 1" in rendered
         assert 'metasql_stage_latency_seconds_bucket{stage="generate"' in rendered
         for line in rendered.splitlines():
             if not line.startswith("#"):
@@ -631,10 +626,7 @@ class TestServiceObservability:
             rendered = service.metrics()
         assert "serve_queue_depth 0" in rendered
         assert "serve_in_flight 0" in rendered
-        assert (
-            'serve_requests_total{outcome="completed",tenant="default"} 1'
-            in rendered
-        )
+        assert 'serve_requests_total{outcome="completed"} 1' in rendered
 
 
 # ----------------------------------------------------------------------

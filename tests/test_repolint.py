@@ -436,7 +436,7 @@ def test_every_constructed_metric_is_catalogued():
 def test_collect_event_names_only_sees_dict_literals(tmp_path):
     source = textwrap.dedent(
         """
-        journal.append({"event": "tenant_swap", "tenant": t})
+        journal.append({"event": "swap", "outcome": o})
         journal.append({"event": "translate", "ok": True})
         kind = record.get("event")            # read, not emission
         other = {"type": "not_an_event"}      # different key: ignored
@@ -445,8 +445,8 @@ def test_collect_event_names_only_sees_dict_literals(tmp_path):
     )
     (tmp_path / "mod.py").write_text(source)
     names = repolint.collect_event_names([str(tmp_path)])
-    assert sorted(names) == ["tenant_swap", "translate"]
-    path, line = names["tenant_swap"][0]
+    assert sorted(names) == ["swap", "translate"]
+    path, line = names["swap"][0]
     assert path.endswith("mod.py") and line == 2
 
 

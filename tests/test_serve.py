@@ -1,10 +1,12 @@
 """Serving + durability layer tests: deadlines, breakers, admission
 control, the single retry layer, crash-safe checkpointing, warm-start
-recovery.
+recovery, and tear-free hot swap of the service's one shard.
 
 Everything is deterministic: clocks are injected, faults come from the
 ``FAULTS`` registry, and blocking jobs are gated on events rather than
-sleeps.
+sleeps.  The swap-under-fire chaos test gates on futures, and a
+hypothesis property checks that no lease ever sees a torn
+``(pipeline, epoch)`` pair.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.persist import load_pipeline, save_pipeline
 from repro.core.pipeline import RankedResult, RankedTranslation
@@ -27,11 +31,19 @@ from repro.core.resilience import (
     TranslationReport,
     guarded_call,
 )
+from repro.eval.journal_analysis import aggregate_journal
+from repro.obs.journal import Journal, read_journal
+from repro.obs.metrics import MetricsRegistry, registry_scope
 from repro.serve import CheckpointStore, ServiceConfig, TranslationService
+from repro.serve.service import HealthSnapshot
 from repro.sqlkit.errors import (
+    CheckpointCorrupt,
     CheckpointError,
+    ConfigError,
     Overloaded,
     ServiceStopped,
+    SqlError,
+    SwapError,
 )
 from repro.sqlkit.parser import parse_sql
 from repro.sqlkit.printer import to_sql
@@ -130,6 +142,33 @@ class StubPipeline:
             )
         )
         return RankedResult([], report)
+
+
+class EpochPipeline:
+    """A stub shard that stamps its identity into every translation.
+
+    ``tag`` names the shard generation that served a request, so a test
+    can check end to end which epoch a result came from.  ``gate``, when
+    given, holds every translation until it is set.
+    """
+
+    breakers = None
+    _trained = True
+
+    def __init__(self, tag: str, gate: threading.Event | None = None) -> None:
+        self.tag = tag
+        self.gate = gate
+
+    def translate_ranked_report(
+        self, question, db, compositions=None, deadline=None
+    ):
+        if self.gate is not None:
+            assert self.gate.wait(10), "test gate never opened"
+        result = RankedResult(
+            [_ranked()], TranslationReport(question=question)
+        )
+        result.shard_tag = self.tag
+        return result
 
 
 # ----------------------------------------------------------------------
@@ -404,6 +443,31 @@ class TestPipelineDeadlines:
 # TranslationService: admission control, retries, health, lifecycle.
 
 
+class TestServiceConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": 0},
+            {"workers": -2},
+            {"queue_limit": 0},
+            {"default_deadline": 0.0},
+            {"default_deadline": -1.0},
+        ],
+    )
+    def test_bad_values_fail_at_construction(self, kwargs):
+        with pytest.raises(ConfigError) as excinfo:
+            ServiceConfig(**kwargs)
+        # Typed: rooted at SqlError, still a ValueError for old nets.
+        assert isinstance(excinfo.value, SqlError)
+        assert isinstance(excinfo.value, ValueError)
+
+    def test_mutated_config_is_revalidated_by_the_service(self):
+        config = ServiceConfig(workers=1)
+        config.workers = 0  # mutation after construction
+        with pytest.raises(ConfigError):
+            TranslationService(StubPipeline(), config)
+
+
 class TestServiceAdmission:
     def test_sheds_load_at_capacity_while_inflight_completes(self):
         stub = StubPipeline(script=["block", "ok"])
@@ -456,7 +520,6 @@ class TestServiceAdmission:
         future = service.submit("raced", None)
         with pytest.raises(ServiceStopped):
             future.result(timeout=5)
-        assert service.router.resolve(None).pending == 0
 
     def test_shutdown_drains_admitted_requests(self):
         stub = StubPipeline()
@@ -529,11 +592,65 @@ class TestServiceHealth:
             trained_pipeline, ServiceConfig(workers=1, queue_limit=2)
         )
         try:
-            breakers = service.health().tenants["default"]["breakers"]
+            breakers = service.health().breakers
             assert breakers.get("stage1") == "closed"
             assert set(breakers) == set(BreakerBoard.STAGES)
         finally:
             service.shutdown()
+
+    def test_health_carries_shard_epoch_and_breakers_and_roundtrip(
+        self, trained_pipeline, world_db
+    ):
+        with TranslationService(
+            trained_pipeline, ServiceConfig(workers=1)
+        ) as service:
+            assert service.health().shard_epoch == 1
+            service.translate("q", world_db, timeout=30)
+            service.swap(trained_pipeline)
+            health = service.health()
+        assert health.shard_epoch == 2
+        assert set(health.breakers) == set(BreakerBoard.STAGES)
+        # as_dict/from_dict round-trip keeps the shard section; unknown
+        # keys (the derived ``ready``, a newer field) are ignored.
+        data = {**health.as_dict(), "from_a_newer_version": 1}
+        clone = HealthSnapshot.from_dict(data)
+        assert clone == health
+        assert clone.ready == health.ready
+
+    def test_open_breaker_makes_service_not_ready(self):
+        snapshot = HealthSnapshot(
+            accepting=True,
+            queue_depth=0,
+            queue_capacity=4,
+            workers=1,
+            in_flight=0,
+            completed=0,
+            rejected=0,
+            failed=0,
+            degraded_rate=0.0,
+            deadline_expired=0,
+            breakers={"stage1": "closed", "stage2": "open"},
+        )
+        assert not snapshot.ready
+        assert snapshot.as_dict()["ready"] is False
+        half_open = HealthSnapshot.from_dict(
+            {**snapshot.as_dict(), "breakers": {"stage2": "half-open"}}
+        )
+        assert half_open.ready
+
+    def test_open_breaker_on_the_live_shard_makes_service_not_ready(
+        self, trained_pipeline, fake_board
+    ):
+        board, _ = fake_board
+        with TranslationService(
+            trained_pipeline, ServiceConfig(workers=1)
+        ) as service:
+            assert service.health().ready
+            for _ in range(3):
+                board["stage2"].record_failure()
+            health = service.health()
+        assert health.breakers["stage2"] == "open"
+        assert not health.ready
 
 
 class TestServiceEndToEnd:
@@ -555,6 +672,353 @@ class TestServiceEndToEnd:
             assert service.health().deadline_expired == 1
         finally:
             service.shutdown()
+
+    def test_served_ranked_list_is_bit_identical_to_direct_pipeline(
+        self, trained_pipeline, tiny_benchmark
+    ):
+        """The service adds no translation behaviour: every served
+        ranked list equals the direct pipeline's, SQL and scores."""
+        examples = tiny_benchmark.dev.examples[:4]
+
+        def ranked(result):
+            return [
+                (t.sql, t.stage1_score, t.stage2_score)
+                for t in result.translations
+            ]
+
+        direct = []
+        for example in examples:
+            db = tiny_benchmark.dev.database(example.db_id)
+            direct.append(
+                ranked(
+                    trained_pipeline.translate_ranked_report(
+                        example.question, db
+                    )
+                )
+            )
+        with TranslationService(
+            trained_pipeline, ServiceConfig(workers=1)
+        ) as service:
+            served = []
+            for example in examples:
+                db = tiny_benchmark.dev.database(example.db_id)
+                served.append(
+                    ranked(
+                        service.translate(example.question, db, timeout=60)
+                    )
+                )
+        assert served == direct
+
+
+# ----------------------------------------------------------------------
+# Hot swap: one shard, replaced whole, rolled back on a bad snapshot.
+
+
+def _swap_count(registry: MetricsRegistry, outcome: str) -> float:
+    return registry.get("serve_swap_total").labels(outcome=outcome).value
+
+
+class TestHotSwap:
+    def test_swap_installs_new_epoch_and_counts_ok(self, world_db):
+        registry = MetricsRegistry()
+        with TranslationService(
+            EpochPipeline("epoch-1"),
+            ServiceConfig(workers=1),
+            registry=registry,
+        ) as service:
+            assert service.swap(EpochPipeline("epoch-2")) == 2
+            result = service.translate("q", world_db, timeout=10)
+        assert result.shard_tag == "epoch-2"
+        assert _swap_count(registry, "ok") == 1
+
+    def test_corrupt_snapshot_rolls_back_with_typed_error(self, world_db):
+        def corrupt_loader():
+            raise CheckpointCorrupt("manifest checksum mismatch")
+
+        registry = MetricsRegistry()
+        with TranslationService(
+            EpochPipeline("epoch-1"),
+            ServiceConfig(workers=1),
+            registry=registry,
+        ) as service:
+            with pytest.raises(SwapError) as excinfo:
+                service.swap(corrupt_loader)
+            # Automatic rollback: the previous shard keeps serving.
+            result = service.translate("q", world_db, timeout=10)
+            health = service.health()
+        assert excinfo.value.epoch == 1
+        assert isinstance(excinfo.value.__cause__, CheckpointCorrupt)
+        assert result.shard_tag == "epoch-1"
+        assert health.shard_epoch == 1
+        assert _swap_count(registry, "rollback") == 1
+
+    def test_untrained_snapshot_is_rejected(self):
+        impostor = EpochPipeline("epoch-2")
+        impostor._trained = False
+        with TranslationService(
+            EpochPipeline("epoch-1"), ServiceConfig(workers=1)
+        ) as service:
+            with pytest.raises(SwapError, match="untrained"):
+                service.swap(impostor)
+            assert service.health().shard_epoch == 1
+
+    def test_swap_failpoint_rolls_back(self):
+        with TranslationService(
+            EpochPipeline("epoch-1"), ServiceConfig(workers=1)
+        ) as service:
+            with FAULTS.inject("serve.swap"):
+                with pytest.raises(SwapError):
+                    service.swap(EpochPipeline("epoch-2"))
+                assert FAULTS.fired("serve.swap") == 1
+            assert service.health().shard_epoch == 1
+
+    def test_swap_from_checkpoint_store(
+        self, trained_pipeline, tiny_benchmark, tmp_path
+    ):
+        store = CheckpointStore(tmp_path / "store")
+        store.save(trained_pipeline)
+        example = tiny_benchmark.dev.examples[0]
+        db = tiny_benchmark.dev.database(example.db_id)
+        with TranslationService(
+            trained_pipeline, ServiceConfig(workers=1)
+        ) as service:
+            assert service.swap(store) == 2
+            result = service.translate(example.question, db, timeout=60)
+        assert [to_sql(r.query) for r in result.translations] == (
+            _ranked_sqls(trained_pipeline, example, db)
+        )
+
+    def test_swap_from_checkpoint_directory(
+        self, trained_pipeline, tiny_benchmark, tmp_path
+    ):
+        target = tmp_path / "ckpt"
+        save_pipeline(trained_pipeline, target)
+        example = tiny_benchmark.dev.examples[0]
+        db = tiny_benchmark.dev.database(example.db_id)
+        with TranslationService(
+            EpochPipeline("epoch-1"), ServiceConfig(workers=1)
+        ) as service:
+            assert service.swap(target) == 2
+            # A str path works as well as a pathlib.Path.
+            assert service.swap(str(target)) == 3
+            result = service.translate(example.question, db, timeout=60)
+            with pytest.raises(SwapError):
+                service.swap(tmp_path / "missing")
+            assert service.health().shard_epoch == 3
+        assert not hasattr(result, "shard_tag")
+        assert [to_sql(r.query) for r in result.translations] == (
+            _ranked_sqls(trained_pipeline, example, db)
+        )
+
+    def test_swap_journal_event_is_fault_record_free(self, tmp_path):
+        path = tmp_path / "swap.jsonl"
+        with TranslationService(
+            EpochPipeline("epoch-1"),
+            ServiceConfig(workers=1, journal_path=path),
+        ) as service:
+            service.swap(EpochPipeline("epoch-2"))
+            with pytest.raises(SwapError):
+                service.swap(
+                    lambda: (_ for _ in ()).throw(CheckpointCorrupt("torn"))
+                )
+        records = read_journal(path)
+        swaps = [r for r in records if r["event"] == "swap"]
+        assert [(r["outcome"], r["epoch"]) for r in swaps] == [
+            ("ok", 2),
+            ("rollback", 2),
+        ]
+        assert "torn" in swaps[1]["error"]
+        assert all("faults" not in record for record in records)
+
+    def test_lease_is_an_atomic_pipeline_epoch_pair(self, tmp_path):
+        """An in-flight request finishes on the shard it leased; the
+        next one sees the new epoch."""
+        gate = threading.Event()
+        old = EpochPipeline("epoch-1", gate=gate)
+        path = tmp_path / "lease.jsonl"
+        with TranslationService(
+            old, ServiceConfig(workers=1, journal_path=path)
+        ) as service:
+            try:
+                held = service.submit("held", None)
+                deadline = time.monotonic() + 5.0
+                while (
+                    service.health().in_flight == 0
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)  # wait for the worker to lease
+                assert service.swap(EpochPipeline("epoch-2")) == 2
+            finally:
+                gate.set()
+            assert held.result(timeout=10).shard_tag == "epoch-1"
+            after = service.translate("after", None, timeout=10)
+        assert after.shard_tag == "epoch-2"
+        epochs = {
+            r["question"]: r["shard_epoch"]
+            for r in read_journal(path)
+            if r["event"] == "translate"
+        }
+        assert epochs == {"held": 1, "after": 2}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        operations=st.lists(
+            st.sampled_from(["lease", "swap"]), min_size=1, max_size=24
+        )
+    )
+    def test_any_interleaving_preserves_epoch_consistency(self, operations):
+        """Hypothesis property: a lease's pipeline always matches its
+        epoch — under any interleaving of swaps and leases, a request
+        can never observe shard N+1 stamped with epoch N or vice versa.
+        """
+        shards = [EpochPipeline(tag="epoch-1")]
+        held = []
+        with TranslationService(
+            shards[0], ServiceConfig(workers=1)
+        ) as service:
+            for op in operations:
+                if op == "swap":
+                    shard = EpochPipeline(tag=f"epoch-{len(shards) + 1}")
+                    shards.append(shard)
+                    assert service.swap(shard) == len(shards)
+                else:
+                    held.append(service._lease())
+            assert service.health().shard_epoch == len(shards)
+        for lease in held:
+            assert lease.pipeline.tag == f"epoch-{lease.epoch}"
+            assert lease.pipeline is shards[lease.epoch - 1]
+
+
+class TestSwapUnderFire:
+    def test_concurrent_hammer_swap_and_failpoints(
+        self, world_db, trained_pipeline, tmp_path
+    ):
+        """Hammer the service from four threads, arm ``serve.handle``
+        and ``persist.save`` failpoints, and hot-swap mid-traffic — one
+        corrupt snapshot, one good one.  Asserts: zero dropped requests
+        (every admitted future resolves), rollback on the corrupt
+        snapshot, and epoch consistency for every completed request.
+        """
+        journal_path = tmp_path / "fire.jsonl"
+        registry = MetricsRegistry()
+        config = ServiceConfig(
+            workers=4, queue_limit=256, journal_path=journal_path
+        )
+        submitted: list = []
+        submitted_lock = threading.Lock()
+        stop = threading.Event()
+
+        with TranslationService(
+            EpochPipeline("epoch-1"), config, registry=registry
+        ) as service:
+
+            def hammer(worker: int) -> None:
+                sent = 0
+                while not stop.is_set() and sent < 500:
+                    question = f"q{worker}-{sent}"
+                    sent += 1
+                    try:
+                        future = service.submit(question, world_db)
+                    except Overloaded:
+                        continue
+                    with submitted_lock:
+                        submitted.append((question, future))
+
+            threads = [
+                threading.Thread(target=hammer, args=(n,), daemon=True)
+                for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+
+            # Mid-traffic: a failpoint storm on the serve path...
+            FAULTS.arm("serve.handle", times=5)
+
+            # ...a corrupt-snapshot swap attempt (must roll back)...
+            def corrupt():
+                raise CheckpointCorrupt("bit flip")
+
+            with pytest.raises(SwapError):
+                service.swap(corrupt)
+            assert service.health().shard_epoch == 1
+            # ...and a good swap while the service is under load.
+            assert service.swap(EpochPipeline("epoch-2")) == 2
+            # persist.save fires mid-write while traffic flows: a torn
+            # checkpoint save must not disturb serving.
+            FAULTS.arm("persist.save", times=1)
+            try:
+                store = CheckpointStore(tmp_path / "store")
+                with pytest.raises(SqlError):
+                    store.save(trained_pipeline)
+                assert store.snapshots() == []  # torn save left no litter
+            finally:
+                FAULTS.disarm("persist.save")
+
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+
+            results = {}
+            dropped = injected = 0
+            for question, future in submitted:
+                try:
+                    results[question] = future.result(timeout=60)
+                except InjectedFault:
+                    injected += 1  # accounted: the armed serve.handle storm
+                except Exception:  # repolint: allow[broad-except] — counted as the metric under test
+                    dropped += 1
+            health = service.health()
+
+        # Zero dropped requests: every admitted future resolved to a
+        # result or to the (typed, armed) injected fault.
+        assert dropped == 0
+        assert injected <= 5
+        assert results
+        assert not any(r.report.faults for r in results.values())
+        # Epoch consistency: each request ran entirely on the shard
+        # generation its journal record names.
+        epochs = {
+            r["question"]: r["shard_epoch"]
+            for r in read_journal(journal_path)
+            if r["event"] == "translate"
+        }
+        assert set(epochs) == set(results)
+        for question, result in results.items():
+            assert result.shard_tag == f"epoch-{epochs[question]}"
+        assert health.shard_epoch == 2
+        assert _swap_count(registry, "ok") == 1
+        assert _swap_count(registry, "rollback") == 1
+
+
+class TestSwapJournal:
+    def test_swap_events_fold_into_one_outcome_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with TranslationService(
+            EpochPipeline("epoch-1"),
+            ServiceConfig(workers=1, journal_path=path),
+        ) as service:
+            service.translate("q1", None, timeout=10)
+            service.swap(EpochPipeline("epoch-2"))
+            with pytest.raises(SwapError):
+                service.swap(lambda: (_ for _ in ()).throw(OSError("gone")))
+            service.translate("q2", None, timeout=10)
+        summary = aggregate_journal(path)
+        assert summary.swaps == {"ok": 1, "rollback": 1}
+        # Swap events are counted, not folded as requests.
+        assert summary.serve_records == 2
+        assert summary.latencies and len(summary.latencies) == 2
+        assert "  shard swaps: ok=1, rollback=1" in summary.render()
+        assert summary.as_dict()["swaps"] == {"ok": 1, "rollback": 1}
+
+    def test_journal_without_swaps_keeps_a_bare_render(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        journal = Journal(path)
+        journal.append({"event": "translate", "ok": True, "translations": 1})
+        journal.close()
+        summary = aggregate_journal(path)
+        assert summary.swaps == {}
+        assert "swaps" not in summary.render()
 
 
 # ----------------------------------------------------------------------
@@ -644,6 +1108,48 @@ class TestCheckpointStore:
     def test_empty_store_raises_typed_error(self, tmp_path):
         with pytest.raises(CheckpointError):
             CheckpointStore(tmp_path / "nothing").load_latest()
+
+    def test_skipped_corrupt_snapshot_is_counted_and_journaled(
+        self, trained_pipeline, tmp_path
+    ):
+        store = CheckpointStore(tmp_path / "store")
+        store.save(trained_pipeline)
+        newest = store.save(trained_pipeline)
+        (newest / "manifest.json").write_text("{ torn")
+        journal_path = tmp_path / "store.jsonl"
+        store.journal = Journal(journal_path)
+        registry = MetricsRegistry()
+        with registry_scope(registry):
+            pipeline = store.load_latest()
+        store.journal.close()
+        assert pipeline is not None
+        counter = registry.get("metasql_checkpoint_skipped_corrupt_total")
+        assert counter is not None and counter.value >= 1
+        records = read_journal(journal_path)
+        skips = [r for r in records if r["event"] == "checkpoint_skipped"]
+        assert skips and skips[0]["snapshot"] == newest.name
+        assert "error" in skips[0]
+
+    def test_prune_deletes_stale_rotations_and_keeps_latest(
+        self, trained_pipeline, tmp_path
+    ):
+        store = CheckpointStore(tmp_path / "store", keep=10)
+        for _ in range(4):
+            store.save(trained_pipeline)
+        assert len(store.snapshots()) == 4
+        deleted = store.prune(keep=2)
+        assert deleted == ["ckpt-00000001", "ckpt-00000002"]
+        remaining = [path.name for path in store.snapshots()]
+        assert remaining == ["ckpt-00000003", "ckpt-00000004"]
+        # The LATEST pointer's snapshot survives even keep=1.
+        store.prune(keep=1)
+        assert [p.name for p in store.snapshots()] == ["ckpt-00000004"]
+        assert store.load_latest() is not None
+
+    def test_prune_validates_keep(self, tmp_path):
+        store = CheckpointStore(tmp_path / "store")
+        with pytest.raises(ValueError):
+            store.prune(keep=0)
 
 
 class TestWarmStart:

@@ -1,13 +1,12 @@
 #!/usr/bin/env python
 """Whole-repo lock-order and lock-discipline analysis for MetaSQL.
 
-The serving stack is deeply concurrent: worker threads, per-tenant
-epoch/refcount shard guards, breaker boards, quota buckets and the
-metrics registry all share state under about ten
-``threading.Lock``/``RLock``/``Condition`` sites.  ``repolint`` enforces
-*lexical* invariants (no callbacks under ``with self._lock``); this tool
-goes further with an AST-based **interprocedural** pass over the whole
-source tree:
+The serving stack is concurrent: worker threads, the service's shard
+lease, breaker boards, the metrics registry and the journal share
+state under six ``threading.Lock``/``RLock``/``Condition`` sites.
+``repolint`` enforces *lexical* invariants (no callbacks under
+``with self._lock``); this tool goes further with an AST-based
+**interprocedural** pass over the whole source tree:
 
 1. **Inventory** — every lock object (``self._x = threading.Lock()`` or
    the :mod:`repro.devtools.lockdep` factory idiom
@@ -189,7 +188,7 @@ def _lock_name_literal(node: ast.AST) -> str | None:
 
 def _annotation_names(node: ast.AST | None) -> set[str]:
     """Bare class names mentioned in an annotation (handles unions,
-    subscripts, and string annotations like ``"MetaSQL | Router"``)."""
+    subscripts, and string annotations like ``"MetaSQL | None"``)."""
     if node is None:
         return set()
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
