@@ -512,7 +512,7 @@ class TranslationService:
     def swap(self, source, config=None) -> int:
         """Replace the shard from *source* with zero downtime.
 
-        *source* is a ready pipeline, a zero-argument loader, a
+        *source* is a ready pipeline, a
         :class:`~repro.serve.checkpoint.CheckpointStore` (last good
         snapshot wins) or a checkpoint/store directory path.  Loading
         runs outside the service lock, so traffic keeps flowing on the
@@ -531,10 +531,13 @@ class TranslationService:
         previous = self._lease().epoch
         try:
             fire("serve.swap")
-            # Loading a store reports skipped snapshots to the ambient
-            # registry; route them to this service's.
-            with registry_scope(self.registry):
-                pipeline = _load(source, config)
+            if hasattr(source, "translate_ranked_report"):
+                pipeline = source  # a ready shard
+            else:
+                # Loading a store reports skipped snapshots to the
+                # ambient registry; route them to this service's.
+                with registry_scope(self.registry):
+                    pipeline = _load(source, config)
             if not getattr(pipeline, "_trained", True):
                 raise SwapError(
                     previous, "snapshot restored an untrained pipeline"
@@ -615,11 +618,7 @@ class TranslationService:
 
 
 def _load(source: object, config) -> object:
-    """Materialize a pipeline from any accepted snapshot *source*."""
-    if hasattr(source, "translate_ranked_report"):
-        return source  # a ready shard
-    if callable(source):
-        return source()  # injectable loader (tests, custom stores)
+    """Restore a pipeline from a checkpoint store or directory *source*."""
     if isinstance(source, CheckpointStore):
         return source.load_latest(config)
     path = pathlib.Path(source)

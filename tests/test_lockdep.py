@@ -34,8 +34,8 @@ from repro.devtools.lockdep import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServiceConfig, TranslationService
-from repro.sqlkit.errors import CheckpointCorrupt, Overloaded, SwapError
-from tests.test_serve import EpochPipeline
+from repro.sqlkit.errors import Overloaded, SwapError
+from tests.test_serve import EpochPipeline, _torn_checkpoint
 
 pytestmark = pytest.mark.concurrency
 
@@ -315,11 +315,8 @@ def test_swap_under_fire_reports_zero_inversions(world_db, tmp_path):
             # and a good swap — the full chaos choreography.
             FAULTS.arm("serve.handle", times=3)
 
-            def corrupt():
-                raise CheckpointCorrupt("bit flip")
-
             with pytest.raises(SwapError):
-                service.swap(corrupt)
+                service.swap(_torn_checkpoint(tmp_path / "torn"))
             assert service.swap(EpochPipeline("epoch-2")) == 2
 
             for thread in pool:

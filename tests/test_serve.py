@@ -11,6 +11,7 @@ hypothesis property checks that no lease ever sees a torn
 
 from __future__ import annotations
 
+import pathlib
 import threading
 import time
 
@@ -714,6 +715,13 @@ class TestServiceEndToEnd:
 # Hot swap: one shard, replaced whole, rolled back on a bad snapshot.
 
 
+def _torn_checkpoint(root: pathlib.Path) -> pathlib.Path:
+    """A checkpoint directory whose manifest was torn mid-write."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "manifest.json").write_text('{"version": ')
+    return root
+
+
 def _swap_count(registry: MetricsRegistry, outcome: str) -> float:
     return registry.get("serve_swap_total").labels(outcome=outcome).value
 
@@ -731,10 +739,9 @@ class TestHotSwap:
         assert result.shard_tag == "epoch-2"
         assert _swap_count(registry, "ok") == 1
 
-    def test_corrupt_snapshot_rolls_back_with_typed_error(self, world_db):
-        def corrupt_loader():
-            raise CheckpointCorrupt("manifest checksum mismatch")
-
+    def test_corrupt_snapshot_rolls_back_with_typed_error(
+        self, world_db, tmp_path
+    ):
         registry = MetricsRegistry()
         with TranslationService(
             EpochPipeline("epoch-1"),
@@ -742,7 +749,7 @@ class TestHotSwap:
             registry=registry,
         ) as service:
             with pytest.raises(SwapError) as excinfo:
-                service.swap(corrupt_loader)
+                service.swap(_torn_checkpoint(tmp_path / "torn"))
             # Automatic rollback: the previous shard keeps serving.
             result = service.translate("q", world_db, timeout=10)
             health = service.health()
@@ -818,16 +825,14 @@ class TestHotSwap:
         ) as service:
             service.swap(EpochPipeline("epoch-2"))
             with pytest.raises(SwapError):
-                service.swap(
-                    lambda: (_ for _ in ()).throw(CheckpointCorrupt("torn"))
-                )
+                service.swap(_torn_checkpoint(tmp_path / "torn"))
         records = read_journal(path)
         swaps = [r for r in records if r["event"] == "swap"]
         assert [(r["outcome"], r["epoch"]) for r in swaps] == [
             ("ok", 2),
             ("rollback", 2),
         ]
-        assert "torn" in swaps[1]["error"]
+        assert "unreadable" in swaps[1]["error"]
         assert all("faults" not in record for record in records)
 
     def test_lease_is_an_atomic_pipeline_epoch_pair(self, tmp_path):
@@ -860,7 +865,7 @@ class TestHotSwap:
         }
         assert epochs == {"held": 1, "after": 2}
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         operations=st.lists(
             st.sampled_from(["lease", "swap"]), min_size=1, max_size=24
@@ -935,11 +940,8 @@ class TestSwapUnderFire:
             FAULTS.arm("serve.handle", times=5)
 
             # ...a corrupt-snapshot swap attempt (must roll back)...
-            def corrupt():
-                raise CheckpointCorrupt("bit flip")
-
             with pytest.raises(SwapError):
-                service.swap(corrupt)
+                service.swap(_torn_checkpoint(tmp_path / "torn"))
             assert service.health().shard_epoch == 1
             # ...and a good swap while the service is under load.
             assert service.swap(EpochPipeline("epoch-2")) == 2
@@ -1001,7 +1003,7 @@ class TestSwapJournal:
             service.translate("q1", None, timeout=10)
             service.swap(EpochPipeline("epoch-2"))
             with pytest.raises(SwapError):
-                service.swap(lambda: (_ for _ in ()).throw(OSError("gone")))
+                service.swap(_torn_checkpoint(tmp_path / "torn"))
             service.translate("q2", None, timeout=10)
         summary = aggregate_journal(path)
         assert summary.swaps == {"ok": 1, "rollback": 1}
