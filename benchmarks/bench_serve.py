@@ -1,24 +1,16 @@
-"""Serving-layer benchmark: hot-path overhead and swap under load.
+"""Serving-layer benchmark: hot-path overhead.
 
-1. Measures the per-translation cost of cooperative deadline checks and
-   circuit-breaker admission on the happy path, bounded against an
-   executor workload (<5%).
-2. Hot-swaps the service's shard N times while client threads keep it
-   under load: zero failed requests, final epoch ``1 + N``.  The shard
-   is a stub with a fixed simulated cost, so the check isolates the
-   swap protocol from model speed; it is a correctness gate, not a
-   performance claim.
+Measures the per-translation cost of cooperative deadline checks and
+circuit-breaker admission on the happy path, bounded against an
+executor workload (<5%).
 
 Run with ``pytest benchmarks/bench_serve.py``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 import timeit
 
-from repro.core.pipeline import RankedResult, RankedTranslation
 from repro.core.resilience import (
     CircuitBreaker,
     Deadline,
@@ -26,8 +18,6 @@ from repro.core.resilience import (
     guarded_call,
 )
 from repro.schema.executor import execute
-from repro.serve import ServiceConfig, TranslationService
-from repro.sqlkit.parser import parse_sql
 
 from benchmarks.bench_resilience import _workload
 
@@ -120,98 +110,3 @@ def test_serve_layer_overhead_under_five_percent(record_result, bench_metrics):
     # Attaching a breaker must not blow up guarded_call itself either.
     assert guard_delta < 10 * t_guard_plain
 
-
-#: Simulated per-request inference cost (sleep releases the GIL, so the
-#: worker pool overlaps requests the way a real model server would).
-WORK_S = 0.002
-N_SWAPS = 5
-#: Requests each client thread sends between two swaps.
-REQUESTS_PER_SWAP = 20
-CLIENTS = 2
-
-
-class FixedCostPipeline:
-    """Duck-typed shard with a constant simulated inference latency."""
-
-    breakers = None
-    _trained = True
-
-    def __init__(self) -> None:
-        self.ranked = RankedTranslation(
-            query=parse_sql("SELECT name FROM country"),
-            stage1_score=1.0,
-            stage2_score=1.0,
-            metadata=None,
-        )
-
-    def translate_ranked_report(
-        self, question, db, compositions=None, deadline=None
-    ):
-        time.sleep(WORK_S)
-        return RankedResult(
-            [self.ranked], TranslationReport(question=question)
-        )
-
-
-def test_hot_swap_under_load_fails_nothing(record_result, bench_metrics):
-    config = ServiceConfig(workers=4, queue_limit=64)
-    stop = threading.Event()
-    outcomes = {"ok": 0, "failed": 0}
-    outcomes_lock = threading.Lock()
-
-    def client() -> None:
-        while not stop.is_set():
-            try:
-                ok = bool(service.translate("q", None, timeout=30).translations)
-            except Exception:  # repolint: allow[broad-except] — counted as the metric under test
-                ok = False
-            with outcomes_lock:
-                outcomes["ok" if ok else "failed"] += 1
-
-    with TranslationService(FixedCostPipeline(), config) as service:
-        threads = [
-            threading.Thread(target=client, daemon=True)
-            for _ in range(CLIENTS)
-        ]
-        for thread in threads:
-            thread.start()
-        started = time.perf_counter()
-        for swap in range(N_SWAPS):
-            target = (swap + 1) * CLIENTS * REQUESTS_PER_SWAP
-            while True:  # let the clients run between swaps
-                with outcomes_lock:
-                    sent = outcomes["ok"] + outcomes["failed"]
-                if sent >= target:
-                    break
-                time.sleep(WORK_S)
-            service.swap(FixedCostPipeline())
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-        elapsed = time.perf_counter() - started
-        final_epoch = service.health().shard_epoch
-
-    rendered = "\n".join(
-        [
-            "hot swap under load",
-            f"  swaps mid-load:           {N_SWAPS:6d}",
-            f"  requests ok / failed:     {outcomes['ok']:6d} /"
-            f" {outcomes['failed']:6d}",
-            f"  final epoch:              {final_epoch:6d}",
-            f"  wall time:                {elapsed * 1e3:8.1f} ms",
-        ]
-    )
-    record_result("serve_swap", rendered)
-    bench_metrics(
-        "serve",
-        {
-            "swap_requests_ok": outcomes["ok"],
-            "swap_failed": outcomes["failed"],
-            "swap_final_epoch": final_epoch,
-        },
-    )
-
-    assert outcomes["ok"] >= N_SWAPS * CLIENTS * REQUESTS_PER_SWAP
-    assert outcomes["failed"] == 0
-    assert final_epoch == 1 + N_SWAPS

@@ -51,7 +51,6 @@ FAILPOINTS: tuple[str, ...] = (
     "persist.save",
     "persist.finalize",
     "serve.handle",
-    "serve.swap",
 )
 
 

@@ -114,7 +114,7 @@ class HardnessBucket:
 
 @dataclass
 class JournalSummary:
-    """Aggregated view over every record in one or more journals."""
+    """Aggregated view over every request record in one or more journals."""
 
     total: int = 0
     eval_records: int = 0
@@ -128,8 +128,6 @@ class JournalSummary:
     repair_attempts: int = 0
     repair_succeeded: int = 0
     fault_counts: dict[str, int] = field(default_factory=dict)
-    #: Shard hot-swap events by outcome (``ok``/``rollback`` -> count).
-    swaps: dict[str, int] = field(default_factory=dict)
     by_hardness: dict[str, HardnessBucket] = field(default_factory=dict)
     stage_latencies: dict[str, list[float]] = field(default_factory=dict)
     latencies: list[float] = field(default_factory=list)
@@ -148,7 +146,6 @@ class JournalSummary:
             "repair_attempts": self.repair_attempts,
             "repair_succeeded": self.repair_succeeded,
             "fault_counts": dict(sorted(self.fault_counts.items())),
-            "swaps": dict(sorted(self.swaps.items())),
             "latency": LatencySummary.of(self.latencies).as_dict(),
             "by_hardness": {
                 level: bucket.as_dict()
@@ -200,12 +197,6 @@ class JournalSummary:
                 )
             )
             lines.append(f"  faults by stage: {faults}")
-        if self.swaps:
-            swaps = ", ".join(
-                f"{outcome}={count}"
-                for outcome, count in sorted(self.swaps.items())
-            )
-            lines.append(f"  shard swaps: {swaps}")
         overall = LatencySummary.of(self.latencies)
         lines.append(
             f"  latency p50/p90/p99: {overall.p50 * 1e3:.2f}/"
@@ -241,8 +232,11 @@ def aggregate_journal(
 
     *events* optionally restricts which ``event`` values are counted
     (e.g. ``("eval",)``); by default both eval and serve records are
-    aggregated.  Records missing expected keys contribute what they have —
-    a journal from an older schema never makes aggregation fail.
+    aggregated.  Only request records (``eval``, ``translate``) are
+    folded and counted; every other event (``checkpoint_skipped``, an
+    older journal's ``swap``) is skipped.  Records missing expected keys
+    contribute what they have — a journal from an older schema never
+    makes aggregation fail.
     """
     summary = JournalSummary()
     for path in paths:
@@ -250,17 +244,14 @@ def aggregate_journal(
             event = record.get("event")
             if events is not None and event not in events:
                 continue
-            summary.total += 1
             if event == "eval":
                 summary.eval_records += 1
                 _fold_eval(summary, record)
             elif event == "translate":
                 summary.serve_records += 1
-            if event == "swap":
-                # Swap events carry no request fields: count the outcome.
-                outcome = record.get("outcome", "unknown")
-                summary.swaps[outcome] = summary.swaps.get(outcome, 0) + 1
+            else:
                 continue
+            summary.total += 1
             _fold_common(summary, record)
     return summary
 

@@ -2,11 +2,11 @@
 
 - :class:`TranslationService` — bounded work queue, worker pool,
   admission control (typed ``Overloaded`` shedding), per-request
-  deadlines, a health/readiness snapshot, and tear-free hot swap of
-  the one pipeline shard it serves, with automatic rollback.
+  deadlines and a health/readiness snapshot around the one pipeline it
+  holds for its whole life.
 - :class:`CheckpointStore` — rotating crash-safe checkpoints with
   last-good recovery, for warm-starting a service after a crash or
-  swapping in a new snapshot.
+  starting one on a new snapshot.
 """
 
 from repro.serve.checkpoint import CheckpointStore

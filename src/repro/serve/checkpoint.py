@@ -20,16 +20,12 @@ import shutil
 import time
 
 from repro.core.persist import load_pipeline, save_pipeline
-from repro.core.pipeline import MetaSQL, MetaSQLConfig
+from repro.core.pipeline import MetaSQL
 from repro.obs.metrics import get_registry
 from repro.sqlkit.errors import CheckpointError
 
 _SNAPSHOT = re.compile(r"^ckpt-(\d{8})$")
 _LATEST = "LATEST"
-
-
-def _observe_seconds(name: str, help: str, seconds: float) -> None:
-    get_registry().histogram(name, help).observe(seconds)
 
 
 class CheckpointStore:
@@ -92,11 +88,10 @@ class CheckpointStore:
         save_pipeline(pipeline, path)
         self._write_pointer(path.name)
         self.prune(protect=path.name)
-        _observe_seconds(
+        get_registry().histogram(
             "checkpoint_save_seconds",
             "Wall seconds to write, point at, and prune one snapshot.",
-            time.perf_counter() - started,
-        )
+        ).observe(time.perf_counter() - started)
         return path
 
     def _write_pointer(self, name: str) -> None:
@@ -137,9 +132,7 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Recovery.
 
-    def load_latest(
-        self, config: MetaSQLConfig | None = None
-    ) -> MetaSQL:
+    def load_latest(self) -> MetaSQL:
         """Restore the last *good* checkpoint.
 
         Tries the ``LATEST`` pointer first, then every remaining
@@ -151,17 +144,16 @@ class CheckpointStore:
         started = time.perf_counter()
         for path in self._recovery_order():
             try:
-                pipeline = load_pipeline(path, config)
+                pipeline = load_pipeline(path)
             except CheckpointError as exc:
                 tried.append((path.name, str(exc)))
                 self._record_skip(path.name, exc)
                 continue
-            _observe_seconds(
+            get_registry().histogram(
                 "checkpoint_load_seconds",
                 "Wall seconds to restore the last good snapshot "
                 "(includes skipped corrupt ones).",
-                time.perf_counter() - started,
-            )
+            ).observe(time.perf_counter() - started)
             return pipeline
         detail = (
             "; ".join(f"{name}: {why}" for name, why in tried)

@@ -28,13 +28,10 @@ pipeline's per-translation fault isolation:
   (:mod:`repro.eval.journal_analysis`).  Those views — plus the span
   tree on every report and :meth:`TranslationService.health` — are the
   service's only outputs besides the answers themselves.
-- **Hot swap** — the service serves one shard, held as an immutable
-  :class:`ShardLease` ``(pipeline, epoch)`` pair.  Each translation
-  reads the pair once under the service lock and runs on the pipeline
-  it read, so a :meth:`TranslationService.swap` mid-request never tears
-  it; a corrupt, untrained or unloadable snapshot rolls back with a
-  typed :class:`~repro.sqlkit.errors.SwapError` and the previous epoch
-  keeps serving.
+
+A service holds the pipeline it was built with for its whole life; to
+serve another model, start a new service, e.g. with
+:meth:`TranslationService.from_checkpoint`.
 
 The service is deliberately synchronous-thread-pool shaped: the pipeline
 is pure CPU-bound Python/numpy, so a small worker pool bounded by a
@@ -64,13 +61,7 @@ from repro.obs.journal import Journal
 from repro.obs.metrics import MetricsRegistry, get_registry, registry_scope
 from repro.schema.database import Database
 from repro.serve.checkpoint import CheckpointStore
-from repro.sqlkit.errors import (
-    ConfigError,
-    Overloaded,
-    ServiceStopped,
-    SqlError,
-    SwapError,
-)
+from repro.sqlkit.errors import ConfigError, Overloaded, ServiceStopped
 
 
 @dataclass
@@ -129,16 +120,14 @@ class HealthSnapshot:
     deadline_expired: int
     #: Seconds since the service started, on its injectable clock.
     uptime_seconds: float = 0.0
-    #: Epoch of the shard serving new requests (1 until the first swap).
-    shard_epoch: int = 1
-    #: The shard's breaker states, stage -> ``closed``/``open``/``half-open``.
+    #: The pipeline's breaker states, stage -> ``closed``/``open``/``half-open``.
     breakers: dict[str, str] = field(default_factory=dict)
 
     @property
     def ready(self) -> bool:
         """Whether a new request would currently be admitted *and* no
-        stage breaker is open: a shard stuck with an open breaker makes
-        the service not-ready so orchestrators stop routing to it.
+        stage breaker is open: a pipeline stuck with an open breaker
+        makes the service not-ready so orchestrators stop routing to it.
         """
         if not (self.accepting and self.queue_depth < self.queue_capacity):
             return False
@@ -160,18 +149,6 @@ class HealthSnapshot:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-@dataclass(frozen=True)
-class ShardLease:
-    """The shard one request runs on: a ``(pipeline, epoch)`` pair.
-
-    Immutable, and replaced whole by :meth:`TranslationService.swap`, so
-    no reader can see a new pipeline with an old epoch or the reverse.
-    """
-
-    pipeline: object
-    epoch: int
-
-
 @dataclass
 class _Job:
     question: str
@@ -179,7 +156,6 @@ class _Job:
     deadline: Deadline | None
     future: Future
     submitted_at: float = 0.0  # service clock, for queue-wait metrics
-    shard_epoch: int | None = None  # epoch the translation ran on
 
 
 #: How many recent reports the rolling degraded-rate covers.
@@ -190,7 +166,7 @@ _SHUTDOWN = object()
 
 
 class TranslationService:
-    """Bounded-queue, deadline-aware front-end around one pipeline shard.
+    """Bounded-queue, deadline-aware front-end around one pipeline.
 
     >>> service = TranslationService(pipeline, ServiceConfig(workers=4))
     >>> result = service.translate("How many heads are older than 56?", db)
@@ -199,7 +175,6 @@ class TranslationService:
 
     The pipeline object is shared across workers; its stages are
     stateless at inference time and its breaker board is thread-safe.
-    :meth:`swap` replaces it with zero downtime.
     """
 
     def __init__(
@@ -224,7 +199,7 @@ class TranslationService:
             self._journal = Journal(self.config.journal_path)
         else:
             self._journal = None
-        self._shard = ShardLease(pipeline, 1)
+        self._pipeline = pipeline
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_limit)
         self._lock = new_lock("TranslationService._lock")
         self._accepting = True
@@ -247,11 +222,6 @@ class TranslationService:
         ]
         for worker in self._workers:
             worker.start()
-
-    def _lease(self) -> ShardLease:
-        """The shard new requests run on, read under the service lock."""
-        with self._lock:
-            return self._shard
 
     def _init_metrics(self) -> None:
         """Create (or re-bind) the service's instrument handles."""
@@ -278,11 +248,6 @@ class TranslationService:
         self._m_rejected = registry.counter(
             "serve_rejected_total",
             "Requests shed because the admission queue was full.",
-        )
-        self._m_swaps = registry.counter(
-            "serve_swap_total",
-            "Shard hot-swap attempts by outcome (ok or rollback).",
-            labelnames=("outcome",),
         )
 
     # ------------------------------------------------------------------
@@ -410,22 +375,23 @@ class TranslationService:
         self._m_latency.observe(max(0.0, self._clock() - job.submitted_at))
 
     def _handle(self, job: _Job) -> RankedResult:
-        """One translation on a shard lease, then the journal write."""
+        """One translation, then the journal write."""
         fire("serve.handle")
         # The registry scope routes the pipeline's per-stage metrics
         # (and breaker-transition callbacks) into this service's
         # registry even though workers run outside the constructor's
-        # context.  The lease pins the whole translation to one
-        # (pipeline, epoch) pair across a concurrent hot swap.
-        lease = self._lease()
-        job.shard_epoch = lease.epoch
+        # context.
         with registry_scope(self.registry):
-            result = lease.pipeline.translate_ranked_report(
+            result = self._pipeline.translate_ranked_report(
                 job.question, job.db, deadline=job.deadline
             )
         self._observe(result.report)
         if self._journal is not None:
-            self._append_journal(self._request_record(job, result))
+            record = self._request_record(job, result)
+            try:
+                self._journal.append(record)
+            except Exception:  # repolint: allow[broad-except] — journalling never fails a request
+                pass
         return result
 
     def _request_record(self, job: _Job, result: RankedResult) -> dict:
@@ -433,7 +399,6 @@ class TranslationService:
         report = result.report
         return {
             "event": "translate",
-            "shard_epoch": job.shard_epoch,
             "question": job.question,
             "ok": bool(result.translations),
             "translations": len(result.translations),
@@ -458,19 +423,6 @@ class TranslationService:
             },
         }
 
-    def _append_journal(self, record: dict) -> None:
-        """Append *record* to the journal, if any.
-
-        Journalling swallows its errors so it never fails the request
-        or swap it records.
-        """
-        if self._journal is None:
-            return
-        try:
-            self._journal.append(record)
-        except Exception:  # repolint: allow[broad-except] — journalling never fails a request or swap
-            pass
-
     def _observe(self, report: TranslationReport) -> None:
         with self._lock:
             self._recent_reports.append(report)
@@ -486,11 +438,10 @@ class TranslationService:
         Every counter — including ``accepting`` and the uptime read —
         is taken under the one service lock, so the snapshot is a
         consistent point-in-time view, not a mix of racing reads.  The
-        breaker states are read outside it, from the shard it leases:
-        each breaker has its own lock.
+        breaker states are read outside it: each breaker has its own
+        lock.
         """
-        lease = self._lease()
-        board = getattr(lease.pipeline, "breakers", None)
+        board = getattr(self._pipeline, "breakers", None)
         breakers = board.states() if board is not None else {}
         with self._lock:
             return HealthSnapshot(
@@ -505,63 +456,8 @@ class TranslationService:
                 degraded_rate=reports_degraded_rate(self._recent_reports),
                 deadline_expired=self._deadline_expired,
                 uptime_seconds=max(0.0, self._clock() - self._started),
-                shard_epoch=lease.epoch,
                 breakers=breakers,
             )
-
-    def swap(self, source, config=None) -> int:
-        """Replace the shard from *source* with zero downtime.
-
-        *source* is a ready pipeline, a
-        :class:`~repro.serve.checkpoint.CheckpointStore` (last good
-        snapshot wins) or a checkpoint/store directory path.  Loading
-        runs outside the service lock, so traffic keeps flowing on the
-        current epoch; the new ``(pipeline, epoch)`` pair is then
-        installed under the lock.  In-flight requests finish on the
-        pipeline they leased, and every later request sees the new
-        epoch, which is returned.
-
-        A corrupt, unloadable or untrained snapshot never installs: the
-        previous epoch keeps serving, ``serve_swap_total`` counts a
-        ``rollback`` outcome, and :class:`~repro.sqlkit.errors.SwapError`
-        is raised.  Each attempt appends a ``swap`` journal event with
-        no fault records — a rollback is the protocol working, not a
-        pipeline fault.
-        """
-        previous = self._lease().epoch
-        try:
-            fire("serve.swap")
-            if hasattr(source, "translate_ranked_report"):
-                pipeline = source  # a ready shard
-            else:
-                # Loading a store reports skipped snapshots to the
-                # ambient registry; route them to this service's.
-                with registry_scope(self.registry):
-                    pipeline = _load(source, config)
-            if not getattr(pipeline, "_trained", True):
-                raise SwapError(
-                    previous, "snapshot restored an untrained pipeline"
-                )
-        except (SqlError, OSError) as exc:
-            self._record_swap("rollback", previous, error=str(exc))
-            if isinstance(exc, SwapError):
-                raise
-            raise SwapError(previous, str(exc)) from exc
-        with self._lock:
-            self._shard = ShardLease(pipeline, self._shard.epoch + 1)
-            epoch = self._shard.epoch
-        self._record_swap("ok", epoch)
-        return epoch
-
-    def _record_swap(
-        self, outcome: str, epoch: int, error: str | None = None
-    ) -> None:
-        """Count one swap attempt and journal it."""
-        self._m_swaps.labels(outcome=outcome).inc()
-        record = {"event": "swap", "outcome": outcome, "epoch": epoch}
-        if error is not None:
-            record["error"] = error
-        self._append_journal(record)
 
     def metrics(self) -> str:
         """The service's registry in the Prometheus text format.
@@ -604,7 +500,6 @@ class TranslationService:
         cls,
         source: str | pathlib.Path,
         config: ServiceConfig | None = None,
-        pipeline_config=None,
     ) -> "TranslationService":
         """Warm-start a service from durable state.
 
@@ -612,16 +507,12 @@ class TranslationService:
         :func:`repro.core.persist.save_pipeline`) or the root of a
         :class:`repro.serve.checkpoint.CheckpointStore`, in which case
         the last *good* checkpoint is used — corrupt or torn snapshots
-        are skipped.
+        are skipped.  A path holding neither raises
+        :class:`~repro.sqlkit.errors.CheckpointError`.
         """
-        return cls(_load(source, pipeline_config), config)
-
-
-def _load(source: object, config) -> object:
-    """Restore a pipeline from a checkpoint store or directory *source*."""
-    if isinstance(source, CheckpointStore):
-        return source.load_latest(config)
-    path = pathlib.Path(source)
-    if (path / "manifest.json").is_file():
-        return load_pipeline(path, config)
-    return CheckpointStore(path).load_latest(config)
+        path = pathlib.Path(source)
+        if (path / "manifest.json").is_file():
+            pipeline = load_pipeline(path)
+        else:
+            pipeline = CheckpointStore(path).load_latest()
+        return cls(pipeline, config)

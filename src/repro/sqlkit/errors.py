@@ -117,20 +117,6 @@ class ConfigError(SqlError, ValueError):
     """
 
 
-class SwapError(ServiceError):
-    """A shard hot swap failed and was rolled back to the previous epoch.
-
-    The service keeps serving on the epoch it was on — a corrupt snapshot
-    costs the swap, never the traffic.
-    """
-
-    def __init__(self, epoch: int, message: str) -> None:
-        super().__init__(
-            f"swap failed; rolled back to epoch {epoch}: {message}"
-        )
-        self.epoch = epoch
-
-
 # ----------------------------------------------------------------------
 # Checkpoint taxonomy (used by repro.core.persist / repro.serve).
 

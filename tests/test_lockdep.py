@@ -10,7 +10,7 @@ Three layers:
    measured on an injected clock.
 2. A seeded deterministic multi-thread hammer: every thread takes lock
    pairs in the globally sorted order, so the run must stay clean.
-3. The repo's own serving stack: the hot-swap-under-fire scenario and a
+3. The repo's own serving stack: the service-under-fire scenario and a
    serving hammer rebuilt *inside* ``lockdep_scope()`` (the factory seam
    only instruments locks constructed under an active scope) must finish
    with **zero** order inversions.
@@ -34,8 +34,8 @@ from repro.devtools.lockdep import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServiceConfig, TranslationService
-from repro.sqlkit.errors import Overloaded, SwapError
-from tests.test_serve import EpochPipeline, _torn_checkpoint
+from repro.sqlkit.errors import Overloaded
+from tests.test_serve import StubPipeline
 
 pytestmark = pytest.mark.concurrency
 
@@ -276,13 +276,14 @@ def _drain(futures) -> int:
     return resolved
 
 
-def test_swap_under_fire_reports_zero_inversions(world_db, tmp_path):
-    """The hot-swap-under-fire scenario under full instrumentation.
+def test_service_under_fire_reports_zero_inversions(world_db, tmp_path):
+    """The service-under-fire scenario under full instrumentation.
 
     The service, its metrics registry and its journal are constructed
     inside the scope, so their locks (TranslationService._lock,
     MetricsRegistry._lock, _Family._lock, Journal._lock) are witnessed
-    while four threads submit and the shard is swapped twice.
+    while four threads submit through a ``serve.handle`` failpoint
+    storm.
     """
     with lockdep_scope() as dep:
         registry = MetricsRegistry()
@@ -295,7 +296,7 @@ def test_swap_under_fire_reports_zero_inversions(world_db, tmp_path):
         submitted_lock = threading.Lock()
 
         with TranslationService(
-            EpochPipeline("epoch-1"), config, registry=registry
+            StubPipeline(), config, registry=registry
         ) as service:
 
             def hammer() -> None:
@@ -311,19 +312,14 @@ def test_swap_under_fire_reports_zero_inversions(world_db, tmp_path):
             for thread in pool:
                 thread.start()
 
-            # Mid-traffic: a failpoint storm, a corrupt-swap rollback,
-            # and a good swap — the full chaos choreography.
+            # Mid-traffic: a failpoint storm on the serve path.
             FAULTS.arm("serve.handle", times=3)
-
-            with pytest.raises(SwapError):
-                service.swap(_torn_checkpoint(tmp_path / "torn"))
-            assert service.swap(EpochPipeline("epoch-2")) == 2
 
             for thread in pool:
                 thread.join(timeout=30)
             assert _drain(futures) == len(futures)
 
-        witness = tmp_path / "swap-under-fire-witness.json"
+        witness = tmp_path / "under-fire-witness.json"
         dep.assert_clean(witness_path=witness)
         assert not witness.exists()  # clean runs dump nothing
         # The run was genuinely instrumented, not a vacuous pass: the
@@ -345,7 +341,7 @@ def test_serve_hammer_reports_zero_inversions(world_db):
         errors: list[BaseException] = []
 
         with TranslationService(
-            EpochPipeline("epoch-1"), config, registry=registry
+            StubPipeline(), config, registry=registry
         ) as service:
 
             def traffic() -> None:

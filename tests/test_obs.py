@@ -464,13 +464,16 @@ def test_health_snapshot_round_trips_through_json():
         degraded_rate=0.25,
         deadline_expired=2,
         uptime_seconds=12.5,
-        shard_epoch=3,
         breakers={"stage1": "open"},
     )
     data = json.loads(json.dumps(snapshot.as_dict()))
     assert data["ready"] is snapshot.ready
     revived = HealthSnapshot.from_dict(data)
     assert revived == snapshot
+    # A snapshot written by an older version carries a field that is
+    # gone now; reading it back ignores that key.
+    older = {**data, "shard_epoch": 3}
+    assert HealthSnapshot.from_dict(older) == snapshot
 
 
 # ----------------------------------------------------------------------
@@ -685,8 +688,20 @@ class TestEvalJournal:
                 }
             )
             journal.append({"event": "eval"})  # legacy: missing keys
+            # Not request records (a checkpoint skip, an older journal's
+            # swap line): neither is counted nor folded.
+            journal.append(
+                {
+                    "event": "checkpoint_skipped",
+                    "store": "ckpts",
+                    "snapshot": "ckpt-00000002",
+                    "error": "torn manifest",
+                }
+            )
+            journal.append({"event": "swap", "outcome": "ok", "epoch": 2})
         summary = aggregate_journal(path)
         assert summary.total == 3
+        assert "over 3 records (2 eval, 1 serve)" in summary.render()
         assert summary.eval_records == 2 and summary.serve_records == 1
         assert summary.degraded == 1
         assert summary.fault_counts == {"stage1": 1}

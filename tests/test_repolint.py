@@ -385,6 +385,29 @@ def test_metric_catalog_flags_stale_rows(tmp_path):
     assert (findings[0].path, findings[0].line) == (str(doc), 3)
 
 
+def test_metric_catalog_checks_rows_without_the_metasql_prefix(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        'registry.histogram("serve_live_seconds", "h")\n'
+        'registry.counter("checkpoint_undocumented_total", "h")\n'
+    )
+    doc = tmp_path / "DESIGN.md"
+    doc.write_text(
+        "| metric | kind |\n"
+        "| `serve_live_seconds` | histogram |\n"
+        "| `serve_gone_total` | counter |\n"
+        "| `serve_note` | a table row that is not a metric |\n"
+    )
+    findings = repolint.check_metric_catalog(
+        [str(tmp_path)], [str(doc)]
+    )
+    assert [(f.path, f.line) for f in findings] == [
+        (str(doc), 3),
+        (str(tmp_path / "mod.py"), 2),
+    ]
+    assert "serve_gone_total" in findings[0].message
+    assert "checkpoint_undocumented_total" in findings[1].message
+
+
 def test_metric_catalog_clean_when_documented(tmp_path):
     (tmp_path / "mod.py").write_text(
         'registry.counter("metasql_documented_total", "h")\n'
@@ -460,6 +483,21 @@ def test_event_catalog_flags_undocumented_names(tmp_path):
     assert [f.rule for f in findings] == ["event-catalog"]
     assert "mystery" in findings[0].message
     assert findings[0].line == 2
+
+
+def test_event_catalog_flags_stale_rows(tmp_path):
+    (tmp_path / "mod.py").write_text('a = {"event": "translate"}\n')
+    doc = tmp_path / "DESIGN.md"
+    doc.write_text(
+        "| event | emitted by | when |\n"
+        "| `translate` | `serve/service.py` | every request |\n"
+        "| `swap` | `serve/service.py` | every hot swap |\n"
+        "| `swap` | (root) | a span row, not an event row |\n"
+    )
+    findings = repolint.check_event_catalog([str(tmp_path)], [str(doc)])
+    assert [f.rule for f in findings] == ["event-catalog"]
+    assert "'swap'" in findings[0].message
+    assert (findings[0].path, findings[0].line) == (str(doc), 3)
 
 
 def test_event_catalog_requires_code_formatting(tmp_path):

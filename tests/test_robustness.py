@@ -36,15 +36,14 @@ pytestmark = pytest.mark.robustness
 #: is reached by the EX metric and the verify stage (covered
 #: separately); ``repair.regenerate`` only fires when the verified top-1
 #: hard-fails (exercised in ``tests/test_verify_repair.py``); the
-#: persist and serve sites (``serve.swap`` included) belong to the
-#: durability/serving layer and are exercised in ``tests/test_serve.py``.
+#: persist and serve sites belong to the durability/serving layer and
+#: are exercised in ``tests/test_serve.py``.
 NON_TRANSLATE_FAILPOINTS = {
     "executor.execute",
     "repair.regenerate",
     "persist.save",
     "persist.finalize",
     "serve.handle",
-    "serve.swap",
 }
 PIPELINE_FAILPOINTS = [
     site for site in FAILPOINTS if site not in NON_TRANSLATE_FAILPOINTS

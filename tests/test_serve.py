@@ -1,23 +1,18 @@
 """Serving + durability layer tests: deadlines, breakers, admission
-control, the single retry layer, crash-safe checkpointing, warm-start
-recovery, and tear-free hot swap of the service's one shard.
+control, the single retry layer, crash-safe checkpointing and
+warm-start recovery.
 
 Everything is deterministic: clocks are injected, faults come from the
 ``FAULTS`` registry, and blocking jobs are gated on events rather than
-sleeps.  The swap-under-fire chaos test gates on futures, and a
-hypothesis property checks that no lease ever sees a torn
-``(pipeline, epoch)`` pair.
+sleeps.  The service-under-fire chaos test gates on futures.
 """
 
 from __future__ import annotations
 
-import pathlib
 import threading
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.persist import load_pipeline, save_pipeline
 from repro.core.pipeline import RankedResult, RankedTranslation
@@ -32,19 +27,16 @@ from repro.core.resilience import (
     TranslationReport,
     guarded_call,
 )
-from repro.eval.journal_analysis import aggregate_journal
 from repro.obs.journal import Journal, read_journal
 from repro.obs.metrics import MetricsRegistry, registry_scope
 from repro.serve import CheckpointStore, ServiceConfig, TranslationService
 from repro.serve.service import HealthSnapshot
 from repro.sqlkit.errors import (
-    CheckpointCorrupt,
     CheckpointError,
     ConfigError,
     Overloaded,
     ServiceStopped,
     SqlError,
-    SwapError,
 )
 from repro.sqlkit.parser import parse_sql
 from repro.sqlkit.printer import to_sql
@@ -143,33 +135,6 @@ class StubPipeline:
             )
         )
         return RankedResult([], report)
-
-
-class EpochPipeline:
-    """A stub shard that stamps its identity into every translation.
-
-    ``tag`` names the shard generation that served a request, so a test
-    can check end to end which epoch a result came from.  ``gate``, when
-    given, holds every translation until it is set.
-    """
-
-    breakers = None
-    _trained = True
-
-    def __init__(self, tag: str, gate: threading.Event | None = None) -> None:
-        self.tag = tag
-        self.gate = gate
-
-    def translate_ranked_report(
-        self, question, db, compositions=None, deadline=None
-    ):
-        if self.gate is not None:
-            assert self.gate.wait(10), "test gate never opened"
-        result = RankedResult(
-            [_ranked()], TranslationReport(question=question)
-        )
-        result.shard_tag = self.tag
-        return result
 
 
 # ----------------------------------------------------------------------
@@ -599,19 +564,17 @@ class TestServiceHealth:
         finally:
             service.shutdown()
 
-    def test_health_carries_shard_epoch_and_breakers_and_roundtrip(
+    def test_health_carries_breakers_and_roundtrips(
         self, trained_pipeline, world_db
     ):
         with TranslationService(
             trained_pipeline, ServiceConfig(workers=1)
         ) as service:
-            assert service.health().shard_epoch == 1
             service.translate("q", world_db, timeout=30)
-            service.swap(trained_pipeline)
             health = service.health()
-        assert health.shard_epoch == 2
+        assert health.completed == 1
         assert set(health.breakers) == set(BreakerBoard.STAGES)
-        # as_dict/from_dict round-trip keeps the shard section; unknown
+        # as_dict/from_dict round-trip keeps the breaker section; unknown
         # keys (the derived ``ready``, a newer field) are ignored.
         data = {**health.as_dict(), "from_a_newer_version": 1}
         clone = HealthSnapshot.from_dict(data)
@@ -712,200 +675,20 @@ class TestServiceEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# Hot swap: one shard, replaced whole, rolled back on a bad snapshot.
+# Chaos: concurrent traffic through failpoint storms.
 
 
-def _torn_checkpoint(root: pathlib.Path) -> pathlib.Path:
-    """A checkpoint directory whose manifest was torn mid-write."""
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "manifest.json").write_text('{"version": ')
-    return root
-
-
-def _swap_count(registry: MetricsRegistry, outcome: str) -> float:
-    return registry.get("serve_swap_total").labels(outcome=outcome).value
-
-
-class TestHotSwap:
-    def test_swap_installs_new_epoch_and_counts_ok(self, world_db):
-        registry = MetricsRegistry()
-        with TranslationService(
-            EpochPipeline("epoch-1"),
-            ServiceConfig(workers=1),
-            registry=registry,
-        ) as service:
-            assert service.swap(EpochPipeline("epoch-2")) == 2
-            result = service.translate("q", world_db, timeout=10)
-        assert result.shard_tag == "epoch-2"
-        assert _swap_count(registry, "ok") == 1
-
-    def test_corrupt_snapshot_rolls_back_with_typed_error(
-        self, world_db, tmp_path
-    ):
-        registry = MetricsRegistry()
-        with TranslationService(
-            EpochPipeline("epoch-1"),
-            ServiceConfig(workers=1),
-            registry=registry,
-        ) as service:
-            with pytest.raises(SwapError) as excinfo:
-                service.swap(_torn_checkpoint(tmp_path / "torn"))
-            # Automatic rollback: the previous shard keeps serving.
-            result = service.translate("q", world_db, timeout=10)
-            health = service.health()
-        assert excinfo.value.epoch == 1
-        assert isinstance(excinfo.value.__cause__, CheckpointCorrupt)
-        assert result.shard_tag == "epoch-1"
-        assert health.shard_epoch == 1
-        assert _swap_count(registry, "rollback") == 1
-
-    def test_untrained_snapshot_is_rejected(self):
-        impostor = EpochPipeline("epoch-2")
-        impostor._trained = False
-        with TranslationService(
-            EpochPipeline("epoch-1"), ServiceConfig(workers=1)
-        ) as service:
-            with pytest.raises(SwapError, match="untrained"):
-                service.swap(impostor)
-            assert service.health().shard_epoch == 1
-
-    def test_swap_failpoint_rolls_back(self):
-        with TranslationService(
-            EpochPipeline("epoch-1"), ServiceConfig(workers=1)
-        ) as service:
-            with FAULTS.inject("serve.swap"):
-                with pytest.raises(SwapError):
-                    service.swap(EpochPipeline("epoch-2"))
-                assert FAULTS.fired("serve.swap") == 1
-            assert service.health().shard_epoch == 1
-
-    def test_swap_from_checkpoint_store(
-        self, trained_pipeline, tiny_benchmark, tmp_path
-    ):
-        store = CheckpointStore(tmp_path / "store")
-        store.save(trained_pipeline)
-        example = tiny_benchmark.dev.examples[0]
-        db = tiny_benchmark.dev.database(example.db_id)
-        with TranslationService(
-            trained_pipeline, ServiceConfig(workers=1)
-        ) as service:
-            assert service.swap(store) == 2
-            result = service.translate(example.question, db, timeout=60)
-        assert [to_sql(r.query) for r in result.translations] == (
-            _ranked_sqls(trained_pipeline, example, db)
-        )
-
-    def test_swap_from_checkpoint_directory(
-        self, trained_pipeline, tiny_benchmark, tmp_path
-    ):
-        target = tmp_path / "ckpt"
-        save_pipeline(trained_pipeline, target)
-        example = tiny_benchmark.dev.examples[0]
-        db = tiny_benchmark.dev.database(example.db_id)
-        with TranslationService(
-            EpochPipeline("epoch-1"), ServiceConfig(workers=1)
-        ) as service:
-            assert service.swap(target) == 2
-            # A str path works as well as a pathlib.Path.
-            assert service.swap(str(target)) == 3
-            result = service.translate(example.question, db, timeout=60)
-            with pytest.raises(SwapError):
-                service.swap(tmp_path / "missing")
-            assert service.health().shard_epoch == 3
-        assert not hasattr(result, "shard_tag")
-        assert [to_sql(r.query) for r in result.translations] == (
-            _ranked_sqls(trained_pipeline, example, db)
-        )
-
-    def test_swap_journal_event_is_fault_record_free(self, tmp_path):
-        path = tmp_path / "swap.jsonl"
-        with TranslationService(
-            EpochPipeline("epoch-1"),
-            ServiceConfig(workers=1, journal_path=path),
-        ) as service:
-            service.swap(EpochPipeline("epoch-2"))
-            with pytest.raises(SwapError):
-                service.swap(_torn_checkpoint(tmp_path / "torn"))
-        records = read_journal(path)
-        swaps = [r for r in records if r["event"] == "swap"]
-        assert [(r["outcome"], r["epoch"]) for r in swaps] == [
-            ("ok", 2),
-            ("rollback", 2),
-        ]
-        assert "unreadable" in swaps[1]["error"]
-        assert all("faults" not in record for record in records)
-
-    def test_lease_is_an_atomic_pipeline_epoch_pair(self, tmp_path):
-        """An in-flight request finishes on the shard it leased; the
-        next one sees the new epoch."""
-        gate = threading.Event()
-        old = EpochPipeline("epoch-1", gate=gate)
-        path = tmp_path / "lease.jsonl"
-        with TranslationService(
-            old, ServiceConfig(workers=1, journal_path=path)
-        ) as service:
-            try:
-                held = service.submit("held", None)
-                deadline = time.monotonic() + 5.0
-                while (
-                    service.health().in_flight == 0
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.005)  # wait for the worker to lease
-                assert service.swap(EpochPipeline("epoch-2")) == 2
-            finally:
-                gate.set()
-            assert held.result(timeout=10).shard_tag == "epoch-1"
-            after = service.translate("after", None, timeout=10)
-        assert after.shard_tag == "epoch-2"
-        epochs = {
-            r["question"]: r["shard_epoch"]
-            for r in read_journal(path)
-            if r["event"] == "translate"
-        }
-        assert epochs == {"held": 1, "after": 2}
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        operations=st.lists(
-            st.sampled_from(["lease", "swap"]), min_size=1, max_size=24
-        )
-    )
-    def test_any_interleaving_preserves_epoch_consistency(self, operations):
-        """Hypothesis property: a lease's pipeline always matches its
-        epoch — under any interleaving of swaps and leases, a request
-        can never observe shard N+1 stamped with epoch N or vice versa.
-        """
-        shards = [EpochPipeline(tag="epoch-1")]
-        held = []
-        with TranslationService(
-            shards[0], ServiceConfig(workers=1)
-        ) as service:
-            for op in operations:
-                if op == "swap":
-                    shard = EpochPipeline(tag=f"epoch-{len(shards) + 1}")
-                    shards.append(shard)
-                    assert service.swap(shard) == len(shards)
-                else:
-                    held.append(service._lease())
-            assert service.health().shard_epoch == len(shards)
-        for lease in held:
-            assert lease.pipeline.tag == f"epoch-{lease.epoch}"
-            assert lease.pipeline is shards[lease.epoch - 1]
-
-
-class TestSwapUnderFire:
-    def test_concurrent_hammer_swap_and_failpoints(
+class TestServiceUnderFire:
+    def test_concurrent_hammer_and_failpoints(
         self, world_db, trained_pipeline, tmp_path
     ):
-        """Hammer the service from four threads, arm ``serve.handle``
-        and ``persist.save`` failpoints, and hot-swap mid-traffic — one
-        corrupt snapshot, one good one.  Asserts: zero dropped requests
-        (every admitted future resolves), rollback on the corrupt
-        snapshot, and epoch consistency for every completed request.
+        """Hammer the service from four threads and arm the
+        ``serve.handle`` and ``persist.save`` failpoints mid-traffic.
+        Asserts: zero dropped requests (every admitted future
+        resolves), no fault records, and one journal record per
+        completed request.
         """
         journal_path = tmp_path / "fire.jsonl"
-        registry = MetricsRegistry()
         config = ServiceConfig(
             workers=4, queue_limit=256, journal_path=journal_path
         )
@@ -914,7 +697,7 @@ class TestSwapUnderFire:
         stop = threading.Event()
 
         with TranslationService(
-            EpochPipeline("epoch-1"), config, registry=registry
+            StubPipeline(), config, registry=MetricsRegistry()
         ) as service:
 
             def hammer(worker: int) -> None:
@@ -938,14 +721,7 @@ class TestSwapUnderFire:
 
             # Mid-traffic: a failpoint storm on the serve path...
             FAULTS.arm("serve.handle", times=5)
-
-            # ...a corrupt-snapshot swap attempt (must roll back)...
-            with pytest.raises(SwapError):
-                service.swap(_torn_checkpoint(tmp_path / "torn"))
-            assert service.health().shard_epoch == 1
-            # ...and a good swap while the service is under load.
-            assert service.swap(EpochPipeline("epoch-2")) == 2
-            # persist.save fires mid-write while traffic flows: a torn
+            # ...and persist.save fires mid-write while traffic flows: a torn
             # checkpoint save must not disturb serving.
             FAULTS.arm("persist.save", times=1)
             try:
@@ -970,7 +746,6 @@ class TestSwapUnderFire:
                     injected += 1  # accounted: the armed serve.handle storm
                 except Exception:  # repolint: allow[broad-except] — counted as the metric under test
                     dropped += 1
-            health = service.health()
 
         # Zero dropped requests: every admitted future resolved to a
         # result or to the (typed, armed) injected fault.
@@ -978,49 +753,13 @@ class TestSwapUnderFire:
         assert injected <= 5
         assert results
         assert not any(r.report.faults for r in results.values())
-        # Epoch consistency: each request ran entirely on the shard
-        # generation its journal record names.
-        epochs = {
-            r["question"]: r["shard_epoch"]
+        # Every completed request, and only those, left a journal line.
+        journaled = {
+            r["question"]
             for r in read_journal(journal_path)
             if r["event"] == "translate"
         }
-        assert set(epochs) == set(results)
-        for question, result in results.items():
-            assert result.shard_tag == f"epoch-{epochs[question]}"
-        assert health.shard_epoch == 2
-        assert _swap_count(registry, "ok") == 1
-        assert _swap_count(registry, "rollback") == 1
-
-
-class TestSwapJournal:
-    def test_swap_events_fold_into_one_outcome_line(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with TranslationService(
-            EpochPipeline("epoch-1"),
-            ServiceConfig(workers=1, journal_path=path),
-        ) as service:
-            service.translate("q1", None, timeout=10)
-            service.swap(EpochPipeline("epoch-2"))
-            with pytest.raises(SwapError):
-                service.swap(_torn_checkpoint(tmp_path / "torn"))
-            service.translate("q2", None, timeout=10)
-        summary = aggregate_journal(path)
-        assert summary.swaps == {"ok": 1, "rollback": 1}
-        # Swap events are counted, not folded as requests.
-        assert summary.serve_records == 2
-        assert summary.latencies and len(summary.latencies) == 2
-        assert "  shard swaps: ok=1, rollback=1" in summary.render()
-        assert summary.as_dict()["swaps"] == {"ok": 1, "rollback": 1}
-
-    def test_journal_without_swaps_keeps_a_bare_render(self, tmp_path):
-        path = tmp_path / "old.jsonl"
-        journal = Journal(path)
-        journal.append({"event": "translate", "ok": True, "translations": 1})
-        journal.close()
-        summary = aggregate_journal(path)
-        assert summary.swaps == {}
-        assert "swaps" not in summary.render()
+        assert journaled == set(results)
 
 
 # ----------------------------------------------------------------------
@@ -1162,10 +901,11 @@ class TestWarmStart:
         db = tiny_benchmark.dev.database(example.db_id)
         target = tmp_path / "ckpt"
         save_pipeline(trained_pipeline, target)
-        with TranslationService.from_checkpoint(
-            target, ServiceConfig(workers=1, queue_limit=2)
-        ) as service:
-            result = service.translate(example.question, db, timeout=60)
+        for source in (target, str(target)):  # a path or its str
+            with TranslationService.from_checkpoint(
+                source, ServiceConfig(workers=1, queue_limit=2)
+            ) as service:
+                result = service.translate(example.question, db, timeout=60)
             assert [to_sql(r.query) for r in result.translations] == (
                 _ranked_sqls(trained_pipeline, example, db)
             )
@@ -1187,3 +927,7 @@ class TestWarmStart:
         ) as service:
             result = service.translate(example.question, db, timeout=60)
             assert result.translations
+
+    def test_missing_path_raises_typed_error(self, tmp_path):
+        with pytest.raises(CheckpointError):
+            TranslationService.from_checkpoint(tmp_path / "missing")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Whole-repo lock-order and lock-discipline analysis for MetaSQL.
 
-The serving stack is concurrent: worker threads, the service's shard
-lease, breaker boards, the metrics registry and the journal share
+The serving stack is concurrent: worker threads, the service's
+counters, breaker boards, the metrics registry and the journal share
 state under six ``threading.Lock``/``RLock``/``Condition`` sites.
 ``repolint`` enforces *lexical* invariants (no callbacks under
 ``with self._lock``); this tool goes further with an AST-based

@@ -47,20 +47,23 @@ walks Python sources with :mod:`ast` and enforces them:
     reproducible.
 
 ``metric-catalog``
-    Opt-in (``--metrics-doc DESIGN.md``): every ``metasql_*`` metric
-    name passed literally to a registry factory
-    (``.counter``/``.gauge``/``.histogram``) in the linted sources must
-    appear in the given catalog doc(s) — a new metric that skips the
-    catalog is silent metric drift for operators.  The check runs both
-    ways: a catalog row (`` | `metasql_…` | ``) whose name no linted
-    source constructs is a stale row for a metric that no longer exists.
+    Opt-in (``--metrics-doc DESIGN.md``): every metric name passed
+    literally to a registry factory (``.counter``/``.gauge``/
+    ``.histogram``) in the linted sources must appear in the given
+    catalog doc(s) — a new metric that skips the catalog is silent
+    metric drift for operators.  The check runs both ways: a catalog
+    row (`` | `name` | counter | ``, kind ``counter``/``gauge``/
+    ``histogram``) whose name no linted source constructs is a stale
+    row for a metric that no longer exists.
 
 ``event-catalog``
     Opt-in (``--events-doc DESIGN.md``): every journal event name — the
     literal string value of an ``"event"`` key in a dict literal — must
     appear in the given catalog doc(s).  Journal consumers (the replay
     analyzer, dashboards) key on these strings; an undocumented
-    event is silent schema drift.
+    event is silent schema drift.  The check runs both ways: an
+    event-table row (`` | `name` | `module.py` | ``) whose name no
+    linted source emits is a stale row for an event that is gone.
 
 ``stale-pragma``
     Opt-in (``--strict-pragmas``): an ``allow[...]`` pragma that no
@@ -122,13 +125,14 @@ RULES: dict[str, str] = {
         "unseeded RNG (module-level random.*, Random(), default_rng())"
     ),
     "metric-catalog": (
-        "metasql_* metric name constructed in code but missing from the "
+        "metric name constructed in code but missing from the "
         "metrics catalog doc, or catalogued but never constructed "
         "(pass --metrics-doc)"
     ),
     "event-catalog": (
         "journal event name emitted in code but missing from the "
-        "journal-event catalog doc (pass --events-doc)"
+        "journal-event catalog doc, or catalogued but never emitted "
+        "(pass --events-doc)"
     ),
     "stale-pragma": (
         "allow[...] pragma that suppresses nothing "
@@ -139,8 +143,14 @@ RULES: dict[str, str] = {
 #: Registry factory methods whose literal first argument is a metric name.
 _METRIC_FACTORIES = {"counter", "gauge", "histogram"}
 
-#: A metrics-catalog table row: ``| `metasql_name` | ...``.
-_CATALOG_ROW = re.compile(r"^\s*\|\s*`(metasql_\w+)`\s*\|")
+#: A metrics-catalog table row: ``| `name` | counter | ...``.
+_CATALOG_ROW = re.compile(
+    r"^\s*\|\s*`(\w+)`\s*\|\s*(?:counter|gauge|histogram)\s*\|"
+)
+
+#: A journal-event catalog table row: ``| `name` | `module.py` | ...``.
+_EVENT_ROW = re.compile(r"^\s*\|\s*`(\w+)`\s*\|\s*`[\w./]+\.py`\s*\|")
+
 
 def pragma_pattern(tool: str) -> "re.Pattern[str]":
     """The ``# <tool>: allow[...]`` pragma regex for one lint tool.
@@ -549,12 +559,12 @@ def lint_paths(
 def collect_metric_names(
     paths: list[str],
 ) -> dict[str, list[tuple[str, int]]]:
-    """Every ``metasql_*`` metric name constructed under *paths*.
+    """Every metric name constructed under *paths*.
 
     A metric name is the literal first argument of a
     ``.counter(...)`` / ``.gauge(...)`` / ``.histogram(...)`` call —
     the registry factory idiom — so ContextVar names, dict keys, and
-    other strings that merely start with ``metasql_`` are not collected.
+    other strings that merely look like metric names are not collected.
     Returns name -> list of ``(path, line)`` construction sites.
     """
     names: dict[str, list[tuple[str, int]]] = {}
@@ -570,13 +580,38 @@ def collect_metric_names(
                 and node.args
                 and isinstance(node.args[0], ast.Constant)
                 and isinstance(node.args[0].value, str)
-                and node.args[0].value.startswith("metasql_")
             ):
                 continue
             names.setdefault(node.args[0].value, []).append(
                 (str(file), node.lineno)
             )
     return names
+
+
+def _stale_rows(
+    texts: dict[str, str],
+    row: "re.Pattern[str]",
+    known: dict,
+    rule: str,
+    message: str,
+) -> list[Finding]:
+    """A finding for every doc line shaped like *row* whose name is not
+    in *known*; *message* is formatted with that ``name``."""
+    findings = []
+    for doc, text in texts.items():
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            match = row.match(line)
+            if match is None or match.group(1) in known:
+                continue
+            findings.append(
+                Finding(
+                    rule=rule,
+                    path=doc,
+                    line=lineno,
+                    message=message.format(name=match.group(1)),
+                )
+            )
+    return findings
 
 
 def check_metric_catalog(
@@ -589,24 +624,14 @@ def check_metric_catalog(
     }
     catalog = "".join(texts.values())
     constructed = collect_metric_names(paths)
-    findings = []
-    for doc, text in texts.items():
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _CATALOG_ROW.match(line)
-            if match is None or match.group(1) in constructed:
-                continue
-            findings.append(
-                Finding(
-                    rule="metric-catalog",
-                    path=doc,
-                    line=lineno,
-                    message=(
-                        f"catalog row for metric {match.group(1)!r} but "
-                        f"no factory call under {', '.join(paths)} "
-                        f"constructs it"
-                    ),
-                )
-            )
+    findings = _stale_rows(
+        texts,
+        _CATALOG_ROW,
+        constructed,
+        "metric-catalog",
+        f"catalog row for metric {{name!r}} but no factory call under "
+        f"{', '.join(paths)} constructs it",
+    )
     for name, sites in sorted(constructed.items()):
         if name in catalog:
             continue
@@ -659,17 +684,27 @@ def collect_event_names(
 def check_event_catalog(
     paths: list[str], docs: list[str]
 ) -> list[Finding]:
-    """Findings for emitted event names absent from every doc.
+    """Findings for emitted event names absent from every doc, and for
+    event-table rows naming an event nothing under *paths* emits.
 
     Event names are short English words (``eval``, ``translate``), so a
     bare substring match would trivially pass; the doc must carry the
     name as code — ``` `name` ``` or ``"name"`` — to count.
     """
-    catalog = ""
-    for doc in docs:
-        catalog += pathlib.Path(doc).read_text(encoding="utf-8")
-    findings = []
-    for name, sites in sorted(collect_event_names(paths).items()):
+    texts = {
+        doc: pathlib.Path(doc).read_text(encoding="utf-8") for doc in docs
+    }
+    catalog = "".join(texts.values())
+    emitted = collect_event_names(paths)
+    findings = _stale_rows(
+        texts,
+        _EVENT_ROW,
+        emitted,
+        "event-catalog",
+        f"catalog row for journal event {{name!r}} but nothing under "
+        f"{', '.join(paths)} emits it",
+    )
+    for name, sites in sorted(emitted.items()):
         if f"`{name}`" in catalog or f'"{name}"' in catalog:
             continue
         path, line = sites[0]
