@@ -1,21 +1,9 @@
-"""Concurrency-suite costs: locklint wall time + lockdep overhead (<5%).
+"""Concurrency-suite cost: locklint wall time over the whole ``src/`` tree.
 
-Three gates keep the concurrency-correctness suite cheap enough to run
-on every push:
-
-1. ``tools/locklint.py`` must analyze the whole ``src/`` tree — parse,
-   two-phase collection, interprocedural fixpoint, cycle detection —
-   inside a wall-time bound, or the tier-1 gate it backs becomes the
-   slowest thing in the suite.
-2. The **disabled** lockdep path must be exactly free: with no ambient
-   scope the factories return plain ``threading`` primitives, so
-   production acquire/release never sees a wrapper.
-3. The **enabled** path (test-only) is bounded the same way
-   ``bench_serve`` bounds the serving layer: the per-translation lock
-   traffic (five breaker admission+record pairs — each an
-   acquire/release of ``CircuitBreaker._lock``) is timed instrumented
-   vs plain and the delta held under 5% of the same executor workload
-   used as the translation stand-in.
+``tools/locklint.py`` must analyze the whole ``src/`` tree — parse,
+two-phase collection, interprocedural fixpoint, cycle detection —
+inside a wall-time bound, or the tier-1 gate it backs becomes the
+slowest thing in the suite.
 
 Run with ``pytest benchmarks/bench_locklint.py``.
 """
@@ -25,15 +13,7 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 import sys
-import threading
 import time
-import timeit
-
-from repro.core.resilience import CircuitBreaker
-from repro.devtools.lockdep import lockdep_scope, new_lock
-from repro.schema.executor import execute
-
-from benchmarks.bench_resilience import _workload
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -44,84 +24,22 @@ locklint = importlib.util.module_from_spec(spec)
 sys.modules.setdefault("locklint", locklint)
 spec.loader.exec_module(locklint)
 
-#: Lock acquire/release pairs one fault-free translation performs:
-#: five breaker stages, one admission + one success record each.
-LOCK_PAIRS_PER_TRANSLATE = 10
-
 #: Whole-repo static analysis must stay under this many seconds.
 ANALYSIS_BUDGET_S = 10.0
 
-REPS = 5
 
-
-def _per_call(fn, number: int) -> float:
-    return min(timeit.repeat(fn, number=number, repeat=3)) / number
-
-
-def test_locklint_and_lockdep_costs(record_result, bench_metrics):
-    # -- 1. static analysis wall time over the real src/ tree ----------
+def test_locklint_cost(record_result, bench_metrics):
     src = str(REPO / "src")
     start = time.perf_counter()
     findings = locklint.lint_paths([src])
     analysis_s = time.perf_counter() - start
     assert findings == []  # the tier-1 gate this run stands in for
 
-    # -- 2. disabled path: the factory returns bare primitives --------
-    assert type(new_lock("Bench._lock")) is type(threading.Lock())
-    plain_breaker = CircuitBreaker("bench", threshold=5, cooldown=30.0)
-    t_plain = _per_call(
-        lambda: (plain_breaker.allow(), plain_breaker.record_success()),
-        100_000,
-    )
-
-    # -- 3. enabled path: breaker traffic under an active witness -----
-    with lockdep_scope():
-        dep_breaker = CircuitBreaker("bench", threshold=5, cooldown=30.0)
-        t_instrumented = _per_call(
-            lambda: (dep_breaker.allow(), dep_breaker.record_success()),
-            100_000,
-        )
-
-    db, queries = _workload()
-
-    def run_workload():
-        for query in queries:
-            execute(query, db)
-
-    run_workload()  # warm caches before timing
-    base = timeit.timeit(run_workload, number=REPS) / REPS
-
-    # One allow()+record_success() pair is two lock pairs; per-translate
-    # instrumentation cost is the delta scaled to the five stages.
-    delta_per_pair = max(0.0, t_instrumented - t_plain) / 2
-    per_translate = LOCK_PAIRS_PER_TRANSLATE * delta_per_pair
-    bound = per_translate / base
-
-    rendered = "\n".join(
-        [
-            "concurrency-suite costs",
-            f"  locklint over src/:          {analysis_s * 1e3:8.1f} ms",
-            f"  breaker pair plain:          {t_plain * 1e9:8.1f} ns",
-            f"  breaker pair instrumented:   {t_instrumented * 1e9:8.1f} ns",
-            f"  lockdep delta per lock pair: {delta_per_pair * 1e9:8.1f} ns",
-            f"  per-translate additions:     {per_translate * 1e6:8.2f} us"
-            f"  ({LOCK_PAIRS_PER_TRANSLATE} lock pairs)",
-            f"  workload (3 queries):        {base * 1e3:8.3f} ms",
-            f"  enabled-path bound:          {bound * 100:6.2f} %",
-        ]
-    )
-    record_result("locklint", rendered)
-    bench_metrics(
+    record_result(
         "locklint",
-        {
-            "analysis_ms": analysis_s * 1e3,
-            "breaker_pair_plain_ns": t_plain * 1e9,
-            "breaker_pair_lockdep_ns": t_instrumented * 1e9,
-            "lockdep_delta_per_pair_ns": delta_per_pair * 1e9,
-            "workload_ms": base * 1e3,
-            "enabled_overhead_bound_pct": bound * 100,
-        },
+        "concurrency-suite costs\n"
+        f"  locklint over src/:          {analysis_s * 1e3:8.1f} ms",
     )
+    bench_metrics("locklint", {"analysis_ms": analysis_s * 1e3})
 
     assert analysis_s < ANALYSIS_BUDGET_S
-    assert bound < 0.05

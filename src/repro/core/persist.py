@@ -10,9 +10,11 @@ Durability contract:
 
 - **Atomic save.** The checkpoint is staged in a sibling temp directory
   (every file fsynced) and swapped into place with ``os.rename``; a crash
-  at any point mid-write leaves the previous checkpoint untouched and
-  loadable.  Stale staging litter from an interrupted save is removed on
-  the next save.
+  at any point mid-write leaves the previous checkpoint loadable.  The
+  swap moves the previous checkpoint aside first; a crash between that
+  rename and the promotion leaves it displaced, and the next save or
+  load renames it back.  Stale staging litter from an interrupted save
+  is removed on the next save.
 - **Verified load.** ``manifest.json`` carries a format version plus
   per-file SHA-256 checksums and sizes; ``load_pipeline`` verifies them
   before touching any component, so truncation, bit-flips and missing
@@ -259,6 +261,19 @@ def _displaced_dir(root: pathlib.Path) -> pathlib.Path:
     return root.parent / f".{root.name}.old"
 
 
+def _restore_displaced(root: pathlib.Path) -> None:
+    """Undo a swap cut between its two renames.
+
+    :func:`_swap_into_place` moves the previous checkpoint aside before
+    it promotes the staged one; a crash in between leaves no *root*, so
+    the displaced checkpoint is renamed back.
+    """
+    displaced = _displaced_dir(root)
+    if not root.exists() and displaced.is_dir():
+        os.rename(displaced, root)
+        _fsync_dir(root.parent)
+
+
 # ----------------------------------------------------------------------
 # Public API.
 
@@ -273,6 +288,7 @@ def save_pipeline(pipeline: MetaSQL, directory: str | pathlib.Path) -> None:
     """
     root = pathlib.Path(directory)
     root.parent.mkdir(parents=True, exist_ok=True)
+    _restore_displaced(root)
     staging = _staging_dir(root)
     if staging.exists():  # litter from an interrupted save
         shutil.rmtree(staging)
@@ -439,6 +455,7 @@ def load_pipeline(
     typed :class:`CheckpointError` — never a partial load.
     """
     root = pathlib.Path(directory)
+    _restore_displaced(root)
     manifest = verify_checkpoint(root)
     try:
         return _restore_pipeline(root, manifest, config)

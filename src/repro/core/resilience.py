@@ -28,12 +28,12 @@ in :mod:`repro.sqlkit.errors`) so low-level modules such as
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator
 
-from repro.devtools.lockdep import new_lock
 from repro.sqlkit.errors import PipelineError, StageError
 
 #: Named injection sites, one per guarded pipeline stage.  ``fire(site)``
@@ -266,7 +266,7 @@ class CircuitBreaker:
         self.cooldown = cooldown
         self.on_transition = on_transition
         self._clock = clock if clock is not None else time.monotonic
-        self._lock = new_lock("CircuitBreaker._lock")
+        self._lock = threading.Lock()
         self._state = "closed"
         self._failures = 0  # consecutive terminal faults while closed
         self._opened_at = 0.0

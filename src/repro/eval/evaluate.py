@@ -156,19 +156,6 @@ class EvalResult:
         return counts
 
 
-def reports_degraded_rate(reports) -> float:
-    """Fraction of :class:`TranslationReport`s that degraded a stage.
-
-    The same notion as :attr:`EvalResult.degraded_rate`, usable over any
-    report collection — the serving layer feeds its rolling window of
-    recent reports through this for health snapshots.
-    """
-    reports = list(reports)
-    if not reports:
-        return 0.0
-    return sum(report.degraded for report in reports) / len(reports)
-
-
 def statement_types(query: Query) -> set[str]:
     """Table 6 statement-type tags for a query."""
     tags: set[str] = set()

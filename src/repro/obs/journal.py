@@ -26,10 +26,9 @@ import io
 import json
 import os
 import pathlib
+import threading
 import time
 from typing import Callable, Iterator
-
-from repro.devtools.lockdep import new_lock
 
 
 class Journal:
@@ -50,7 +49,7 @@ class Journal:
         self.path = pathlib.Path(path)
         self.fsync = fsync
         self._clock = clock if clock is not None else time.time
-        self._lock = new_lock("Journal._lock")
+        self._lock = threading.Lock()
         self._handle: io.BufferedWriter | None = None
 
     # ------------------------------------------------------------------
@@ -95,7 +94,7 @@ class Journal:
             # The journal lock IS the durable-append serialization
             # point: writers must not interleave write+fsync pairs, so
             # holding it across the I/O is the contract, not a bug.
-            # Journal._lock is a leaf in the documented lock order —
+            # Like every lock in src/, Journal._lock is a leaf:
             # nothing else is ever taken under it.
             handle = self._open_locked()  # locklint: allow[CC002]
             handle.write(line)

@@ -29,11 +29,10 @@ codebase can record metrics without import cycles.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
-
-from repro.devtools.lockdep import new_lock
 
 import numpy as np
 
@@ -100,7 +99,7 @@ class _Family:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self._lock = new_lock("_Family._lock")
+        self._lock = threading.Lock()
         self._children: dict[tuple[str, ...], "_Family"] = {}
         if not self.labelnames:
             # A label-less family is its own only child.
@@ -364,7 +363,7 @@ class MetricsRegistry:
     """Names instruments, deduplicates them, renders exposition formats."""
 
     def __init__(self) -> None:
-        self._lock = new_lock("MetricsRegistry._lock")
+        self._lock = threading.Lock()
         self._families: dict[str, _Family] = {}
 
     def _get_or_create(self, cls, name, help, labelnames, **kwargs):

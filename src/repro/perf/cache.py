@@ -8,9 +8,9 @@ callbacks run outside it.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
-from repro.devtools.lockdep import new_lock
 from repro.obs.metrics import get_registry
 
 #: Sentinel returned by :meth:`LRUCache.lookup` on a miss.
@@ -31,7 +31,7 @@ class LRUCache:
         self.name = name
         self.max_entries = max_entries
         self._data: dict = {}
-        self._lock = new_lock("LRUCache._lock")
+        self._lock = threading.Lock()
         self._version = 0
         self.hits = 0
         self.misses = 0

@@ -48,15 +48,9 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field, fields
 
-from repro.devtools.lockdep import new_lock
 from repro.core.persist import load_pipeline
 from repro.core.pipeline import MetaSQL, RankedResult
-from repro.core.resilience import (
-    Deadline,
-    TranslationReport,
-    fire,
-)
-from repro.eval.evaluate import reports_degraded_rate
+from repro.core.resilience import Deadline, fire
 from repro.obs.journal import Journal
 from repro.obs.metrics import MetricsRegistry, get_registry, registry_scope
 from repro.schema.database import Database
@@ -183,7 +177,6 @@ class TranslationService:
         config: ServiceConfig | None = None,
         clock=time.monotonic,
         registry: MetricsRegistry | None = None,
-        journal: Journal | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self.config.validate()
@@ -193,24 +186,22 @@ class TranslationService:
         # inherit the constructor's context) and re-installed ambiently
         # around each pipeline call so per-stage metrics land here too.
         self.registry = registry if registry is not None else get_registry()
-        if journal is not None:
-            self._journal: Journal | None = journal
-        elif self.config.journal_path is not None:
-            self._journal = Journal(self.config.journal_path)
-        else:
-            self._journal = None
+        self._journal = (
+            Journal(self.config.journal_path)
+            if self.config.journal_path is not None
+            else None
+        )
         self._pipeline = pipeline
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_limit)
-        self._lock = new_lock("TranslationService._lock")
+        self._lock = threading.Lock()
         self._accepting = True
         self._in_flight = 0
         self._completed = 0
         self._rejected = 0
         self._failed = 0
         self._deadline_expired = 0
-        self._recent_reports: deque[TranslationReport] = deque(
-            maxlen=HEALTH_WINDOW
-        )
+        #: ``report.degraded`` of the most recent requests.
+        self._recent_degraded: deque[bool] = deque(maxlen=HEALTH_WINDOW)
         self._init_metrics()
         self._workers = [
             threading.Thread(
@@ -265,42 +256,31 @@ class TranslationService:
         load; the caller may retry after backoff) and
         :class:`ServiceStopped` after :meth:`shutdown`.
         """
-        with self._lock:
-            accepting = self._accepting
-        if not accepting:
+        if not self._accepting:  # fast path; re-checked under the lock
             raise ServiceStopped("translation service is shut down")
         job = self._admit_job(question, db, deadline)
-        try:
-            queued = self._enqueue(job)
-        except queue.Full:
-            with self._lock:
-                self._rejected += 1
+        # The accepting check and the put share the service lock, and
+        # shutdown() flips ``_accepting`` under it before queueing the
+        # worker sentinels, so a queued job always sits ahead of them.
+        with self._lock:
+            accepting = self._accepting
+            if accepting:
+                try:
+                    self._queue.put_nowait(job)
+                except queue.Full:
+                    self._rejected += 1
+                    job = None
+        if job is None:
             self._m_rejected.inc()
-            raise Overloaded(
-                self._queue.qsize(), self.config.queue_limit
-            ) from None
-        if not queued:
-            # Shutdown began after the accepting check above: queued now,
-            # the job would sit behind the worker sentinels and never run.
+            raise Overloaded(self._queue.qsize(), self.config.queue_limit)
+        if not accepting:
+            # Shutdown began after the fast-path check: the job was
+            # never queued.
             job.future.set_exception(
                 ServiceStopped("translation service is shut down")
             )
         self._m_queue_depth.set(self._queue.qsize())
         return job.future
-
-    def _enqueue(self, job: _Job) -> bool:
-        """Queue *job* unless shutdown has begun; False when it has.
-
-        The accepting check and the put share the service lock, and
-        :meth:`shutdown` flips ``_accepting`` under that lock before it
-        queues the worker sentinels, so a queued job always sits ahead
-        of them.
-        """
-        with self._lock:
-            if not self._accepting:
-                return False
-            self._queue.put_nowait(job)
-            return True
 
     def _admit_job(
         self,
@@ -363,9 +343,12 @@ class TranslationService:
             self._finish_job(job, "failed")
             job.future.set_exception(exc)
         else:
+            report = result.report
             with self._lock:
                 self._completed += 1
                 self._in_flight -= 1
+                self._recent_degraded.append(report.degraded)
+                self._deadline_expired += report.deadline_expired
             self._finish_job(job, "completed")
             job.future.set_result(result)
 
@@ -385,7 +368,6 @@ class TranslationService:
             result = self._pipeline.translate_ranked_report(
                 job.question, job.db, deadline=job.deadline
             )
-        self._observe(result.report)
         if self._journal is not None:
             record = self._request_record(job, result)
             try:
@@ -423,12 +405,6 @@ class TranslationService:
             },
         }
 
-    def _observe(self, report: TranslationReport) -> None:
-        with self._lock:
-            self._recent_reports.append(report)
-            if report.deadline_expired:
-                self._deadline_expired += 1
-
     # ------------------------------------------------------------------
     # Health and lifecycle.
 
@@ -444,6 +420,7 @@ class TranslationService:
         board = getattr(self._pipeline, "breakers", None)
         breakers = board.states() if board is not None else {}
         with self._lock:
+            degraded = self._recent_degraded
             return HealthSnapshot(
                 accepting=self._accepting,
                 queue_depth=self._queue.qsize(),
@@ -453,7 +430,9 @@ class TranslationService:
                 completed=self._completed,
                 rejected=self._rejected,
                 failed=self._failed,
-                degraded_rate=reports_degraded_rate(self._recent_reports),
+                degraded_rate=(
+                    sum(degraded) / len(degraded) if degraded else 0.0
+                ),
                 deadline_expired=self._deadline_expired,
                 uptime_seconds=max(0.0, self._clock() - self._started),
                 breakers=breakers,
@@ -469,7 +448,8 @@ class TranslationService:
         """
         self._m_queue_depth.set(self._queue.qsize())
         with self._lock:
-            self._m_in_flight.set(self._in_flight)
+            in_flight = self._in_flight
+        self._m_in_flight.set(in_flight)
         return self.registry.render_prometheus()
 
     def shutdown(self, wait: bool = True) -> None:
@@ -511,8 +491,11 @@ class TranslationService:
         :class:`~repro.sqlkit.errors.CheckpointError`.
         """
         path = pathlib.Path(source)
-        if (path / "manifest.json").is_file():
-            pipeline = load_pipeline(path)
-        else:
+        # A directory without a manifest is a store root; anything else
+        # goes to load_pipeline, which also restores a checkpoint left
+        # displaced by an interrupted replace.
+        if path.is_dir() and not (path / "manifest.json").is_file():
             pipeline = CheckpointStore(path).load_latest()
+        else:
+            pipeline = load_pipeline(path)
         return cls(pipeline, config)

@@ -81,6 +81,40 @@ class TestPersistence:
             assert entry["bytes"] > 0
 
 
+class TestInterruptedReplace:
+    """A replace cut between its two renames keeps the old checkpoint."""
+
+    def test_displaced_checkpoint_is_restored(
+        self, saved_dir, trained_pipeline, tiny_benchmark, tmp_path
+    ):
+        from repro.serve import ServiceConfig, TranslationService
+
+        example = tiny_benchmark.dev.examples[0]
+        db = tiny_benchmark.dev.database(example.db_id)
+        expected = [
+            to_sql(r.query)
+            for r in trained_pipeline.translate_ranked(example.question, db)
+        ]
+        target = tmp_path / "ckpt"
+        displaced = tmp_path / ".ckpt.old"
+        # The swap renamed <dir> aside, then the process died before
+        # promoting the staged checkpoint: no <dir> is left.
+        shutil.copytree(saved_dir, displaced)
+        restored = load_pipeline(target)
+        assert [
+            to_sql(r.query)
+            for r in restored.translate_ranked(example.question, db)
+        ] == expected
+        assert target.is_dir() and not displaced.exists()
+
+        target.rename(displaced)
+        with TranslationService.from_checkpoint(
+            target, ServiceConfig(workers=1, queue_limit=2)
+        ) as service:
+            result = service.translate(example.question, db, timeout=60)
+        assert [to_sql(r.query) for r in result.translations] == expected
+
+
 ALL_FILES = ("manifest.json",) + CHECKPOINT_FILES
 
 

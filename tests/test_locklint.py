@@ -3,9 +3,8 @@
 Mirrors ``test_repolint.py``: synthetic modules exercise each ``CCnnn``
 diagnostic plus the resolution machinery (self calls, attribute-typed
 calls, condition-wait exemptions, queue typing), then the enforcement
-gate pins the repo's own ``src/`` tree clean — the static half of the
-concurrency-correctness suite fails tier-1, not CI, when lock
-discipline regresses.
+gate pins the repo's own ``src/`` tree clean and its six locks as
+leaves — lock discipline that regresses fails tier-1, not CI.
 """
 
 from __future__ import annotations
@@ -392,51 +391,6 @@ def test_queue_then_flush_outside_is_clean():
 
 
 # ----------------------------------------------------------------------
-# CC005: lockdep factory name hygiene.
-
-
-def test_mismatched_lockdep_name_flagged():
-    source = """
-        from repro.devtools.lockdep import new_lock
-
-        class Service:
-            def __init__(self):
-                self._lock = new_lock("Registry._lock")
-    """
-    findings = locklint.lint_source(textwrap.dedent(source))
-    assert [f.rule for f in findings] == ["CC005"]
-    assert "Service._lock" in findings[0].message
-
-
-def test_matching_lockdep_name_is_clean():
-    source = """
-        from repro.devtools.lockdep import new_lock
-
-        class Service:
-            def __init__(self):
-                self._lock = new_lock("Service._lock")
-    """
-    assert codes_of(source) == []
-
-
-def test_factory_locks_participate_in_analysis():
-    # Seam-created locks are first-class: CC003 still fires on them.
-    source = """
-        from repro.devtools.lockdep import new_lock
-
-        class Bad:
-            def __init__(self):
-                self._lock = new_lock("Bad._lock")
-
-            def once(self):
-                with self._lock:
-                    with self._lock:
-                        pass
-    """
-    assert codes_of(source) == ["CC003"]
-
-
-# ----------------------------------------------------------------------
 # Pragmas + CC006.
 
 
@@ -621,7 +575,7 @@ def test_src_inventory_covers_the_known_lock_set():
     # The documented lock inventory (DESIGN.md §14).  A new lock in
     # src/ must be added both there and here — that is the point.
     inventory = locklint.build_inventory([str(REPO / "src")])
-    assert set(inventory["locks"]) >= {
+    assert set(inventory["locks"]) == {
         "CircuitBreaker._lock",
         "Journal._lock",
         "LRUCache._lock",
@@ -629,7 +583,6 @@ def test_src_inventory_covers_the_known_lock_set():
         "TranslationService._lock",
         "_Family._lock",
     }
-    # The held-before graph is a DAG: cycle findings would have fired
-    # in the clean gate above; pin the known forward edges.
-    edges = {(e["held"], e["then"]) for e in inventory["edges"]}
-    assert ("TranslationService._lock", "_Family._lock") in edges
+    # Every lock is a leaf: no code path takes one lock while holding
+    # another, so any nested acquisition fails here.
+    assert inventory["edges"] == []

@@ -498,6 +498,38 @@ class TestServiceAdmission:
         assert service.health().completed == 6
 
 
+class _CountingLock:
+    """A ``threading.Lock`` stand-in that counts its acquisitions."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+
+    def __enter__(self) -> "_CountingLock":
+        self._lock.acquire()
+        self.acquisitions += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
+class TestServiceLock:
+    def test_one_request_takes_the_service_lock_three_times(self):
+        # Admission (accepting check + put), the in-flight increment,
+        # and completion (counters + health window).
+        service = TranslationService(
+            StubPipeline(), ServiceConfig(workers=1, queue_limit=2)
+        )
+        counting = _CountingLock()
+        service._lock = counting
+        try:
+            assert service.translate("q", None, timeout=5).translations
+            assert counting.acquisitions == 3
+        finally:
+            service.shutdown()
+
+
 class TestServiceRetry:
     def test_retries_stop_at_the_budget(
         self, trained_pipeline, tiny_benchmark, fake_board
@@ -760,6 +792,59 @@ class TestServiceUnderFire:
             if r["event"] == "translate"
         }
         assert journaled == set(results)
+
+
+    def test_observers_read_health_and_metrics_under_traffic(
+        self, world_db
+    ):
+        """Two client threads submit while three observers read
+        ``health()``, ``metrics()`` and the registry's Prometheus text.
+        No thread raises, and every resolved request is counted.
+        """
+        registry = MetricsRegistry()
+        config = ServiceConfig(workers=2, queue_limit=128)
+        errors: list[BaseException] = []
+        resolved: list[int] = []
+
+        with TranslationService(
+            StubPipeline(), config, registry=registry
+        ) as service:
+
+            def traffic() -> None:
+                try:
+                    futures = []
+                    for _ in range(40):
+                        try:
+                            futures.append(service.submit("q", world_db))
+                        except Overloaded:
+                            continue
+                    for future in futures:
+                        future.result(timeout=60)
+                    resolved.append(len(futures))
+                except BaseException as exc:  # repolint: allow[broad-except] — surfacing hammer failures
+                    errors.append(exc)
+
+            def observe() -> None:
+                try:
+                    for _ in range(100):
+                        registry.render_prometheus()
+                        service.health()
+                        service.metrics()
+                except BaseException as exc:  # repolint: allow[broad-except] — surfacing hammer failures
+                    errors.append(exc)
+
+            pool = [threading.Thread(target=traffic) for _ in range(2)] + [
+                threading.Thread(target=observe) for _ in range(3)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+
+        assert not errors
+        assert len(resolved) == 2
+        assert service.health().completed == sum(resolved)
 
 
 # ----------------------------------------------------------------------

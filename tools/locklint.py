@@ -3,16 +3,14 @@
 
 The serving stack is concurrent: worker threads, the service's
 counters, breaker boards, the metrics registry and the journal share
-state under six ``threading.Lock``/``RLock``/``Condition`` sites.
+state under six ``threading.Lock`` sites.
 ``repolint`` enforces *lexical* invariants (no callbacks under
 ``with self._lock``); this tool goes further with an AST-based
 **interprocedural** pass over the whole source tree:
 
-1. **Inventory** — every lock object (``self._x = threading.Lock()`` or
-   the :mod:`repro.devtools.lockdep` factory idiom
-   ``self._x = new_lock("Cls._x")``) gets a stable identity
-   ``ClassName.attr``; every ``with``/``.acquire()`` site that takes it
-   is recorded.
+1. **Inventory** — every lock object (``self._x = threading.Lock()``)
+   gets a stable identity ``ClassName.attr``; every ``with``/
+   ``.acquire()`` site that takes it is recorded.
 2. **Lock-order graph** — calls made while a lock is held are resolved
    through a module-level call graph (``self`` methods, base classes,
    attribute types inferred from constructor assignments and
@@ -39,10 +37,6 @@ state under six ``threading.Lock``/``RLock``/``Condition`` sites.
        An observer callback (``self.on_*`` / ``self._notify``) invoked
        — directly or through helpers — while a lock is held.  The repo
        idiom is queue-under-lock, flush-outside.
-   ``CC005`` lock-name-mismatch
-       The name literal passed to ``new_lock``/``new_rlock``/
-       ``new_condition`` does not match the owning ``Class.attr``, so
-       runtime lockdep witnesses would carry a misleading identity.
    ``CC006`` stale-pragma
        (``--strict-pragmas``) a ``# locklint: allow[...]`` pragma that
        no longer suppresses anything.
@@ -89,19 +83,14 @@ CODES: dict[str, str] = {
     "CC002": "known-blocking call reachable while a lock is held",
     "CC003": "non-reentrant Lock re-acquired on a self call chain",
     "CC004": "observer callback invoked while a lock is held",
-    "CC005": "lockdep name literal does not match the owning Class.attr",
     "CC006": "stale '# locklint: allow[...]' pragma (--strict-pragmas)",
 }
 
-#: Lock factory call names -> lock kind.  Covers both raw ``threading``
-#: constructors and the :mod:`repro.devtools.lockdep` seam factories.
+#: Lock constructor call names -> lock kind.
 _LOCK_FACTORIES: dict[str, str] = {
     "threading.Lock": "lock",
     "threading.RLock": "rlock",
     "threading.Condition": "condition",
-    "new_lock": "lock",
-    "new_rlock": "rlock",
-    "new_condition": "condition",
 }
 
 #: Dotted-call names that always block (module-level functions).
@@ -154,36 +143,7 @@ def _lock_factory_kind(node: ast.AST) -> str | None:
         )
     if not isinstance(node, ast.Call):
         return None
-    name = _dotted(node.func) or (
-        node.func.id if isinstance(node.func, ast.Name) else None
-    )
-    if name is None:
-        return None
-    if name in _LOCK_FACTORIES:
-        return _LOCK_FACTORIES[name]
-    # `lockdep.new_lock(...)`-style qualified seam calls.
-    tail = name.rsplit(".", 1)[-1]
-    return _LOCK_FACTORIES.get(tail) if tail.startswith("new_") else None
-
-
-def _lock_name_literal(node: ast.AST) -> str | None:
-    """The name literal passed to a seam factory call, if any."""
-    if isinstance(node, ast.IfExp):
-        return _lock_name_literal(node.body) or _lock_name_literal(
-            node.orelse
-        )
-    if (
-        isinstance(node, ast.Call)
-        and node.args
-        and isinstance(node.args[0], ast.Constant)
-        and isinstance(node.args[0].value, str)
-    ):
-        name = _dotted(node.func) or (
-            node.func.id if isinstance(node.func, ast.Name) else ""
-        )
-        if name.rsplit(".", 1)[-1].startswith("new_"):
-            return node.args[0].value
-    return None
+    return _LOCK_FACTORIES.get(_dotted(node.func) or "")
 
 
 def _annotation_names(node: ast.AST | None) -> set[str]:
@@ -270,7 +230,7 @@ class _ClassInfo:
     module: str
     path: str
     bases: list[str] = field(default_factory=list)
-    #: lock attr -> (lock_id, kind, line, name_literal|None)
+    #: lock attr -> (lock_id, kind, line)
     locks: dict[str, tuple] = field(default_factory=dict)
     #: attr -> candidate type names (class names or "queue.Queue")
     attr_types: dict[str, set[str]] = field(default_factory=dict)
@@ -385,9 +345,7 @@ class _ModuleCollector(ast.NodeVisitor):
             attr = target.attr
             kind = _lock_factory_kind(value) if value is not None else None
             if kind is not None:
-                literal = _lock_name_literal(value)
-                lock_id = literal or f"{cls.name}.{attr}"
-                cls.locks[attr] = (lock_id, kind, child.lineno, literal)
+                cls.locks[attr] = (f"{cls.name}.{attr}", kind, child.lineno)
                 continue
             types = set(_annotation_names(ann))
             if value is not None:
@@ -846,7 +804,6 @@ class _Analyzer:
         for func in self.universe.all_funcs:
             self._walk(func, func.events, held=[])
         self._find_cycles()
-        self._check_lock_names()
         return self.findings
 
     def _report(self, code: str, path: str, line: int, message: str):
@@ -1018,24 +975,6 @@ class _Analyzer:
                 f"lock-order cycle between {', '.join(cycle)}: {sites}",
             )
 
-    # -- lockdep name hygiene ------------------------------------------
-
-    def _check_lock_names(self) -> None:
-        for cls in self.universe.classes.values():
-            for attr, (lock_id, kind, line, literal) in cls.locks.items():
-                if literal is None:
-                    continue
-                expected = f"{cls.name}.{attr}"
-                if literal != expected:
-                    self._report(
-                        "CC005",
-                        cls.path,
-                        line,
-                        f"lockdep name {literal!r} does not match its "
-                        f"owning attribute {expected!r}; runtime "
-                        "witnesses would carry a misleading identity",
-                    )
-
     # -- inventory ------------------------------------------------------
 
     def inventory(self) -> dict:
@@ -1043,7 +982,7 @@ class _Analyzer:
         for cls in sorted(
             self.universe.classes.values(), key=lambda c: c.name
         ):
-            for attr, (lock_id, kind, line, literal) in sorted(
+            for attr, (lock_id, kind, line) in sorted(
                 cls.locks.items()
             ):
                 locks[lock_id] = {
