@@ -15,6 +15,12 @@ metadata under each correctness indicator.  One sha256 per model covers
 every candidate's SQL and the exact bits of its score (``float.hex``),
 so a one-ulp score drift fails it; one more covers the sketch scores.
 
+It pins the trained weights too: one sha256 over the exact bytes of
+every parameter of the metadata classifier, both stage-1 towers and both
+stage-2 heads, plus the ``float.hex`` of every per-epoch training loss
+of the three fits, so a training speed-up that moves a single bit of a
+weight fails it before any answer moves.
+
 A change that is meant to keep behaviour
 (a speed-up, a deletion) must leave every pinned value in place; a
 change that moves an answer on purpose re-pins it.
@@ -115,6 +121,34 @@ PINNED_DECODE = {
 
 DECODE_MODELS = ("lgesql", "bridge", "chatgpt")
 
+#: sha256 over every trained parameter's bytes and every fit's
+#: per-epoch losses (``float.hex``), in :func:`weights_fingerprint` order.
+PINNED_WEIGHTS = (
+    "6e166f2e6a3c86dc31b35eb41f09d127"
+    "30d9300d80d83ef9d7ed98ef2c238e77"
+)
+
+
+def weights_fingerprint(pipeline) -> str:
+    """Hash the trained weights and per-epoch losses of the three fits."""
+    modules = (
+        pipeline.classifier._net,
+        pipeline.stage1._query_tower,
+        pipeline.stage1._sql_tower,
+        pipeline.stage2._coarse_head,
+        pipeline.stage2._fine_head,
+    )
+    digest = hashlib.sha256()
+    for module in modules:
+        for param in module.parameters():
+            digest.update(f"{param.data.dtype}{param.data.shape}\n".encode())
+            digest.update(param.data.tobytes())
+    for fitted in (pipeline.classifier, pipeline.stage1, pipeline.stage2):
+        for loss in fitted.training_losses():
+            digest.update(f"{float(loss).hex()}\n".encode())
+        digest.update(b"--\n")
+    return digest.hexdigest()
+
 
 def decode_fingerprint(benchmark) -> dict:
     """Hash every decode of the dev split under every metadata condition."""
@@ -187,6 +221,7 @@ def fingerprint() -> dict:
         "em": em,
         "ex": ex,
         "decode": decode_fingerprint(benchmark),
+        "weights": weights_fingerprint(pipeline),
     }
 
 
@@ -228,6 +263,10 @@ def test_accuracy_is_pinned(measured):
 
 def test_decodes_are_pinned(measured):
     assert measured["decode"] == PINNED_DECODE
+
+
+def test_trained_weights_are_pinned(measured):
+    assert measured["weights"] == PINNED_WEIGHTS
 
 
 if __name__ == "__main__":
