@@ -14,14 +14,13 @@ from repro.nn.losses import (
     neural_ndcg_loss,
     triplet_loss,
 )
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.text import HashingVectorizer, TextFeaturizer, tokenize_text
 
 __all__ = [
     "Tensor",
     "Linear",
     "MLP",
-    "SGD",
     "Adam",
     "mse_loss",
     "bce_with_logits",

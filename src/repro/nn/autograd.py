@@ -7,7 +7,9 @@ NeuralSort-based NeuralNDCG loss).
 
 Gradients accumulate into ``Tensor.grad`` after calling ``backward()`` on a
 scalar tensor.  Only tensors created with ``requires_grad=True`` (or derived
-from them) participate in the graph.
+from them) participate in the graph.  A constant operand gets no gradient
+(its ``grad`` stays ``None``): a backward computes an operand's gradient only
+when that operand takes one, so a constant feature batch costs no product.
 """
 
 from __future__ import annotations
@@ -66,10 +68,18 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add *grad* into ``self.grad``; a no-op for a constant.
+
+        A *fresh* gradient is a new C-ordered array that no other tensor
+        holds (a product made for this call), so the first one is kept
+        instead of copied.
+        """
+        if not self.requires_grad:
+            return
         grad = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if fresh else grad.copy()
         else:
             self.grad += grad
 
@@ -121,8 +131,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * other.data)
-            other._accumulate(grad * self.data)
+            if self.requires_grad:
+                self._accumulate(grad * other.data)
+            if other.requires_grad:
+                other._accumulate(grad * self.data)
 
         return self._make(out_data, (self, other), backward)
 
@@ -133,8 +145,10 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other.data)
-            other._accumulate(-grad * self.data / (other.data**2))
+            if self.requires_grad:
+                self._accumulate(grad / other.data)
+            if other.requires_grad:
+                other._accumulate(-grad * self.data / (other.data**2))
 
         return self._make(out_data, (self, other), backward)
 
@@ -156,20 +170,24 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             left = self.data
             right = other.data
-            if left.ndim == 1 and right.ndim == 1:
-                self._accumulate(grad * right)
-                other._accumulate(grad * left)
-                return
-            if left.ndim == 1:
-                self._accumulate(grad @ right.T)
-                other._accumulate(np.outer(left, grad))
-                return
-            if right.ndim == 1:
-                self._accumulate(np.outer(grad, right))
-                other._accumulate(left.T @ grad)
-                return
-            self._accumulate(grad @ right.swapaxes(-1, -2))
-            other._accumulate(left.swapaxes(-1, -2) @ grad)
+            if self.requires_grad:
+                if right.ndim == 1:
+                    if left.ndim == 1:
+                        product = grad * right
+                    else:
+                        product = np.outer(grad, right)
+                else:
+                    product = grad @ right.swapaxes(-1, -2)
+                self._accumulate(product, fresh=True)
+            if other.requires_grad:
+                if left.ndim == 1:
+                    if right.ndim == 1:
+                        product = grad * left
+                    else:
+                        product = np.outer(left, grad)
+                else:
+                    product = left.swapaxes(-1, -2) @ grad
+                other._accumulate(product, fresh=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -335,20 +353,23 @@ class Tensor:
         """Backpropagate from this scalar tensor."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
+        # Post-order DFS over the tensors that take a gradient.  A constant
+        # child is a leaf that is never processed, so leaving it out keeps
+        # every other node's place, and so every gradient's summation order.
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for child in node._children:
-                if id(child) not in visited:
+                if child.requires_grad and child not in visited:
                     stack.append((child, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):

@@ -147,3 +147,29 @@ class TestCosine:
         assert cosine_similarity(
             Tensor([1.0, 0.0]), Tensor([0.0, 1.0])
         ).item() == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "const_shape, weight_shape, expr",
+    [
+        ((4, 3), (3, 2), lambda c, w: c @ w),
+        ((3,), (3, 2), lambda c, w: c @ w),
+        ((3,), (3,), lambda c, w: c @ w),
+        ((3,), (2, 3), lambda c, w: w @ c),
+        ((3, 4), (2, 3), lambda c, w: w @ c),
+        ((2, 3), (2, 3), lambda c, w: c * w),
+        ((2, 3), (2, 3), lambda c, w: w / c),
+    ],
+    ids=[
+        "batch@weight", "vector@weight", "dot", "weight@vector",
+        "weight@matrix", "mul", "div",
+    ],
+)
+def test_constant_operand_gets_no_grad(const_shape, weight_shape, expr, rng):
+    x = rng.uniform(1.0, 2.0, size=const_shape)
+    w = Tensor(rng.normal(size=weight_shape), requires_grad=True)
+    constant = Tensor(x)
+    expr(constant, w).sum().backward()
+    assert constant.grad is None
+    numeric = numerical_gradient(lambda: expr(Tensor(x), w).sum(), w)
+    assert np.allclose(numeric, w.grad, atol=1e-5)
