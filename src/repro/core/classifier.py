@@ -22,7 +22,7 @@ from repro.core.resilience import fire
 from repro.data.dataset import Dataset
 from repro.models.cues import CueEvidence, extract_cues
 from repro.nn.autograd import Tensor
-from repro.nn.layers import Linear, Module
+from repro.nn.layers import MLP
 from repro.nn.losses import bce_with_logits
 from repro.nn.optim import Adam
 from repro.nn.text import TextFeaturizer
@@ -60,19 +60,6 @@ def _cue_feature_vector(cues: CueEvidence) -> np.ndarray:
     )
 
 
-class _ClassifierNet(Module):
-    """Shared encoder features -> hidden -> per-label logits."""
-
-    def __init__(
-        self, n_features: int, n_labels: int, rng: np.random.Generator
-    ) -> None:
-        self.hidden = Linear(n_features, 96, rng)
-        self.output = Linear(96, n_labels, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.output(self.hidden(x).tanh())
-
-
 @dataclass
 class ClassifierConfig:
     """Training hyper-parameters of the metadata classifier."""
@@ -91,7 +78,7 @@ class MetadataClassifier:
         self._featurizer = TextFeaturizer(buckets=self.config.buckets)
         self._labels: list[object] = []
         self._label_index: dict[object, int] = {}
-        self._net: _ClassifierNet | None = None
+        self._net: MLP | None = None
         self._losses: list[float] = []
 
     # ------------------------------------------------------------------
@@ -139,9 +126,7 @@ class MetadataClassifier:
             rating_label = ("rating", meta.rating)
             targets[row, self._label_index[rating_label]] = 1.0
 
-        self._net = _ClassifierNet(
-            features.shape[1], len(self._labels), rng
-        )
+        self._net = MLP([features.shape[1], 96, len(self._labels)], rng)
         optimizer = Adam(
             self._net.parameters(), lr=self.config.learning_rate
         )
@@ -170,7 +155,7 @@ class MetadataClassifier:
         if self._net is None:
             raise RuntimeError("classifier is not fitted")
         features = self._features(question, db)
-        raw = self._net(Tensor(features)).numpy()
+        raw = self._net.forward_array(features)
         return {label: float(raw[i]) for i, label in enumerate(self._labels)}
 
     def predict(

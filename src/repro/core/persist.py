@@ -35,7 +35,6 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from repro.core.classifier import _ClassifierNet
 from repro.core.pipeline import MetaSQL, MetaSQLConfig
 from repro.core.resilience import fire
 from repro.data.dataset import Example
@@ -44,6 +43,7 @@ from repro.models.lexicon import Lexicon
 from repro.models.registry import MODEL_PRESETS
 from repro.models.sketch import Sketch, SketchModel
 from repro.nn.encoder import EncoderTower
+from repro.nn.layers import MLP, Linear
 from repro.nn.text import TextFeaturizer
 from repro.sqlkit.errors import (
     CheckpointCorrupt,
@@ -190,33 +190,32 @@ def _sketch_model_from_json(data: dict) -> SketchModel:
 
 
 # ----------------------------------------------------------------------
-# Tensors / towers.
+# Trained layers.
 
 
-def _collect_tower(weights: dict, prefix: str, tower: EncoderTower) -> None:
-    weights[f"{prefix}.hidden.weight"] = tower.hidden.weight.data
-    weights[f"{prefix}.hidden.bias"] = tower.hidden.bias.data
-    weights[f"{prefix}.output.weight"] = tower.output.weight.data
-    weights[f"{prefix}.output.bias"] = tower.output.bias.data
+def _named_layers(pipeline: MetaSQL) -> dict[str, Linear]:
+    """Every trained layer of *pipeline* under its checkpoint key prefix.
 
-
-def _restore_tower(weights, prefix: str, tower: EncoderTower) -> None:
-    tower.hidden.weight.data = weights[f"{prefix}.hidden.weight"]
-    tower.hidden.bias.data = weights[f"{prefix}.hidden.bias"]
-    tower.output.weight.data = weights[f"{prefix}.output.weight"]
-    tower.output.bias.data = weights[f"{prefix}.output.bias"]
-
-
-def _collect_mlp(weights: dict, prefix: str, mlp) -> None:
-    for index, layer in enumerate(mlp.layers):
-        weights[f"{prefix}.{index}.weight"] = layer.weight.data
-        weights[f"{prefix}.{index}.bias"] = layer.bias.data
-
-
-def _restore_mlp(weights, prefix: str, mlp) -> None:
-    for index, layer in enumerate(mlp.layers):
-        layer.weight.data = weights[f"{prefix}.{index}.weight"]
-        layer.bias.data = weights[f"{prefix}.{index}.bias"]
+    The classifier MLP's two layers keep the ``hidden``/``output`` names
+    of the towers; the stage-2 heads number theirs.
+    """
+    classifier = pipeline.classifier._net
+    named = dict(
+        zip(("classifier.hidden", "classifier.output"), classifier.layers)
+    )
+    for prefix, tower in (
+        ("stage1.query", pipeline.stage1._query_tower),
+        ("stage1.sql", pipeline.stage1._sql_tower),
+    ):
+        named[f"{prefix}.hidden"] = tower.hidden
+        named[f"{prefix}.output"] = tower.output
+    for prefix, head in (
+        ("stage2.coarse", pipeline.stage2._coarse_head),
+        ("stage2.fine", pipeline.stage2._fine_head),
+    ):
+        for index, layer in enumerate(head.layers):
+            named[f"{prefix}.{index}"] = layer
+    return named
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +338,6 @@ def _write_checkpoint(pipeline: MetaSQL, root: pathlib.Path) -> None:
         "buckets": classifier.config.buckets,
     }
     weights["classifier.featurizer.idf"] = classifier._featurizer._idf
-    _collect_mlp_like_classifier(weights, classifier)
     _write_file(
         root / "classifier.json", json.dumps(classifier_state).encode()
     )
@@ -353,12 +351,11 @@ def _write_checkpoint(pipeline: MetaSQL, root: pathlib.Path) -> None:
 
     # Stage 1.
     weights["stage1.featurizer.idf"] = pipeline.stage1._featurizer._idf
-    _collect_tower(weights, "stage1.query", pipeline.stage1._query_tower)
-    _collect_tower(weights, "stage1.sql", pipeline.stage1._sql_tower)
 
-    # Stage 2.
-    _collect_mlp(weights, "stage2.coarse", pipeline.stage2._coarse_head)
-    _collect_mlp(weights, "stage2.fine", pipeline.stage2._fine_head)
+    # Every trained layer: classifier, stage-1 towers, stage-2 heads.
+    for name, layer in _named_layers(pipeline).items():
+        weights[f"{name}.weight"] = layer.weight.data
+        weights[f"{name}.bias"] = layer.bias.data
 
     buffer = io.BytesIO()
     np.savez(buffer, **weights)
@@ -436,14 +433,6 @@ def verify_checkpoint(directory: str | pathlib.Path) -> dict:
     return manifest
 
 
-def _collect_mlp_like_classifier(weights, classifier) -> None:
-    net = classifier._net
-    weights["classifier.hidden.weight"] = net.hidden.weight.data
-    weights["classifier.hidden.bias"] = net.hidden.bias.data
-    weights["classifier.output.weight"] = net.output.weight.data
-    weights["classifier.output.bias"] = net.output.bias.data
-
-
 def load_pipeline(
     directory: str | pathlib.Path, config: MetaSQLConfig | None = None
 ) -> MetaSQL:
@@ -512,15 +501,10 @@ def _restore_pipeline(
     )
     classifier._featurizer._idf = weights["classifier.featurizer.idf"]
     rng = np.random.default_rng(0)
-    classifier._net = _ClassifierNet(
-        weights["classifier.hidden.weight"].shape[0],
-        len(classifier._labels),
+    classifier._net = MLP(
+        [*weights["classifier.hidden.weight"].shape, len(classifier._labels)],
         rng,
     )
-    classifier._net.hidden.weight.data = weights["classifier.hidden.weight"]
-    classifier._net.hidden.bias.data = weights["classifier.hidden.bias"]
-    classifier._net.output.weight.data = weights["classifier.output.weight"]
-    classifier._net.output.bias.data = weights["classifier.output.bias"]
 
     # Composer.
     for record in json.loads((root / "composer.json").read_text()):
@@ -537,12 +521,11 @@ def _restore_pipeline(
     stage1._sql_tower = EncoderTower(
         stage1._featurizer, stage1.config.embed_dim, rng, hidden_dim=128
     )
-    _restore_tower(weights, "stage1.query", stage1._query_tower)
-    _restore_tower(weights, "stage1.sql", stage1._sql_tower)
 
-    # Stage 2.
-    _restore_mlp(weights, "stage2.coarse", pipeline.stage2._coarse_head)
-    _restore_mlp(weights, "stage2.fine", pipeline.stage2._fine_head)
+    # Every layer's trained weights (the stage-2 heads exist from birth).
+    for name, layer in _named_layers(pipeline).items():
+        layer.weight.data = weights[f"{name}.weight"]
+        layer.bias.data = weights[f"{name}.bias"]
     pipeline.stage2._fitted = True
 
     pipeline._trained = True
