@@ -1,8 +1,8 @@
 """Trainable text encoders (the 'towers' of the ranking models).
 
-An :class:`EncoderTower` maps text to a dense embedding: a fitted TF-IDF
-featurizer followed by a trainable two-layer projection.  Two towers with
-shared or separate weights make up the dual-tower first-stage ranker.
+An :class:`EncoderTower` maps the TF-IDF features of a fitted featurizer
+to a dense embedding through a trainable two-layer projection.  Two towers
+with shared or separate weights make up the dual-tower first-stage ranker.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class EncoderTower(Module):
         rng: np.random.Generator,
         hidden_dim: int | None = None,
     ) -> None:
-        self.featurizer = featurizer
         hidden = hidden_dim if hidden_dim is not None else embed_dim * 2
         self.hidden = Linear(featurizer.buckets, hidden, rng)
         self.output = Linear(hidden, embed_dim, rng)
@@ -44,10 +43,3 @@ class EncoderTower(Module):
             features @ self.hidden.weight.data + self.hidden.bias.data
         )
         return hidden @ self.output.weight.data + self.output.bias.data
-
-    def encode(self, text: str) -> Tensor:
-        """Embed raw text."""
-        return self.encode_features(self.featurizer.transform(text))
-
-    def encode_many(self, texts: list[str]) -> Tensor:
-        return self.encode_features(self.featurizer.transform_many(texts))

@@ -77,13 +77,16 @@ class TestEncoderTower:
     def test_embedding_shape(self, rng):
         featurizer = TextFeaturizer(buckets=128).fit(["hello world"])
         tower = EncoderTower(featurizer, embed_dim=16, rng=rng)
-        assert tower.encode("hello").shape == (16,)
+        out = tower.encode_features(featurizer.transform("hello"))
+        assert out.shape == (16,)
 
     def test_batch_encoding(self, rng):
         featurizer = TextFeaturizer(buckets=128).fit(["hello world"])
         tower = EncoderTower(featurizer, embed_dim=16, rng=rng)
-        out = tower.encode_many(["a", "b", "c"])
+        features = featurizer.transform_many(["a", "b", "c"])
+        out = tower.embed_array(features)
         assert out.shape == (3, 16)
+        assert np.array_equal(out, tower.encode_features(features).numpy())
 
     def test_trainable_parameters(self, rng):
         featurizer = TextFeaturizer(buckets=128).fit(["x"])
