@@ -13,8 +13,8 @@ class Adam:
     :meth:`step` runs the textbook update's element-wise operations in the
     textbook order, each written in place (``out=``) into the moment
     arrays or into two scratch buffers shared by every parameter, so a
-    step allocates nothing and every weight comes out bit for bit as the
-    out-of-place formula would leave it.
+    step allocates no array data and every weight comes out bit for bit
+    as the out-of-place formula would leave it.
     """
 
     def __init__(

@@ -18,13 +18,15 @@ def _ranked(scores: list[float]) -> list[tuple[int, float]]:
 
 def stage1_rank(ranker, question, sql_texts, top_k=10):
     """Stage-1 top-k: the cosine of each text's embedding with the question's."""
-    featurizer = ranker._featurizer
-    q = ranker._query_tower.encode_features(featurizer.transform(question))
-    q = q.numpy()
+
+    def embed(tower, text):
+        features = ranker._featurizer.transform(text)
+        return tower.encode_features(features).numpy()
+
+    q = embed(ranker._query_tower, question)
     scores = []
     for text in sql_texts:
-        s = ranker._sql_tower.encode_features(featurizer.transform(text))
-        s = s.numpy()
+        s = embed(ranker._sql_tower, text)
         denominator = np.linalg.norm(q) * np.linalg.norm(s)
         scores.append(float(q @ s / denominator) if denominator else 0.0)
     return _ranked(scores)[:top_k]

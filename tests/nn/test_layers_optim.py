@@ -33,9 +33,11 @@ class ReferenceAdam:
             if param.grad is None:
                 continue
             grad = param.grad
-            self._m[index] = self.beta1 * self._m[index] + (1 - self.beta1) * grad
-            self._v[index] = self.beta2 * self._v[index] + (1 - self.beta2) * (
-                grad**2
+            self._m[index] = (
+                self.beta1 * self._m[index] + (1 - self.beta1) * grad
+            )
+            self._v[index] = (
+                self.beta2 * self._v[index] + (1 - self.beta2) * grad**2
             )
             m_hat = self._m[index] / (1 - self.beta1**self._t)
             v_hat = self._v[index] / (1 - self.beta2**self._t)
