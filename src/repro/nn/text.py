@@ -118,11 +118,21 @@ class TextFeaturizer:
         return self.transform_many([text])[0]
 
     def transform_many(self, texts: list[str]) -> np.ndarray:
-        counts = _count_matrix(texts, self.buckets, self.include_chars)
-        positive = counts > 0
-        tf = np.where(
-            positive, 1.0 + np.log(np.where(positive, counts, 1.0)), 0.0
-        )
+        """L2-normalised ``(1 + log tf) * idf`` rows, built in the count matrix.
+
+        Each step writes into the matrix it reads (``out=``, and ``where=``
+        so zero counts stay zero), with the same ufuncs in the same order
+        as the out-of-place formula, so the result is bit-identical to it
+        while the only full-size temporary is the one ``np.linalg.norm``
+        squares into.
+        """
+        matrix = _count_matrix(texts, self.buckets, self.include_chars)
+        positive = matrix > 0
+        np.log(matrix, out=matrix, where=positive)
+        np.add(matrix, 1.0, out=matrix, where=positive)
         if self._idf is not None:
-            tf *= self._idf
-        return _l2_normalize_rows(tf)
+            matrix *= self._idf
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        matrix /= norms
+        return matrix

@@ -146,9 +146,7 @@ class TestTextBatching:
         featurizer = TextFeaturizer(buckets=128).fit(texts)
         batch = featurizer.transform_many(texts)
         for row, text in enumerate(texts):
-            np.testing.assert_allclose(
-                featurizer.transform(text), batch[row], atol=1e-12
-            )
+            np.testing.assert_array_equal(featurizer.transform(text), batch[row])
 
 
 # ----------------------------------------------------------------------
