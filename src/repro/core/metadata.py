@@ -79,8 +79,3 @@ def extract_metadata(query: Query, correctness: str = CORRECT) -> QueryMetadata:
         rating=hardness_rating(query),
         correctness=correctness,
     )
-
-
-def augment_question(question: str, metadata: QueryMetadata) -> str:
-    """The metadata-prefixed model input of Fig. 3."""
-    return f"{metadata.flatten()} | {question}"

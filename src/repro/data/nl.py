@@ -443,13 +443,3 @@ class QuestionRenderer:
         if query.distinct:
             parts[0] = f"the different {parts[0]}"
         return " ".join(parts)
-
-
-def render_question(
-    query: Query,
-    schema: Schema,
-    rng: np.random.Generator,
-    noise: NoiseConfig | None = None,
-) -> str:
-    """Render one NL question for *query* with seeded paraphrase noise."""
-    return QuestionRenderer(schema, rng, noise).render(query)

@@ -127,21 +127,6 @@ def sample(pool: tuple[str, ...], rng: np.random.Generator) -> str:
     return pool[int(rng.integers(len(pool)))]
 
 
-def sample_unique(
-    pool: tuple[str, ...], count: int, rng: np.random.Generator
-) -> list[str]:
-    """Draw *count* distinct values (cycling with suffixes if pool is small)."""
-    if count <= len(pool):
-        indices = rng.permutation(len(pool))[:count]
-        return [pool[int(i)] for i in indices]
-    values = list(pool)
-    suffix = 2
-    while len(values) < count:
-        values.extend(f"{v} {suffix}" for v in pool)
-        suffix += 1
-    return values[:count]
-
-
 def person_name(rng: np.random.Generator) -> str:
     """A synthetic 'First Last' person name."""
     return f"{sample(PERSON_FIRST, rng)} {sample(PERSON_LAST, rng)}"

@@ -233,8 +233,8 @@ def aggregate_journal(
     *events* optionally restricts which ``event`` values are counted
     (e.g. ``("eval",)``); by default both eval and serve records are
     aggregated.  Only request records (``eval``, ``translate``) are
-    folded and counted; every other event (``checkpoint_skipped``, an
-    older journal's ``swap``) is skipped.  Records missing expected keys
+    folded and counted; every other event (an older journal's
+    ``checkpoint_skipped`` or ``swap``) is skipped.  Records missing expected keys
     contribute what they have — a journal from an older schema never
     makes aggregation fail.
     """

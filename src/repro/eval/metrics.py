@@ -16,7 +16,6 @@ from collections import Counter
 from repro.schema.database import Database
 from repro.schema.executor import ExecutionBudget, execute
 from repro.sqlkit.ast import Query, SetQuery
-from repro.sqlkit.compare import exact_match
 from repro.sqlkit.errors import SqlError
 
 #: Default per-query step allowance for the EX metric.  Generous for any
@@ -101,10 +100,3 @@ def mrr(ranked_hits: list[list[bool]], cutoff: int = 5) -> float:
                 total += 1.0 / rank
                 break
     return total / len(ranked_hits)
-
-
-def ranked_exact_flags(
-    candidates: list[Query], gold: Query, cutoff: int = 5
-) -> list[bool]:
-    """Exact-match flags of a ranked candidate list against gold."""
-    return [exact_match(c, gold) for c in candidates[:cutoff]]

@@ -89,40 +89,6 @@ class FewShotLLM(GrammarSeq2Seq):
         order = np.argsort(-similarities)[:k]
         return [self._pool[int(i)] for i in order]
 
-    def build_prompt(self, question: str, db: Database, metadata=None) -> str:
-        """Few-shot prompt in the paper's Table 3 structure."""
-        lines = [
-            "#### Give you database schema, NL question, and metadata "
-            "information of the target SQL, generate an SQL query.",
-            "#### Learn from the generating examples:",
-        ]
-        for demo in self.retrieve(question, k=3):
-            lines.append(f"Question: {demo.question}")
-            lines.append(f"#### The target SQL is: {demo.sql_text}")
-        schema_desc = "; ".join(
-            f"Table {t.name} with columns "
-            + ", ".join(f"'{c.name}'" for c in t.columns)
-            for t in db.schema.tables
-        )
-        lines.append(
-            "#### Please follow the previous example and help me generate "
-            "the following SQL statement:"
-        )
-        lines.append(f"Schema: {schema_desc}")
-        lines.append(f"Question: {question}")
-        if metadata is not None:
-            tags = ", ".join(sorted(getattr(metadata, "tags", ()))) or "none"
-            lines.append(
-                f"The target SQL only uses the following SQL keywords: {tags};"
-            )
-            rating = getattr(metadata, "rating", None)
-            if rating is not None:
-                lines.append(
-                    f"The difficulty rating of the target SQL is {rating};"
-                )
-        lines.append("#### The target SQL is:")
-        return "\n".join(lines)
-
     # ------------------------------------------------------------------
     # Sketch proposals from retrieval instead of the NB classifier.
 

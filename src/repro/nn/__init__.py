@@ -3,7 +3,7 @@
 Replaces the paper's transformer stack (sentence-transformers, RoBERTa) with
 trainable numpy models: a reverse-mode autograd engine, dense layers, Adam,
 the ranking losses MetaSQL needs (MSE, BCE, triplet, NeuralNDCG) and
-TF-IDF/hashing text encoders.
+a hashed TF-IDF text featurizer.
 """
 
 from repro.nn.autograd import Tensor
@@ -15,7 +15,7 @@ from repro.nn.losses import (
     triplet_loss,
 )
 from repro.nn.optim import Adam
-from repro.nn.text import HashingVectorizer, TextFeaturizer, tokenize_text
+from repro.nn.text import TextFeaturizer, tokenize_text
 
 __all__ = [
     "Tensor",
@@ -27,6 +27,5 @@ __all__ = [
     "triplet_loss",
     "neural_ndcg_loss",
     "tokenize_text",
-    "HashingVectorizer",
     "TextFeaturizer",
 ]

@@ -375,8 +375,3 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity between two 1-D tensors (the paper's Eq. 1)."""
-    return (a @ b) / (a.norm() * b.norm())

@@ -1,11 +1,11 @@
-"""Text featurisation: tokenizer, hashing vectorizer, TF-IDF featurizer.
+"""Text featurisation: tokenizer and TF-IDF featurizer.
 
 Replaces pre-trained sentence encoders: text is mapped to a fixed-size sparse
 bag-of-features vector (word unigrams + bigrams + character trigrams hashed
 into a fixed number of buckets, TF-IDF weighted), which the trainable
 :mod:`repro.nn.encoder` towers project into a dense embedding space.
 
-Both vectorizers share one feature-accumulation path
+``transform`` and ``transform_many`` share one feature-accumulation path
 (:func:`_count_matrix`), so single-text ``transform`` is exactly the
 one-row case of ``transform_many``; token hashes are memoized
 (:func:`_fnv1a` keeps a bounded per-token memo independent of the bucket
@@ -68,32 +68,13 @@ def _count_matrix(
     return matrix
 
 
-def _l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.where(norms == 0.0, 1.0, norms)
-
-
-class HashingVectorizer:
-    """Stateless hashed bag-of-features vectorizer."""
-
-    def __init__(self, buckets: int = 2048, include_chars: bool = True) -> None:
-        self.buckets = buckets
-        self.include_chars = include_chars
-
-    def transform(self, text: str) -> np.ndarray:
-        return self.transform_many([text])[0]
-
-    def transform_many(self, texts: list[str]) -> np.ndarray:
-        matrix = _count_matrix(texts, self.buckets, self.include_chars)
-        return _l2_normalize_rows(matrix)
-
-
 class TextFeaturizer:
     """TF-IDF weighted hashing vectorizer fitted on a corpus.
 
     ``fit`` learns inverse document frequencies per hash bucket;
     ``transform``/``transform_many`` produce L2-normalised TF-IDF
-    vectors through the shared accumulation path.
+    vectors through the shared accumulation path (sublinear TF alone
+    before ``fit``).
     """
 
     def __init__(self, buckets: int = 2048, include_chars: bool = True) -> None:

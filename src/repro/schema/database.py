@@ -58,25 +58,6 @@ class Database:
             if row.get(column_l) is not None
         ]
 
-    def find_value(self, value: object) -> list[tuple[str, str]]:
-        """Return (table, column) pairs whose contents contain *value*.
-
-        String comparison is case-insensitive — this powers the picklist
-        search used by value grounding.
-        """
-        matches: list[tuple[str, str]] = []
-        needle = value.lower() if isinstance(value, str) else value
-        for table in self.schema.tables:
-            for column in table.columns:
-                for stored in self.column_values(table.name, column.name):
-                    comparable = (
-                        stored.lower() if isinstance(stored, str) else stored
-                    )
-                    if comparable == needle:
-                        matches.append((table.name.lower(), column.name.lower()))
-                        break
-        return matches
-
     def size(self) -> int:
         """Total number of rows across all tables."""
         return sum(len(rows) for rows in self.rows.values())

@@ -1,15 +1,15 @@
-"""Serving + durability layer: the production shell around the pipeline.
+"""Serving layer: the production shell around the pipeline.
 
 - :class:`TranslationService` — bounded work queue, worker pool,
   admission control (typed ``Overloaded`` shedding), per-request
   deadlines and a health/readiness snapshot around the one pipeline it
   holds for its whole life.
-- :class:`CheckpointStore` — rotating crash-safe checkpoints with
-  last-good recovery, for warm-starting a service after a crash or
-  starting one on a new snapshot.
+
+Checkpoints are written and read by :mod:`repro.core.persist`
+(``save_pipeline``/``load_pipeline``); a service warm-starts as
+``TranslationService(load_pipeline(path), config)``.
 """
 
-from repro.serve.checkpoint import CheckpointStore
 from repro.serve.service import (
     HealthSnapshot,
     ServiceConfig,
@@ -17,7 +17,6 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "CheckpointStore",
     "HealthSnapshot",
     "ServiceConfig",
     "TranslationService",

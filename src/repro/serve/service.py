@@ -30,8 +30,9 @@ pipeline's per-translation fault isolation:
   service's only outputs besides the answers themselves.
 
 A service holds the pipeline it was built with for its whole life; to
-serve another model, start a new service, e.g. with
-:meth:`TranslationService.from_checkpoint`.
+serve another model, start a new service, e.g.
+``TranslationService(load_pipeline(path), config)`` with
+:func:`repro.core.persist.load_pipeline`.
 
 The service is deliberately synchronous-thread-pool shaped: the pipeline
 is pure CPU-bound Python/numpy, so a small worker pool bounded by a
@@ -48,13 +49,11 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field, fields
 
-from repro.core.persist import load_pipeline
 from repro.core.pipeline import MetaSQL, RankedResult
 from repro.core.resilience import Deadline, fire
 from repro.obs.journal import Journal
 from repro.obs.metrics import MetricsRegistry, get_registry, registry_scope
 from repro.schema.database import Database
-from repro.serve.checkpoint import CheckpointStore
 from repro.sqlkit.errors import ConfigError, Overloaded, ServiceStopped
 
 
@@ -471,31 +470,3 @@ class TranslationService:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown(wait=True)
-
-    # ------------------------------------------------------------------
-    # Recovery.
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        source: str | pathlib.Path,
-        config: ServiceConfig | None = None,
-    ) -> "TranslationService":
-        """Warm-start a service from durable state.
-
-        *source* is either one checkpoint directory (as written by
-        :func:`repro.core.persist.save_pipeline`) or the root of a
-        :class:`repro.serve.checkpoint.CheckpointStore`, in which case
-        the last *good* checkpoint is used — corrupt or torn snapshots
-        are skipped.  A path holding neither raises
-        :class:`~repro.sqlkit.errors.CheckpointError`.
-        """
-        path = pathlib.Path(source)
-        # A directory without a manifest is a store root; anything else
-        # goes to load_pipeline, which also restores a checkpoint left
-        # displaced by an interrupted replace.
-        if path.is_dir() and not (path / "manifest.json").is_file():
-            pipeline = CheckpointStore(path).load_latest()
-        else:
-            pipeline = load_pipeline(path)
-        return cls(pipeline, config)

@@ -4,7 +4,6 @@ from repro.core.metadata import (
     CORRECT,
     INCORRECT,
     QueryMetadata,
-    augment_question,
     extract_metadata,
 )
 from repro.sqlkit.parser import parse_sql
@@ -51,12 +50,6 @@ class TestFlattening:
         )
         flat = metadata.flatten()
         assert flat == "correct | rating : 400 | tags : except, project"
-
-    def test_augment_question_prefix(self):
-        metadata = QueryMetadata(tags=frozenset({"project"}), rating=100)
-        text = augment_question("How many?", metadata)
-        assert text.endswith("| How many?")
-        assert text.startswith("correct | rating : 100")
 
     def test_with_correctness_immutably(self):
         metadata = QueryMetadata(tags=frozenset({"project"}), rating=100)

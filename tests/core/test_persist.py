@@ -108,8 +108,8 @@ class TestInterruptedReplace:
         assert target.is_dir() and not displaced.exists()
 
         target.rename(displaced)
-        with TranslationService.from_checkpoint(
-            target, ServiceConfig(workers=1, queue_limit=2)
+        with TranslationService(
+            load_pipeline(target), ServiceConfig(workers=1, queue_limit=2)
         ) as service:
             result = service.translate(example.question, db, timeout=60)
         assert [to_sql(r.query) for r in result.translations] == expected

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.domains import SPIDER_DOMAINS, build_domain
 from repro.data.generator import QuerySampler
-from repro.data.nl import NoiseConfig, QuestionRenderer, render_question
+from repro.data.nl import NoiseConfig, QuestionRenderer
 from repro.sqlkit.parser import parse_sql
 
 
@@ -15,10 +15,10 @@ def pets_db():
 
 
 def render(sql: str, db, seed: int = 0, noise: NoiseConfig | None = None):
-    return render_question(
-        parse_sql(sql), db.schema, np.random.default_rng(seed),
+    return QuestionRenderer(
+        db.schema, np.random.default_rng(seed),
         noise or NoiseConfig(synonym_prob=0.0, drop_table_prob=0.0),
-    )
+    ).render(parse_sql(sql))
 
 
 class TestRendering:

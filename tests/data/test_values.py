@@ -18,16 +18,6 @@ class TestPools:
         b = V.sample(V.CITIES, np.random.default_rng(3))
         assert a == b
 
-    def test_sample_unique_within_pool(self):
-        values = V.sample_unique(V.CITIES, 10, np.random.default_rng(1))
-        assert len(values) == len(set(values)) == 10
-
-    def test_sample_unique_beyond_pool_suffixes(self):
-        small = ("a", "b")
-        values = V.sample_unique(small, 5, np.random.default_rng(1))
-        assert len(values) == 5
-        assert len(set(values)) == 5
-
     def test_person_name_two_parts(self):
         name = V.person_name(np.random.default_rng(0))
         assert len(name.split()) == 2

@@ -6,7 +6,6 @@ from repro.eval.metrics import (
     execution_match,
     mrr,
     precision_at_k,
-    ranked_exact_flags,
 )
 from repro.sqlkit.parser import parse_sql
 
@@ -74,11 +73,3 @@ class TestRankingMetrics:
     def test_empty_lists(self):
         assert precision_at_k([], 1) == 0.0
         assert mrr([]) == 0.0
-
-    def test_ranked_exact_flags(self):
-        gold = parse_sql("SELECT a FROM t")
-        candidates = [
-            parse_sql("SELECT b FROM t"),
-            parse_sql("SELECT a FROM t"),
-        ]
-        assert ranked_exact_flags(candidates, gold) == [False, True]

@@ -1,4 +1,4 @@
-"""FewShotLLM tests: retrieval, prompts (Table 3), style variants."""
+"""FewShotLLM tests: retrieval, style variants."""
 
 import pytest
 
@@ -37,29 +37,6 @@ class TestRetrieval:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             create_model("gpt4").retrieve("anything")
-
-
-class TestPrompt:
-    def test_table3_structure(self, llm, tiny_benchmark):
-        from repro.core.metadata import QueryMetadata
-
-        db = tiny_benchmark.dev.database("pets")
-        metadata = QueryMetadata(
-            tags=frozenset({"project", "where"}), rating=200
-        )
-        prompt = llm.build_prompt(
-            "Return the names of students", db, metadata
-        )
-        assert "#### Give you database schema" in prompt
-        assert "Schema: " in prompt
-        assert "The target SQL only uses the following SQL keywords" in prompt
-        assert "difficulty rating of the target SQL is 200" in prompt
-        assert prompt.rstrip().endswith("#### The target SQL is:")
-
-    def test_prompt_without_metadata(self, llm, tiny_benchmark):
-        db = tiny_benchmark.dev.database("pets")
-        prompt = llm.build_prompt("Return the names of students", db)
-        assert "difficulty rating" not in prompt
 
 
 class TestStyleVariants:

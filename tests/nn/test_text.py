@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.nn.encoder import EncoderTower
 from repro.nn.text import (
-    HashingVectorizer,
     TextFeaturizer,
     _count_matrix,
     text_features,
@@ -48,20 +47,6 @@ class TestFeatures:
         with_chars = text_features("cat")
         without = text_features("cat", include_chars=False)
         assert len(with_chars) > len(without)
-
-
-class TestHashingVectorizer:
-    def test_deterministic(self):
-        v = HashingVectorizer(buckets=64)
-        assert np.array_equal(v.transform("find cats"), v.transform("find cats"))
-
-    def test_unit_norm(self):
-        v = HashingVectorizer(buckets=64)
-        assert np.linalg.norm(v.transform("some text here")) == pytest.approx(1.0)
-
-    def test_empty_text_is_zero(self):
-        v = HashingVectorizer(buckets=64)
-        assert np.linalg.norm(v.transform("")) == 0.0
 
 
 class TestTextFeaturizer:

@@ -46,16 +46,5 @@ class TestQueries:
         db.insert("t", {"name": "Bob", "age": 4})
         assert db.column_values("t", "age") == [4]
 
-    def test_find_value_case_insensitive(self, world_db):
-        matches = world_db.find_value("aruba")
-        assert ("country", "name") in matches
-
-    def test_find_value_number(self, world_db):
-        matches = world_db.find_value(103000)
-        assert ("country", "population") in matches
-
-    def test_find_value_absent(self, world_db):
-        assert world_db.find_value("zzz-not-there") == []
-
     def test_size(self, world_db):
         assert world_db.size() == 10

@@ -688,8 +688,8 @@ class TestEvalJournal:
                 }
             )
             journal.append({"event": "eval"})  # legacy: missing keys
-            # Not request records (a checkpoint skip, an older journal's
-            # swap line): neither is counted nor folded.
+            # Not request records (an older journal's checkpoint-skip and
+            # swap lines): neither is counted nor folded.
             journal.append(
                 {
                     "event": "checkpoint_skipped",

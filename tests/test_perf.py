@@ -16,7 +16,7 @@ from repro.core.pipeline import _dedupe_candidates
 from repro.core.generation import GeneratedCandidate
 from repro.core.rank_stage1 import DualTowerRanker, Stage1Config
 from repro.core.rank_stage2 import MultiGrainedRanker, Stage2Config
-from repro.nn.text import HashingVectorizer, TextFeaturizer, _fnv1a, _hash_token
+from repro.nn.text import TextFeaturizer, _fnv1a, _hash_token
 from repro.obs.metrics import MetricsRegistry, registry_scope
 from repro.perf.cache import MISS, LRUCache
 from repro.sqlkit.parser import parse_sql
@@ -131,15 +131,6 @@ class TestTextBatching:
     def test_hash_token_is_memo_of_full_hash(self):
         assert _hash_token("select", 64) == _fnv1a("select") % 64
         assert _hash_token("select", 1024) == _fnv1a("select") % 1024
-
-    def test_hashing_vectorizer_single_matches_batch(self):
-        vectorizer = HashingVectorizer(buckets=128)
-        texts = ["alpha beta", "beta gamma delta", "alpha"]
-        batch = vectorizer.transform_many(texts)
-        for row, text in enumerate(texts):
-            np.testing.assert_array_equal(
-                vectorizer.transform(text), batch[row]
-            )
 
     def test_featurizer_single_matches_batch(self):
         texts = ["alpha beta gamma", "beta beta delta", "gamma epsilon"]

@@ -27,9 +27,9 @@ from repro.core.resilience import (
     TranslationReport,
     guarded_call,
 )
-from repro.obs.journal import Journal, read_journal
-from repro.obs.metrics import MetricsRegistry, registry_scope
-from repro.serve import CheckpointStore, ServiceConfig, TranslationService
+from repro.obs.journal import read_journal
+from repro.obs.metrics import MetricsRegistry
+from repro.serve import ServiceConfig, TranslationService
 from repro.serve.service import HealthSnapshot
 from repro.sqlkit.errors import (
     CheckpointError,
@@ -757,10 +757,10 @@ class TestServiceUnderFire:
             # checkpoint save must not disturb serving.
             FAULTS.arm("persist.save", times=1)
             try:
-                store = CheckpointStore(tmp_path / "store")
                 with pytest.raises(SqlError):
-                    store.save(trained_pipeline)
-                assert store.snapshots() == []  # torn save left no litter
+                    save_pipeline(trained_pipeline, tmp_path / "ckpt")
+                # The torn save left no litter: no checkpoint, no staging.
+                assert [p.name for p in tmp_path.iterdir()] == ["fire.jsonl"]
             finally:
                 FAULTS.disarm("persist.save")
 
@@ -895,89 +895,6 @@ class TestCrashSafeCheckpointing:
         ) == _ranked_sqls(trained_pipeline, example, db)
 
 
-class TestCheckpointStore:
-    def test_rotation_keeps_the_newest(self, trained_pipeline, tmp_path):
-        store = CheckpointStore(tmp_path / "store", keep=2)
-        for _ in range(3):
-            store.save(trained_pipeline)
-        names = [path.name for path in store.snapshots()]
-        assert names == ["ckpt-00000002", "ckpt-00000003"]
-        assert store.latest().name == "ckpt-00000003"
-
-    def test_recovery_skips_corrupt_latest(
-        self, trained_pipeline, tiny_benchmark, tmp_path
-    ):
-        example = tiny_benchmark.dev.examples[0]
-        db = tiny_benchmark.dev.database(example.db_id)
-        store = CheckpointStore(tmp_path / "store", keep=3)
-        good = store.save(trained_pipeline)
-        bad = store.save(trained_pipeline)
-        # Bit-flip the newest snapshot's weights.
-        weights = bad / "weights.npz"
-        data = bytearray(weights.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        weights.write_bytes(bytes(data))
-
-        loaded = store.load_latest()
-        assert _ranked_sqls(loaded, example, db) == _ranked_sqls(
-            trained_pipeline, example, db
-        )
-        assert good.exists()
-
-    def test_all_corrupt_raises_typed_error(self, trained_pipeline, tmp_path):
-        store = CheckpointStore(tmp_path / "store", keep=2)
-        path = store.save(trained_pipeline)
-        (path / "manifest.json").unlink()
-        with pytest.raises(CheckpointError):
-            store.load_latest()
-
-    def test_empty_store_raises_typed_error(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            CheckpointStore(tmp_path / "nothing").load_latest()
-
-    def test_skipped_corrupt_snapshot_is_counted_and_journaled(
-        self, trained_pipeline, tmp_path
-    ):
-        store = CheckpointStore(tmp_path / "store")
-        store.save(trained_pipeline)
-        newest = store.save(trained_pipeline)
-        (newest / "manifest.json").write_text("{ torn")
-        journal_path = tmp_path / "store.jsonl"
-        store.journal = Journal(journal_path)
-        registry = MetricsRegistry()
-        with registry_scope(registry):
-            pipeline = store.load_latest()
-        store.journal.close()
-        assert pipeline is not None
-        counter = registry.get("metasql_checkpoint_skipped_corrupt_total")
-        assert counter is not None and counter.value >= 1
-        records = read_journal(journal_path)
-        skips = [r for r in records if r["event"] == "checkpoint_skipped"]
-        assert skips and skips[0]["snapshot"] == newest.name
-        assert "error" in skips[0]
-
-    def test_prune_deletes_stale_rotations_and_keeps_latest(
-        self, trained_pipeline, tmp_path
-    ):
-        store = CheckpointStore(tmp_path / "store", keep=10)
-        for _ in range(4):
-            store.save(trained_pipeline)
-        assert len(store.snapshots()) == 4
-        deleted = store.prune(keep=2)
-        assert deleted == ["ckpt-00000001", "ckpt-00000002"]
-        remaining = [path.name for path in store.snapshots()]
-        assert remaining == ["ckpt-00000003", "ckpt-00000004"]
-        # The LATEST pointer's snapshot survives even keep=1.
-        store.prune(keep=1)
-        assert [p.name for p in store.snapshots()] == ["ckpt-00000004"]
-        assert store.load_latest() is not None
-
-    def test_prune_validates_keep(self, tmp_path):
-        store = CheckpointStore(tmp_path / "store")
-        with pytest.raises(ValueError):
-            store.prune(keep=0)
-
-
 class TestWarmStart:
     def test_service_from_single_checkpoint(
         self, trained_pipeline, tiny_benchmark, tmp_path
@@ -987,32 +904,14 @@ class TestWarmStart:
         target = tmp_path / "ckpt"
         save_pipeline(trained_pipeline, target)
         for source in (target, str(target)):  # a path or its str
-            with TranslationService.from_checkpoint(
-                source, ServiceConfig(workers=1, queue_limit=2)
+            with TranslationService(
+                load_pipeline(source), ServiceConfig(workers=1, queue_limit=2)
             ) as service:
                 result = service.translate(example.question, db, timeout=60)
             assert [to_sql(r.query) for r in result.translations] == (
                 _ranked_sqls(trained_pipeline, example, db)
             )
 
-    def test_service_from_store_skips_torn_snapshot(
-        self, trained_pipeline, tiny_benchmark, tmp_path
-    ):
-        example = tiny_benchmark.dev.examples[0]
-        db = tiny_benchmark.dev.database(example.db_id)
-        root = tmp_path / "store"
-        store = CheckpointStore(root, keep=3)
-        store.save(trained_pipeline)
-        # Simulate a torn newer save: kill -9 mid-write via failpoint.
-        with FAULTS.inject("persist.save"):
-            with pytest.raises(InjectedFault):
-                store.save(trained_pipeline)
-        with TranslationService.from_checkpoint(
-            root, ServiceConfig(workers=1, queue_limit=2)
-        ) as service:
-            result = service.translate(example.question, db, timeout=60)
-            assert result.translations
-
     def test_missing_path_raises_typed_error(self, tmp_path):
         with pytest.raises(CheckpointError):
-            TranslationService.from_checkpoint(tmp_path / "missing")
+            load_pipeline(tmp_path / "missing")
