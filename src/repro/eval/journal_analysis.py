@@ -234,9 +234,9 @@ def aggregate_journal(
     (e.g. ``("eval",)``); by default both eval and serve records are
     aggregated.  Only request records (``eval``, ``translate``) are
     folded and counted; every other event (an older journal's
-    ``checkpoint_skipped`` or ``swap``) is skipped.  Records missing expected keys
-    contribute what they have — a journal from an older schema never
-    makes aggregation fail.
+    ``checkpoint_skipped`` or ``swap``) is skipped.  Records missing
+    expected keys contribute what they have — a journal from an older
+    schema never makes aggregation fail.
     """
     summary = JournalSummary()
     for path in paths:
