@@ -544,10 +544,14 @@ def _eval_aggregate(expr: AggExpr, members: list[Row], db: Database) -> object:
         return len(values)
     if not values:
         return None
-    if expr.func == "sum":
-        return sum(values)  # type: ignore[arg-type]
-    if expr.func == "avg":
-        return sum(values) / len(values)  # type: ignore[arg-type]
+    if expr.func in ("sum", "avg"):
+        try:
+            total = sum(values)  # type: ignore[arg-type]
+        except TypeError as exc:
+            raise SqlExecutionError(
+                f"{expr.func} over non-numeric values: {exc}"
+            ) from exc
+        return total if expr.func == "sum" else total / len(values)
     if expr.func == "min":
         return min(values, key=_orderable)
     if expr.func == "max":

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from repro.data.domains import SPIDER_DOMAINS, build_domain
 from repro.data.generator import QuerySampler
+from repro.eval.metrics import execution_match
 from repro.schema.executor import execute
 from repro.sqlkit.ast import SelectQuery, SetQuery
-from repro.sqlkit.errors import SqlError
+from repro.sqlkit.errors import SqlError, SqlExecutionError
 from repro.sqlkit.parser import parse_sql
 
 
@@ -84,6 +85,18 @@ class TestAggregates:
             "SELECT count(*) FROM country WHERE code = 'XXX'", world_db
         )
         assert rows == [(0,)]
+
+    @pytest.mark.parametrize("func", ["sum", "avg"])
+    def test_sum_avg_over_text_raise_typed_error(self, world_db, func):
+        # A bare TypeError would escape EX scoring and verify's per-candidate
+        # handler; a text aggregate is an execution error like any other.
+        with pytest.raises(SqlExecutionError):
+            run(f"SELECT {func}(name) FROM country", world_db)
+        assert not execution_match(
+            parse_sql(f"SELECT {func}(name) FROM country"),
+            parse_sql("SELECT name FROM country"),
+            world_db,
+        )
 
 
 class TestJoins:
