@@ -13,6 +13,11 @@ Semantics notes (documented divergences from full SQL):
 - aggregates over an empty group: ``count`` is 0, others are NULL,
 - a bare column under GROUP BY takes the group's first row value.
 
+Each call compiles its query once: column names resolve to tuple slots
+per SELECT, expressions and conditions become closures over row tuples,
+and each uncorrelated subquery runs once.  Errors stay lazy — a name that
+does not resolve raises only when a row reaches it.
+
 Execution is bounded by an optional :class:`ExecutionBudget` (row/step
 limits) so a pathological candidate query — e.g. an accidental cartesian
 product over large tables — raises :class:`ExecutionBudgetError` instead
@@ -23,11 +28,12 @@ nested subquery execution draws from the same allowance.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
+from dataclasses import dataclass, replace
+from operator import add, itemgetter, mul, sub
+from typing import Callable, Iterator
 
 from repro.core.resilience import fire
 from repro.schema.database import Database
@@ -46,8 +52,10 @@ from repro.sqlkit.ast import (
 )
 from repro.sqlkit.errors import ExecutionBudgetError, SqlExecutionError
 
-Row = dict[str, object]
 ResultRow = tuple[object, ...]
+#: A FROM row as a tuple; a group is its first row plus ``(members,)``.
+Env = tuple
+Getter = Callable[[Env], object]
 
 
 @dataclass
@@ -149,25 +157,439 @@ def execute(
     When *budget* is given it becomes the ambient budget for this call and
     every nested subquery; without one, the enclosing scope's budget (an
     enclosing ``execute`` call or a :func:`budget_scope`) keeps applying,
-    so recursive internal calls never reset limits and repeated top-level
-    calls under one scope charge the same allowance cumulatively.
+    so repeated top-level calls under one scope charge the same allowance
+    cumulatively.
     """
     fire("executor.execute")
     if budget is None:
-        return _execute(query, db)
+        return _Run(db).query(query)
     token = _BUDGET.set(budget)
     try:
-        return _execute(query, db)
+        return _Run(db).query(query)
     finally:
         _BUDGET.reset(token)
 
 
-def _execute(query: Query, db: Database) -> list[ResultRow]:
-    if isinstance(query, SetQuery):
-        left = execute(query.left, db)
-        right = execute(query.right, db)
-        return _apply_set_op(query.op, left, right)
-    return _execute_select(query, db)
+class _Run:
+    """One :func:`execute` call: its table tuples and subquery results."""
+
+    def __init__(self, db: Database) -> None:
+        self.db = db
+        self.tables: dict[str, list[Env]] = {}
+
+    def query(self, query: Query) -> list[ResultRow]:
+        if isinstance(query, SetQuery):
+            left = self.query(query.left)
+            right = self.query(query.right)
+            return _apply_set_op(query.op, left, right)
+        return self.select(query)
+
+    def table(self, table) -> list[Env]:
+        """The rows of *table* as tuples in schema column order."""
+        name = table.name.lower()
+        if name not in self.tables:
+            pick = itemgetter(*[column.name.lower() for column in table.columns])
+            rows = [pick(row) for row in self.db.table_rows(name)]
+            self.tables[name] = rows if len(table.columns) > 1 else [(v,) for v in rows]
+        return self.tables[name]
+
+    def select(self, query: SelectQuery) -> list[ResultRow]:
+        env_rows, scope = self.from_(query)
+        _charge(len(env_rows))
+
+        if query.where is not None:
+            where = _compile_condition(query.where, scope, self)
+            env_rows = [row for row in env_rows if where(row)]
+
+        if query.group_by:
+            keys = [_compile_column(ref, scope) for ref in query.group_by]
+            groups: dict[tuple, list[Env]] = {}
+            for row in env_rows:
+                key = tuple([_comparable(get(row)) for get in keys])
+                groups.setdefault(key, []).append(row)
+            result_envs = [members[0] + (members,) for members in groups.values()]
+            scope = replace(scope, rows=scope)
+            if query.having is not None:
+                having = _compile_condition(query.having, scope, self)
+                result_envs = [env for env in result_envs if having(env)]
+        elif _select_has_aggregate(query):
+            # One group of every row and no first row: no column resolves.
+            result_envs = [(env_rows,)]
+            scope = _Scope({}, scope.columns, rows=scope)
+        else:
+            result_envs = env_rows
+
+        ordered = list(result_envs)
+        if query.order_by:
+            _charge(len(ordered) * len(query.order_by))
+            # Stable multi-key sort: apply keys from least to most significant.
+            for item in reversed(query.order_by):
+                get = _compile_expr(item.expr, scope, self)
+                ordered.sort(
+                    key=lambda env, get=get: _orderable(get(env)), reverse=item.desc
+                )
+
+        # SELECT * expands to all columns of the FROM environment.
+        parts = [
+            _compile_star(e, scope) if isinstance(e, Star)
+            else (lambda env, get=_compile_expr(e, scope, self): (get(env),))
+            for e in query.select
+        ]
+        projected = [tuple([v for part in parts for v in part(env)]) for env in ordered]
+
+        if query.distinct:
+            projected = _dedupe(projected)
+        if query.limit is not None:
+            projected = projected[: query.limit]
+        return projected
+
+    def from_(self, query: SelectQuery) -> tuple[list[Env], _Scope]:
+        from_ = query.from_
+        if from_.subquery is not None:
+            sub_rows = self.query(from_.subquery)
+            columns = _subquery_column_names(from_.subquery)
+            # A row shorter than the names lacks the last ones.
+            keys = {name: slot for slot, name in enumerate(dict.fromkeys(columns))}
+            env_rows = [
+                tuple([named.get(name, _MISSING) for name in keys])
+                for named in (dict(zip(columns, row)) for row in sub_rows)
+            ]
+            return env_rows, _Scope(keys, columns, partial=True)
+
+        schema = self.db.schema
+        tables = [schema.table(name) for name in from_.tables]
+        layout = [
+            f"{table.name.lower()}.{column.name.lower()}"
+            for table in tables
+            for column in table.columns
+        ]
+        joined = self.table(tables[0])
+        _charge_rows(len(joined))
+        attached = [tables[0].name.lower()]
+        for table in tables[1:]:
+            table_l = table.name.lower()
+            conditions = _join_conditions_for(
+                table_l, attached, list(from_.joins), schema, from_.tables
+            )
+            right_rows = self.table(table)
+            # Pre-charge the full join product: a runaway cartesian explosion
+            # must trip the budget before the work is done, not after.
+            _charge(len(joined) * len(right_rows))
+            # Slots of the merged row's names; the right table's copy wins.
+            width = sum(len(t.columns) for t in tables[: len(attached) + 1])
+            slots = {name: slot for slot, name in enumerate(layout[:width])}
+            pairs = [(slots.get(a), slots.get(b)) for a, b in conditions]
+            if any(a is None or b is None for a, b in pairs):
+                joined = []  # a name the rows lack is NULL, which equals nothing
+            else:
+                joined = _join(joined, right_rows, width - len(table.columns), pairs)
+            _charge_rows(len(joined))
+            attached.append(table_l)
+
+        # Each name maps to its last slot in first-seen order (a self-join's
+        # second copy shadows the first); unambiguous bare names follow.
+        keys = {name: slot for slot, name in enumerate(layout)}
+        bare = Counter(name.split(".", 1)[1] for name in layout)
+        for name in layout:
+            if bare[name.split(".", 1)[1]] == 1:
+                keys[name.split(".", 1)[1]] = keys[name]
+        return joined, _Scope(keys, layout)
+
+
+def _join(
+    left_rows: list[Env], right_rows: list[Env], width: int, pairs: list
+) -> list[Env]:
+    """Left rows joined to the right rows equal on every pair of slots.
+
+    Slots index the merged row, whose first *width* values are the left
+    row's.  Rows come in nested-loop order; a pair linking the two sides
+    finds each left row's partners through an index of the right column.
+    """
+    link = next(((a, b) for a, b in map(sorted, pairs) if a < width <= b), None)
+    if link is not None:
+        partners = _equal_index([row[link[1] - width] for row in right_rows])
+        pairs = [p for p in pairs if sorted(p) != list(link)]
+    out: list[Env] = []
+    for left in left_rows:
+        rights = right_rows
+        if link is not None:
+            rights = [right_rows[i] for i in partners(left[link[0]])]
+        for right in rights:
+            row = left + right
+            if all(_values_equal(row[a], row[b]) for a, b in pairs):
+                out.append(row)
+    return out
+
+
+def _equal_index(values: list[object]) -> Callable[[object], list[int]]:
+    """The ascending positions of *values* that equal a probe.
+
+    Equal as :func:`_values_equal` has it: strings case-insensitively, a
+    string and a number by their lowercased ``str()``, two numbers by
+    ``==`` (whose hashes agree).  Any other type is matched by a scan.
+    """
+    texts: dict[str, list[int]] = {}
+    numbers_as_text: dict[str, list[int]] = {}
+    numbers: dict[object, list[int]] = {}
+
+    def scan(probe: object) -> list[int]:
+        return [i for i, value in enumerate(values) if _values_equal(probe, value)]
+
+    for i, value in enumerate(values):
+        if isinstance(value, str):
+            texts.setdefault(value.lower(), []).append(i)
+        elif isinstance(value, (int, float)):
+            numbers_as_text.setdefault(str(value).lower(), []).append(i)
+            if value == value:  # NaN equals no number
+                numbers.setdefault(value, []).append(i)
+        elif value is not None:
+            return scan
+
+    def match(probe: object) -> list[int]:
+        if isinstance(probe, str):
+            same = texts.get(probe.lower(), [])
+            other = numbers_as_text.get(probe.lower(), [])
+        elif isinstance(probe, (int, float)):
+            same = numbers.get(probe, []) if probe == probe else []
+            other = texts.get(str(probe).lower(), [])
+        else:
+            return [] if probe is None else scan(probe)
+        return sorted(same + other) if same and other else same or other
+
+    return match
+
+
+# ----------------------------------------------------------------------
+# Compiling expressions and conditions against a scope.
+
+_MISSING = object()  # a name a short FROM-subquery row lacks
+_ARITH = {"+": add, "-": sub, "*": mul}
+
+
+@dataclass(frozen=True)
+class _Scope:
+    """Where each column name of an environment tuple lives.
+
+    ``keys`` maps qualified and unambiguous bare names to slots, in the
+    order a row dict would list them; ``SELECT *`` expands to ``columns``.
+    A group scope has the FROM scope as ``rows``: its environments end in
+    their member rows.  ``partial`` rows may hold ``_MISSING``.
+    """
+
+    keys: dict[str, int]
+    columns: list[str]
+    partial: bool = False
+    rows: _Scope | None = None
+
+
+def _raiser(message: str) -> Getter:
+    """A getter that fails only when a row reaches it: errors stay lazy."""
+
+    def fail(env: Env) -> object:
+        raise SqlExecutionError(message)
+
+    return fail
+
+
+def _compile_column(ref: ColumnRef, scope: _Scope) -> Getter:
+    column, keys = ref.column.lower(), scope.keys
+    qualified = f"{(ref.table or '').lower()}.{column}"
+    if ref.table is not None and qualified in keys:
+        slot = keys[qualified]
+    elif column in keys:
+        slot = keys[column]
+    else:  # try any qualified variant
+        suffix = f".{column}"
+        slot = next((s for name, s in keys.items() if name.endswith(suffix)), None)
+    message = f"unknown column {ref.key()!r} in row scope"
+    if slot is None:
+        return _raiser(message)
+    if not scope.partial:
+        return itemgetter(slot)
+
+    def get(env: Env) -> object:
+        if env[slot] is _MISSING:
+            raise SqlExecutionError(message)
+        return env[slot]
+
+    return get
+
+
+def _compile_star(expr: Star, scope: _Scope) -> Callable[[Env], tuple]:
+    prefix = "" if expr.table is None else expr.table.lower() + "."
+    slots = [scope.keys.get(c) for c in scope.columns if c.startswith(prefix)]
+    return lambda env: tuple([
+        None if slot is None or env[slot] is _MISSING else env[slot]
+        for slot in slots
+    ])
+
+
+def _compile_expr(expr: ValueExpr, scope: _Scope, run: _Run) -> Getter:
+    if isinstance(expr, Literal):
+        return lambda env, value=expr.value: value
+    if isinstance(expr, ColumnRef):
+        return _compile_column(expr, scope)
+    if isinstance(expr, Star):
+        return _raiser("bare * outside aggregate/select context")
+    if isinstance(expr, AggExpr):
+        if scope.rows is None:
+            return _raiser(f"aggregate {expr.func} used without grouping context")
+        return _compile_aggregate(expr, scope, run)
+    if isinstance(expr, Arith):
+        return _compile_arith(expr, scope, run)
+    return _raiser(f"cannot evaluate {type(expr).__name__}")
+
+
+def _compile_arith(expr: Arith, scope: _Scope, run: _Run) -> Getter:
+    left_of = _compile_expr(expr.left, scope, run)
+    right_of = _compile_expr(expr.right, scope, run)
+    op = expr.op
+
+    def arith(env: Env) -> object:
+        left, right = left_of(env), right_of(env)
+        if left is None or right is None:
+            return None
+        try:
+            if op in _ARITH:
+                return _ARITH[op](left, right)
+            return None if right == 0 else left / right
+        except TypeError as exc:
+            raise SqlExecutionError(f"arithmetic type error: {exc}") from exc
+
+    return arith
+
+
+def _compile_aggregate(expr: AggExpr, scope: _Scope, run: _Run) -> Getter:
+    star, func = isinstance(expr.arg, Star), expr.func
+    arg = None if star else _compile_expr(expr.arg, scope.rows, run)
+
+    def aggregate(env: Env) -> object:
+        members = env[-1]
+        if arg is None:
+            values: list[object] = [1] * len(members)
+        else:
+            values = [value for value in map(arg, members) if value is not None]
+        if expr.distinct:
+            unique: dict[object, object] = {}
+            for value in values:
+                unique.setdefault(_comparable(value), value)
+            values = list(unique.values())
+        if func == "count":
+            return len(values)
+        if not values:
+            return None
+        if func in ("sum", "avg"):
+            try:
+                total = sum(values)  # type: ignore[arg-type]
+            except TypeError as exc:
+                raise SqlExecutionError(
+                    f"{func} over non-numeric values: {exc}"
+                ) from exc
+            return total if func == "sum" else total / len(values)
+        if func in ("min", "max"):
+            return (min if func == "min" else max)(values, key=_orderable)
+        raise SqlExecutionError(f"unknown aggregate: {func}")
+
+    return aggregate
+
+
+def _compile_condition(
+    condition: Condition, scope: _Scope, run: _Run
+) -> Callable[[Env], bool]:
+    first, *rest = [_compile_predicate(p, scope, run) for p in condition.predicates]
+    links = list(zip(condition.connectors, rest))
+    if not links:
+        return first
+
+    def test(env: Env) -> bool:
+        # Every predicate is evaluated: the connectors do not short-circuit.
+        result = first(env)
+        for connector, predicate in links:
+            value = predicate(env)
+            result = (result and value) if connector == "and" else (result or value)
+        return result
+
+    return test
+
+
+def _subquery(query: Query, run: _Run) -> Callable[[], tuple[list, Callable]]:
+    """An uncorrelated subquery's first-column values and their index.
+
+    The subquery runs on first use only, charging the budget as it goes;
+    each later use replays that recorded charge, so the budget counts the
+    same steps as running it again would, and trips where a rerun would.
+    """
+    memo: list = []
+
+    def result() -> tuple[list, Callable]:
+        budget = _BUDGET.get()
+        if memo:
+            if budget is not None:
+                budget.charge(memo[2])
+        else:
+            before = budget.steps if budget is not None else 0
+            values = [row[0] for row in run.query(query) if row]
+            spent = budget.steps - before if budget is not None else 0
+            memo[:] = [values, _equal_index(values), spent]
+        return memo[0], memo[1]
+
+    return result
+
+
+def _compile_predicate(
+    predicate: Predicate, scope: _Scope, run: _Run
+) -> Callable[[Env], bool]:
+    left_of = _compile_expr(predicate.left, scope, run)
+    op, negated, right = predicate.op, predicate.negated, predicate.right
+
+    if isinstance(right, (SelectQuery, SetQuery)):
+        subquery = _subquery(right, run)
+
+        def sub_test(env: Env) -> bool:
+            left = left_of(env)
+            values, index = subquery()
+            if op == "in":
+                return bool(index(left)) != negated
+            if not values:
+                return False
+            # Scalar comparison against a subquery: compare with its first
+            # value (the generator only emits single-value scalar subqueries).
+            return _compare(op, left, values[0]) != negated
+
+        return sub_test
+
+    if op == "in":
+        index = _equal_index([lit.value for lit in right])  # type: ignore[union-attr]
+        return lambda env: bool(index(left_of(env))) != negated
+
+    right_of = _compile_expr(right, scope, run)
+    if op == "between":
+        high_of = _compile_expr(predicate.right2, scope, run)  # type: ignore[arg-type]
+
+        def between(env: Env) -> bool:
+            left, low, high = left_of(env), right_of(env), high_of(env)
+            hit = _compare(">=", left, low) and _compare("<=", left, high)
+            return hit != negated
+
+        return between
+
+    if op == "like":
+
+        def like(env: Env) -> bool:
+            left, pattern = left_of(env), right_of(env)
+            if left is None or pattern is None:
+                return False
+            regex = re.escape(str(pattern)).replace("%", ".*").replace("_", ".")
+            hit = re.fullmatch(regex, str(left), re.IGNORECASE) is not None
+            return hit != negated
+
+        return like
+
+    return lambda env: _compare(op, left_of(env), right_of(env)) != negated
+
+
+# ----------------------------------------------------------------------
+# Set operations and value semantics.
 
 
 def _apply_set_op(
@@ -206,82 +628,6 @@ def _row_key(row: ResultRow):
     )
 
 
-# ----------------------------------------------------------------------
-# Single SELECT evaluation.
-
-
-def _execute_select(query: SelectQuery, db: Database) -> list[ResultRow]:
-    env_rows, env_columns = _build_from(query, db)
-    _charge(len(env_rows))
-
-    if query.where is not None:
-        env_rows = [
-            row for row in env_rows if _eval_condition(query.where, row, db)
-        ]
-
-    has_aggregate = _select_has_aggregate(query)
-    if query.group_by:
-        groups = _group_rows(env_rows, query.group_by, env_columns)
-        if query.having is not None:
-            groups = [
-                g for g in groups if _eval_condition(query.having, g, db, group=True)
-            ]
-        result_envs: list[Row] = groups
-    elif has_aggregate:
-        result_envs = [{"__group__": env_rows}]
-    else:
-        result_envs = env_rows
-
-    ordered = list(result_envs)
-    if query.order_by:
-        _charge(len(ordered) * len(query.order_by))
-        # Stable multi-key sort: apply keys from least to most significant.
-        for item in reversed(query.order_by):
-            ordered.sort(
-                key=lambda env, it=item: _orderable(
-                    _eval_expr(it.expr, env, db, env_columns)
-                ),
-                reverse=item.desc,
-            )
-
-    # SELECT * expands to all columns of the FROM environment.
-    if any(isinstance(e, Star) for e in query.select):
-        projected = [
-            _expand_star(query.select, env, db, env_columns) for env in ordered
-        ]
-    else:
-        projected = [
-            tuple(
-                _eval_expr(expr, env, db, env_columns) for expr in query.select
-            )
-            for env in ordered
-        ]
-
-    if query.distinct:
-        projected = _dedupe(projected)
-    if query.limit is not None:
-        projected = projected[: query.limit]
-    return projected
-
-
-def _expand_star(
-    select: tuple[ValueExpr, ...], env: Row, db: Database, env_columns: list[str]
-) -> ResultRow:
-    values: list[object] = []
-    for expr in select:
-        if isinstance(expr, Star):
-            if expr.table is None:
-                values.extend(env.get(col) for col in env_columns)
-            else:
-                prefix = expr.table.lower() + "."
-                values.extend(
-                    env.get(col) for col in env_columns if col.startswith(prefix)
-                )
-        else:
-            values.append(_eval_expr(expr, env, db, env_columns))
-    return tuple(values)
-
-
 def _orderable(value: object):
     """Total-order key tolerating mixed None/str/number values."""
     if value is None:
@@ -302,67 +648,6 @@ def _select_has_aggregate(query: SelectQuery) -> bool:
         return False
 
     return any(expr_has(e) for e in query.select)
-
-
-# ----------------------------------------------------------------------
-# FROM construction.
-
-
-def _build_from(query: SelectQuery, db: Database) -> tuple[list[Row], list[str]]:
-    from_ = query.from_
-    if from_.subquery is not None:
-        sub_rows = execute(from_.subquery, db)
-        columns = _subquery_column_names(from_.subquery)
-        env_rows = [
-            dict(zip(columns, row)) for row in sub_rows
-        ]
-        return env_rows, columns
-
-    schema = db.schema
-    qualified_columns: list[str] = []
-    for name in from_.tables:
-        table = schema.table(name)
-        for column in table.columns:
-            qualified_columns.append(f"{table.name.lower()}.{column.name.lower()}")
-
-    # Start with the first table, then join each next table.
-    joined: list[Row] = []
-    first = schema.table(from_.tables[0])
-    for row in db.table_rows(first.name):
-        joined.append(
-            {f"{first.name.lower()}.{k}": v for k, v in row.items()}
-        )
-    _charge_rows(len(joined))
-    attached = [first.name.lower()]
-
-    explicit = list(from_.joins)
-    for name in from_.tables[1:]:
-        table = schema.table(name)
-        table_l = table.name.lower()
-        conditions = _join_conditions_for(
-            table_l, attached, explicit, schema, from_.tables
-        )
-        new_rows: list[Row] = []
-        right_rows = [
-            {f"{table_l}.{k}": v for k, v in row.items()}
-            for row in db.table_rows(table.name)
-        ]
-        # Pre-charge the full join product: a runaway cartesian explosion
-        # must trip the budget before the work is done, not after.
-        _charge(len(joined) * len(right_rows))
-        for left_row, right_row in product(joined, right_rows):
-            merged = {**left_row, **right_row}
-            if all(
-                _values_equal(merged.get(a), merged.get(b)) for a, b in conditions
-            ):
-                new_rows.append(merged)
-        _charge_rows(len(new_rows))
-        joined = new_rows
-        attached.append(table_l)
-
-    env_columns = qualified_columns
-    env_rows = [_add_unqualified(row, env_columns) for row in joined]
-    return env_rows, env_columns
 
 
 def _subquery_column_names(query: Query) -> list[str]:
@@ -420,156 +705,10 @@ def _join_conditions_for(
     return []
 
 
-def _add_unqualified(row: Row, env_columns: list[str]) -> Row:
-    """Expose unambiguous unqualified column names alongside qualified ones."""
-    out = dict(row)
-    counts: dict[str, int] = {}
-    for qualified in env_columns:
-        bare = qualified.split(".", 1)[1]
-        counts[bare] = counts.get(bare, 0) + 1
-    for qualified in env_columns:
-        bare = qualified.split(".", 1)[1]
-        if counts[bare] == 1:
-            out[bare] = row.get(qualified)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Grouping.
-
-
-def _group_rows(
-    rows: list[Row], group_by, env_columns: list[str]
-) -> list[Row]:
-    groups: dict[tuple, list[Row]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        key = tuple(
-            _comparable(_lookup_column(ref, row)) for ref in group_by
-        )
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    out: list[Row] = []
-    for key in order:
-        members = groups[key]
-        env: Row = dict(members[0])
-        env["__group__"] = members
-        out.append(env)
-    return out
-
-
 def _comparable(value: object):
     if isinstance(value, str):
         return value.lower()
     return value
-
-
-# ----------------------------------------------------------------------
-# Expression and predicate evaluation.
-
-
-def _lookup_column(ref: ColumnRef, row: Row) -> object:
-    if ref.table is not None:
-        key = f"{ref.table.lower()}.{ref.column.lower()}"
-        if key in row:
-            return row[key]
-    key = ref.column.lower()
-    if key in row:
-        return row[key]
-    # Qualified lookup failed: try any qualified variant.
-    suffix = f".{ref.column.lower()}"
-    for candidate, value in row.items():
-        if isinstance(candidate, str) and candidate.endswith(suffix):
-            return value
-    raise SqlExecutionError(f"unknown column {ref.key()!r} in row scope")
-
-
-def _eval_expr(
-    expr: ValueExpr, env: Row, db: Database, env_columns: list[str] | None = None
-) -> object:
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        return _lookup_column(expr, env)
-    if isinstance(expr, Star):
-        raise SqlExecutionError("bare * outside aggregate/select context")
-    if isinstance(expr, AggExpr):
-        members = env.get("__group__")
-        if members is None:
-            raise SqlExecutionError(
-                f"aggregate {expr.func} used without grouping context"
-            )
-        return _eval_aggregate(expr, members, db)
-    if isinstance(expr, Arith):
-        left = _eval_expr(expr.left, env, db, env_columns)
-        right = _eval_expr(expr.right, env, db, env_columns)
-        if left is None or right is None:
-            return None
-        try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if right == 0:
-                return None
-            return left / right
-        except TypeError as exc:
-            raise SqlExecutionError(f"arithmetic type error: {exc}") from exc
-    raise SqlExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-
-def _eval_aggregate(expr: AggExpr, members: list[Row], db: Database) -> object:
-    if isinstance(expr.arg, Star):
-        values: list[object] = [1] * len(members)
-    else:
-        values = []
-        for member in members:
-            value = _eval_expr(expr.arg, member, db)
-            if value is not None:
-                values.append(value)
-    if expr.distinct:
-        seen = set()
-        unique = []
-        for value in values:
-            key = _comparable(value)
-            if key not in seen:
-                seen.add(key)
-                unique.append(value)
-        values = unique
-    if expr.func == "count":
-        return len(values)
-    if not values:
-        return None
-    if expr.func in ("sum", "avg"):
-        try:
-            total = sum(values)  # type: ignore[arg-type]
-        except TypeError as exc:
-            raise SqlExecutionError(
-                f"{expr.func} over non-numeric values: {exc}"
-            ) from exc
-        return total if expr.func == "sum" else total / len(values)
-    if expr.func == "min":
-        return min(values, key=_orderable)
-    if expr.func == "max":
-        return max(values, key=_orderable)
-    raise SqlExecutionError(f"unknown aggregate: {expr.func}")
-
-
-def _eval_condition(
-    condition: Condition, env: Row, db: Database, group: bool = False
-) -> bool:
-    result = _eval_predicate(condition.predicates[0], env, db)
-    for connector, predicate in zip(condition.connectors, condition.predicates[1:]):
-        value = _eval_predicate(predicate, env, db)
-        if connector == "and":
-            result = result and value
-        else:
-            result = result or value
-    return result
 
 
 def _values_equal(left: object, right: object) -> bool:
@@ -605,45 +744,3 @@ def _compare(op: str, left: object, right: object) -> bool:
     except TypeError:
         return False
     raise SqlExecutionError(f"unknown comparison operator: {op}")
-
-
-def _eval_predicate(predicate: Predicate, env: Row, db: Database) -> bool:
-    left = _eval_expr(predicate.left, env, db)
-    op = predicate.op
-
-    if isinstance(predicate.right, (SelectQuery, SetQuery)):
-        sub_rows = execute(predicate.right, db)
-        sub_values = [row[0] for row in sub_rows if row]
-        if op == "in":
-            hit = any(_values_equal(left, v) for v in sub_values)
-            return hit != predicate.negated
-        if not sub_values:
-            return False
-        # Scalar comparison against a subquery: compare with its first value
-        # (the generator only emits single-value scalar subqueries).
-        hit = _compare(op, left, sub_values[0])
-        return hit != predicate.negated
-
-    if op == "in":
-        assert isinstance(predicate.right, tuple)
-        values = [lit.value for lit in predicate.right]
-        hit = any(_values_equal(left, v) for v in values)
-        return hit != predicate.negated
-
-    if op == "between":
-        low = _eval_expr(predicate.right, env, db)  # type: ignore[arg-type]
-        high = _eval_expr(predicate.right2, env, db)  # type: ignore[arg-type]
-        hit = _compare(">=", left, low) and _compare("<=", left, high)
-        return hit != predicate.negated
-
-    if op == "like":
-        right = _eval_expr(predicate.right, env, db)  # type: ignore[arg-type]
-        if left is None or right is None:
-            return False
-        pattern = re.escape(str(right)).replace("%", ".*").replace("_", ".")
-        hit = re.fullmatch(pattern, str(left), re.IGNORECASE) is not None
-        return hit != predicate.negated
-
-    right = _eval_expr(predicate.right, env, db)  # type: ignore[arg-type]
-    hit = _compare(op, left, right)
-    return hit != predicate.negated
