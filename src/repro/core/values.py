@@ -18,6 +18,7 @@ from repro.models.mentions import extract_mentions, question_tokens
 from repro.schema.database import Database
 from repro.schema.schema import TEXT
 from repro.sqlkit.ast import (
+    PLACEHOLDER,
     ColumnRef,
     Condition,
     FromClause,
@@ -27,8 +28,6 @@ from repro.sqlkit.ast import (
     SelectQuery,
     SetQuery,
 )
-
-_PLACEHOLDER = "value"
 
 
 def ground_values(query: Query, question: str, db: Database) -> Query:
@@ -93,7 +92,7 @@ class _Grounder:
 
     @staticmethod
     def _is_placeholder(value) -> bool:
-        return isinstance(value, Literal) and value.value == _PLACEHOLDER
+        return isinstance(value, Literal) and value.value == PLACEHOLDER
 
     # ------------------------------------------------------------------
 
@@ -121,7 +120,7 @@ class _Grounder:
                 if predicate.op == "like":
                     return Literal(f"%{str(value).split()[0]}%")
                 return Literal(value)
-            return Literal(_PLACEHOLDER)
+            return Literal(PLACEHOLDER)
         return self._best_number(first)
 
     def _best_text_value(self, ref: ColumnRef) -> str | None:
@@ -150,7 +149,7 @@ class _Grounder:
         ]
         pool = available or self.numbers
         if not pool:
-            return Literal(_PLACEHOLDER)
+            return Literal(PLACEHOLDER)
         mention = pool[0] if first else pool[-1]
         index = self.numbers.index(mention)
         self._used_numbers.add(index)

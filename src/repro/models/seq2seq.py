@@ -36,6 +36,7 @@ from repro.models.sketch import Sketch, SketchModel
 from repro.schema.database import Database
 from repro.schema.schema import NUMBER, TEXT, Schema
 from repro.sqlkit.ast import (
+    PLACEHOLDER,
     AggExpr,
     Arith,
     ColumnRef,
@@ -1181,14 +1182,14 @@ def _replace_literals(query: Query) -> Query:
         for predicate in condition.predicates:
             right = predicate.right
             if isinstance(right, Literal):
-                right = Literal("value")
+                right = Literal(PLACEHOLDER)
             elif isinstance(right, (SelectQuery, SetQuery)):
                 right = _replace_literals(right)
             elif isinstance(right, tuple):
-                right = tuple(Literal("value") for __ in right)
+                right = tuple(Literal(PLACEHOLDER) for __ in right)
             right2 = predicate.right2
             if isinstance(right2, Literal):
-                right2 = Literal("value")
+                right2 = Literal(PLACEHOLDER)
             fixed.append(replace(predicate, right=right, right2=right2))
         return Condition(
             predicates=tuple(fixed), connectors=condition.connectors

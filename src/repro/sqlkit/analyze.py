@@ -41,6 +41,7 @@ TEXT = "text"
 NUMBER = "number"
 
 from repro.sqlkit.ast import (
+    PLACEHOLDER,
     AggExpr,
     Arith,
     ColumnRef,
@@ -212,7 +213,9 @@ class _Scope:
 # Expression helpers.
 
 
-def _literal_type(literal: Literal) -> str:
+def _literal_type(literal: Literal) -> str | None:
+    if literal.value == PLACEHOLDER:  # ungrounded: it stands for any value
+        return None
     return TEXT if isinstance(literal.value, str) else NUMBER
 
 

@@ -21,6 +21,8 @@ AGG_FUNCS = ("count", "sum", "avg", "min", "max")
 COMPARE_OPS = ("=", "!=", "<", ">", "<=", ">=", "like", "in", "between")
 ARITH_OPS = ("+", "-", "*", "/")
 SET_OPS = ("union", "intersect", "except")
+#: The literal models that predict no values emit before grounding fills it.
+PLACEHOLDER = "value"
 
 
 @dataclass(frozen=True)

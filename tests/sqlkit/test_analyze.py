@@ -184,6 +184,32 @@ def test_valid_corpus_clean(analyzer, sql):
     assert diagnostics == [], render_diagnostics(diagnostics)
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT floors FROM building WHERE floors = 'value'",
+        "SELECT name FROM building WHERE floors BETWEEN 'value' AND 'value'",
+        "SELECT name FROM building WHERE floors IN ('value', 'value')",
+        "SELECT name FROM building WHERE floors > 'value' AND name = 'value'",
+    ],
+)
+def test_ungrounded_placeholder_fits_any_column(sql):
+    # Models that predict no values emit the 'value' placeholder for every
+    # literal; until grounding fills it, it has no type, so a number column
+    # compared with it is not a type mismatch.
+    schema = build_domain(SPIDER_DOMAINS["apartments"], seed=6).schema
+    diagnostics = analyze(parse_sql(sql), schema)
+    assert diagnostics == [], render_diagnostics(diagnostics)
+
+
+def test_placeholder_is_typed_only_when_grounded(world_db):
+    diagnostics = analyze(
+        parse_sql("SELECT name FROM country WHERE population = 'values'"),
+        world_db.schema,
+    )
+    assert "SQL004" in error_codes(diagnostics)
+
+
 def test_unknown_table_does_not_cascade(analyzer):
     # One unknown FROM table yields exactly one SQL001, not a wall of
     # unknown-column follow-ons for every reference into it.
