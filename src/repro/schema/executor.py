@@ -56,6 +56,7 @@ ResultRow = tuple[object, ...]
 #: A FROM row as a tuple; a group is its first row plus ``(members,)``.
 Env = tuple
 Getter = Callable[[Env], object]
+Test = Callable[[Env], bool]
 
 
 @dataclass
@@ -418,10 +419,9 @@ def _compile_column(ref: ColumnRef, scope: _Scope) -> Getter:
 def _compile_star(expr: Star, scope: _Scope) -> Callable[[Env], tuple]:
     prefix = "" if expr.table is None else expr.table.lower() + "."
     slots = [scope.keys.get(c) for c in scope.columns if c.startswith(prefix)]
-    return lambda env: tuple([
-        None if slot is None or env[slot] is _MISSING else env[slot]
-        for slot in slots
-    ])
+    return lambda env: tuple(
+        [None if s is None or env[s] is _MISSING else env[s] for s in slots]
+    )
 
 
 def _compile_expr(expr: ValueExpr, scope: _Scope, run: _Run) -> Getter:
@@ -493,9 +493,7 @@ def _compile_aggregate(expr: AggExpr, scope: _Scope, run: _Run) -> Getter:
     return aggregate
 
 
-def _compile_condition(
-    condition: Condition, scope: _Scope, run: _Run
-) -> Callable[[Env], bool]:
+def _compile_condition(condition: Condition, scope: _Scope, run: _Run) -> Test:
     first, *rest = [_compile_predicate(p, scope, run) for p in condition.predicates]
     links = list(zip(condition.connectors, rest))
     if not links:
@@ -536,9 +534,7 @@ def _subquery(query: Query, run: _Run) -> Callable[[], tuple[list, Callable]]:
     return result
 
 
-def _compile_predicate(
-    predicate: Predicate, scope: _Scope, run: _Run
-) -> Callable[[Env], bool]:
+def _compile_predicate(predicate: Predicate, scope: _Scope, run: _Run) -> Test:
     left_of = _compile_expr(predicate.left, scope, run)
     op, negated, right = predicate.op, predicate.negated, predicate.right
 
