@@ -88,10 +88,13 @@ class MetadataClassifier:
         """Label vocabulary: tag strings plus ('rating', value) pairs."""
         return list(self._labels)
 
-    def _features(self, question: str, db: Database) -> np.ndarray:
+    def _features(
+        self, question: str, db: Database, cues: CueEvidence | None = None
+    ) -> np.ndarray:
         text = self._featurizer.transform(question)
-        cues = _cue_feature_vector(extract_cues(question, db))
-        return np.concatenate([text, cues])
+        if cues is None:
+            cues = extract_cues(question, db)
+        return np.concatenate([text, _cue_feature_vector(cues)])
 
     # ------------------------------------------------------------------
 
@@ -150,24 +153,35 @@ class MetadataClassifier:
 
     # ------------------------------------------------------------------
 
-    def logits(self, question: str, db: Database) -> dict[object, float]:
-        """Raw label logits for *question*."""
+    def logits(
+        self, question: str, db: Database, cues: CueEvidence | None = None
+    ) -> dict[object, float]:
+        """Raw label logits for *question*.
+
+        *cues* is ``extract_cues(question, db)`` when the caller has it;
+        without it the classifier extracts its own.
+        """
         if self._net is None:
             raise RuntimeError("classifier is not fitted")
-        features = self._features(question, db)
+        features = self._features(question, db, cues)
         raw = self._net.forward_array(features)
         return {label: float(raw[i]) for i, label in enumerate(self._labels)}
 
     def predict(
-        self, question: str, db: Database, threshold: float = 0.0
+        self,
+        question: str,
+        db: Database,
+        threshold: float = 0.0,
+        cues: CueEvidence | None = None,
     ) -> tuple[set[str], list[int]]:
         """Selected (tags, candidate ratings) with logits above *threshold*.
 
         Ratings are sorted by logit, best first; at least one rating is
         always returned (the argmax) so composition never starves.
+        *cues* is passed to :meth:`logits`.
         """
         fire("classifier.predict")
-        logits = self.logits(question, db)
+        logits = self.logits(question, db, cues)
         tags = {
             label
             for label, logit in logits.items()

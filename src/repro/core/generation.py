@@ -29,6 +29,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import current_tracer
 from repro.core.values import ground_values
 from repro.models.base import Candidate, TranslationModel
+from repro.models.cues import CueEvidence
 from repro.schema.database import Database
 from repro.sqlkit.analyze import SemanticAnalyzer
 from repro.sqlkit.ast import Query
@@ -103,6 +104,7 @@ class CandidateGenerator:
         db: Database,
         compositions: list[QueryMetadata],
         report: TranslationReport | None = None,
+        cues: CueEvidence | None = None,
     ) -> list[GeneratedCandidate]:
         """Candidate set for *question* under the given compositions.
 
@@ -112,8 +114,10 @@ class CandidateGenerator:
         dropped.  Each isolation is recorded in *report* when one is given.
 
         The model's question-level work (``model.prepare``) runs once
-        and is shared by every decode of this call.  If it raises, the
-        fault is recorded and the call returns no candidates.
+        and is shared by every decode of this call; *cues*, the question's
+        cue evidence when the caller already extracted it, is handed to
+        it.  If it raises, the fault is recorded and the call returns no
+        candidates.
 
         When an ambient tracer is installed (the pipeline installs one
         per translation) the question-level work gets a
@@ -198,7 +202,7 @@ class CandidateGenerator:
             else nullcontext()
         ):
             try:
-                prepared = self.model.prepare(question, db)
+                prepared = self.model.prepare(question, db, cues=cues)
             except Exception as exc:  # repolint: allow[broad-except] — isolation
                 if report is not None:
                     report.record_exception(

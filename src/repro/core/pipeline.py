@@ -69,7 +69,9 @@ from repro.core.repair import RepairConfig, run_repair
 from repro.core.similarity import similarity_score, similarity_unit
 from repro.core.verify import VerifyConfig, verify_candidates
 from repro.data.dataset import Dataset
+from repro.models import cues as surface_cues
 from repro.models.base import TranslationModel
+from repro.models.cues import CueEvidence
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Tracer, current_tracer, trace_scope
 from repro.schema.database import Database
@@ -446,12 +448,16 @@ class MetaSQL:
         question: str,
         db: Database,
         report: TranslationReport,
-    ) -> list[QueryMetadata]:
-        """The degradation-aware composition chain.
+    ) -> tuple[list[QueryMetadata], CueEvidence | None]:
+        """The degradation-aware composition chain, and the question's cues.
 
         classifier failure -> observed compositions; composition failure
         -> observed compositions; observed-composition failure -> empty
         (the generator still decodes its unconditioned beam).
+
+        The cue evidence the classifier read comes back for generation to
+        reuse; it is None when classification did not get that far, and
+        generation then extracts its own.
         """
 
         def all_observed() -> list[QueryMetadata]:
@@ -459,21 +465,28 @@ class MetaSQL:
                 limit=self.config.composer.max_compositions * 3
             )
 
+        def classify() -> tuple[CueEvidence, tuple[set[str], list[int]]]:
+            # Through the module, so a wrapper on extract_cues sees the call.
+            evidence = surface_cues.extract_cues(question, db)
+            return evidence, self.classifier.predict(
+                question,
+                db,
+                threshold=self.config.classification_threshold,
+                cues=evidence,
+            )
+
+        cues = None
         if self.config.use_classifier and self._classifier_ok:
             ok, predicted = guarded_call(
                 "classify",
-                lambda: self.classifier.predict(
-                    question,
-                    db,
-                    threshold=self.config.classification_threshold,
-                ),
+                classify,
                 report,
                 fallback="all-compositions",
                 site="classifier.predict",
                 breaker=self._breaker("classify"),
             )
             if ok:
-                tags, ratings = predicted
+                cues, (tags, ratings) = predicted
                 ok, compositions = guarded_call(
                     "compose",
                     lambda: self.composer.compose(tags, ratings),
@@ -484,8 +497,8 @@ class MetaSQL:
                 )
                 if ok:
                     if compositions:
-                        return compositions
-                    return self.composer.all_compositions(limit=4)
+                        return compositions, cues
+                    return self.composer.all_compositions(limit=4), cues
         elif self.config.use_classifier and not self._classifier_ok:
             report.record(
                 FaultRecord(
@@ -502,7 +515,7 @@ class MetaSQL:
             fallback="unconditioned",
             breaker=self._breaker("compose"),
         )
-        return compositions if ok else []
+        return (compositions if ok else []), cues
 
     def candidates(
         self,
@@ -609,8 +622,9 @@ class MetaSQL:
         with self._stage_span(tracer, registry, "classify") as span:
             if self._deadline_expired(deadline, report, "classify", "empty"):
                 return []
+            cues = None
             if compositions is None:
-                compositions = self._compositions_guarded(
+                compositions, cues = self._compositions_guarded(
                     question, db, report
                 )
             span.attributes["compositions"] = len(compositions)
@@ -621,7 +635,7 @@ class MetaSQL:
             ok, generated = guarded_call(
                 "generate",
                 lambda: self.generator.generate(
-                    question, db, compositions, report=report
+                    question, db, compositions, report=report, cues=cues
                 ),
                 report,
                 fallback="empty",

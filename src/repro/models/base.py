@@ -48,12 +48,13 @@ class TranslationModel(abc.ABC):
     def fit(self, train: Dataset) -> "TranslationModel":
         """Train (or, for LLM sims, index demonstrations) on *train*."""
 
-    def prepare(self, question: str, db: Database):
+    def prepare(self, question: str, db: Database, cues=None):
         """Question-level decode context for *question* on *db*, or None.
 
         The result is valid only for translations of this same question
-        and database, and is never kept past the caller's request.  The
-        default has nothing to share.
+        and database, and is never kept past the caller's request.
+        *cues*, when given, is ``extract_cues(question, db)`` computed
+        earlier in the same request.  The default has nothing to share.
         """
         return None
 

@@ -6,18 +6,23 @@ module extracts the schema-grounded evidence a trained decoder would pick
 up: which DB values are literally mentioned (text predicates), number
 mentions with comparison cues, clause keywords (group/order/superlatives/
 set-operation connectives), producing a :class:`CueEvidence` whose agreement
-with a candidate sketch is scored by :func:`cue_bonus`.
+with each of many candidate sketches is scored by :func:`cue_bonus`.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.models.mentions import extract_mentions, question_tokens
 from repro.schema.database import Database
+
+if TYPE_CHECKING:
+    from repro.models.sketch import SketchColumns
 
 _EXCEPT_CUES = ("but not", "excluding", "that are not the ones", "except")
 _INTERSECT_CUES = (
@@ -285,86 +290,76 @@ def _value_position(tokens: list[str], value: str) -> int:
     return -1
 
 
-def multiset_distance(items: tuple, counts: Mapping) -> int:
-    """Size of the symmetric difference of *items* (a multiset) and *counts*.
+def cue_bonus(columns: SketchColumns, cues: CueEvidence) -> np.ndarray:
+    """Log-score agreement between each sketch of *columns* and the evidence.
 
-    Equals ``sum((a - b).values()) + sum((b - a).values())`` for
-    ``a = Counter(items)`` and ``b = Counter(counts)`` -- the sum of
-    ``|a[k] - b[k]|`` over every key -- without building either Counter.
+    One float64 per row.  Each term is one array operation applied in a
+    fixed order, so a row's bonus equals the same terms added one by one
+    in Python floats; a term that does not apply to a row subtracts 0.0.
     """
-    own: dict = {}
-    for item in items:
-        own[item] = own.get(item, 0) + 1
-    distance = 0
-    for key, count in counts.items():
-        distance += abs(own.pop(key, 0) - count)
-    return distance + sum(own.values())
-
-
-def cue_bonus(sketch, cues: CueEvidence) -> float:
-    """Log-score agreement between a sketch and the surface evidence."""
-    bonus = 0.0
+    shape = columns.shape
+    bonus = np.zeros(len(columns))
 
     # Shape agreement.
     if cues.setop is not None:
-        bonus += 4.0 if sketch.shape == f"setop:{cues.setop}" else -4.0
-    elif sketch.shape.startswith("setop:"):
-        bonus -= 4.0
+        bonus += np.where(shape == f"setop:{cues.setop}", 4.0, -4.0)
+    else:
+        bonus -= np.where(columns.is_setop, 4.0, 0.0)
     if cues.nested is not None:
-        bonus += 3.5 if sketch.shape == f"nested:{cues.nested}" else -3.0
-    elif sketch.shape.startswith("nested:"):
-        bonus -= 3.0
+        bonus += np.where(shape == f"nested:{cues.nested}", 3.5, -3.0)
+    else:
+        bonus -= np.where(columns.is_nested, 3.0, 0.0)
     if cues.from_subquery:
-        bonus += 3.0 if sketch.shape == "from_subquery" else -2.0
-    elif sketch.shape == "from_subquery":
-        bonus -= 3.0
+        bonus += np.where(shape == "from_subquery", 3.0, -2.0)
+    else:
+        bonus -= np.where(shape == "from_subquery", 3.0, 0.0)
 
-    # Predicates.
+    # Predicates.  One predicate (grounded value or number mention) of a
+    # nested sketch typically lives inside the nested query, not in the
+    # outer WHERE.
     expected = cues.expected_predicates
-    if sketch.shape.startswith("nested:"):
-        # One predicate (grounded value or number mention) typically lives
-        # inside the nested query, not in the outer WHERE.
-        expected = max(expected - 1, 0)
-    bonus -= 2.6 * abs(sketch.n_predicates - min(expected, 3))
-    diff = multiset_distance(sketch.predicate_kinds, cues.kind_counts)
-    if not sketch.shape.startswith("nested:"):
-        bonus -= 1.5 * diff
-    bonus += 1.2 if sketch.has_or == cues.has_or else -1.2
+    outer = np.where(
+        columns.is_nested, min(max(expected - 1, 0), 3), min(expected, 3)
+    )
+    bonus -= 2.6 * np.abs(columns.n_predicates - outer)
+    diff = columns.predicate_kinds.distance(cues.kind_counts)
+    bonus -= np.where(columns.is_nested, 0.0, 1.5 * diff)
+    bonus += np.where(columns.has_or == cues.has_or, 1.2, -1.2)
 
     # Projection count and join hints.
     if not cues.count_question:
-        bonus -= 2.0 * abs(sketch.n_select - cues.n_select_hint)
-    bonus -= 1.5 * abs(sketch.n_tables - min(cues.table_hints, 2))
+        bonus -= 2.0 * np.abs(columns.n_select - cues.n_select_hint)
+    bonus -= 1.5 * np.abs(columns.n_tables - min(cues.table_hints, 2))
 
     # Group / having.
-    bonus += 2.2 if sketch.has_group == cues.group else -2.2
-    bonus += 1.8 if sketch.has_having == cues.having else -1.8
+    bonus += np.where(columns.has_group == cues.group, 2.2, -2.2)
+    bonus += np.where(columns.has_having == cues.having, 1.8, -1.8)
 
     # Order / limit.
     wants_order = cues.order != "none" or cues.superlative != "none"
     if wants_order:
         desired_desc = cues.order == "desc" or cues.superlative == "high"
         desired = "desc" if desired_desc else "asc"
-        bonus += 2.0 if sketch.order == desired else -1.6
+        bonus += np.where(columns.order == desired, 2.0, -1.6)
         if cues.superlative != "none":
-            bonus += 1.4 if sketch.limit == "one" else -1.0
+            bonus += np.where(columns.limit == "one", 1.4, -1.0)
         if cues.limit_k is not None:
-            bonus += 1.4 if sketch.limit == "k" else -1.0
+            bonus += np.where(columns.limit == "k", 1.4, -1.0)
     else:
-        bonus += 1.2 if sketch.order == "none" else -1.8
+        bonus += np.where(columns.order == "none", 1.2, -1.8)
 
     # Counting.
     if cues.count_question:
-        bonus += 1.8 if sketch.count_star else -1.8
-    elif sketch.count_star and not sketch.has_group:
-        bonus -= 1.4
+        bonus += np.where(columns.count_star, 1.8, -1.8)
+    else:
+        bonus -= np.where(columns.count_star & ~columns.has_group, 1.4, 0.0)
 
     # Aggregate projections.
-    bonus -= 3.5 * multiset_distance(sketch.select_aggs, cues.agg_counts)
+    bonus -= 3.5 * columns.select_aggs.distance(cues.agg_counts)
 
     # Distinct.
-    bonus += 0.8 if sketch.distinct == cues.distinct else -0.8
+    bonus += np.where(columns.distinct == cues.distinct, 0.8, -0.8)
 
     # Arithmetic projections.
-    bonus += 2.2 if sketch.has_arith == cues.arith else -2.2
+    bonus += np.where(columns.has_arith == cues.arith, 2.2, -2.2)
     return bonus

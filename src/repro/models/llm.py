@@ -22,13 +22,15 @@ here:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.data.dataset import Dataset, Example
 from repro.models.base import Candidate
+from repro.models.cues import cue_bonus
 from repro.models.seq2seq import GrammarSeq2Seq, ModelProfile
-from repro.models.sketch import Sketch, extract_sketch
+from repro.models.sketch import Sketch, SketchColumns, extract_sketch
 from repro.nn.text import TextFeaturizer
 from repro.schema.database import Database
 from repro.sqlkit.ast import (
@@ -55,6 +57,18 @@ class LLMProfile(ModelProfile):
     simplify_bias: float = 0.2  # bonus mass on simplified sketch proposals
 
 
+class _DemoTable(NamedTuple):
+    """Every sketch a demonstration proposes, as columns.
+
+    ``rows`` maps each pool example, by identity (``retrieve`` returns the
+    pool's own objects), to the rows of its sketch and of its simplified
+    sketch.
+    """
+
+    columns: SketchColumns
+    rows: dict[int, tuple[int, int]]
+
+
 class FewShotLLM(GrammarSeq2Seq):
     """Retrieval-prompted translator; no benchmark fine-tuning."""
 
@@ -65,6 +79,7 @@ class FewShotLLM(GrammarSeq2Seq):
         self._pool: list[Example] = []
         self._pool_matrix: np.ndarray | None = None
         self._featurizer = TextFeaturizer(buckets=1024)
+        self._demo_table: _DemoTable | None = None
 
     # ------------------------------------------------------------------
     # "Training" = demonstration indexing.
@@ -77,6 +92,7 @@ class FewShotLLM(GrammarSeq2Seq):
         questions = [e.question for e in self._pool]
         self._featurizer.fit(questions)
         self._pool_matrix = self._featurizer.transform_many(questions)
+        self._demo_table = None
         return self
 
     def retrieve(self, question: str, k: int | None = None) -> list[Example]:
@@ -92,25 +108,40 @@ class FewShotLLM(GrammarSeq2Seq):
     # ------------------------------------------------------------------
     # Sketch proposals from retrieval instead of the NB classifier.
 
+    def _demo_sketches(self) -> _DemoTable:
+        """The pool's sketch table, built on first use and dropped by ``fit``
+        (:mod:`repro.core.persist` restores the pool without calling it)."""
+        if self._demo_table is None:
+            index: dict[Sketch, int] = {}
+            rows = {}
+            for demo in self._pool:
+                sketch = extract_sketch(demo.sql)
+                rows[id(demo)] = tuple(
+                    index.setdefault(s, len(index))
+                    for s in (sketch, _simplify_sketch(sketch))
+                )
+            self._demo_table = _DemoTable(SketchColumns(list(index)), rows)
+        return self._demo_table
+
     def _question_sketches(self, question: str, cues):
         """Retrieved demonstrations' sketches, weighted by rank and cues."""
-        from repro.models.cues import cue_bonus
-
         demos = self.retrieve(question)
-        weights: dict[Sketch, float] = {}
+        table = self._demo_sketches()
+        weights: dict[int, float] = {}
         for rank, demo in enumerate(demos):
-            sketch = extract_sketch(demo.sql)
-            weights[sketch] = weights.get(sketch, 0.0) + 1.0 / (rank + 1.0)
-            simplified = _simplify_sketch(sketch)
-            if simplified != sketch:
+            row, simplified = table.rows[id(demo)]
+            weights[row] = weights.get(row, 0.0) + 1.0 / (rank + 1.0)
+            if simplified != row:
                 weights[simplified] = (
                     weights.get(simplified, 0.0)
                     + self.llm_profile.simplify_bias / (rank + 1.0)
                 )
+        bonus = cue_bonus(table.columns, cues).tolist()
+        sketches = table.columns.sketches
         return sorted(
             (
-                (float(np.log(w + 1e-9)) + 0.6 * cue_bonus(sk, cues), sk)
-                for sk, w in weights.items()
+                (float(np.log(w + 1e-9)) + 0.6 * bonus[row], sketches[row])
+                for row, w in weights.items()
             ),
             key=lambda item: -item[0],
         )

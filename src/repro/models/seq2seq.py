@@ -26,6 +26,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.models import beam as beamlib
 from repro.models.base import Candidate, TranslationModel
+from repro.models.cues import CueEvidence
 from repro.models.lexicon import Lexicon, content_tokens
 from repro.models.mentions import (
     NumberMention,
@@ -149,13 +150,20 @@ class GrammarSeq2Seq(TranslationModel):
     # ------------------------------------------------------------------
     # Decoding entry point.
 
-    def prepare(self, question: str, db: Database) -> "QuestionContext":
-        """The decode work shared by every conditioning of *question*."""
+    def prepare(
+        self, question: str, db: Database, cues: CueEvidence | None = None
+    ) -> "QuestionContext":
+        """The decode work shared by every conditioning of *question*.
+
+        *cues* is the question's cue evidence when the caller already
+        extracted it; otherwise it is extracted here.
+        """
         if not self._fitted:
             raise RuntimeError(f"model {self.name} is not fitted")
-        from repro.models.cues import extract_cues
+        if cues is None:
+            from repro.models.cues import extract_cues
 
-        cues = extract_cues(question, db)
+            cues = extract_cues(question, db)
         return QuestionContext(
             self, question, db, cues, self._question_sketches(question, cues)
         )

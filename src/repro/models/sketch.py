@@ -5,17 +5,23 @@ columns or values — the decoding grammar's first, most consequential
 decisions.  :class:`SketchModel` is a facet-factored naive-Bayes classifier
 over question tokens; candidate sketches are restricted to signatures
 observed in training (the same train-composition assumption MetaSQL makes
-for metadata compositions).
+for metadata compositions).  :class:`SketchColumns` holds many sketches'
+fields as arrays so that every signature is scored in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.models.cues import CueEvidence, cue_bonus
 from repro.models.lexicon import content_tokens
 from repro.sqlkit.ast import (
     AggExpr,
@@ -187,6 +193,77 @@ def extract_sketch(query: Query) -> Sketch:
     )
 
 
+class _MultisetColumn:
+    """A multiset field of many sketches as a row-per-sketch count matrix."""
+
+    def __init__(self, multisets: Sequence[tuple]) -> None:
+        names = dict.fromkeys(name for items in multisets for name in items)
+        self.index = {name: slot for slot, name in enumerate(names)}
+        self.counts = np.zeros((len(multisets), len(self.index)), dtype=np.int64)
+        for row, items in enumerate(multisets):
+            for name in items:
+                self.counts[row, self.index[name]] += 1
+
+    def distance(self, counts: Mapping) -> np.ndarray:
+        """Per row, the size of the symmetric difference with *counts*.
+
+        That is the sum of ``|own[k] - counts[k]|`` over every key of
+        either side; a key of *counts* no row holds adds ``|counts[k]|``.
+        """
+        wanted = np.zeros(len(self.index), dtype=np.int64)
+        absent = 0
+        for name, count in counts.items():
+            slot = self.index.get(name)
+            if slot is None:
+                absent += abs(count)
+            else:
+                wanted[slot] = count
+        return np.abs(self.counts - wanted).sum(axis=1) + absent
+
+
+class SketchColumns:
+    """The fields of many sketches as arrays, one row per sketch.
+
+    :func:`repro.models.cues.cue_bonus` reads these columns to score
+    every row at once.
+    """
+
+    def __init__(self, sketches: Sequence[Sketch]) -> None:
+        self.sketches = list(sketches)
+        rows = self.sketches
+        shapes = [s.shape for s in rows]
+        self.shape = np.array(shapes, dtype=str)
+        self.is_setop = np.array([s.startswith("setop:") for s in shapes], dtype=bool)
+        self.is_nested = np.array(
+            [s.startswith("nested:") for s in shapes], dtype=bool
+        )
+        self.n_tables = np.array([s.n_tables for s in rows], dtype=np.int64)
+        self.n_select = np.array([s.n_select for s in rows], dtype=np.int64)
+        self.n_predicates = np.array([s.n_predicates for s in rows], dtype=np.int64)
+        self.predicate_kinds = _MultisetColumn([s.predicate_kinds for s in rows])
+        self.select_aggs = _MultisetColumn([s.select_aggs for s in rows])
+        self.has_or = np.array([s.has_or for s in rows], dtype=bool)
+        self.has_group = np.array([s.has_group for s in rows], dtype=bool)
+        self.has_having = np.array([s.has_having for s in rows], dtype=bool)
+        self.count_star = np.array([s.count_star for s in rows], dtype=bool)
+        self.distinct = np.array([s.distinct for s in rows], dtype=bool)
+        self.has_arith = np.array([s.has_arith for s in rows], dtype=bool)
+        self.order = np.array([s.order for s in rows], dtype=str)
+        self.limit = np.array([s.limit for s in rows], dtype=str)
+
+    def __len__(self) -> int:
+        return len(self.sketches)
+
+
+class _SignatureTable(NamedTuple):
+    """The per-signature part of a sketch score, most frequent first."""
+
+    columns: SketchColumns
+    facet_keys: list[tuple[int, object]]  # (FACET_NAMES position, value)
+    facet_codes: np.ndarray  # (facet, row) -> index into facet_keys
+    prior: np.ndarray
+
+
 class SketchModel:
     """Facet-factored naive-Bayes sketch classifier.
 
@@ -195,9 +272,10 @@ class SketchModel:
     log-posteriors plus a signature prior.  Only signatures observed in
     training are considered.
 
-    The per-signature part of that score (facet values and prior term)
-    lives in a signature table built on first use and dropped by ``fit``:
-    :mod:`repro.core.persist` restores the counts without calling ``fit``.
+    The per-signature part of that score (facet-value codes, prior term
+    and the sketch columns the cue bonus reads) lives in a signature table
+    built on first use and dropped by ``fit``: :mod:`repro.core.persist`
+    restores the counts without calling ``fit``.
     """
 
     def __init__(self, smoothing: float = 0.3) -> None:
@@ -210,7 +288,7 @@ class SketchModel:
         self._facet_token_totals: dict[tuple[str, object], int] = defaultdict(int)
         self._vocab: set[str] = set()
         self._total = 0
-        self._table: list[tuple[Sketch, tuple, float]] | None = None
+        self._table: _SignatureTable | None = None
 
     def fit(self, train: Dataset) -> "SketchModel":
         """Count sketch signatures and facet/token statistics."""
@@ -229,25 +307,34 @@ class SketchModel:
         self._table = None
         return self
 
-    def _signature_table(self) -> list[tuple[Sketch, tuple, float]]:
-        """``(sketch, facet values in FACET_NAMES order, prior term)``, most
-        frequent first."""
+    def _signature_table(self) -> _SignatureTable:
         if self._table is None:
-            self._table = [
-                self._table_row(sketch, count)
-                for sketch, count in self._signatures.most_common()
-            ]
+            counted = self._signatures.most_common()
+            keys: dict[tuple[int, object], int] = {}
+            codes = np.array(
+                [
+                    [
+                        keys.setdefault((facet, value), len(keys))
+                        for facet, value in enumerate(sketch.facets().values())
+                    ]
+                    for sketch, __ in counted
+                ],
+                dtype=np.intp,
+            ).reshape(len(counted), len(FACET_NAMES))
+            self._table = _SignatureTable(
+                columns=SketchColumns([sketch for sketch, __ in counted]),
+                facet_keys=list(keys),
+                facet_codes=codes.T.copy(),
+                prior=np.array(
+                    [0.35 * math.log(count + 1.0) for __, count in counted]
+                ),
+            )
         return self._table
-
-    @staticmethod
-    def _table_row(sketch: Sketch, count: int) -> tuple[Sketch, tuple, float]:
-        values = tuple(sketch.facets().values())
-        return sketch, values, 0.35 * math.log(count + 1.0)
 
     @property
     def signatures(self) -> list[Sketch]:
         """All training signatures, most frequent first."""
-        return [row[0] for row in self._signature_table()]
+        return list(self._signature_table().columns.sketches)
 
     def facet_log_posteriors(
         self, question: str
@@ -279,35 +366,37 @@ class SketchModel:
         return result
 
     def score_sketches(
-        self,
-        question: str,
-        candidates: list[Sketch] | None = None,
-        cues=None,
+        self, question: str, cues: CueEvidence | None = None
     ) -> list[tuple[float, Sketch]]:
-        """Score candidate signatures, best first.
+        """Score every training signature, best first.
 
-        When *cues* (a :class:`repro.models.cues.CueEvidence`) is given,
-        surface-evidence agreement is blended into the NB posterior.
+        When *cues* is given, surface-evidence agreement is blended into
+        the NB posterior.
+
+        A row's score adds its facet terms in ``FACET_NAMES`` order, then
+        its prior, then its cue bonus: element-wise float64 adds in the
+        order of a scalar loop, so each score is that loop's float.  Equal
+        scores keep the table's order (a stable sort).
         """
-        from repro.models.cues import cue_bonus
-
+        table = self._signature_table()
         posteriors = self.facet_log_posteriors(question)
         facet_posts = [posteriors.get(facet, {}) for facet in FACET_NAMES]
-        if candidates is None:
-            rows = self._signature_table()
-        else:
-            rows = [
-                self._table_row(sketch, self._signatures.get(sketch, 0))
-                for sketch in candidates
-            ]
-        scored = []
-        for sketch, values, prior_term in rows:
-            score = 0.0
-            for facet_post, value in zip(facet_posts, values):
-                score += 0.15 * facet_post.get(value, -8.0)
-            score += prior_term
-            if cues is not None:
-                score += cue_bonus(sketch, cues)
-            scored.append((score, sketch))
-        scored.sort(key=lambda item: -item[0])
-        return scored
+        terms = np.array(
+            [
+                0.15 * facet_posts[facet].get(value, -8.0)
+                for facet, value in table.facet_keys
+            ],
+            dtype=np.float64,
+        )
+        scores = np.zeros(len(table.columns))
+        for codes in table.facet_codes:
+            scores += terms[codes]
+        scores += table.prior
+        if cues is not None:
+            scores += cue_bonus(table.columns, cues)
+        order = np.argsort(-scores, kind="stable")
+        sketches = table.columns.sketches
+        return [
+            (score, sketches[row])
+            for score, row in zip(scores[order].tolist(), order.tolist())
+        ]

@@ -248,7 +248,7 @@ class _Run:
         from_ = query.from_
         if from_.subquery is not None:
             sub_rows = self.query(from_.subquery)
-            columns = _subquery_column_names(from_.subquery)
+            columns = _subquery_column_names(from_.subquery, self.db.schema)
             # A row shorter than the names lacks the last ones.
             keys = {name: slot for slot, name in enumerate(dict.fromkeys(columns))}
             env_rows = [
@@ -257,6 +257,13 @@ class _Run:
             ]
             return env_rows, _Scope(keys, columns, partial=True)
 
+        named = [name.lower() for name in from_.tables]
+        if len(set(named)) < len(named):
+            # The AST is alias-free, so a self-join's two copies would share
+            # one set of column names: refuse rather than answer wrongly.
+            raise SqlExecutionError(
+                f"table named twice in FROM: {', '.join(from_.tables)}"
+            )
         schema = self.db.schema
         tables = [schema.table(name) for name in from_.tables]
         layout = [
@@ -276,7 +283,7 @@ class _Run:
             # Pre-charge the full join product: a runaway cartesian explosion
             # must trip the budget before the work is done, not after.
             _charge(len(joined) * len(right_rows))
-            # Slots of the merged row's names; the right table's copy wins.
+            # Slots of the merged row's names.
             width = sum(len(t.columns) for t in tables[: len(attached) + 1])
             slots = {name: slot for slot, name in enumerate(layout[:width])}
             pairs = [(slots.get(a), slots.get(b)) for a, b in conditions]
@@ -287,8 +294,7 @@ class _Run:
             _charge_rows(len(joined))
             attached.append(table_l)
 
-        # Each name maps to its last slot in first-seen order (a self-join's
-        # second copy shadows the first); unambiguous bare names follow.
+        # Each qualified name maps to its slot; unambiguous bare names follow.
         keys = {name: slot for slot, name in enumerate(layout)}
         bare = Counter(name.split(".", 1)[1] for name in layout)
         for name in layout:
@@ -646,13 +652,16 @@ def _select_has_aggregate(query: SelectQuery) -> bool:
     return any(expr_has(e) for e in query.select)
 
 
-def _subquery_column_names(query: Query) -> list[str]:
-    """Column namespace exposed by a FROM-subquery."""
+def _subquery_column_names(query: Query, schema) -> list[str]:
+    """Column namespace exposed by a FROM-subquery: one name per value of
+    its rows, ``*`` naming every column it expands to."""
     while isinstance(query, SetQuery):
         query = query.left
     names = []
     for index, expr in enumerate(query.select):
-        if isinstance(expr, ColumnRef):
+        if isinstance(expr, Star):
+            names.extend(_star_names(expr, query.from_, schema))
+        elif isinstance(expr, ColumnRef):
             names.append(expr.column.lower())
         elif isinstance(expr, AggExpr) and isinstance(expr.arg, ColumnRef):
             names.append(f"{expr.func}({expr.arg.column.lower()})")
@@ -661,6 +670,21 @@ def _subquery_column_names(query: Query) -> list[str]:
         else:
             names.append(f"col{index}")
     return names
+
+
+def _star_names(star: Star, from_, schema) -> list[str]:
+    """The names of the columns *star* projects, as :func:`_compile_star`
+    picks them from the FROM clause's columns."""
+    prefix = "" if star.table is None else star.table.lower() + "."
+    if from_.subquery is not None:
+        columns = _subquery_column_names(from_.subquery, schema)
+        return [name for name in columns if name.startswith(prefix)]
+    return [
+        column.name.lower()
+        for table in map(schema.table, from_.tables)
+        for column in table.columns
+        if f"{table.name.lower()}.".startswith(prefix)
+    ]
 
 
 def _join_conditions_for(

@@ -1,13 +1,23 @@
-"""Shared fixtures: small corpora and trained components, built once."""
+"""Shared fixtures: small corpora and trained components, built once.
+
+``HYPOTHESIS_PROFILE=ci`` selects derandomized property tests: each test
+draws the same examples on every run.
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data.spider import build_spider
 from repro.schema.database import Database
 from repro.schema.schema import NUMBER, Column, ForeignKey, Schema, Table
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

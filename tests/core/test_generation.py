@@ -105,7 +105,7 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def _failing_prepare(question, db):
+def _failing_prepare(question, db, cues=None):
     raise RuntimeError("prepare exploded")
 
 
@@ -179,6 +179,73 @@ class TestPreparedQuestion:
         ]
         breaker = trained_pipeline.breakers["generate"]
         assert breaker.snapshot()["consecutive_failures"] == 0
+
+
+class TestCuesOncePerRequest:
+    """Classification extracts the question's cues; generation reuses them."""
+
+    def test_translation_extracts_cues_once(
+        self, trained_pipeline, tiny_benchmark, example, monkeypatch
+    ):
+        import repro.core.classifier
+
+        cues = _count_calls(monkeypatch, repro.models.cues, "extract_cues")
+        # The classifier's own binding, which it uses when given no cues.
+        classifier_cues = _count_calls(
+            monkeypatch, repro.core.classifier, "extract_cues"
+        )
+        db = tiny_benchmark.dev.database(example.db_id)
+        out = trained_pipeline.translate_ranked_report(example.question, db)
+        assert out.translations and not out.report.faults
+        assert len(cues) + len(classifier_cues) == 1
+
+    def test_reused_cues_translate_alike(
+        self, trained_pipeline, tiny_benchmark, example
+    ):
+        db = tiny_benchmark.dev.database(example.db_id)
+        compositions, __ = trained_pipeline._compositions_guarded(
+            example.question, db, TranslationReport()
+        )
+        generator = trained_pipeline.generator
+        reused = generator.generate(
+            example.question,
+            db,
+            compositions,
+            cues=repro.models.cues.extract_cues(example.question, db),
+        )
+        fresh = generator.generate(example.question, db, compositions)
+        assert [(c.sql_text, c.score) for c in reused] == [
+            (c.sql_text, c.score) for c in fresh
+        ]
+
+    def test_failed_extraction_fails_open_per_stage(
+        self, trained_pipeline, tiny_benchmark, example, monkeypatch
+    ):
+        original = repro.models.cues.extract_cues
+        calls = []
+
+        def fails_first(question, db):
+            calls.append(question)
+            if len(calls) == 1:
+                raise RuntimeError("cue extraction exploded")
+            return original(question, db)
+
+        monkeypatch.setattr(repro.models.cues, "extract_cues", fails_first)
+        db = tiny_benchmark.dev.database(example.db_id)
+        out = trained_pipeline.translate_ranked_report(example.question, db)
+        # Classification falls back to every observed composition; the
+        # generator then extracts the cues itself and still decodes.
+        assert [(f.stage, f.fallback) for f in out.report.faults] == [
+            ("classify", "all-compositions")
+        ]
+        assert len(calls) == 2
+        assert out.translations
+        # A later request classifies again (and closes the breaker's count).
+        out = trained_pipeline.translate_ranked_report(example.question, db)
+        assert not out.report.faults
+        assert trained_pipeline.breakers["classify"].snapshot()[
+            "consecutive_failures"
+        ] == 0
 
 
 class _FixedModel(TranslationModel):

@@ -11,9 +11,8 @@ from repro.models.cues import (
     cue_bonus,
     extract_cues,
     find_mentioned_values,
-    multiset_distance,
 )
-from repro.models.sketch import extract_sketch
+from repro.models.sketch import Sketch, SketchColumns, extract_sketch
 from repro.sqlkit.parser import parse_sql
 
 
@@ -109,7 +108,8 @@ class TestCueBonus:
         bad = extract_sketch(
             parse_sql("SELECT code, name FROM country GROUP BY code")
         )
-        assert cue_bonus(good, cues) > cue_bonus(bad, cues)
+        good_bonus, bad_bonus = cue_bonus(SketchColumns([good, bad]), cues)
+        assert good_bonus > bad_bonus
 
     def test_setop_mismatch_penalised(self, world_db):
         cues = extract_cues(
@@ -122,7 +122,8 @@ class TestCueBonus:
             )
         )
         plain = extract_sketch(parse_sql("SELECT code FROM country"))
-        assert cue_bonus(setop, cues) > cue_bonus(plain, cues)
+        setop_bonus, plain_bonus = cue_bonus(SketchColumns([setop, plain]), cues)
+        assert setop_bonus > plain_bonus
 
 
 #: Predicate kinds and aggregate functions, as sketches and cues name them.
@@ -130,7 +131,12 @@ _KEYS = ("eq", "neq", "cmp", "like", "between", "avg", "sum", "min", "max")
 
 
 class TestMultisetDistance:
-    """The Counter-free difference ``cue_bonus`` uses matches Counter math."""
+    """The count-matrix difference ``cue_bonus`` uses matches Counter math."""
+
+    @staticmethod
+    def distance(items, counts):
+        columns = SketchColumns([Sketch(predicate_kinds=items)])
+        return int(columns.predicate_kinds.distance(counts)[0])
 
     @given(
         items=st.lists(st.sampled_from(_KEYS), max_size=6).map(tuple),
@@ -141,9 +147,9 @@ class TestMultisetDistance:
     def test_matches_counter_arithmetic(self, items, counts):
         own = Counter(items)
         expected = sum((own - counts).values()) + sum((counts - own).values())
-        assert multiset_distance(items, counts) == expected
+        assert self.distance(items, counts) == expected
 
     def test_examples(self):
-        assert multiset_distance((), Counter()) == 0
-        assert multiset_distance(("eq", "eq"), Counter(eq=2)) == 0
-        assert multiset_distance(("eq", "cmp"), Counter(eq=3)) == 3
+        assert self.distance((), Counter()) == 0
+        assert self.distance(("eq", "eq"), Counter(eq=2)) == 0
+        assert self.distance(("eq", "cmp"), Counter(eq=3)) == 3

@@ -104,11 +104,6 @@ class TestSketchModel:
         scored = model.score_sketches("How many pets are there?")
         assert any(sk.count_star for __, sk in scored[:10])
 
-    def test_candidate_restriction(self, model):
-        only = [model.signatures[0]]
-        scored = model.score_sketches("anything", candidates=only)
-        assert len(scored) == 1
-
     def test_cue_blending_changes_ranking(self, model, tiny_benchmark):
         from repro.models.cues import extract_cues
 

@@ -117,6 +117,20 @@ class TestJoins:
         )
         assert rows == [("Afghanistan",)]
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT count(*) FROM country AS T1 JOIN country AS T2 "
+            "ON T1.code = T2.code",
+            "SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 "
+            "JOIN country AS T3 WHERE T3.population > 0",
+        ],
+    )
+    def test_self_join_is_refused(self, world_db, sql):
+        # The alias-free AST cannot tell the two copies apart.
+        with pytest.raises(SqlExecutionError, match="named twice"):
+            run(sql, world_db)
+
 
 class TestGrouping:
     def test_group_count(self, world_db):
@@ -187,6 +201,27 @@ class TestSubqueries:
             world_db,
         )
         assert rows == [(2,)]
+
+    def test_star_in_from_subquery_keeps_every_column(self, world_db):
+        inner = run("SELECT * FROM country LIMIT 2", world_db)
+        assert len(inner[0]) == 4
+        assert run("SELECT * FROM (SELECT * FROM country) LIMIT 2", world_db) == inner
+        rows = run(
+            "SELECT name, population FROM (SELECT * FROM country) "
+            "WHERE population > 10000000",
+            world_db,
+        )
+        assert rows == [("Afghanistan", 22720000)]
+
+    def test_table_star_in_from_subquery(self, world_db):
+        rows = run(
+            "SELECT * FROM (SELECT countrylanguage.* FROM country "
+            "JOIN countrylanguage) WHERE language = 'Dari'",
+            world_db,
+        )
+        assert rows == run(
+            "SELECT * FROM countrylanguage WHERE language = 'Dari'", world_db
+        )
 
 
 class TestSetOps:

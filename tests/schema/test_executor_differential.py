@@ -3,7 +3,9 @@
 ``executor_reference.py`` is the row-dict interpreter the compiled executor
 replaced.  For every query both must return the same rows in the same
 order, charge the same budget steps when execution completes, and raise the
-same exception class when it does not.
+same exception class when it does not.  The one deliberate departure is a
+self-join (:data:`SELF_JOINS`): the reference answers it with the second
+copy's columns shadowing the first, the compiled executor refuses it.
 """
 
 import math
@@ -25,7 +27,8 @@ DOMAINS = ("pets", "world", "concert_singer", "college", "flights", "dorm")
 
 #: Hand-written cases over the ``pets`` domain (30 students, 26 pets).
 PETS_CASES = [
-    # self-joins: the second copy of each column shadows the first
+    # self-joins: the reference's second copy of each column shadows the
+    # first; the compiled executor refuses them (see SELF_JOINS)
     "SELECT T1.fname, T2.lname FROM student AS T1 JOIN student AS T2 "
     "ON T1.stuid = T2.stuid",
     "SELECT * FROM student AS T1 JOIN student AS T2 WHERE T1.age > 20",
@@ -75,6 +78,12 @@ PETS_CASES = [
 ]
 
 
+#: The alias-free AST cannot tell a self-join's two copies apart, so the
+#: compiled executor raises ``SqlExecutionError`` where the reference
+#: returns rows that mix up the copies.
+SELF_JOINS = PETS_CASES[:3]
+
+
 def outcome(module, query, db, max_steps=None, max_rows=None):
     """``("rows", rows, steps)`` or ``("raised", exception class name)``."""
     budget = module.ExecutionBudget(max_steps=max_steps, max_rows=max_rows)
@@ -110,7 +119,9 @@ def pets_db():
 
 @pytest.fixture(scope="module")
 def corpus(pets_db):
-    cases = [(parse_sql(sql), pets_db) for sql in PETS_CASES]
+    cases = [
+        (parse_sql(sql), pets_db) for sql in PETS_CASES if sql not in SELF_JOINS
+    ]
     for index, domain in enumerate(DOMAINS):
         db, queries = sampled_queries(domain, 25, seed=index)
         cases.extend((query, db) for query in queries)
@@ -126,7 +137,12 @@ def test_sampled_queries_agree(domain):
 
 @pytest.mark.parametrize("sql", PETS_CASES)
 def test_hand_written_cases_agree(sql, pets_db):
-    assert_same(parse_sql(sql), pets_db)
+    query = parse_sql(sql)
+    if sql in SELF_JOINS:
+        assert outcome(reference, query, pets_db)[0] == "rows"
+        assert outcome(executor, query, pets_db) == ("raised", "SqlExecutionError")
+        return
+    assert_same(query, pets_db)
 
 
 def test_cases_cover_rows_and_errors(pets_db):
