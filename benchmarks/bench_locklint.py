@@ -1,7 +1,7 @@
 """Concurrency-suite cost: locklint wall time over the whole ``src/`` tree.
 
 ``tools/locklint.py`` must analyze the whole ``src/`` tree — parse,
-two-phase collection, interprocedural fixpoint, cycle detection —
+two-phase collection, interprocedural fixpoint, leaf-lock check —
 inside a wall-time bound, or the tier-1 gate it backs becomes the
 slowest thing in the suite.
 

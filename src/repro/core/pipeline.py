@@ -325,9 +325,9 @@ class MetaSQL:
         """
         db = train.database(example.db_id)
         schema = db.schema
-        compositions = self._compositions_for(example.question, db)
+        compositions, cues = self._compositions_for(example.question, db)
         candidates = self.generator.generate(
-            example.question, db, compositions, report=report
+            example.question, db, compositions, report=report, cues=cues
         )
         triples: list[RankingTriple] = []
         items: list[ListItem] = []
@@ -430,18 +430,26 @@ class MetaSQL:
 
     def _compositions_for(
         self, question: str, db: Database
-    ) -> list[QueryMetadata]:
+    ) -> tuple[list[QueryMetadata], CueEvidence | None]:
+        """The compositions for *question*, and the cues the classifier
+        read (None without a classifier; generation then extracts its
+        own)."""
         if not self.config.use_classifier or not self._classifier_ok:
             return self.composer.all_compositions(
                 limit=self.config.composer.max_compositions * 3
-            )
+            ), None
+        # Through the module, so a wrapper on extract_cues sees the call.
+        cues = surface_cues.extract_cues(question, db)
         tags, ratings = self.classifier.predict(
-            question, db, threshold=self.config.classification_threshold
+            question,
+            db,
+            threshold=self.config.classification_threshold,
+            cues=cues,
         )
         compositions = self.composer.compose(tags, ratings)
         if not compositions:
             compositions = self.composer.all_compositions(limit=4)
-        return compositions
+        return compositions, cues
 
     def _compositions_guarded(
         self,
@@ -530,10 +538,11 @@ class MetaSQL:
                 "MetaSQL pipeline is not trained; call train() or "
                 "load_pipeline() before requesting candidates"
             )
+        cues = None
         if compositions is None:
-            compositions = self._compositions_for(question, db)
+            compositions, cues = self._compositions_for(question, db)
         return self.generator.generate(
-            question, db, compositions, report=report
+            question, db, compositions, report=report, cues=cues
         )
 
     def translate_ranked_report(

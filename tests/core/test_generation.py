@@ -199,6 +199,21 @@ class TestCuesOncePerRequest:
         assert out.translations and not out.report.faults
         assert len(cues) + len(classifier_cues) == 1
 
+    def test_candidates_extract_cues_once(
+        self, trained_pipeline, tiny_benchmark, example, monkeypatch
+    ):
+        # The path the ranker-supervision set-up takes per training
+        # question: classify, compose, generate.
+        import repro.core.classifier
+
+        cues = _count_calls(monkeypatch, repro.models.cues, "extract_cues")
+        classifier_cues = _count_calls(
+            monkeypatch, repro.core.classifier, "extract_cues"
+        )
+        db = tiny_benchmark.dev.database(example.db_id)
+        assert trained_pipeline.candidates(example.question, db)
+        assert len(cues) + len(classifier_cues) == 1
+
     def test_reused_cues_translate_alike(
         self, trained_pipeline, tiny_benchmark, example
     ):

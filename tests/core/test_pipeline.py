@@ -127,8 +127,11 @@ class TestAblationConfigs:
         pipeline.classifier = trained_pipeline.classifier
         pipeline.composer = trained_pipeline.composer
         db = tiny_benchmark.dev.database("pets")
-        compositions = pipeline._compositions_for("How many students?", db)
+        compositions, cues = pipeline._compositions_for(
+            "How many students?", db
+        )
         assert len(compositions) > pipeline.config.composer.max_compositions
+        assert cues is None  # nothing classified, so generation extracts
 
     def test_no_stage2_ranks_by_stage1(self, trained_pipeline, tiny_benchmark):
         config = MetaSQLConfig(use_stage2=False)

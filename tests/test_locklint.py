@@ -3,8 +3,9 @@
 Mirrors ``test_repolint.py``: synthetic modules exercise each ``CCnnn``
 diagnostic plus the resolution machinery (self calls, attribute-typed
 calls, condition-wait exemptions, queue typing), then the enforcement
-gate pins the repo's own ``src/`` tree clean and its six locks as
-leaves — lock discipline that regresses fails tier-1, not CI.
+gate pins the repo's own ``src/`` tree clean — so every one of its six
+locks stays a leaf — and its lock set exact: lock discipline that
+regresses fails tier-1, not CI.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def codes_of(source: str, strict: bool = False) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# CC001: lock-order cycles.
+# CC001: a lock acquired while a lock is held (every lock is a leaf).
 
 
 CYCLE = """
@@ -72,7 +73,12 @@ CYCLE = """
 
 
 def test_opposite_order_across_classes_is_a_cycle():
-    assert codes_of(CYCLE) == ["CC001"]
+    # Both halves of the cycle are nested acquisitions, each flagged.
+    findings = locklint.lint_source(textwrap.dedent(CYCLE))
+    assert [(f.rule, f.line) for f in findings] == [
+        ("CC001", 11),  # forward: self.b.leaf()
+        ("CC001", 28),  # backward: self.a.leaf()
+    ]
 
 
 def test_cycle_message_names_both_locks():
@@ -81,28 +87,143 @@ def test_cycle_message_names_both_locks():
     assert "B._lock" in findings[0].message
 
 
-def test_consistent_order_is_clean():
+NESTED_THROUGH_CALL = """
+    import threading
+
+    class Outer:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self.inner = Inner()
+
+        def run(self):
+            with self._lock:
+                self.inner.leaf()
+
+    class Inner:
+        def __init__(self):
+            self._lock = threading.Lock()
+
+        def leaf(self):
+            with self._lock:
+                pass
+"""
+
+
+def test_lock_taken_through_call_under_lock_flagged():
+    # One consistent order is still a nested acquisition.
+    findings = locklint.lint_source(
+        textwrap.dedent(NESTED_THROUGH_CALL), path="mod.py"
+    )
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("CC001", "mod.py", 11)  # the resolving call line
+    ]
+    assert "Inner.leaf" in findings[0].message  # the call chain is named
+    assert "Inner._lock" in findings[0].message
+    assert "Outer._lock" in findings[0].message
+
+
+def test_lock_taken_after_release_is_clean():
     source = """
         import threading
 
-        class A:
+        class Outer:
             def __init__(self):
                 self._lock = threading.Lock()
-                self.b = B()
+                self.inner = Inner()
 
-            def forward(self):
+            def run(self):
                 with self._lock:
-                    self.b.leaf()
+                    pending = list(self.items)
+                self.inner.leaf(pending)
 
-        class B:
+        class Inner:
             def __init__(self):
                 self._lock = threading.Lock()
 
-            def leaf(self):
+            def leaf(self, pending):
+                with self._lock:
+                    self.items = pending
+    """
+    assert codes_of(source) == []
+
+
+def test_nested_with_same_lock_flagged():
+    source = """
+        import threading
+
+        class Bad:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def once(self):
+                with self._lock:
+                    with self._lock:
+                        pass
+    """
+    assert codes_of(source) == ["CC001"]
+
+
+def test_reacquire_via_self_call_flagged():
+    source = """
+        import threading
+
+        class Bad:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def outer(self):
+                with self._lock:
+                    self._inner()
+
+            def _inner(self):
                 with self._lock:
                     pass
     """
-    assert codes_of(source) == []
+    assert codes_of(source) == ["CC001"]
+
+
+def test_rlock_reacquire_flagged():
+    # The leaf rule ignores lock kind: a reentrant lock is no exception.
+    source = """
+        import threading
+
+        class Fine:
+            def __init__(self):
+                self._lock = threading.RLock()
+
+            def outer(self):
+                with self._lock:
+                    self._inner()
+
+            def _inner(self):
+                with self._lock:
+                    pass
+    """
+    assert codes_of(source) == ["CC001"]
+
+
+def test_peer_instance_same_class_flagged():
+    # self.peer is a *different* instance of the same class; taking its
+    # lock under ours nests two locks all the same.
+    source = """
+        import threading
+
+        class Worker:
+            def __init__(self, peer=None):
+                self._lock = threading.Lock()
+                self.peer = peer if peer is not None else Worker()
+
+            def chain(self):
+                with self._lock:
+                    self.peer.poke()
+
+            def poke(self):
+                with self._lock:
+                    pass
+    """
+    findings = locklint.lint_source(textwrap.dedent(source))
+    assert [(f.rule, f.line) for f in findings] == [("CC001", 11)]
+    assert "Worker.poke" in findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -251,91 +372,12 @@ def test_wait_while_holding_another_lock_flagged():
                     with self._cond:
                         self._cond.wait()
     """
-    assert codes_of(source) == ["CC002"]
+    # Taking the condition under the lock is itself a nested acquisition.
+    assert codes_of(source) == ["CC001", "CC002"]
 
 
 # ----------------------------------------------------------------------
-# CC003: double-acquire of a non-reentrant Lock.
-
-
-def test_nested_with_same_lock_flagged():
-    source = """
-        import threading
-
-        class Bad:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def once(self):
-                with self._lock:
-                    with self._lock:
-                        pass
-    """
-    assert codes_of(source) == ["CC003"]
-
-
-def test_reacquire_via_self_call_flagged():
-    source = """
-        import threading
-
-        class Bad:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def outer(self):
-                with self._lock:
-                    self._inner()
-
-            def _inner(self):
-                with self._lock:
-                    pass
-    """
-    assert codes_of(source) == ["CC003"]
-
-
-def test_rlock_reacquire_is_clean():
-    source = """
-        import threading
-
-        class Fine:
-            def __init__(self):
-                self._lock = threading.RLock()
-
-            def outer(self):
-                with self._lock:
-                    self._inner()
-
-            def _inner(self):
-                with self._lock:
-                    pass
-    """
-    assert codes_of(source) == []
-
-
-def test_peer_instance_same_class_not_flagged():
-    # self.peer is a *different* instance of the same class; nesting its
-    # lock under ours is a policy question, not a provable self-deadlock.
-    source = """
-        import threading
-
-        class Worker:
-            def __init__(self, peer=None):
-                self._lock = threading.Lock()
-                self.peer = peer if peer is not None else Worker()
-
-            def chain(self):
-                with self._lock:
-                    self.peer.poke()
-
-            def poke(self):
-                with self._lock:
-                    pass
-    """
-    assert codes_of(source) == []
-
-
-# ----------------------------------------------------------------------
-# CC004: callbacks under a lock (interprocedural lock-callback).
+# CC004: callbacks under a lock, directly or through helpers.
 
 
 def test_direct_callback_under_lock_flagged():
@@ -354,7 +396,7 @@ def test_direct_callback_under_lock_flagged():
 
 
 def test_callback_through_helper_flagged():
-    # repolint's lexical lock-callback rule cannot see this one.
+    # The callback is one call away from the lock.
     source = """
         import threading
 
@@ -386,6 +428,40 @@ def test_queue_then_flush_outside_is_clean():
                 with self._lock:
                     self._pending.append("open")
                 self.on_transition("open")
+    """
+    assert codes_of(source) == []
+
+
+def test_notify_under_lock_flagged():
+    source = """
+        import threading
+
+        class Breaker:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def trip(self):
+                with self._lock:
+                    self._notify()
+    """
+    assert codes_of(source) == ["CC004"]
+
+
+def test_nested_function_resets_lock_context():
+    # A function *defined* inside a with-lock body runs later, outside
+    # the lock; calls in its body must not be flagged.
+    source = """
+        import threading
+
+        class Service:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def submit(self):
+                with self._lock:
+                    def done():
+                        self.on_finish()
+                    self._callbacks.append(done)
     """
     assert codes_of(source) == []
 
@@ -444,43 +520,15 @@ def test_useful_pragma_not_stale():
 # Inventory.
 
 
-def test_inventory_lists_locks_sites_and_edges(tmp_path):
-    (tmp_path / "mod.py").write_text(
-        textwrap.dedent(
-            """
-            import threading
-
-            class Outer:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.inner = Inner()
-
-                def run(self):
-                    with self._lock:
-                        self.inner.leaf()
-
-            class Inner:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def leaf(self):
-                    with self._lock:
-                        pass
-            """
-        )
-    )
+def test_inventory_lists_locks_and_sites(tmp_path):
+    (tmp_path / "mod.py").write_text(textwrap.dedent(NESTED_THROUGH_CALL))
     inventory = locklint.build_inventory([str(tmp_path)])
+    assert set(inventory) == {"locks"}
     assert set(inventory["locks"]) == {"Outer._lock", "Inner._lock"}
     outer = inventory["locks"]["Outer._lock"]
     assert outer["kind"] == "lock"
     assert outer["declared"].endswith("mod.py:6")
     assert any("Outer.run" in site for site in outer["sites"])
-    (edge,) = inventory["edges"]
-    assert edge["held"] == "Outer._lock"
-    assert edge["then"] == "Inner._lock"
-    assert edge["func"] == "Outer.run"
-    assert edge["via"] == ["Inner.leaf"]
-    assert edge["site"].endswith("mod.py:11")  # the resolving call line
 
 
 # ----------------------------------------------------------------------
@@ -558,6 +606,7 @@ def test_cli_inventory_flag(tmp_path):
 
 
 def test_src_tree_is_clean():
+    # CC001 included: every lock in src/ is a leaf.
     findings = locklint.lint_paths([str(REPO / "src")])
     rendered = "\n".join(f.render() for f in findings)
     assert findings == [], f"locklint findings in src/:\n{rendered}"
@@ -583,6 +632,3 @@ def test_src_inventory_covers_the_known_lock_set():
         "TranslationService._lock",
         "_Family._lock",
     }
-    # Every lock is a leaf: no code path takes one lock while holding
-    # another, so any nested acquisition fails here.
-    assert inventory["edges"] == []

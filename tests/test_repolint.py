@@ -113,55 +113,6 @@ def test_pragma_for_other_rule_does_not_suppress():
 
 
 # ----------------------------------------------------------------------
-# lock-callback
-
-
-def test_callback_under_lock_flagged():
-    source = """
-        class Breaker:
-            def trip(self):
-                with self._lock:
-                    self.on_transition("open")
-    """
-    assert rules_of(source) == ["lock-callback"]
-
-
-def test_notify_under_lock_flagged():
-    source = """
-        class Breaker:
-            def trip(self):
-                with self._lock:
-                    self._notify()
-    """
-    assert rules_of(source) == ["lock-callback"]
-
-
-def test_callback_after_lock_allowed():
-    source = """
-        class Breaker:
-            def trip(self):
-                with self._lock:
-                    self._pending.append("open")
-                self.on_transition("open")
-    """
-    assert rules_of(source) == []
-
-
-def test_nested_function_resets_lock_context():
-    # A function *defined* inside a with-lock body runs later, outside
-    # the lock; calls in its body must not be flagged.
-    source = """
-        class Service:
-            def submit(self):
-                with self._lock:
-                    def done():
-                        self.on_finish()
-                    self._callbacks.append(done)
-    """
-    assert rules_of(source) == []
-
-
-# ----------------------------------------------------------------------
 # contextvar-reset
 
 

@@ -1,38 +1,36 @@
 #!/usr/bin/env python
-"""Whole-repo lock-order and lock-discipline analysis for MetaSQL.
+"""Whole-repo lock-discipline analysis for MetaSQL: every lock a leaf.
 
 The serving stack is concurrent: worker threads, the service's
 counters, breaker boards, the metrics registry and the journal share
-state under six ``threading.Lock`` sites.
-``repolint`` enforces *lexical* invariants (no callbacks under
-``with self._lock``); this tool goes further with an AST-based
-**interprocedural** pass over the whole source tree:
+state under six ``threading.Lock`` sites, and the design rule is that
+no code path takes a lock while holding another.  This tool checks
+that rule with an AST-based **interprocedural** pass over the whole
+source tree:
 
 1. **Inventory** — every lock object (``self._x = threading.Lock()``)
    gets a stable identity ``ClassName.attr``; every ``with``/
    ``.acquire()`` site that takes it is recorded.
-2. **Lock-order graph** — calls made while a lock is held are resolved
+2. **Summaries** — calls made while a lock is held are resolved
    through a module-level call graph (``self`` methods, base classes,
    attribute types inferred from constructor assignments and
    annotations, module functions, annotated return types for chained
-   calls) and every lock the callee may take becomes a *held-before*
-   edge.
+   calls); each function's summary holds the locks it may take, the
+   blocking calls and the callbacks it may reach.
 3. **Diagnostics** (stable ``CCnnn`` codes):
 
-   ``CC001`` lock-order-cycle
-       A cycle in the global held-before graph: two call paths take the
-       same locks in opposite orders — a potential deadlock.
+   ``CC001`` lock-under-lock
+       A lock acquired while a lock is held, directly (``with`` inside
+       ``with``) or through a resolved call — whatever the lock kind,
+       and whether it is the same lock, another instance's or another
+       class's.  Every lock must be a leaf.
    ``CC002`` blocking-under-lock
        A known-blocking operation (queue ``get``/``put``, ``wait`` on a
        *different* condition, ``sleep``, ``join``, ``Future.result``,
        file/socket I/O, ``open``, ``os.fsync``/``os.replace``, a
-       journal append) is reachable while a lock is held — the dataflow
-       generalization of repolint's lexical ``lock-callback`` rule.
+       journal append) is reachable while a lock is held.
        Waiting on the condition you hold is the designed use of
        ``Condition`` (the wait releases it) and is exempt.
-   ``CC003`` double-acquire
-       A non-reentrant ``Lock`` re-acquired on a ``self``-only call
-       chain while already held: guaranteed self-deadlock.
    ``CC004`` callback-under-lock
        An observer callback (``self.on_*`` / ``self._notify``) invoked
        — directly or through helpers — while a lock is held.  The repo
@@ -73,15 +71,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from repolint import (  # noqa: E402  (path bootstrap above)
     Finding,
+    apply_pragmas,
     iter_python_files,
     parse_pragmas,
 )
 
 #: code -> one-line description (the ``--list`` output).
 CODES: dict[str, str] = {
-    "CC001": "lock-order cycle across call paths (potential deadlock)",
+    "CC001": "lock acquired while a lock is held (every lock is a leaf)",
     "CC002": "known-blocking call reachable while a lock is held",
-    "CC003": "non-reentrant Lock re-acquired on a self call chain",
     "CC004": "observer callback invoked while a lock is held",
     "CC006": "stale '# locklint: allow[...]' pragma (--strict-pragmas)",
 }
@@ -187,7 +185,6 @@ class _CallSite:
     receiver: str | None  # "self" | attr name on self | None (module fn)
     chain: tuple[str, ...]  # method chain, e.g. ("registry", "counter")
     line: int
-    via_self: bool  # the entire receiver chain stays on `self`
 
 
 @dataclass
@@ -218,8 +215,6 @@ class _FuncInfo:
     events: list = field(default_factory=list)
     # Fixpoint summaries: value is (witness line, call chain tuple).
     acquired: dict[str, tuple] = field(default_factory=dict)
-    acquired_kinds: dict[str, str] = field(default_factory=dict)
-    acquired_self: set[str] = field(default_factory=set)
     blocking: dict[str, tuple] = field(default_factory=dict)
     callbacks: dict[str, tuple] = field(default_factory=dict)
 
@@ -481,10 +476,7 @@ class _EventBuilder:
             if func.id == "open":
                 out.append(_Blocking(_BLOCKING_CALLS["open"], line))
                 return
-            out.append(
-                _CallSite(receiver=None, chain=(func.id,), line=line,
-                          via_self=False)
-            )
+            out.append(_CallSite(receiver=None, chain=(func.id,), line=line))
             return
         if not isinstance(func, ast.Attribute):
             return
@@ -534,7 +526,6 @@ class _EventBuilder:
                 receiver="self" if not rest else rest[0],
                 chain=tuple(rest) + (attr,),
                 line=line,
-                via_self=not rest,
             )
         )
 
@@ -637,19 +628,18 @@ class _Universe:
             )
         return set()
 
-    def resolve_call(self, func: _FuncInfo, site: _CallSite):
+    def resolve_call(
+        self, func: _FuncInfo, site: _CallSite
+    ) -> list[_FuncInfo]:
         """Target functions a call site may reach (possibly several)."""
-        targets: list[tuple[_FuncInfo, bool]] = []
-        if site.receiver is None:
-            target = self.functions.get(site.chain[0])
-            if target is not None:
-                targets.append((target, False))
-            return targets
-        if site.via_self:
-            target = self.resolve_method(func.cls, site.chain[-1])
-            if target is not None:
-                targets.append((target, True))
-            return targets
+        if site.receiver in (None, "self"):
+            target = (
+                self.functions.get(site.chain[0])
+                if site.receiver is None
+                else self.resolve_method(func.cls, site.chain[-1])
+            )
+            return [] if target is None else [target]
+        targets: list[_FuncInfo] = []
         # self.attr.m1().m2()... — walk the chain through attr types and
         # return annotations.
         if func.cls is None:
@@ -671,7 +661,7 @@ class _Universe:
                 continue
             target = self.resolve_method(cls, site.chain[-1])
             if target is not None:
-                targets.append((target, False))
+                targets.append(target)
         return targets
 
 
@@ -691,8 +681,6 @@ def _fold_events(universe, func: _FuncInfo, events, chain) -> bool:
         if isinstance(event, _Acquire):
             if event.lock_id not in func.acquired:
                 func.acquired[event.lock_id] = (event.line, chain)
-                func.acquired_kinds[event.lock_id] = event.kind
-                func.acquired_self.add(event.lock_id)
                 changed = True
             if _fold_events(universe, func, event.body, chain):
                 changed = True
@@ -710,21 +698,11 @@ def _fold_events(universe, func: _FuncInfo, events, chain) -> bool:
                 func.callbacks[event.name] = (event.line, chain)
                 changed = True
         elif isinstance(event, _CallSite):
-            for target, via_self in universe.resolve_call(func, event):
+            for target in universe.resolve_call(func, event):
                 step = (target.qualname,)
                 for lock_id, (line, sub) in target.acquired.items():
                     if lock_id not in func.acquired:
                         func.acquired[lock_id] = (event.line, step + sub)
-                        func.acquired_kinds[lock_id] = (
-                            target.acquired_kinds[lock_id]
-                        )
-                        changed = True
-                    if (
-                        via_self
-                        and lock_id in target.acquired_self
-                        and lock_id not in func.acquired_self
-                    ):
-                        func.acquired_self.add(lock_id)
                         changed = True
                 for desc, (line, sub) in target.blocking.items():
                     if desc not in func.blocking:
@@ -741,16 +719,6 @@ def _fold_events(universe, func: _FuncInfo, events, chain) -> bool:
 # Phase 3: findings.
 
 
-@dataclass
-class _Edge:
-    src: str
-    dst: str
-    path: str
-    line: int
-    func: str
-    chain: tuple
-
-
 class _Analyzer:
     """Whole-repo analysis: build, summarize, then emit findings."""
 
@@ -758,7 +726,6 @@ class _Analyzer:
         self.universe = _Universe()
         self.sites: list[_LockSite] = []
         self.findings: list[Finding] = []
-        self.edges: dict[tuple[str, str], _Edge] = {}
         self._seen: set[tuple[str, str, int]] = set()
 
     # -- loading --------------------------------------------------------
@@ -803,7 +770,6 @@ class _Analyzer:
         _summarize(self.universe)
         for func in self.universe.all_funcs:
             self._walk(func, func.events, held=[])
-        self._find_cycles()
         return self.findings
 
     def _report(self, code: str, path: str, line: int, message: str):
@@ -815,7 +781,8 @@ class _Analyzer:
             Finding(rule=code, path=path, line=line, message=message)
         )
 
-    def _walk(self, func: _FuncInfo, events, held: list) -> None:
+    def _walk(self, func: _FuncInfo, events, held: list[str]) -> None:
+        """Emit findings for *events*; *held* lists the held lock ids."""
         for event in events:
             if isinstance(event, _Acquire):
                 self.sites.append(
@@ -827,33 +794,18 @@ class _Analyzer:
                         func=func.qualname,
                     )
                 )
-                for held_id, held_kind, held_line in held:
-                    if held_id == event.lock_id:
-                        if held_kind == "lock":
-                            self._report(
-                                "CC003",
-                                func.path,
-                                event.line,
-                                f"non-reentrant Lock {event.lock_id!r} "
-                                f"re-acquired while already held in "
-                                f"{func.qualname} (self-deadlock)",
-                            )
-                        continue
-                    self._note_edge(
-                        held_id, event.lock_id, func, event.line, ()
+                if held:
+                    self._nested_finding(
+                        func, held, event.lock_id, event.line, ()
                     )
-                self._walk(
-                    func,
-                    event.body,
-                    held + [(event.lock_id, event.kind, event.line)],
-                )
+                self._walk(func, event.body, held + [event.lock_id])
             elif isinstance(event, _Blocking):
                 if held:
                     self._blocking_finding(
                         func, held, event.desc, event.line, ()
                     )
             elif isinstance(event, _Wait):
-                others = [h for h in held if h[0] != event.lock_id]
+                others = [h for h in held if h != event.lock_id]
                 if others:
                     self._blocking_finding(
                         func,
@@ -870,42 +822,23 @@ class _Analyzer:
                         func.path,
                         event.line,
                         f"callback self.{event.name}() invoked under "
-                        f"{held[-1][0]} in {func.qualname}; queue the "
+                        f"{held[-1]} in {func.qualname}; queue the "
                         "event and flush after releasing the lock",
                     )
             elif isinstance(event, _CallSite) and held:
                 self._apply_call_summary(func, event, held)
 
     def _apply_call_summary(self, func, event: _CallSite, held) -> None:
-        for target, via_self in self.universe.resolve_call(func, event):
+        for target in self.universe.resolve_call(func, event):
             chain = (target.qualname,)
-            held_ids = {h[0] for h in held}
             for lock_id, (line, sub) in target.acquired.items():
-                if lock_id in held_ids:
-                    kind = target.acquired_kinds.get(lock_id)
-                    if (
-                        kind == "lock"
-                        and via_self
-                        and lock_id in target.acquired_self
-                    ):
-                        self._report(
-                            "CC003",
-                            func.path,
-                            event.line,
-                            f"non-reentrant Lock {lock_id!r} re-acquired "
-                            f"via {' -> '.join(chain + sub) or chain[0]} "
-                            f"while held in {func.qualname} "
-                            "(self-deadlock)",
-                        )
-                    continue
-                for held_id, _kind, _line in held:
-                    self._note_edge(
-                        held_id, lock_id, func, event.line, chain + sub
-                    )
+                self._nested_finding(
+                    func, held, lock_id, event.line, chain + sub
+                )
             for desc, (line, sub) in target.blocking.items():
                 if desc.startswith("wait on "):
                     waited = desc[len("wait on "):]
-                    others = [h for h in held if h[0] != waited]
+                    others = [h for h in held if h != waited]
                     if not others:
                         continue
                     self._blocking_finding(
@@ -920,10 +853,19 @@ class _Analyzer:
                     "CC004",
                     func.path,
                     event.line,
-                    f"callback {name}() reachable under {held[-1][0]} "
-                    f"via {' -> '.join(chain + sub) or chain[0]} "
-                    f"in {func.qualname}",
+                    f"callback {name}() reachable under {held[-1]} "
+                    f"via {' -> '.join(chain + sub)} in {func.qualname}",
                 )
+
+    def _nested_finding(self, func, held, lock_id, line, chain) -> None:
+        via = f" via {' -> '.join(chain)}" if chain else ""
+        self._report(
+            "CC001",
+            func.path,
+            line,
+            f"{lock_id} acquired{via} while holding {held[-1]} in "
+            f"{func.qualname}; every lock must be a leaf",
+        )
 
     def _blocking_finding(self, func, held, desc, line, chain) -> None:
         via = f" via {' -> '.join(chain)}" if chain else ""
@@ -931,49 +873,9 @@ class _Analyzer:
             "CC002",
             func.path,
             line,
-            f"blocking {desc} while holding {held[-1][0]}{via} in "
+            f"blocking {desc} while holding {held[-1]}{via} in "
             f"{func.qualname}; release the lock before blocking",
         )
-
-    def _note_edge(self, src, dst, func, line, chain) -> None:
-        key = (src, dst)
-        if key not in self.edges:
-            self.edges[key] = _Edge(
-                src=src,
-                dst=dst,
-                path=func.path,
-                line=line,
-                func=func.qualname,
-                chain=chain,
-            )
-
-    # -- cycles ---------------------------------------------------------
-
-    def _find_cycles(self) -> None:
-        graph: dict[str, set[str]] = {}
-        for src, dst in self.edges:
-            graph.setdefault(src, set()).add(dst)
-            graph.setdefault(dst, set())
-        for component in _tarjan_sccs(graph):
-            if len(component) < 2:
-                continue
-            cycle = sorted(component)
-            witness_edges = [
-                self.edges[key]
-                for key in sorted(self.edges)
-                if key[0] in component and key[1] in component
-            ]
-            anchor = witness_edges[0]
-            sites = "; ".join(
-                f"{e.src} -> {e.dst} at {e.path}:{e.line} ({e.func})"
-                for e in witness_edges[:4]
-            )
-            self._report(
-                "CC001",
-                anchor.path,
-                anchor.line,
-                f"lock-order cycle between {', '.join(cycle)}: {sites}",
-            )
 
     # -- inventory ------------------------------------------------------
 
@@ -1000,123 +902,11 @@ class _Analyzer:
             entry["sites"].append(
                 f"{site.path}:{site.line} ({site.func})"
             )
-        return {
-            "locks": locks,
-            "edges": [
-                {
-                    "held": edge.src,
-                    "then": edge.dst,
-                    "site": f"{edge.path}:{edge.line}",
-                    "func": edge.func,
-                    "via": list(edge.chain),
-                }
-                for _key, edge in sorted(self.edges.items())
-            ],
-        }
-
-
-def _tarjan_sccs(graph: dict[str, set[str]]) -> list[set[str]]:
-    """Strongly connected components (iterative Tarjan)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[set[str]] = []
-    counter = [0]
-
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph[succ]))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-    return sccs
+        return {"locks": locks}
 
 
 # ----------------------------------------------------------------------
 # Public entry points (mirroring repolint's API shape).
-
-
-def _apply_pragmas(
-    findings: list[Finding],
-    pragmas_by_path: dict[str, dict[int, set[str]]],
-    strict: bool,
-) -> list[Finding]:
-    kept: list[Finding] = []
-    used: dict[tuple[str, int, str], bool] = {}
-    for path, allowed in pragmas_by_path.items():
-        for line, codes in allowed.items():
-            for code in codes:
-                used[(path, line, code)] = False
-    for finding in findings:
-        allowed = pragmas_by_path.get(finding.path, {})
-        suppressed = False
-        for line in (finding.line, finding.line - 1):
-            if finding.rule in allowed.get(line, set()):
-                used[(finding.path, line, finding.rule)] = True
-                suppressed = True
-        if not suppressed:
-            kept.append(finding)
-    if strict:
-        for (path, line, code), was_used in sorted(used.items()):
-            if was_used:
-                continue
-            if code not in CODES:
-                kept.append(
-                    Finding(
-                        rule="CC006",
-                        path=path,
-                        line=line,
-                        message=(
-                            f"pragma allows unknown locklint code "
-                            f"{code!r}"
-                        ),
-                    )
-                )
-            else:
-                kept.append(
-                    Finding(
-                        rule="CC006",
-                        path=path,
-                        line=line,
-                        message=(
-                            f"stale pragma: allow[{code}] suppresses "
-                            "nothing on this line; remove it"
-                        ),
-                    )
-                )
-    return sorted(kept, key=lambda f: (f.path, f.line, f.rule))
 
 
 def lint_paths(
@@ -1132,7 +922,13 @@ def lint_paths(
         )
         for file in iter_python_files(paths)
     }
-    return _apply_pragmas(findings, pragmas_by_path, strict_pragmas)
+    return apply_pragmas(
+        findings,
+        pragmas_by_path,
+        strict=strict_pragmas,
+        known=CODES,
+        stale_rule="CC006",
+    )
 
 
 def lint_source(
@@ -1142,12 +938,18 @@ def lint_source(
     analyzer = _Analyzer()
     analyzer.load_source(source, path)
     findings = analyzer.analyze()
-    pragmas = {path: parse_pragmas(source, tool="locklint")}
-    return _apply_pragmas(findings, pragmas, strict_pragmas)
+    return apply_pragmas(
+        findings,
+        {path: parse_pragmas(source, tool="locklint")},
+        strict=strict_pragmas,
+        known=CODES,
+        stale_rule="CC006",
+    )
 
 
 def build_inventory(paths: list[str]) -> dict:
-    """The lock inventory + held-before edges for *paths* (JSON-ready)."""
+    """The lock inventory for *paths*: every lock and the sites that
+    take it (JSON-ready)."""
     analyzer = _Analyzer()
     analyzer.load_paths(paths)
     analyzer.analyze()
@@ -1168,7 +970,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--inventory",
         action="store_true",
-        help="print the lock inventory and held-before edges as JSON",
+        help="print the lock inventory (locks and their sites) as JSON",
     )
     parser.add_argument(
         "--strict-pragmas",

@@ -18,14 +18,6 @@ walks Python sources with :mod:`ast` and enforces them:
     repo, so broad handlers are allowed — but only when annotated with a
     justification the linter can see.
 
-``lock-callback``
-    No invocation of observer callbacks (``self.on_*`` attributes or
-    ``self._notify``) lexically inside a ``with self._lock:`` body.
-    Observers run arbitrary user code; calling them under the lock risks
-    deadlock (``threading.Lock`` is not reentrant) and lock-hold blowup.
-    The repo idiom is queue-under-lock, flush-outside (see
-    ``CircuitBreaker._notify``).
-
 ``contextvar-reset``
     A ``token = <var>.set(...)`` assignment must be paired with a
     ``.reset(token)`` inside a ``finally`` block of the same function, so
@@ -102,6 +94,7 @@ import pathlib
 import re
 import sys
 import tokenize
+from collections.abc import Collection
 from dataclasses import dataclass
 
 #: rule-name -> one-line description (the ``--list`` output).
@@ -111,9 +104,6 @@ RULES: dict[str, str] = {
     ),
     "broad-except": (
         "broad except handler without a repolint pragma justifying it"
-    ),
-    "lock-callback": (
-        "observer callback invoked while holding self._lock"
     ),
     "contextvar-reset": (
         "ContextVar token is never reset in a finally block"
@@ -239,9 +229,6 @@ def parse_pragmas(
     return allowed
 
 
-_pragmas = parse_pragmas
-
-
 def _dotted(node: ast.AST) -> str | None:
     """Render ``a.b.c`` attribute chains; None for anything else."""
     parts: list[str] = []
@@ -254,24 +241,12 @@ def _dotted(node: ast.AST) -> str | None:
     return None
 
 
-def _is_self_lock(node: ast.AST) -> bool:
-    """Whether *node* is ``self._lock`` (or ``self.<...>_lock``)."""
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and (node.attr == "_lock" or node.attr.endswith("_lock"))
-    )
-
-
 class _Checker(ast.NodeVisitor):
     """Single-pass AST walker applying every rule to one module."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.findings: list[Finding] = []
-        self._lock_depth = 0
-        self._function_stack: list[ast.AST] = []
 
     # -- reporting ------------------------------------------------------
 
@@ -287,22 +262,8 @@ class _Checker(ast.NodeVisitor):
 
     # -- structural visitors -------------------------------------------
 
-    def visit_With(self, node: ast.With) -> None:
-        holds_lock = any(
-            _is_self_lock(item.context_expr) for item in node.items
-        )
-        if holds_lock:
-            self._lock_depth += 1
-        self.generic_visit(node)
-        if holds_lock:
-            self._lock_depth -= 1
-
     def _visit_function(self, node) -> None:
-        self._function_stack.append(node)
-        saved_depth, self._lock_depth = self._lock_depth, 0
         self.generic_visit(node)
-        self._lock_depth = saved_depth
-        self._function_stack.pop()
         self._check_contextvar_tokens(node)
         self._check_fsync_rename(node)
 
@@ -331,7 +292,6 @@ class _Checker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func)
         self._check_wall_clock(node, dotted)
-        self._check_lock_callback(node)
         self._check_unseeded_random(node, dotted)
         self.generic_visit(node)
 
@@ -348,24 +308,6 @@ class _Checker(ast.NodeVisitor):
                 node,
                 f"direct {dotted}() call; route timestamps through an "
                 "injectable clock",
-            )
-
-    def _check_lock_callback(self, node: ast.Call) -> None:
-        if self._lock_depth == 0:
-            return
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "self"
-        ):
-            return
-        if func.attr.startswith("on_") or func.attr == "_notify":
-            self.report(
-                "lock-callback",
-                node,
-                f"self.{func.attr}() invoked under self._lock; queue the "
-                "event and flush after releasing the lock",
             )
 
     def _check_unseeded_random(
@@ -482,6 +424,63 @@ class _Checker(ast.NodeVisitor):
 _PRAGMA_IMMUNE = {"metric-catalog", "event-catalog", "stale-pragma"}
 
 
+def apply_pragmas(
+    findings: list[Finding],
+    pragmas_by_path: dict[str, dict[int, set[str]]],
+    *,
+    strict: bool,
+    known: dict[str, str],
+    stale_rule: str,
+    immune: Collection[str] = (),
+) -> list[Finding]:
+    """Drop the findings an ``allow[...]`` pragma covers, sorted.
+
+    A pragma covers a finding of its rule on its own line or the line
+    below.  With *strict*, every pragma that covered nothing becomes a
+    *stale_rule* finding: it names a rule missing from *known*, a rule
+    in *immune* (one that never honours pragmas), or a rule that simply
+    did not fire there.  Shared by repolint and locklint.
+    """
+    kept: list[Finding] = []
+    used: set[tuple[str, int, str]] = set()
+    for finding in findings:
+        allowed = pragmas_by_path.get(finding.path, {})
+        suppressed = False
+        for line in (finding.line, finding.line - 1):
+            if finding.rule in allowed.get(line, set()):
+                used.add((finding.path, line, finding.rule))
+                suppressed = True
+        if not suppressed:
+            kept.append(finding)
+    if strict:
+        for path, allowed in pragmas_by_path.items():
+            for line, rules in sorted(allowed.items()):
+                for rule in sorted(rules):
+                    if (path, line, rule) in used:
+                        continue
+                    if rule not in known:
+                        message = f"pragma allows unknown rule {rule!r}"
+                    elif rule in immune:
+                        message = (
+                            f"allow[{rule}] has no effect; the rule is "
+                            "doc/flag-driven and ignores pragmas"
+                        )
+                    else:
+                        message = (
+                            f"stale pragma: allow[{rule}] suppresses "
+                            "nothing on this line; remove it"
+                        )
+                    kept.append(
+                        Finding(
+                            rule=stale_rule,
+                            path=path,
+                            line=line,
+                            message=message,
+                        )
+                    )
+    return sorted(kept, key=lambda f: (f.path, f.line, f.rule))
+
+
 def lint_source(
     source: str, path: str = "<string>", strict_pragmas: bool = False
 ) -> list[Finding]:
@@ -489,43 +488,14 @@ def lint_source(
     tree = ast.parse(source, filename=path)
     checker = _Checker(path)
     checker.visit(tree)
-    allowed = _pragmas(source)
-    kept = []
-    used: set[tuple[int, str]] = set()
-    for finding in checker.findings:
-        suppressed = False
-        for line in (finding.line, finding.line - 1):
-            if finding.rule in allowed.get(line, set()):
-                used.add((line, finding.rule))
-                suppressed = True
-        if not suppressed:
-            kept.append(finding)
-    if strict_pragmas:
-        for line, rules in sorted(allowed.items()):
-            for rule in sorted(rules):
-                if (line, rule) in used:
-                    continue
-                if rule not in RULES:
-                    message = f"pragma allows unknown rule {rule!r}"
-                elif rule in _PRAGMA_IMMUNE:
-                    message = (
-                        f"allow[{rule}] has no effect; the rule is "
-                        "doc/flag-driven and ignores pragmas"
-                    )
-                else:
-                    message = (
-                        f"stale pragma: allow[{rule}] suppresses "
-                        "nothing on this line; remove it"
-                    )
-                kept.append(
-                    Finding(
-                        rule="stale-pragma",
-                        path=path,
-                        line=line,
-                        message=message,
-                    )
-                )
-    return sorted(kept, key=lambda f: (f.path, f.line, f.rule))
+    return apply_pragmas(
+        checker.findings,
+        {path: parse_pragmas(source)},
+        strict=strict_pragmas,
+        known=RULES,
+        stale_rule="stale-pragma",
+        immune=_PRAGMA_IMMUNE,
+    )
 
 
 def iter_python_files(paths: list[str]) -> list[pathlib.Path]:
