@@ -432,6 +432,44 @@ def test_queue_then_flush_outside_is_clean():
     assert codes_of(source) == []
 
 
+def test_callback_under_lock_flagged():
+    # Re-entrancy does not excuse a callback: an RLock is still held.
+    source = """
+        import threading
+
+        class Breaker:
+            def __init__(self):
+                self._lock = threading.RLock()
+
+            def trip(self):
+                with self._lock:
+                    self.on_transition("open")
+    """
+    findings = locklint.lint_source(textwrap.dedent(source))
+    assert [f.rule for f in findings] == ["CC004"]
+    assert "Breaker._lock" in findings[0].message
+
+
+def test_callback_after_lock_allowed():
+    # The helper that calls back runs after the lock is released.
+    source = """
+        import threading
+
+        class Breaker:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def trip(self):
+                with self._lock:
+                    self._pending.append("open")
+                self._flush()
+
+            def _flush(self):
+                self.on_transition("open")
+    """
+    assert codes_of(source) == []
+
+
 def test_notify_under_lock_flagged():
     source = """
         import threading
