@@ -11,9 +11,9 @@ Before a candidate enters the set it passes the **semantic-lint gate**
 against the schema — unknown columns, aggregate misuse, arity mismatches
 — can never be the correct translation, so spending ranking budget on it
 is pure waste.  Error-severity diagnostics prune the candidate (counted
-per diagnostic code in the report and the metrics registry); warnings are
-attached to the surviving :class:`GeneratedCandidate` for downstream
-consumers.  An analyzer crash on one candidate is isolated: it is
+per diagnostic code in the report, from which the pipeline derives the
+metric); warnings are attached to the surviving
+:class:`GeneratedCandidate` for downstream consumers.  An analyzer crash on one candidate is isolated: it is
 recorded as a :class:`~repro.core.resilience.FaultRecord` and the
 candidate is kept (the gate fails open, never killing the set).
 """
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from repro.core.metadata import QueryMetadata
 from repro.core.resilience import TranslationReport, fire
-from repro.obs.metrics import get_registry
 from repro.obs.trace import current_tracer
 from repro.core.values import ground_values
 from repro.models.base import Candidate, TranslationModel
@@ -76,17 +75,6 @@ class GeneratorConfig:
     #: Run the schema-aware semantic analyzer over every candidate and
     #: prune those with error-severity diagnostics.
     lint_candidates: bool = True
-
-
-def _record_lint_rejection(codes: list[str]) -> None:
-    """Count one pruned candidate in the ambient metrics registry."""
-    counter = get_registry().counter(
-        "metasql_candidates_lint_rejected_total",
-        "Candidates pruned by the semantic-lint gate, by diagnostic code.",
-        labelnames=("code",),
-    )
-    for code in codes:
-        counter.labels(code=code).inc()
 
 
 class CandidateGenerator:
@@ -149,10 +137,8 @@ class CandidateGenerator:
                 return True, ()
             codes = error_codes(diagnostics)
             if codes:
-                distinct = sorted(set(codes))
-                _record_lint_rejection(distinct)
                 if report is not None:
-                    report.record_lint_rejection(distinct)
+                    report.record_lint_rejection(sorted(set(codes)))
                 return False, ()
             return True, tuple(diagnostics)
 

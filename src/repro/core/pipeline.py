@@ -30,7 +30,7 @@ attached to the output says exactly what was absorbed.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,7 +73,7 @@ from repro.models import cues as surface_cues
 from repro.models.base import TranslationModel
 from repro.models.cues import CueEvidence
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.trace import Tracer, current_tracer, trace_scope
+from repro.obs.trace import Span, Tracer, current_tracer, trace_scope
 from repro.schema.database import Database
 from repro.sqlkit.ast import Query
 from repro.sqlkit.errors import PipelineStateError
@@ -105,16 +105,11 @@ class MetaSQLConfig:
 
 # ----------------------------------------------------------------------
 # Observability wiring (metric names are documented in DESIGN.md §10).
-# ``get_registry()`` is consulted at event time so the serving layer's
-# (or a test's) ambient registry scope is honoured.
-
-
-def _stage_latency(registry: MetricsRegistry):
-    return registry.histogram(
-        "metasql_stage_latency_seconds",
-        "Wall seconds spent per pipeline stage.",
-        labelnames=("stage",),
-    )
+# Breaker transitions and failpoint firings are counted when they happen,
+# in the ambient registry (``get_registry()``), so the serving layer's or
+# a test's registry scope is honoured.  Every per-request family is
+# derived once, from the finished report, by
+# ``MetaSQL._flush_report_metrics``.
 
 
 def _record_breaker_transition(stage: str, old: str, new: str) -> None:
@@ -428,6 +423,31 @@ class MetaSQL:
         report.record_deadline(deadline, stage, fallback)
         return True
 
+    def _classify(
+        self, question: str, db: Database
+    ) -> tuple[CueEvidence, tuple[set[str], list[int]]]:
+        """The question's cues and the classifier's labels read from them."""
+        # Through the module, so a wrapper on extract_cues sees the call.
+        cues = surface_cues.extract_cues(question, db)
+        return cues, self.classifier.predict(
+            question,
+            db,
+            threshold=self.config.classification_threshold,
+            cues=cues,
+        )
+
+    def _observed_compositions(self) -> list[QueryMetadata]:
+        """The compositions used when the classifier is off or fails."""
+        return self.composer.all_compositions(
+            limit=self.config.composer.max_compositions * 3
+        )
+
+    def _or_most_common(
+        self, compositions: list[QueryMetadata]
+    ) -> list[QueryMetadata]:
+        """*compositions*, or the four most common observed ones if empty."""
+        return compositions or self.composer.all_compositions(limit=4)
+
     def _compositions_for(
         self, question: str, db: Database
     ) -> tuple[list[QueryMetadata], CueEvidence | None]:
@@ -435,21 +455,10 @@ class MetaSQL:
         read (None without a classifier; generation then extracts its
         own)."""
         if not self.config.use_classifier or not self._classifier_ok:
-            return self.composer.all_compositions(
-                limit=self.config.composer.max_compositions * 3
-            ), None
-        # Through the module, so a wrapper on extract_cues sees the call.
-        cues = surface_cues.extract_cues(question, db)
-        tags, ratings = self.classifier.predict(
-            question,
-            db,
-            threshold=self.config.classification_threshold,
-            cues=cues,
-        )
+            return self._observed_compositions(), None
+        cues, (tags, ratings) = self._classify(question, db)
         compositions = self.composer.compose(tags, ratings)
-        if not compositions:
-            compositions = self.composer.all_compositions(limit=4)
-        return compositions, cues
+        return self._or_most_common(compositions), cues
 
     def _compositions_guarded(
         self,
@@ -467,27 +476,11 @@ class MetaSQL:
         reuse; it is None when classification did not get that far, and
         generation then extracts its own.
         """
-
-        def all_observed() -> list[QueryMetadata]:
-            return self.composer.all_compositions(
-                limit=self.config.composer.max_compositions * 3
-            )
-
-        def classify() -> tuple[CueEvidence, tuple[set[str], list[int]]]:
-            # Through the module, so a wrapper on extract_cues sees the call.
-            evidence = surface_cues.extract_cues(question, db)
-            return evidence, self.classifier.predict(
-                question,
-                db,
-                threshold=self.config.classification_threshold,
-                cues=evidence,
-            )
-
         cues = None
         if self.config.use_classifier and self._classifier_ok:
             ok, predicted = guarded_call(
                 "classify",
-                classify,
+                lambda: self._classify(question, db),
                 report,
                 fallback="all-compositions",
                 site="classifier.predict",
@@ -504,9 +497,7 @@ class MetaSQL:
                     breaker=self._breaker("compose"),
                 )
                 if ok:
-                    if compositions:
-                        return compositions, cues
-                    return self.composer.all_compositions(limit=4), cues
+                    return self._or_most_common(compositions), cues
         elif self.config.use_classifier and not self._classifier_ok:
             report.record(
                 FaultRecord(
@@ -518,7 +509,7 @@ class MetaSQL:
             )
         ok, compositions = guarded_call(
             "compose",
-            lambda: all_observed(),
+            self._observed_compositions,
             report,
             fallback="unconditioned",
             breaker=self._breaker("compose"),
@@ -569,9 +560,10 @@ class MetaSQL:
 
         Every call is traced: a ``translate`` root span with one child
         per stage (plus the generator's per-condition/per-candidate
-        sub-spans) is attached to ``report.trace``, stage latencies land
-        in the ambient metrics registry, and fault/degradation counters
-        are flushed from the report — on every return path.
+        sub-spans) is attached to ``report.trace``.  Once the stages are
+        done, whichever return path they took, every per-request metric
+        (latencies, candidate counts, faults, degradations) is derived
+        from the report and the span tree into the ambient registry.
         """
         if not self._trained:
             raise PipelineStateError(
@@ -581,7 +573,6 @@ class MetaSQL:
         report = TranslationReport(question=question)
         if deadline is not None:
             report.deadline_budget = deadline.budget
-        registry = get_registry()
         with ExitStack() as stack:
             tracer = current_tracer()
             if tracer is None:
@@ -589,33 +580,11 @@ class MetaSQL:
                 stack.enter_context(trace_scope(tracer))
             with tracer.span("translate") as root:
                 translations = self._translate_stages(
-                    question,
-                    db,
-                    compositions,
-                    deadline,
-                    report,
-                    tracer,
-                    registry,
+                    question, db, compositions, deadline, report, tracer
                 )
         report.trace = root.as_dict()
-        registry.histogram(
-            "metasql_translate_latency_seconds",
-            "End-to-end pipeline translate latency.",
-        ).observe(root.duration)
-        self._flush_report_metrics(registry, report)
+        self._flush_report_metrics(get_registry(), report, root)
         return RankedResult(translations, report)
-
-    @contextmanager
-    def _stage_span(self, tracer: Tracer, registry: MetricsRegistry, stage):
-        """A stage-boundary span whose duration feeds the stage histogram.
-
-        The histogram observation happens on exit, so early returns from
-        the ``with`` body (deadline expiries, terminal faults) still
-        record the time the stage consumed.
-        """
-        with tracer.span(stage) as span:
-            yield span
-        _stage_latency(registry).labels(stage=stage).observe(span.duration)
 
     def _translate_stages(
         self,
@@ -625,10 +594,9 @@ class MetaSQL:
         deadline: Deadline | None,
         report: TranslationReport,
         tracer: Tracer,
-        registry: MetricsRegistry,
     ) -> list[RankedTranslation]:
         """The four traced stage blocks behind ``translate_ranked_report``."""
-        with self._stage_span(tracer, registry, "classify") as span:
+        with tracer.span("classify") as span:
             if self._deadline_expired(deadline, report, "classify", "empty"):
                 return []
             cues = None
@@ -638,7 +606,7 @@ class MetaSQL:
                 )
             span.attributes["compositions"] = len(compositions)
 
-        with self._stage_span(tracer, registry, "generate") as span:
+        with tracer.span("generate") as span:
             if self._deadline_expired(deadline, report, "generate", "empty"):
                 return []
             ok, generated = guarded_call(
@@ -661,22 +629,12 @@ class MetaSQL:
             )
             span.attributes["candidates"] = len(generated)
             span.attributes["deduped"] = deduped
-            if deduped:
-                registry.counter(
-                    "metasql_candidates_deduped_total",
-                    "Duplicate candidates (same normalized SQL) dropped "
-                    "before stage-1 scoring.",
-                ).inc(deduped)
             if report.lint_rejected:
                 span.attributes["lint_rejected"] = report.lint_rejected
-            registry.counter(
-                "metasql_candidates_generated_total",
-                "Candidates surviving generation and surface rendering.",
-            ).inc(len(generated))
         if not generated:
             return []
 
-        with self._stage_span(tracer, registry, "stage1") as span:
+        with tracer.span("stage1") as span:
             if self._deadline_expired(
                 deadline, report, "stage1", "generation-order"
             ):
@@ -691,12 +649,8 @@ class MetaSQL:
                     generated, self.config.first_stage_top
                 )
             span.attributes["kept"] = len(pruned)
-            registry.counter(
-                "metasql_candidates_pruned_total",
-                "Candidates dropped by first-stage pruning.",
-            ).inc(max(0, len(generated) - len(pruned)))
 
-        with self._stage_span(tracer, registry, "stage2") as span:
+        with tracer.span("stage2") as span:
             if self._deadline_expired(
                 deadline, report, "stage2", "stage1-order"
             ):
@@ -707,7 +661,7 @@ class MetaSQL:
             )
             span.attributes["ranked"] = len(ranked)
         return self._verify_and_repair(
-            question, db, ranked, deadline, report, tracer, registry
+            question, db, ranked, deadline, report, tracer
         )
 
     def _verify_and_repair(
@@ -718,7 +672,6 @@ class MetaSQL:
         deadline: Deadline | None,
         report: TranslationReport,
         tracer: Tracer,
-        registry: MetricsRegistry,
     ) -> list[RankedTranslation]:
         """Execution-guided verification plus the bounded repair loop.
 
@@ -737,7 +690,7 @@ class MetaSQL:
         config = self.config.verify
         if not config.enabled or not ranked:
             return ranked
-        with self._stage_span(tracer, registry, "verify") as span:
+        with tracer.span("verify") as span:
             if self._deadline_expired(deadline, report, "verify", "keep"):
                 return ranked
             span.attributes["candidates"] = len(ranked)
@@ -756,26 +709,13 @@ class MetaSQL:
             )
             if not ok:
                 return ranked
-            outcomes = result.outcome_counts()
-            report.record_verify(outcomes, result.demoted)
+            report.record_verify(result.outcome_counts(), result.demoted)
             span.attributes["checked"] = result.checked
             span.attributes["demoted"] = result.demoted
-            outcome_counter = registry.counter(
-                "metasql_verify_candidates_total",
-                "Verified candidates by execution outcome.",
-                labelnames=("outcome",),
-            )
-            for outcome, count in sorted(outcomes.items()):
-                outcome_counter.labels(outcome=outcome).inc(count)
-            if result.demoted:
-                registry.counter(
-                    "metasql_verify_demoted_total",
-                    "Candidates demoted by the verify stage.",
-                ).inc(result.demoted)
             verified = [ranked[index] for index in result.order]
         if not (self.config.repair.enabled and result.top1_failed and verified):
             return verified
-        with self._stage_span(tracer, registry, "repair") as span:
+        with tracer.span("repair") as span:
             if self._deadline_expired(deadline, report, "repair", "keep"):
                 return verified
             tried = {
@@ -795,6 +735,75 @@ class MetaSQL:
             )
             span.attributes["attempts"] = report.repair_attempts
             span.attributes["succeeded"] = report.repair_succeeded
+        return repaired
+
+    @staticmethod
+    def _flush_report_metrics(
+        registry: MetricsRegistry, report: TranslationReport, root: Span
+    ) -> None:
+        """Derive every per-request metric family from one translation.
+
+        Durations come from the live spans under *root* (the exported
+        ``report.trace`` rounds them to the nanosecond); candidate counts
+        from the ``generate`` and ``stage1`` span attributes; the rest
+        from *report*.  A family first appears when a request has
+        something to count in it.
+        """
+        registry.histogram(
+            "metasql_translate_latency_seconds",
+            "End-to-end pipeline translate latency.",
+        ).observe(root.duration)
+        stage_latency = registry.histogram(
+            "metasql_stage_latency_seconds",
+            "Wall seconds spent per pipeline stage.",
+            labelnames=("stage",),
+        )
+        attributes: dict[str, dict] = {}
+        for stage in root.children:
+            stage_latency.labels(stage=stage.name).observe(stage.duration)
+            attributes[stage.name] = stage.attributes
+
+        generate = attributes.get("generate", {})
+        if "deduped" in generate:
+            if generate["deduped"]:
+                registry.counter(
+                    "metasql_candidates_deduped_total",
+                    "Duplicate candidates (same normalized SQL) dropped "
+                    "before stage-1 scoring.",
+                ).inc(generate["deduped"])
+            registry.counter(
+                "metasql_candidates_generated_total",
+                "Candidates surviving generation and surface rendering.",
+            ).inc(generate["candidates"])
+        kept = attributes.get("stage1", {}).get("kept")
+        if kept is not None:
+            registry.counter(
+                "metasql_candidates_pruned_total",
+                "Candidates dropped by first-stage pruning.",
+            ).inc(max(0, generate["candidates"] - kept))
+        if report.lint_codes:
+            lint = registry.counter(
+                "metasql_candidates_lint_rejected_total",
+                "Candidates pruned by the semantic-lint gate, by "
+                "diagnostic code.",
+                labelnames=("code",),
+            )
+            for code, count in report.lint_codes.items():
+                lint.labels(code=code).inc(count)
+
+        if report.verify_outcomes:
+            outcomes = registry.counter(
+                "metasql_verify_candidates_total",
+                "Verified candidates by execution outcome.",
+                labelnames=("outcome",),
+            )
+            for outcome, count in report.verify_outcomes.items():
+                outcomes.labels(outcome=outcome).inc(count)
+        if report.verify_demoted:
+            registry.counter(
+                "metasql_verify_demoted_total",
+                "Candidates demoted by the verify stage.",
+            ).inc(report.verify_demoted)
         if report.repair_attempts:
             registry.counter(
                 "metasql_repair_attempts_total",
@@ -805,13 +814,7 @@ class MetaSQL:
                 "metasql_repair_success_total",
                 "Translations whose repaired top-1 passed verification.",
             ).inc()
-        return repaired
 
-    @staticmethod
-    def _flush_report_metrics(
-        registry: MetricsRegistry, report: TranslationReport
-    ) -> None:
-        """Turn one translation's report into registry counters."""
         if report.faults:
             faults = registry.counter(
                 "metasql_faults_total",

@@ -610,6 +610,31 @@ class TranslationReport:
             trace=data.get("trace"),
         )
 
+    def journal_fields(self) -> dict:
+        """The request's fields of a journal line (DESIGN.md §10).
+
+        The serving layer's ``translate`` lines and the evaluator's
+        ``eval`` lines both carry these, next to their own keys.
+        """
+        return {
+            "degraded": self.degraded,
+            "deadline_expired": self.deadline_expired,
+            "lint_rejected": self.lint_rejected,
+            "lint_codes": dict(sorted(self.lint_codes.items())),
+            "verify_demoted": self.verify_demoted,
+            "verify_outcomes": dict(sorted(self.verify_outcomes.items())),
+            "repair_attempts": self.repair_attempts,
+            "repair_succeeded": self.repair_succeeded,
+            "faults": [
+                {"stage": f.stage, "fallback": f.fallback}
+                for f in self.faults
+            ],
+            "stages": {
+                stage: round(seconds, 6)
+                for stage, seconds in self.stage_durations().items()
+            },
+        }
+
     def stage_durations(self) -> dict[str, float]:
         """Per-stage wall seconds from the attached trace (may be {})."""
         if not self.trace:

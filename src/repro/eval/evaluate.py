@@ -270,7 +270,6 @@ def evaluate_metasql(
 def _journal_line(record: EvalRecord) -> dict:
     """One eval-journal record (schema documented in DESIGN.md §10)."""
     report = record.report
-    trace = report.trace or {}
     return {
         "event": "eval",
         "question": record.example.question,
@@ -279,20 +278,6 @@ def _journal_line(record: EvalRecord) -> dict:
         "em": record.em,
         "ex": record.execution_hit,
         "ok": bool(record.predictions),
-        "degraded": record.degraded,
-        "deadline_expired": report.deadline_expired,
-        "lint_rejected": report.lint_rejected,
-        "lint_codes": dict(sorted(report.lint_codes.items())),
-        "verify_demoted": report.verify_demoted,
-        "verify_outcomes": dict(sorted(report.verify_outcomes.items())),
-        "repair_attempts": report.repair_attempts,
-        "repair_succeeded": report.repair_succeeded,
-        "faults": [
-            {"stage": f.stage, "fallback": f.fallback} for f in report.faults
-        ],
-        "latency_s": round(trace.get("duration", 0.0), 6),
-        "stages": {
-            stage: round(seconds, 6)
-            for stage, seconds in report.stage_durations().items()
-        },
+        "latency_s": round((report.trace or {}).get("duration", 0.0), 6),
+        **report.journal_fields(),
     }

@@ -377,31 +377,15 @@ class TranslationService:
 
     def _request_record(self, job: _Job, result: RankedResult) -> dict:
         """The request's journal-style summary record."""
-        report = result.report
         return {
             "event": "translate",
             "question": job.question,
             "ok": bool(result.translations),
             "translations": len(result.translations),
-            "degraded": report.degraded,
-            "deadline_expired": report.deadline_expired,
-            "lint_rejected": report.lint_rejected,
-            "lint_codes": dict(sorted(report.lint_codes.items())),
-            "verify_demoted": report.verify_demoted,
-            "verify_outcomes": dict(sorted(report.verify_outcomes.items())),
-            "repair_attempts": report.repair_attempts,
-            "repair_succeeded": report.repair_succeeded,
-            "faults": [
-                {"stage": f.stage, "fallback": f.fallback}
-                for f in report.faults
-            ],
             "latency_s": round(
                 max(0.0, self._clock() - job.submitted_at), 6
             ),
-            "stages": {
-                stage: round(seconds, 6)
-                for stage, seconds in report.stage_durations().items()
-            },
+            **result.report.journal_fields(),
         }
 
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Candidate-generation tests (conditioned decoding + value grounding)."""
 
+import copy
+
 import pytest
 
 import repro.models.cues
@@ -10,6 +12,7 @@ from repro.models.base import Candidate, TranslationModel
 from repro.obs.metrics import MetricsRegistry, registry_scope
 from repro.sqlkit.parser import parse_sql
 from repro.sqlkit.printer import to_sql
+from tests.conftest import train_small_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -323,13 +326,24 @@ class TestLintGate:
         assert report.lint_rejected == 0
         assert all(c.diagnostics == () for c in candidates)
 
-    def test_rejections_counted_in_metrics(self, world_db):
+    def test_rejections_counted_in_metrics(self, world_db, tiny_benchmark):
         registry = MetricsRegistry()
         with registry_scope(registry):
-            self._generate(world_db, [self.INVALID, self.VALID])
-        counter = registry.counter(
-            "metasql_candidates_lint_rejected_total", labelnames=("code",)
+            pipeline = train_small_pipeline(tiny_benchmark)
+        # Set-up rejects candidates too, but the metric counts served
+        # requests only, like its sibling candidates_generated_total.
+        assert pipeline.training_report.lint_rejected > 0
+        assert registry.get("metasql_candidates_lint_rejected_total") is None
+
+        view = copy.copy(pipeline)
+        view.generator = CandidateGenerator(
+            _FixedModel([self.INVALID, self.VALID]),
+            GeneratorConfig(ground_placeholder_values=False),
         )
+        with registry_scope(registry):
+            out = view.translate_ranked_report("q", world_db)
+        assert out.report.lint_codes == {"SQL002": 1}
+        counter = registry.get("metasql_candidates_lint_rejected_total")
         assert counter.labels(code="SQL002").value == 1.0
 
     def test_analyzer_crash_fails_open(self, world_db, monkeypatch):

@@ -71,6 +71,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from repolint import (  # noqa: E402  (path bootstrap above)
     Finding,
+    _dotted,
     apply_pragmas,
     iter_python_files,
     parse_pragmas,
@@ -115,18 +116,6 @@ _BLOCKING_ATTRS: dict[str, str] = {
 
 #: queue.Queue methods that block unless told not to.
 _QUEUE_BLOCKING = {"get", "put"}
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """Render ``a.b.c`` attribute chains; None for anything else."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _lock_factory_kind(node: ast.AST) -> str | None:
@@ -730,19 +719,12 @@ class _Analyzer:
 
     # -- loading --------------------------------------------------------
 
-    def load_paths(self, paths: list[str]) -> None:
-        parsed = []
-        for file in iter_python_files(paths):
-            source = file.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(file))
-            parsed.append((str(file), file.stem, tree))
-        self._load_parsed(parsed)
-
-    def load_source(self, source: str, path: str = "<string>") -> None:
-        tree = ast.parse(source, filename=path)
-        self._load_parsed([(path, pathlib.Path(path).stem, tree)])
-
-    def _load_parsed(self, parsed: list) -> None:
+    def load(self, sources: dict[str, str]) -> None:
+        """Parse every module (path -> source text) into the universe."""
+        parsed = [
+            (path, pathlib.Path(path).stem, ast.parse(source, filename=path))
+            for path, source in sources.items()
+        ]
         # Pre-pass: class names and module-function return annotations
         # must be visible before any declaration scan (attr type
         # inference, e.g. `self.registry = get_registry()` with
@@ -909,49 +891,51 @@ class _Analyzer:
 # Public entry points (mirroring repolint's API shape).
 
 
-def lint_paths(
-    paths: list[str], strict_pragmas: bool = False
-) -> list[Finding]:
-    """Analyze every ``.py`` file under *paths* as one universe."""
-    analyzer = _Analyzer()
-    analyzer.load_paths(paths)
-    findings = analyzer.analyze()
-    pragmas_by_path = {
-        str(file): parse_pragmas(
-            file.read_text(encoding="utf-8"), tool="locklint"
-        )
+def _read_sources(paths: list[str]) -> dict[str, str]:
+    """Path -> source text of every ``.py`` file under *paths*."""
+    return {
+        str(file): file.read_text(encoding="utf-8")
         for file in iter_python_files(paths)
     }
+
+
+def _lint_sources(
+    sources: dict[str, str], strict_pragmas: bool
+) -> list[Finding]:
+    """Analyze *sources* as one universe, then apply their pragmas."""
+    analyzer = _Analyzer()
+    analyzer.load(sources)
     return apply_pragmas(
-        findings,
-        pragmas_by_path,
+        analyzer.analyze(),
+        {
+            path: parse_pragmas(source, tool="locklint")
+            for path, source in sources.items()
+        },
         strict=strict_pragmas,
         known=CODES,
         stale_rule="CC006",
     )
+
+
+def lint_paths(
+    paths: list[str], strict_pragmas: bool = False
+) -> list[Finding]:
+    """Analyze every ``.py`` file under *paths* as one universe."""
+    return _lint_sources(_read_sources(paths), strict_pragmas)
 
 
 def lint_source(
     source: str, path: str = "<string>", strict_pragmas: bool = False
 ) -> list[Finding]:
     """Analyze one module's source text (unit-test entry point)."""
-    analyzer = _Analyzer()
-    analyzer.load_source(source, path)
-    findings = analyzer.analyze()
-    return apply_pragmas(
-        findings,
-        {path: parse_pragmas(source, tool="locklint")},
-        strict=strict_pragmas,
-        known=CODES,
-        stale_rule="CC006",
-    )
+    return _lint_sources({path: source}, strict_pragmas)
 
 
 def build_inventory(paths: list[str]) -> dict:
     """The lock inventory for *paths*: every lock and the sites that
     take it (JSON-ready)."""
     analyzer = _Analyzer()
-    analyzer.load_paths(paths)
+    analyzer.load(_read_sources(paths))
     analyzer.analyze()
     return analyzer.inventory()
 
