@@ -17,6 +17,8 @@ computes the joint alignment signals a cross-encoder attends to:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.models.mentions import question_tokens
@@ -73,6 +75,50 @@ def content_words(text: str) -> list[str]:
     return [t for t in question_tokens(text) if t not in _FILLER]
 
 
+class QuestionView(NamedTuple):
+    """The question's side of every alignment feature.
+
+    It depends on the question alone, so a ranker computes it once per
+    candidate list (:func:`question_view`) instead of once per candidate
+    and phrase.
+    """
+
+    raw: list[str]
+    canonical: list[str]
+    #: canonical content words (filler removed).
+    content: list[str]
+    raw_set: frozenset[str]
+    canonical_set: frozenset[str]
+    #: raw and canonical tokens together.
+    vocabulary: frozenset[str]
+    canonical_bigrams: frozenset[tuple[str, str]]
+    numbers: list[str]
+    classes: frozenset[str]
+
+
+def question_view(question: str) -> QuestionView:
+    """Tokenize and canonicalize *question* once for the feature functions."""
+    raw = question_tokens(question)
+    canonical = canonicalize(raw)
+    raw_set = frozenset(raw)
+    canonical_set = frozenset(canonical)
+    return QuestionView(
+        raw=raw,
+        canonical=canonical,
+        content=canonicalize([t for t in raw if t not in _FILLER]),
+        raw_set=raw_set,
+        canonical_set=canonical_set,
+        vocabulary=canonical_set | raw_set,
+        canonical_bigrams=frozenset(zip(canonical, canonical[1:])),
+        numbers=[t for t in raw if _is_number(t)],
+        classes=frozenset(t for t in canonical if t.isupper()),
+    )
+
+
+def _is_number(token: str) -> bool:
+    return token.replace(".", "").isdigit()
+
+
 def _positions(tokens: list[str], word: str) -> list[int]:
     return [i for i, t in enumerate(tokens) if t == word]
 
@@ -111,33 +157,31 @@ def _adjacency(phrase_words: list[str], question_tokens_c: list[str]) -> float:
     return float(np.exp(-slack / max(len(phrase_words), 1)))
 
 
-def _bigram_containment(phrase_words: list[str], question_words: list[str]) -> float:
+def _bigram_containment(phrase_words: list[str], view: QuestionView) -> float:
     bigrams = list(zip(phrase_words, phrase_words[1:]))
     if not bigrams:
-        return 1.0 if set(phrase_words) <= set(question_words) else 0.0
-    question_bigrams = set(zip(question_words, question_words[1:]))
+        return 1.0 if set(phrase_words) <= view.canonical_set else 0.0
+    question_bigrams = view.canonical_bigrams
     return sum(1 for b in bigrams if b in question_bigrams) / len(bigrams)
 
 
-def phrase_features(question: str, phrase: str) -> np.ndarray:
-    """Alignment feature vector for one SQL-unit phrase."""
-    q_raw = question_tokens(question)
-    q_canonical = canonicalize(q_raw)
-    q_set = set(q_canonical) | set(q_raw)
+def phrase_features(view: QuestionView, phrase: str) -> np.ndarray:
+    """Alignment feature vector for one SQL-unit phrase of the question
+    seen through *view*."""
     p_content = canonicalize(content_words(phrase))
     p_raw = question_tokens(phrase)
 
-    overlap = _coverage(p_content, q_set)
-    adjacency = _adjacency(p_content, q_canonical)
-    bigram = _bigram_containment(p_content, q_canonical)
+    overlap = _coverage(p_content, view.vocabulary)
+    adjacency = _adjacency(p_content, view.canonical)
+    bigram = _bigram_containment(p_content, view)
 
-    numbers_in_phrase = [t for t in p_raw if t.replace(".", "").isdigit()]
+    numbers_in_phrase = [t for t in p_raw if _is_number(t)]
     number_match = (
-        _coverage(numbers_in_phrase, set(q_raw)) if numbers_in_phrase else 1.0
+        _coverage(numbers_in_phrase, view.raw_set) if numbers_in_phrase else 1.0
     )
     classes_in_phrase = [t for t in p_content if t.isupper()]
     class_match = (
-        _coverage(classes_in_phrase, set(q_canonical))
+        _coverage(classes_in_phrase, view.canonical_set)
         if classes_in_phrase
         else 1.0
     )
@@ -148,12 +192,11 @@ def phrase_features(question: str, phrase: str) -> np.ndarray:
 
 
 def sentence_features(
-    question: str, surface: str, phrases: tuple[str, ...]
+    view: QuestionView, surface: str, phrases: tuple[str, ...]
 ) -> np.ndarray:
-    """Sentence-level alignment features for a whole candidate."""
-    q_raw = question_tokens(question)
-    q_content = canonicalize(content_words(question))
-    q_canonical = canonicalize(q_raw)
+    """Sentence-level alignment features for a whole candidate of the
+    question seen through *view*."""
+    q_content = view.content
 
     all_phrase_words: list[str] = []
     for phrase in phrases:
@@ -161,19 +204,19 @@ def sentence_features(
     phrase_set = set(all_phrase_words)
 
     question_coverage = _coverage(q_content, phrase_set)
-    candidate_coverage = _coverage(all_phrase_words, set(q_canonical))
+    candidate_coverage = _coverage(all_phrase_words, view.canonical_set)
 
     surface_raw = question_tokens(surface)
-    numbers_in_sql = [t for t in surface_raw if t.replace(".", "").isdigit()]
+    numbers_in_sql = [t for t in surface_raw if _is_number(t)]
     number_match = (
-        _coverage(numbers_in_sql, set(q_raw)) if numbers_in_sql else 1.0
+        _coverage(numbers_in_sql, view.raw_set) if numbers_in_sql else 1.0
     )
-    q_numbers = [t for t in q_raw if t.replace(".", "").isdigit()]
+    q_numbers = view.numbers
     number_recall = (
         _coverage(q_numbers, set(surface_raw)) if q_numbers else 1.0
     )
 
-    q_classes = {t for t in q_canonical if t.isupper()}
+    q_classes = view.classes
     s_classes = {t for t in canonicalize(surface_raw) if t.isupper()}
     union = q_classes | s_classes
     class_jaccard = len(q_classes & s_classes) / len(union) if union else 1.0

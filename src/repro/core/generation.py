@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.core.metadata import QueryMetadata
 from repro.core.resilience import TranslationReport, fire
 from repro.obs.trace import current_tracer
-from repro.core.values import ground_values
+from repro.core.values import ground_values, question_values
 from repro.models.base import Candidate, TranslationModel
 from repro.models.cues import CueEvidence
 from repro.schema.database import Database
@@ -122,6 +122,11 @@ class CandidateGenerator:
         analyzer = (
             SemanticAnalyzer(db.schema) if config.lint_candidates else None
         )
+        values = (
+            question_values(question)
+            if config.ground_placeholder_values
+            else None
+        )
 
         def lint(query: Query) -> tuple[bool, tuple[Diagnostic, ...]]:
             """Gate one candidate: (keep, warnings-to-annotate)."""
@@ -144,8 +149,8 @@ class CandidateGenerator:
 
         def add(candidate: Candidate, metadata: QueryMetadata | None) -> None:
             query = candidate.query
-            if config.ground_placeholder_values:
-                query = ground_values(query, question, db)
+            if values is not None:
+                query = ground_values(query, question, db, values)
             key = to_sql(query)
             if key in seen:
                 return

@@ -30,6 +30,7 @@ from repro.core.align import (
     PHRASE_FEATURE_DIM,
     SENTENCE_FEATURE_DIM,
     phrase_features,
+    question_view,
     sentence_features,
 )
 from repro.core.resilience import fire
@@ -87,16 +88,17 @@ class MultiGrainedRanker:
     def _list_features(
         ranking: RankingList,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
+        view = question_view(ranking.question)
         sentence = np.stack(
             [
-                sentence_features(ranking.question, item.surface, item.phrases)
+                sentence_features(view, item.surface, item.phrases)
                 for item in ranking.items
             ]
         )
         per_phrase = [
             np.stack(
                 [
-                    phrase_features(ranking.question, phrase)
+                    phrase_features(view, phrase)
                     for phrase in (item.phrases or (item.surface,))
                 ]
             )
@@ -194,13 +196,14 @@ class MultiGrainedRanker:
         All sentence features are stacked into one coarse-head forward;
         the candidates' distinct phrases form a single fine-head batch
         whose scores are segment-mean-reduced back to per-candidate
-        ``y_L``.
+        ``y_L``.  The question is tokenized once for all of them.
         """
         if not candidates:
             return []
+        view = question_view(question)
         sentence_rows = np.stack(
             [
-                sentence_features(question, surface, phrases)
+                sentence_features(view, surface, phrases)
                 for surface, phrases in candidates
             ]
         )
@@ -211,7 +214,7 @@ class MultiGrainedRanker:
             dict.fromkeys(phrase for group in groups for phrase in group)
         )
         phrase_rows = np.stack(
-            [phrase_features(question, phrase) for phrase in unique]
+            [phrase_features(view, phrase) for phrase in unique]
         )
         unique_scores = self._fine_head.forward_array(phrase_rows).reshape(-1)
         position = {phrase: i for i, phrase in enumerate(unique)}

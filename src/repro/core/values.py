@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
+from typing import NamedTuple
 
 from repro.core.resilience import fire
-from repro.models.mentions import extract_mentions, question_tokens
+from repro.models.mentions import NumberMention, extract_mentions, question_tokens
 from repro.schema.database import Database
 from repro.schema.schema import TEXT
 from repro.sqlkit.ast import (
@@ -30,21 +31,44 @@ from repro.sqlkit.ast import (
 )
 
 
-def ground_values(query: Query, question: str, db: Database) -> Query:
-    """Replace ``'value'`` placeholders in *query* with grounded literals."""
+class QuestionValues(NamedTuple):
+    """What grounding reads from the question, computed once per question."""
+
+    tokens: frozenset[str]
+    #: number mentions other than LIMIT counts, in order of appearance.
+    numbers: list[NumberMention]
+
+
+def question_values(question: str) -> QuestionValues:
+    """The question's tokens and groundable number mentions."""
+    return QuestionValues(
+        tokens=frozenset(question_tokens(question)),
+        numbers=[m for m in extract_mentions(question) if not m.is_limit],
+    )
+
+
+def ground_values(
+    query: Query,
+    question: str,
+    db: Database,
+    values: QuestionValues | None = None,
+) -> Query:
+    """Replace ``'value'`` placeholders in *query* with grounded literals.
+
+    *values* is ``question_values(question)`` when the caller grounds
+    several candidates of one question and has computed it already.
+    """
     fire("values.ground_values")
-    grounder = _Grounder(question, db)
-    return grounder.rewrite(query)
+    if values is None:
+        values = question_values(question)
+    return _Grounder(values, db).rewrite(query)
 
 
 class _Grounder:
-    def __init__(self, question: str, db: Database) -> None:
+    def __init__(self, values: QuestionValues, db: Database) -> None:
         self.db = db
-        self.question = question
-        self.tokens = question_tokens(question)
-        self.numbers = [
-            m for m in extract_mentions(question) if not m.is_limit
-        ]
+        self.tokens = values.tokens
+        self.numbers = values.numbers
         self._used_numbers: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -125,7 +149,7 @@ class _Grounder:
 
     def _best_text_value(self, ref: ColumnRef) -> str | None:
         """Picklist search: the column value best covered by the question."""
-        token_set = set(self.tokens)
+        token_set = self.tokens
         best_value, best_score = None, 0.0
         seen: set[str] = set()
         for value in self.db.column_values(ref.table, ref.column):

@@ -154,9 +154,7 @@ class FewShotLLM(GrammarSeq2Seq):
                 # The prompt states the allowed keywords: the LLM reliably
                 # honours them, falling back to the classifier signatures
                 # when no retrieved sketch matches.
-                matching = [
-                    (s, sk) for s, sk in scored if sk.operator_tags() == tags
-                ]
+                matching = prepared.sketches_tagged(tags)
                 if not matching:
                     matching = [
                         (0.0, sk)

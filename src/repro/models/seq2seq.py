@@ -57,6 +57,9 @@ from repro.sqlkit.printer import to_sql
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 
+#: Operator tags a metadata filter may relax when no sketch matches exactly.
+_SOFT_TAGS = frozenset({"agg", "limit", "having"})
+
 
 @dataclass(frozen=True)
 class ModelProfile:
@@ -252,19 +255,10 @@ class GrammarSeq2Seq(TranslationModel):
         if metadata is not None and self.metadata_trained:
             tags = frozenset(getattr(metadata, "tags", frozenset()))
             if tags:
-                matching = [
-                    (score, sk)
-                    for score, sk in scored
-                    if sk.operator_tags() == tags
-                ]
+                matching = prepared.sketches_tagged(tags)
                 if not matching:
                     # Relax to supersets/subsets differing by soft tags only.
-                    soft = {"agg", "limit", "having"}
-                    matching = [
-                        (score, sk)
-                        for score, sk in scored
-                        if sk.operator_tags() - soft == tags - soft
-                    ]
+                    matching = prepared.sketches_tagged(tags, ignore=_SOFT_TAGS)
                 if matching:
                     scored = matching
             rating = getattr(metadata, "rating", None)
@@ -317,9 +311,9 @@ class QuestionContext:
     evidence, the scored sketch list (a tuple, so no decode can reorder
     it), the question's tokens, mentions and regions, and tables filled in
     on first use: lexicon base scores, the noise-free column list of each
-    ``(tables, ctype)``, each column's SELECT-region evidence and each text
-    column's best-matching value.  Metadata only filters and re-weights
-    these.  The per-decision Gumbel draws stay with each decode's own
+    ``(tables, ctype)``, each column's SELECT-region evidence, each text
+    column's best-matching value and the sketches grouped by operator
+    tags.  Metadata only filters and re-weights these.  The per-decision Gumbel draws stay with each decode's own
     ``_Context``, seeded per ``(question, metadata)``.  The context is
     request-local: nothing keeps it after the decodes it was built for.
     """
@@ -369,6 +363,23 @@ class QuestionContext:
         self._columns: dict[tuple, list[tuple[float, ColumnRef]]] = {}
         self._select_bonus: dict[ColumnRef, tuple[float, float]] = {}
         self._text_values: dict[ColumnRef, tuple[str, float] | None] = {}
+        self._tag_groups: dict[frozenset[str], dict] = {}
+
+    def sketches_tagged(
+        self, tags: frozenset[str], ignore: frozenset[str] = frozenset()
+    ) -> tuple[tuple[float, Sketch], ...]:
+        """The scored sketches whose operator tags equal *tags*, both less
+        *ignore*, best first.  The sketches are grouped by tags once per
+        *ignore*, not filtered again for every decode."""
+        groups = self._tag_groups.get(ignore)
+        if groups is None:
+            grouped: dict[frozenset[str], list] = {}
+            for item in self.sketches:
+                key = item[1].operator_tags() - ignore
+                grouped.setdefault(key, []).append(item)
+            groups = {key: tuple(items) for key, items in grouped.items()}
+            self._tag_groups[ignore] = groups
+        return groups.get(tags - ignore, ())
 
     def find_marker(self, words: tuple[str, ...]) -> int | None:
         """Position of the first question token in *words*, or None."""
@@ -608,14 +619,26 @@ class _Context:
         scalar calls bit for bit (``math.log`` does not).
         """
         if self._drawn == len(self._raw):
-            raw = self.rng.random(_NOISE_BLOCK)
-            u = 1e-9 + ((1.0 - 1e-9) - 1e-9) * raw
-            self._raw = raw.tolist()
-            self._std = (-np.log(-np.log(u))).tolist()
-            self._drawn = 0
+            self._refill()
         index = self._drawn
         self._drawn += 1
         return index
+
+    def _refill(self) -> None:
+        raw = self.rng.random(_NOISE_BLOCK)
+        u = 1e-9 + ((1.0 - 1e-9) - 1e-9) * raw
+        self._raw = raw.tolist()
+        self._std = (-np.log(-np.log(u))).tolist()
+        self._drawn = 0
+
+    def _skip(self, n: int) -> None:
+        """Advance the stream exactly as *n* calls to :meth:`_draw` would."""
+        while n > 0:
+            if self._drawn == len(self._raw):
+                self._refill()
+            step = min(n, len(self._raw) - self._drawn)
+            self._drawn += step
+            n -= step
 
     def _gumbel(self, scale: float = 1.0) -> float:
         index = self._draw()  # may replace the block: index it afterwards
@@ -625,16 +648,6 @@ class _Context:
         """The next uniform double in ``[0, 1)``, from the same stream."""
         index = self._draw()
         return self._raw[index]
-
-    @staticmethod
-    def _log_normalize(choices):
-        """Rescale stage choices to log-probabilities (length-bias free)."""
-        if not choices:
-            return choices
-        scores = np.array([score for score, __ in choices])
-        peak = scores.max()
-        lse = peak + np.log(np.exp(scores - peak).sum())
-        return [(float(score - lse), state) for score, state in choices]
 
     # -- element scores --------------------------------------------------
 
@@ -665,7 +678,7 @@ class _Context:
             )
             for score, name in scored[:3]:
                 choices.append((score, state._replace(tables=(name,))))
-            return self._log_normalize(choices)
+            return beamlib.LogNormalized(choices)
         # Join: FK-linked pairs, or FK chains of three tables.
         def fk_join(fk) -> JoinCond:
             return JoinCond(
@@ -708,7 +721,7 @@ class _Context:
         options.sort(key=lambda item: -item[0])
         for score, tables, joins in options[:4]:
             choices.append((score, state._replace(tables=tables, joins=joins)))
-        return self._log_normalize(choices)
+        return beamlib.LogNormalized(choices)
 
     # -- stage 2: select ---------------------------------------------------
 
@@ -724,7 +737,12 @@ class _Context:
         remaining = sketch.n_select - len(slots)
         slots.extend("col" for _ in range(max(remaining, 0)))
         ranked_all = self._ranked_columns(state.tables)
-        ranked_num = self._ranked_columns(state.tables, NUMBER)
+        if sketch.has_arith or sketch.select_aggs:
+            ranked_num = self._ranked_columns(state.tables, NUMBER)
+        else:
+            # No slot reads the NUMBER pool: spend its draws unranked.
+            self._skip(len(self.prepared.columns(state.tables, NUMBER)))
+            ranked_num = []
         combos: list[tuple[float, tuple]] = [(0.0, ())]
         for slot in slots:
             expanded: list[tuple[float, tuple]] = []
@@ -779,7 +797,7 @@ class _Context:
             if not items:
                 continue
             choices.append((score, state._replace(select=items)))
-        return self._log_normalize(choices)
+        return beamlib.LogNormalized(choices)
 
     # -- stage 3: where (plain predicates + nested subqueries) -----------
 
@@ -901,7 +919,7 @@ class _Context:
                     ),
                 )
             )
-        return self._log_normalize(choices)
+        return beamlib.LogNormalized(choices)
 
     def _stage_nested(self, state: _State):
         sketch = state.sketch
@@ -925,7 +943,7 @@ class _Context:
                 choices.append(
                     (score, state._replace(where_predicates=(predicate,)))
                 )
-            return self._log_normalize(choices)
+            return beamlib.LogNormalized(choices)
         # nested:in / nested:not_in over a foreign key.
         negated = sketch.shape == "nested:not_in"
         choices = []
@@ -964,7 +982,7 @@ class _Context:
                     )
                 )
         choices.sort(key=lambda item: -item[0])
-        return self._log_normalize(choices[:4])
+        return beamlib.LogNormalized(choices[:4])
 
     # -- stage 4/5: group + having ----------------------------------------
 
@@ -979,7 +997,7 @@ class _Context:
         if not choices:
             for score, ref in self._ranked_columns(state.tables)[:2]:
                 choices.append((score, state._replace(group_by=(ref,))))
-        return self._log_normalize(choices)
+        return beamlib.LogNormalized(choices)
 
     def _count_threshold(self) -> tuple[int, str]:
         """HAVING-count threshold and operator from the question."""
@@ -1062,7 +1080,7 @@ class _Context:
                     ),
                 )
             )
-        return self._log_normalize(choices)
+        return beamlib.LogNormalized(choices)
 
     # -- stage 7: set-operation right branch / FROM subquery ---------------
 
@@ -1091,7 +1109,7 @@ class _Context:
                 where=Condition(predicates=(predicate,)),
             )
             choices.append((score, state._replace(setop_right=right)))
-        return self._log_normalize(choices)
+        return beamlib.LogNormalized(choices)
 
     def _stage_from_subquery(self, state: _State):
         choices = []
@@ -1112,7 +1130,7 @@ class _Context:
                 ),
             )
             choices.append((score, state._replace(from_inner=inner)))
-        return self._log_normalize(choices)
+        return beamlib.LogNormalized(choices)
 
     # -- finalisation -------------------------------------------------------
 

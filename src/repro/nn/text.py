@@ -60,11 +60,21 @@ def text_features(text: str, include_chars: bool = True) -> list[str]:
 def _count_matrix(
     texts: list[str], buckets: int, include_chars: bool
 ) -> np.ndarray:
-    """Shared accumulation path: hashed-feature counts, one row per text."""
+    """Shared accumulation path: hashed-feature counts, one row per text.
+
+    Each row is one ``np.bincount`` of the text's bucket indices; the
+    counts are small exact integers, so the float row equals the one a
+    ``+= 1.0`` per feature would build.
+    """
     matrix = np.zeros((len(texts), buckets))
-    for row, text in zip(matrix, texts):
-        for feature in text_features(text, include_chars):
-            row[_hash_token(feature, buckets)] += 1.0
+    for row, text in enumerate(texts):
+        indices = [
+            _hash_token(feature, buckets)
+            for feature in text_features(text, include_chars)
+        ]
+        matrix[row] = np.bincount(
+            np.array(indices, dtype=np.intp), minlength=buckets
+        )
     return matrix
 
 

@@ -1,6 +1,6 @@
 """Value-grounding tests."""
 
-from repro.core.values import ground_values
+from repro.core.values import ground_values, question_values
 from repro.sqlkit.parser import parse_sql
 from repro.sqlkit.printer import to_sql
 
@@ -80,3 +80,21 @@ class TestGrounding:
             query, "names that contain Aruba", world_db
         )
         assert "%" in str(grounded.where.predicates[0].right.value)
+
+    def test_shared_question_values_ground_each_query_afresh(self, world_db):
+        # One QuestionValues serves every candidate of a question; the
+        # numbers a query used do not carry over to the next one.
+        question = "population above 1000 and percentage below 55 in Aruba"
+        values = question_values(question)
+        sqls = [
+            "SELECT name FROM country WHERE population > 'value' "
+            "AND percentage < 'value'",
+            "SELECT name FROM country WHERE population > 'value'",
+            "SELECT name FROM country WHERE name LIKE 'value'",
+            "SELECT name FROM country WHERE population BETWEEN 'value' AND 'value'",
+        ]
+        for sql in sqls * 2:
+            query = parse_sql(sql)
+            assert to_sql(ground_values(query, question, world_db, values)) == (
+                to_sql(ground_values(query, question, world_db))
+            )

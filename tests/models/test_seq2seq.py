@@ -1,10 +1,16 @@
 """GrammarSeq2Seq behaviour tests."""
 
+import numpy as np
 import pytest
 
 from repro.core.metadata import QueryMetadata, extract_metadata
 from repro.models.registry import create_model
-from repro.models.seq2seq import GrammarSeq2Seq, ModelProfile, estimate_rating
+from repro.models.seq2seq import (
+    GrammarSeq2Seq,
+    ModelProfile,
+    _Context,
+    estimate_rating,
+)
 from repro.models.sketch import extract_sketch
 from repro.sqlkit.compare import exact_match
 from repro.sqlkit.parser import parse_sql
@@ -130,6 +136,61 @@ class TestPreparedContext:
         prepared = meta_model.prepare("How many pets are there?", db)
         with pytest.raises(ValueError):
             meta_model.translate("List all students", db, prepared=prepared)
+
+
+class TestNoiseStream:
+    """``_Context._skip`` advances the 64-double block like ``_draw``."""
+
+    @pytest.fixture
+    def contexts(self, meta_model, tiny_benchmark):
+        db = tiny_benchmark.dev.database("pets")
+        prepared = meta_model.prepare("How many pets are there?", db)
+
+        def make():
+            return _Context(prepared, rng=np.random.default_rng(7), noise=1.3)
+
+        return make
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_skip_then_draw_equals_draws(self, contexts, n):
+        skipped, drawn = contexts(), contexts()
+        skipped._skip(n)
+        for __ in range(n):
+            drawn._draw()
+        # The next draws, across the following block boundary too.
+        for __ in range(70):
+            assert skipped._gumbel(0.6).hex() == drawn._gumbel(0.6).hex()
+            assert skipped._random().hex() == drawn._random().hex()
+
+    def test_skip_after_partial_block(self, contexts):
+        skipped, drawn = contexts(), contexts()
+        for context in (skipped, drawn):
+            for __ in range(10):
+                context._draw()
+        skipped._skip(54)
+        for __ in range(54):
+            drawn._draw()
+        assert skipped._random().hex() == drawn._random().hex()
+
+
+class TestSketchesTagged:
+    """Grouping by tags once returns what the per-decode filter did."""
+
+    def test_matches_filter(self, meta_model, tiny_benchmark):
+        db = tiny_benchmark.dev.database("pets")
+        prepared = meta_model.prepare("How many pets older than 3 are there?", db)
+        soft = frozenset({"agg", "limit", "having"})
+        tag_sets = {sk.operator_tags() for __, sk in prepared.sketches}
+        tag_sets.add(frozenset({"project", "intersect"}))
+        for tags in tag_sets:
+            assert list(prepared.sketches_tagged(tags)) == [
+                item for item in prepared.sketches
+                if item[1].operator_tags() == tags
+            ]
+            assert list(prepared.sketches_tagged(tags, ignore=soft)) == [
+                item for item in prepared.sketches
+                if item[1].operator_tags() - soft == tags - soft
+            ]
 
 
 class TestMetadataConditioning:

@@ -11,9 +11,19 @@ from repro.nn.encoder import EncoderTower
 from repro.nn.text import (
     TextFeaturizer,
     _count_matrix,
+    _hash_token,
     text_features,
     tokenize_text,
 )
+
+
+def reference_count_matrix(texts, buckets, include_chars):
+    """One ``+= 1.0`` per feature, the accumulation ``_count_matrix`` replaces."""
+    matrix = np.zeros((len(texts), buckets))
+    for row, text in zip(matrix, texts):
+        for feature in text_features(text, include_chars):
+            row[_hash_token(feature, buckets)] += 1.0
+    return matrix
 
 
 def reference_transform_many(featurizer, texts):
@@ -85,6 +95,20 @@ class TestTextFeaturizer:
             featurizer.transform_many(texts),
             reference_transform_many(featurizer, texts),
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(st.text(alphabet="ab cd efg 12", max_size=60), max_size=6),
+        buckets=st.sampled_from([1, 7, 32, 2048]),
+        include_chars=st.booleans(),
+    )
+    def test_count_matrix_matches_per_feature_loop(
+        self, texts, buckets, include_chars
+    ):
+        counts = _count_matrix(texts, buckets, include_chars)
+        expected = reference_count_matrix(texts, buckets, include_chars)
+        assert counts.dtype == expected.dtype
+        assert counts.tobytes() == expected.tobytes()
 
     def test_transform_many_peak_memory_is_bounded(self):
         """The matrix is built in place: the traced peak stays under 2.5x

@@ -504,6 +504,64 @@ def test_nested_function_resets_lock_context():
     assert codes_of(source) == []
 
 
+def test_callback_under_bare_acquire_flagged():
+    # acquire(); try: ... finally: release() holds the lock like a with.
+    source = """
+        import threading
+
+        class Breaker:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def trip(self):
+                self._lock.acquire()
+                try:
+                    self.on_transition("open")
+                finally:
+                    self._lock.release()
+    """
+    findings = locklint.lint_source(textwrap.dedent(source))
+    assert [f.rule for f in findings] == ["CC004"]
+    assert findings[0].line == 11
+
+
+def test_callback_after_bare_release_allowed():
+    source = """
+        import threading
+
+        class Breaker:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def trip(self):
+                if self._armed:
+                    self._lock.acquire()
+                    try:
+                        self._pending.append("open")
+                    finally:
+                        self._lock.release()
+                    self.on_transition("open")
+    """
+    assert codes_of(source) == []
+
+
+def test_bare_acquire_under_with_flagged():
+    source = """
+        import threading
+
+        class Board:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._other = threading.Lock()
+
+            def move(self):
+                with self._lock:
+                    self._other.acquire()
+                    self._other.release()
+    """
+    assert codes_of(source) == ["CC001"]
+
+
 # ----------------------------------------------------------------------
 # Pragmas + CC006.
 

@@ -159,7 +159,7 @@ def _annotation_names(node: ast.AST | None) -> set[str]:
 
 @dataclass
 class _Acquire:
-    """A ``with <lock>:`` region (or bare ``.acquire()`` tail)."""
+    """A ``with <lock>:`` region, or a bare ``.acquire()`` up to its release."""
 
     lock_id: str
     kind: str
@@ -383,11 +383,54 @@ class _EventBuilder:
 
     def build(self, body: list) -> list:
         events: list = []
-        for stmt in body:
-            self._stmt(stmt, events)
+        self._block(body, events)
         return events
 
     # -- statement walk (preserves with-nesting, skips nested defs) ----
+
+    def _block(self, stmts: list, out: list) -> None:
+        """Walk one statement list.
+
+        A bare ``self.<lock>.acquire()`` statement holds the lock for the
+        rest of the list, up to and including the first statement that
+        calls ``self.<lock>.release()`` (typically the ``try`` whose
+        ``finally`` releases it).
+        """
+        held: list[tuple[str, list]] = []  # (lock_id, out to restore)
+        for stmt in stmts:
+            lock = self._bare_lock_call(stmt, "acquire")
+            if lock is not None:
+                acquire = _Acquire(lock_id=lock[0], kind=lock[1], line=stmt.lineno)
+                out.append(acquire)
+                held.append((lock[0], out))
+                out = acquire.body
+                continue
+            self._stmt(stmt, out)
+            while held and self._releases(stmt, held[-1][0]):
+                out = held.pop()[1]
+
+    def _bare_lock_call(self, stmt: ast.AST, method: str):
+        """(lock_id, kind) when *stmt* is ``self.<lock>.<method>()``."""
+        if (
+            isinstance(stmt, ast.Expr)
+            and isinstance(stmt.value, ast.Call)
+            and isinstance(stmt.value.func, ast.Attribute)
+            and stmt.value.func.attr == method
+        ):
+            return self._lock_attr(stmt.value.func.value)
+        return None
+
+    def _releases(self, stmt: ast.AST, lock_id: str) -> bool:
+        for node in ast.walk(stmt):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "release"
+            ):
+                lock = self._lock_attr(node.func.value)
+                if lock is not None and lock[0] == lock_id:
+                    return True
+        return False
 
     def _stmt(self, stmt: ast.AST, out: list) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -395,11 +438,16 @@ class _EventBuilder:
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             self._with(stmt, out)
             return
-        for node in ast.iter_child_nodes(stmt):
-            if isinstance(node, ast.stmt):
-                self._stmt(node, out)
-            else:
-                self._expr(node, out)
+        for __, value in ast.iter_fields(stmt):
+            if isinstance(value, ast.AST):
+                self._expr(value, out)
+            elif isinstance(value, list) and value:
+                if isinstance(value[0], ast.stmt):
+                    self._block(value, out)
+                else:
+                    for node in value:
+                        if isinstance(node, ast.AST):
+                            self._expr(node, out)
 
     def _with(self, stmt, out: list) -> None:
         locks: list[tuple[str, str, int]] = []
@@ -414,8 +462,7 @@ class _EventBuilder:
             acquire = _Acquire(lock_id=lock_id, kind=kind, line=line)
             inner.append(acquire)
             inner = acquire.body
-        for sub in stmt.body:
-            self._stmt(sub, inner)
+        self._block(stmt.body, inner)
 
     # -- expression walk ------------------------------------------------
 
