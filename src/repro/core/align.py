@@ -83,7 +83,6 @@ class QuestionView(NamedTuple):
     and phrase.
     """
 
-    raw: list[str]
     canonical: list[str]
     #: canonical content words (filler removed).
     content: list[str]
@@ -103,7 +102,6 @@ def question_view(question: str) -> QuestionView:
     raw_set = frozenset(raw)
     canonical_set = frozenset(canonical)
     return QuestionView(
-        raw=raw,
         canonical=canonical,
         content=canonicalize([t for t in raw if t not in _FILLER]),
         raw_set=raw_set,

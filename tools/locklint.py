@@ -398,39 +398,41 @@ class _EventBuilder:
         """
         held: list[tuple[str, list]] = []  # (lock_id, out to restore)
         for stmt in stmts:
-            lock = self._bare_lock_call(stmt, "acquire")
+            lock = (
+                self._lock_call(stmt.value, "acquire")
+                if isinstance(stmt, ast.Expr)
+                else None
+            )
             if lock is not None:
-                acquire = _Acquire(lock_id=lock[0], kind=lock[1], line=stmt.lineno)
+                acquire = _Acquire(
+                    lock_id=lock[0], kind=lock[1], line=stmt.lineno
+                )
                 out.append(acquire)
                 held.append((lock[0], out))
                 out = acquire.body
                 continue
             self._stmt(stmt, out)
-            while held and self._releases(stmt, held[-1][0]):
+            released = self._released(stmt) if held else set()
+            while held and held[-1][0] in released:
                 out = held.pop()[1]
 
-    def _bare_lock_call(self, stmt: ast.AST, method: str):
-        """(lock_id, kind) when *stmt* is ``self.<lock>.<method>()``."""
-        if (
-            isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Call)
-            and isinstance(stmt.value.func, ast.Attribute)
-            and stmt.value.func.attr == method
-        ):
-            return self._lock_attr(stmt.value.func.value)
-        return None
+    def _released(self, stmt: ast.AST) -> set[str]:
+        """Ids of the locks whose ``.release()`` *stmt* calls."""
+        return {
+            lock[0]
+            for node in ast.walk(stmt)
+            if (lock := self._lock_call(node, "release")) is not None
+        }
 
-    def _releases(self, stmt: ast.AST, lock_id: str) -> bool:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "release"
-            ):
-                lock = self._lock_attr(node.func.value)
-                if lock is not None and lock[0] == lock_id:
-                    return True
-        return False
+    def _lock_call(self, node: ast.AST, method: str):
+        """(lock_id, kind) when *node* is a call ``self.<lock>.<method>()``."""
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method
+        ):
+            return self._lock_attr(node.func.value)
+        return None
 
     def _stmt(self, stmt: ast.AST, out: list) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
