@@ -17,7 +17,7 @@ computes the joint alignment signals a cross-encoder attends to:
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,18 @@ def canonicalize(tokens: list[str]) -> list[str]:
 def content_words(text: str) -> list[str]:
     """Question tokens with filler words removed."""
     return [t for t in question_tokens(text) if t not in _FILLER]
+
+
+def phrase_words(phrases: Iterable[str]) -> dict[str, list[str]]:
+    """Each distinct phrase's canonical content words, computed once.
+
+    A ranker builds it once per candidate list; :func:`sentence_features`
+    and :func:`phrase_features` both read it.
+    """
+    return {
+        phrase: canonicalize(content_words(phrase))
+        for phrase in dict.fromkeys(phrases)
+    }
 
 
 class QuestionView(NamedTuple):
@@ -163,10 +175,13 @@ def _bigram_containment(phrase_words: list[str], view: QuestionView) -> float:
     return sum(1 for b in bigrams if b in question_bigrams) / len(bigrams)
 
 
-def phrase_features(view: QuestionView, phrase: str) -> np.ndarray:
+def phrase_features(
+    view: QuestionView, phrase: str, words: Mapping[str, list[str]]
+) -> np.ndarray:
     """Alignment feature vector for one SQL-unit phrase of the question
-    seen through *view*."""
-    p_content = canonicalize(content_words(phrase))
+    seen through *view*; *words* is a :func:`phrase_words` map holding
+    the phrase."""
+    p_content = words[phrase]
     p_raw = question_tokens(phrase)
 
     overlap = _coverage(p_content, view.vocabulary)
@@ -190,15 +205,19 @@ def phrase_features(view: QuestionView, phrase: str) -> np.ndarray:
 
 
 def sentence_features(
-    view: QuestionView, surface: str, phrases: tuple[str, ...]
+    view: QuestionView,
+    surface: str,
+    phrases: tuple[str, ...],
+    words: Mapping[str, list[str]],
 ) -> np.ndarray:
     """Sentence-level alignment features for a whole candidate of the
-    question seen through *view*."""
+    question seen through *view*; *words* is a :func:`phrase_words` map
+    holding every phrase."""
     q_content = view.content
 
     all_phrase_words: list[str] = []
     for phrase in phrases:
-        all_phrase_words.extend(canonicalize(content_words(phrase)))
+        all_phrase_words.extend(words[phrase])
     phrase_set = set(all_phrase_words)
 
     question_coverage = _coverage(q_content, phrase_set)

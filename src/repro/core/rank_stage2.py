@@ -30,6 +30,7 @@ from repro.core.align import (
     PHRASE_FEATURE_DIM,
     SENTENCE_FEATURE_DIM,
     phrase_features,
+    phrase_words,
     question_view,
     sentence_features,
 )
@@ -89,20 +90,17 @@ class MultiGrainedRanker:
         ranking: RankingList,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         view = question_view(ranking.question)
+        groups = [item.phrases or (item.surface,) for item in ranking.items]
+        words = phrase_words(phrase for group in groups for phrase in group)
         sentence = np.stack(
             [
-                sentence_features(view, item.surface, item.phrases)
+                sentence_features(view, item.surface, item.phrases, words)
                 for item in ranking.items
             ]
         )
         per_phrase = [
-            np.stack(
-                [
-                    phrase_features(view, phrase)
-                    for phrase in (item.phrases or (item.surface,))
-                ]
-            )
-            for item in ranking.items
+            np.stack([phrase_features(view, phrase, words) for phrase in group])
+            for group in groups
         ]
         return sentence, per_phrase
 
@@ -196,25 +194,25 @@ class MultiGrainedRanker:
         All sentence features are stacked into one coarse-head forward;
         the candidates' distinct phrases form a single fine-head batch
         whose scores are segment-mean-reduced back to per-candidate
-        ``y_L``.  The question is tokenized once for all of them.
+        ``y_L``.  The question is tokenized once for all of them, and each
+        distinct phrase canonicalized once.
         """
         if not candidates:
             return []
         view = question_view(question)
+        groups = [phrases or (surface,) for surface, phrases in candidates]
+        words = phrase_words(phrase for group in groups for phrase in group)
         sentence_rows = np.stack(
             [
-                sentence_features(view, surface, phrases)
+                sentence_features(view, surface, phrases, words)
                 for surface, phrases in candidates
             ]
         )
         y_global = self._coarse_head.forward_array(sentence_rows).reshape(-1)
 
-        groups = [phrases or (surface,) for surface, phrases in candidates]
-        unique = list(
-            dict.fromkeys(phrase for group in groups for phrase in group)
-        )
+        unique = list(words)
         phrase_rows = np.stack(
-            [phrase_features(view, phrase) for phrase in unique]
+            [phrase_features(view, phrase, words) for phrase in unique]
         )
         unique_scores = self._fine_head.forward_array(phrase_rows).reshape(-1)
         position = {phrase: i for i, phrase in enumerate(unique)}

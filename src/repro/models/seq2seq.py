@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 import zlib
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +60,14 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 
 #: Operator tags a metadata filter may relax when no sketch matches exactly.
 _SOFT_TAGS = frozenset({"agg", "limit", "having"})
+
+#: ``COUNT(*)``; the AST is immutable, so every decode shares it.
+_COUNT_STAR = AggExpr(func="count", arg=Star())
+
+#: Sort key of ``(score, ...)`` choices.  ``sort(key=_by_score,
+#: reverse=True)`` is stable, so equal scores keep their order, as they do
+#: under ``key=lambda item: -item[0]``.
+_by_score = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -303,19 +312,50 @@ class GrammarSeq2Seq(TranslationModel):
         return np.random.default_rng(digest)
 
 
+class _Column(NamedTuple):
+    """One column of a question's tables with the facts a decode reads."""
+
+    score: float  # noise-free lexicon score
+    ref: ColumnRef
+    key: str  # ``ref.key()``
+    ctype: str
+    region: float  # SELECT-region bonus
+    penalty: float  # key-column penalty
+
+
+class _JoinOption(NamedTuple):
+    """FK-linked tables a join sketch may read from."""
+
+    bases: tuple[float, ...]  # each table's noise-free score
+    tables: tuple[str, ...]
+    joins: tuple[JoinCond, ...]
+
+
 class QuestionContext:
     """Decode state that depends only on ``(question, db)``.
 
     Built once per question by :meth:`GrammarSeq2Seq.prepare` and shared by
-    every decode of that question, one per metadata condition: the cue
-    evidence, the scored sketch list (a tuple, so no decode can reorder
-    it), the question's tokens, mentions and regions, and tables filled in
-    on first use: lexicon base scores, the noise-free column list of each
-    ``(tables, ctype)``, each column's SELECT-region evidence, each text
-    column's best-matching value and the sketches grouped by operator
-    tags.  Metadata only filters and re-weights these.  The per-decision Gumbel draws stay with each decode's own
-    ``_Context``, seeded per ``(question, metadata)``.  The context is
-    request-local: nothing keeps it after the decodes it was built for.
+    every decode of that question, one per metadata condition.  It holds
+    the cue evidence, the scored sketch list (a tuple, so no decode can
+    reorder it), the question's tokens, mentions and regions.
+
+    Its tables are filled on first use, so a stage call only draws noise,
+    sorts and combines:
+
+    - table scores, and the table options of single-table, FK-pair and
+      FK-chain sketches with their join conditions;
+    - the ``_Column`` entries of each ``(tables, ctype)``: base score, ref,
+      key string, SELECT region bonus and key penalty;
+    - by key string: the ``AggExpr`` of each ``(func, key)``, the text
+      predicate with its value evidence of each ``(key, kind)`` and the
+      number predicate with its proximity of each ``(key, mention index,
+      op)``;
+    - the sketches grouped by operator tags.
+
+    Metadata only filters and re-weights these.  The per-decision Gumbel
+    draws stay with each decode's own ``_Context``, seeded per ``(question,
+    metadata)``.  The context is request-local: nothing keeps it after the
+    decodes it was built for.
     """
 
     def __init__(
@@ -334,12 +374,23 @@ class QuestionContext:
         self.tokens = set(content_tokens(question))
         self.qtokens = question_tokens(question)
         self.mentions = extract_mentions(question)
-        #: mentions usable as WHERE comparison values.
-        self.cmp_mentions = [
-            m
-            for m in self.mentions
+        #: indices into ``mentions`` of those usable as WHERE comparison values.
+        self.cmp_indices = [
+            index
+            for index, m in enumerate(self.mentions)
             if not (m.is_limit or m.is_count_threshold or m.is_between_bound)
         ]
+        bounds = [
+            index for index, m in enumerate(self.mentions) if m.is_between_bound
+        ]
+        #: index of the first BETWEEN bound, when the question has two.
+        self.between_index = bounds[0] if len(bounds) >= 2 else None
+        #: the BETWEEN literals, low first.
+        self.between_values = (
+            sorted(self.mentions[i].value for i in bounds[:2])
+            if self.between_index is not None
+            else None
+        )
         #: question positions mentioning each column, by ``ColumnRef.key()``.
         self.phrase_positions: dict[str, list[int]] = {}
         # Question regions: projections are phrased before the first
@@ -359,10 +410,15 @@ class QuestionContext:
              "smallest", "top")
         )
         self._table_scores: dict[str, float] = {}
-        self._column_scores: dict[tuple[str, str], float] = {}
-        self._columns: dict[tuple, list[tuple[float, ColumnRef]]] = {}
-        self._select_bonus: dict[ColumnRef, tuple[float, float]] = {}
+        self._single_tables: list[tuple[float, str]] | None = None
+        self._join_options: dict[bool, list[_JoinOption]] = {}
+        self._table_columns: dict[str, list[_Column]] = {}
+        self._columns: dict[tuple, list[_Column]] = {}
+        self._agg_exprs: dict[tuple[str, str], AggExpr] = {}
+        self._spread_exprs: dict[str, Arith] = {}
         self._text_values: dict[ColumnRef, tuple[str, float] | None] = {}
+        self._text_predicates: dict[tuple[str, str], tuple | None] = {}
+        self._number_predicates: dict[tuple, tuple] = {}
         self._tag_groups: dict[frozenset[str], dict] = {}
 
     def sketches_tagged(
@@ -399,56 +455,122 @@ class QuestionContext:
             self._table_scores[table_name] = score
         return score
 
+    def single_tables(self) -> list[tuple[float, str]]:
+        """``(base score, lowercased name)`` of every table, schema order."""
+        if self._single_tables is None:
+            self._single_tables = [
+                (self.table_score(t.name), t.name.lower())
+                for t in self.db.schema.tables
+            ]
+        return self._single_tables
+
+    def join_options(self, chain: bool) -> list[_JoinOption]:
+        """Every FK-linked table pair, or with *chain* every three-table
+        chain of two FKs, in the order a join stage draws their noise."""
+        options = self._join_options.get(chain)
+        if options is not None:
+            return options
+        fks = self.db.schema.foreign_keys
+        joins = {id(fk): _fk_join(fk) for fk in fks}
+        options = []
+        if chain:
+            for fk1 in fks:
+                for fk2 in fks:
+                    if fk1 is fk2:
+                        continue
+                    tables: list[str] = []
+                    for name in (
+                        fk1.child_table, fk1.parent_table,
+                        fk2.child_table, fk2.parent_table,
+                    ):
+                        if name.lower() not in tables:
+                            tables.append(name.lower())
+                    if len(tables) != 3:
+                        continue
+                    options.append(
+                        _JoinOption(
+                            tuple(self.table_score(t) for t in tables),
+                            tuple(tables),
+                            (joins[id(fk1)], joins[id(fk2)]),
+                        )
+                    )
+        else:
+            for fk in fks:
+                child = fk.child_table.lower()
+                parent = fk.parent_table.lower()
+                options.append(
+                    _JoinOption(
+                        (self.table_score(child), self.table_score(parent)),
+                        (child, parent),
+                        (joins[id(fk)],),
+                    )
+                )
+        self._join_options[chain] = options
+        return options
+
     def column_score(self, table_name: str, column_name: str) -> float:
         """Noise-free lexicon score of one column."""
-        key = (table_name, column_name)
-        score = self._column_scores.get(key)
-        if score is None:
-            schema = self.db.schema
-            score = self.model.lexicon.score_column(
-                self.question, schema.db_id, schema.table(table_name),
-                column_name,
-            )
-            self._column_scores[key] = score
-        return score
+        schema = self.db.schema
+        return self.model.lexicon.score_column(
+            self.question, schema.db_id, schema.table(table_name), column_name
+        )
 
     def columns(
         self, tables: tuple[str, ...], ctype: str | None = None
-    ) -> list[tuple[float, ColumnRef]]:
-        """``(base score, ColumnRef)`` of every column of *tables*, in schema
-        order, restricted to *ctype* when given."""
+    ) -> list[_Column]:
+        """The ``_Column`` of every column of *tables*, in schema order,
+        restricted to *ctype* when given."""
         key = (tables, ctype)
         columns = self._columns.get(key)
         if columns is None:
-            columns = []
-            for table_name in tables:
-                for column in self.db.schema.table(table_name).columns:
-                    if ctype is not None and column.ctype != ctype:
-                        continue
-                    columns.append(
-                        (
-                            self.column_score(table_name, column.name),
-                            ColumnRef(
-                                column=column.name.lower(),
-                                table=table_name.lower(),
-                            ),
-                        )
-                    )
+            columns = [
+                column
+                for table_name in tables
+                for column in self._columns_of(table_name)
+                if ctype is None or column.ctype == ctype
+            ]
             self._columns[key] = columns
         return columns
 
-    def select_bonus(self, ref: ColumnRef) -> tuple[float, float]:
-        """A projected column's region bonus and key penalty, kept apart:
-        the caller adds them to its score one at a time, and summing them
-        first could round differently."""
-        bonus = self._select_bonus.get(ref)
-        if bonus is None:
-            bonus = (
-                self.region_bonus(ref, 0, self.proj_end),
-                self.key_penalty(ref),
+    def _columns_of(self, table_name: str) -> list[_Column]:
+        columns = self._table_columns.get(table_name)
+        if columns is None:
+            columns = []
+            for column in self.db.schema.table(table_name).columns:
+                ref = ColumnRef(
+                    column=column.name.lower(), table=table_name.lower()
+                )
+                columns.append(
+                    _Column(
+                        self.column_score(table_name, column.name),
+                        ref,
+                        ref.key(),
+                        column.ctype,
+                        self.region_bonus(ref, 0, self.proj_end),
+                        self.key_penalty(ref),
+                    )
+                )
+            self._table_columns[table_name] = columns
+        return columns
+
+    def agg_expr(self, func: str, column: _Column) -> AggExpr:
+        """``func(column)``, one object per request."""
+        key = (func, column.key)
+        expr = self._agg_exprs.get(key)
+        if expr is None:
+            expr = self._agg_exprs[key] = AggExpr(func=func, arg=column.ref)
+        return expr
+
+    def spread_expr(self, column: _Column) -> Arith:
+        """``max(column) - min(column)``, one object per request."""
+        expr = self._spread_exprs.get(column.key)
+        if expr is None:
+            expr = self._spread_exprs[column.key] = Arith(
+                op="-",
+                left=self.agg_expr("max", column),
+                right=self.agg_expr("min", column),
             )
-            self._select_bonus[ref] = bonus
-        return bonus
+        return expr
 
     def text_value(self, ref: ColumnRef) -> tuple[str, float] | None:
         """The column's stored value best covered by the question, with its
@@ -474,6 +596,64 @@ class QuestionContext:
             found = (best_value, evidence)
         self._text_values[ref] = found
         return found
+
+    def text_predicate(
+        self, column: _Column, kind: str
+    ) -> tuple[Predicate, float, tuple[str, str]] | None:
+        """The ``eq``/``neq``/``like`` predicate on the column's best value,
+        its evidence and its ``(key, op)`` slot; None when the column has
+        no such value."""
+        key = (column.key, kind)
+        if key in self._text_predicates:
+            return self._text_predicates[key]
+        found = self.text_value(column.ref)
+        entry = None
+        if found is not None:
+            best_value, evidence = found
+            if kind == "like":
+                token = best_value.split()[0]
+                right = Literal(f"%{token}%")
+                op = "like"
+            else:
+                right = Literal(best_value)
+                op = "=" if kind == "eq" else "!="
+            entry = (
+                Predicate(left=column.ref, op=op, right=right),
+                evidence,
+                (column.key, op),
+            )
+        self._text_predicates[key] = entry
+        return entry
+
+    def number_predicate(
+        self, column: _Column, index: int, op: str
+    ) -> tuple[float, Predicate, tuple[str, str]]:
+        """The column's proximity to mention *index*, the predicate
+        comparing it by *op* (``between`` spans both BETWEEN bounds) and
+        its ``(key, op)`` slot."""
+        key = (column.key, index, op)
+        entry = self._number_predicates.get(key)
+        if entry is None:
+            mention = self.mentions[index]
+            if op == "between":
+                low, high = self.between_values
+                predicate = Predicate(
+                    left=column.ref,
+                    op="between",
+                    right=Literal(low),
+                    right2=Literal(high),
+                )
+            else:
+                predicate = Predicate(
+                    left=column.ref, op=op, right=Literal(mention.value)
+                )
+            entry = (
+                self.proximity(column.ref, mention),
+                predicate,
+                (column.key, op),
+            )
+            self._number_predicates[key] = entry
+        return entry
 
     # -- column mention evidence -----------------------------------------
 
@@ -600,7 +780,6 @@ class _Context:
         self.rng = rng
         self.noise = noise
         self.mentions = prepared.mentions
-        self.cmp_mentions = prepared.cmp_mentions
         self._group_pos = prepared.group_pos
         self._order_pos = prepared.order_pos
         self._raw: list[float] = []
@@ -644,6 +823,21 @@ class _Context:
         index = self._draw()  # may replace the block: index it afterwards
         return self._std[index] * self.noise * scale
 
+    def _gumbels(self, n: int, scale: float = 1.0) -> list[float]:
+        """The next *n* draws, as *n* calls to :meth:`_gumbel` return them:
+        sliced from the block, refilled only when a draw needs it."""
+        noise = self.noise
+        out: list[float] = []
+        while n > 0:
+            if self._drawn == len(self._raw):
+                self._refill()
+            start = self._drawn
+            stop = min(start + n, len(self._std))
+            out.extend([std * noise * scale for std in self._std[start:stop]])
+            self._drawn = stop
+            n -= stop - start
+        return out
+
     def _random(self) -> float:
         """The next uniform double in ``[0, 1)``, from the same stream."""
         index = self._draw()
@@ -656,13 +850,14 @@ class _Context:
 
     def _ranked_columns(
         self, tables: tuple[str, ...], ctype: str | None = None
-    ) -> list[tuple[float, ColumnRef]]:
-        scale = self.profile.column_noise
+    ) -> list[tuple[float, _Column]]:
+        """``(noisy score, column)`` best first: one draw per column."""
+        columns = self.prepared.columns(tables, ctype)
+        noise = self._gumbels(len(columns), self.profile.column_noise)
         scored = [
-            (base + self._gumbel(scale), ref)
-            for base, ref in self.prepared.columns(tables, ctype)
+            (column.score + g, column) for column, g in zip(columns, noise)
         ]
-        scored.sort(key=lambda item: -item[0])
+        scored.sort(key=_by_score, reverse=True)
         return scored
 
     # -- stage 1: tables -------------------------------------------------
@@ -672,54 +867,29 @@ class _Context:
         sketch = state.sketch
         choices = []
         if sketch.n_tables <= 1:
+            tables = self.prepared.single_tables()
+            noise = self._gumbels(len(tables), 0.6)
             scored = sorted(
-                ((self._table_score(t.name), t.name.lower()) for t in self.schema.tables),
-                key=lambda item: -item[0],
+                [(base + g, name) for (base, name), g in zip(tables, noise)],
+                key=_by_score,
+                reverse=True,
             )
             for score, name in scored[:3]:
                 choices.append((score, state._replace(tables=(name,))))
             return beamlib.LogNormalized(choices)
         # Join: FK-linked pairs, or FK chains of three tables.
-        def fk_join(fk) -> JoinCond:
-            return JoinCond(
-                left=ColumnRef(
-                    column=fk.child_column.lower(),
-                    table=fk.child_table.lower(),
-                ),
-                right=ColumnRef(
-                    column=fk.parent_column.lower(),
-                    table=fk.parent_table.lower(),
-                ),
-            )
-
-        options = []
-        if sketch.n_tables >= 3:
-            fks = self.schema.foreign_keys
-            for fk1 in fks:
-                for fk2 in fks:
-                    if fk1 is fk2:
-                        continue
-                    tables: list[str] = []
-                    for name in (
-                        fk1.child_table, fk1.parent_table,
-                        fk2.child_table, fk2.parent_table,
-                    ):
-                        if name.lower() not in tables:
-                            tables.append(name.lower())
-                    if len(tables) != 3:
-                        continue
-                    score = sum(self._table_score(t) for t in tables)
-                    options.append(
-                        (score, tuple(tables), (fk_join(fk1), fk_join(fk2)))
-                    )
-        else:
-            for fk in self.schema.foreign_keys:
-                child = fk.child_table.lower()
-                parent = fk.parent_table.lower()
-                score = self._table_score(child) + self._table_score(parent)
-                options.append((score, (child, parent), (fk_join(fk),)))
-        options.sort(key=lambda item: -item[0])
-        for score, tables, joins in options[:4]:
+        chain = sketch.n_tables >= 3
+        options = self.prepared.join_options(chain)
+        noise = iter(self._gumbels(sum(len(o.bases) for o in options), 0.6))
+        scored = []
+        for bases, tables, joins in options:
+            if chain:
+                score = sum([base + next(noise) for base in bases])
+            else:
+                score = (bases[0] + next(noise)) + (bases[1] + next(noise))
+            scored.append((score, tables, joins))
+        scored.sort(key=_by_score, reverse=True)
+        for score, tables, joins in scored[:4]:
             choices.append((score, state._replace(tables=tables, joins=joins)))
         return beamlib.LogNormalized(choices)
 
@@ -728,155 +898,149 @@ class _Context:
     def stage_select(self, state: _State):
         """Stage 2: fill the SELECT slots dictated by the sketch."""
         sketch = state.sketch
+        prepared = self.prepared
         slots: list[str] = []
         if sketch.count_star:
             slots.append("count_star")
         if sketch.has_arith:
             slots.append("arith")
         slots.extend(f"agg:{func}" for func in sketch.select_aggs)
-        remaining = sketch.n_select - len(slots)
-        slots.extend("col" for _ in range(max(remaining, 0)))
+        n_cols = max(sketch.n_select - len(slots), 0)
+        slots.extend("col" for _ in range(n_cols))
         ranked_all = self._ranked_columns(state.tables)
         if sketch.has_arith or sketch.select_aggs:
             ranked_num = self._ranked_columns(state.tables, NUMBER)
         else:
             # No slot reads the NUMBER pool: spend its draws unranked.
-            self._skip(len(self.prepared.columns(state.tables, NUMBER)))
+            self._skip(len(prepared.columns(state.tables, NUMBER)))
             ranked_num = []
-        combos: list[tuple[float, tuple]] = [(0.0, ())]
+        # A projected column's score is the same in every combo: add its
+        # bonuses once.  A col slot skips at most the earlier col slots'
+        # columns, so it never reads past the first ``n_cols + 2``.
+        col_pool = [
+            (score + column.region + column.penalty, column.key, column.ref)
+            for score, column in ranked_all[: n_cols + 2]
+        ]
+        # Each combo carries the keys of its projected columns.
+        combos: list[tuple[float, tuple, tuple[str, ...]]] = [(0.0, (), ())]
         for slot in slots:
-            expanded: list[tuple[float, tuple]] = []
-            for combo_score, items in combos:
-                if slot == "count_star":
-                    expanded.append(
-                        (combo_score, items + (AggExpr(func="count", arg=Star()),))
-                    )
-                    continue
-                if slot == "arith":
+            expanded: list[tuple[float, tuple, tuple[str, ...]]] = []
+            append = expanded.append
+            if slot == "col":
+                for combo_score, items, used in combos:
                     picked = 0
-                    for score, ref in ranked_num:
-                        expr = Arith(
-                            op="-",
-                            left=AggExpr(func="max", arg=ref),
-                            right=AggExpr(func="min", arg=ref),
+                    for score, key, ref in col_pool:
+                        if key in used:
+                            continue
+                        append(
+                            (combo_score + score, items + (ref,), used + (key,))
                         )
-                        expanded.append((combo_score + score, items + (expr,)))
                         picked += 1
                         if picked >= 3:
                             break
                     if picked == 0:
-                        expanded.append((combo_score - 2.0, items))
-                    continue
-                pool = ranked_num if slot.startswith("agg:") else ranked_all
-                used = {
-                    ref.key()
-                    for expr in items
-                    if isinstance(expr, ColumnRef)
-                    for ref in (expr,)
-                }
-                picked = 0
-                for score, ref in pool:
-                    if slot == "col" and ref.key() in used:
-                        continue
-                    region, penalty = self.prepared.select_bonus(ref)
-                    score = score + region + penalty
-                    if slot.startswith("agg:"):
-                        func = slot.split(":", 1)[1]
-                        expr = AggExpr(func=func, arg=ref)
-                    else:
-                        expr = ref
-                    expanded.append((combo_score + score, items + (expr,)))
-                    picked += 1
-                    if picked >= 3:
-                        break
-                if picked == 0:
-                    expanded.append((combo_score - 2.0, items))
-            combos = sorted(expanded, key=lambda item: -item[0])[:6]
+                        append((combo_score - 2.0, items, used))
+            elif slot == "count_star":
+                for combo_score, items, used in combos:
+                    append((combo_score, items + (_COUNT_STAR,), used))
+            else:
+                if slot == "arith":
+                    picks = [
+                        (score, prepared.spread_expr(column))
+                        for score, column in ranked_num[:3]
+                    ]
+                else:
+                    func = slot.split(":", 1)[1]
+                    picks = [
+                        (
+                            score + column.region + column.penalty,
+                            prepared.agg_expr(func, column),
+                        )
+                        for score, column in ranked_num[:3]
+                    ]
+                for combo_score, items, used in combos:
+                    for score, expr in picks:
+                        append((combo_score + score, items + (expr,), used))
+                    if not picks:
+                        append((combo_score - 2.0, items, used))
+            expanded.sort(key=_by_score, reverse=True)
+            combos = expanded[:6]
         choices = []
-        for score, items in combos:
+        for score, items, __ in combos:
             if not items:
                 continue
             choices.append((score, state._replace(select=items)))
         return beamlib.LogNormalized(choices)
 
-    # -- stage 3: where (plain predicates + nested subqueries) -----------
+    # -- predicates --------------------------------------------------------
 
     def _predicate_candidates(
         self, tables: tuple[str, ...], kinds: tuple[str, ...]
-    ) -> list[tuple[float, Predicate]]:
-        """Grounded predicate candidates over in-scope columns."""
-        candidates: list[tuple[float, Predicate]] = []
+    ) -> list[tuple[float, Predicate, tuple[str, str]]]:
+        """Grounded ``(score, predicate, (key, op) slot)`` candidates over
+        in-scope columns, best first."""
+        candidates: list[tuple[float, Predicate, tuple[str, str]]] = []
         kind_pool = kinds if kinds else ("eq", "cmp")
+        # Iterated as a set, so the draw order follows the hash seed
+        # (ROADMAP item 2).
         for kind in set(kind_pool):
             if kind in ("eq", "neq", "like"):
                 candidates.extend(self._text_predicates(tables, kind))
             elif kind in ("cmp", "between"):
                 candidates.extend(self._number_predicates(tables, kind))
-        candidates.sort(key=lambda item: -item[0])
+        candidates.sort(key=_by_score, reverse=True)
         return candidates
 
     def _text_predicates(self, tables, kind):
-        out = []
-        for score, ref in self._ranked_columns(tables, TEXT)[:5]:
-            found = self.prepared.text_value(ref)
-            if found is None:
-                continue
-            best_value, evidence = found
-            if kind == "like":
-                token = best_value.split()[0]
-                predicate = Predicate(
-                    left=ref, op="like", right=Literal(f"%{token}%")
-                )
-            else:
-                op = "=" if kind == "eq" else "!="
-                predicate = Predicate(left=ref, op=op, right=Literal(best_value))
-            out.append((score + evidence + self._gumbel(0.5), predicate))
-        return out
+        found = []
+        for score, column in self._ranked_columns(tables, TEXT)[:5]:
+            entry = self.prepared.text_predicate(column, kind)
+            if entry is not None:
+                found.append((score, entry))
+        noise = self._gumbels(len(found), 0.5)
+        return [
+            (score + evidence + g, predicate, slot)
+            for (score, (predicate, evidence, slot)), g in zip(found, noise)
+        ]
 
     def _number_predicates(self, tables, kind):
+        prepared = self.prepared
         out = []
         ranked = self._ranked_columns(tables, NUMBER)[:5]
         if kind == "between":
-            bounds = [m for m in self.mentions if m.is_between_bound]
-            if len(bounds) < 2:
+            index = prepared.between_index
+            if index is None:
                 return out
-            low, high = sorted((bounds[0].value, bounds[1].value))
-            for score, ref in ranked:
-                affinity = self.prepared.proximity(ref, bounds[0])
-                predicate = Predicate(
-                    left=ref,
-                    op="between",
-                    right=Literal(low),
-                    right2=Literal(high),
+            noise = self._gumbels(len(ranked), 0.5)
+            for (score, column), g in zip(ranked, noise):
+                affinity, predicate, slot = prepared.number_predicate(
+                    column, index, "between"
                 )
-                out.append(
-                    (score + affinity + 1.0 + self._gumbel(0.5), predicate)
-                )
+                out.append((score + affinity + 1.0 + g, predicate, slot))
             return out
-        for mention in self.cmp_mentions:
-            op = mention.op
+        for index in prepared.cmp_indices:
+            op = prepared.mentions[index].op
             if op == "=":
                 # Numeric equality is rare; treat as a weak comparison guess.
                 op = ">" if self._random() < 0.5 else "<"
-            affinities = [
-                (self.prepared.proximity(ref, mention), score, ref)
-                for score, ref in ranked
+            rows = [
+                prepared.number_predicate(column, index, op)
+                for __, column in ranked
             ]
-            best_affinity = max((a for a, __, __ in affinities), default=0.0)
-            for affinity, score, ref in affinities:
+            best_affinity = max((row[0] for row in rows), default=0.0)
+            noise = self._gumbels(len(rows), 0.5)
+            for (score, __), (affinity, predicate, slot), g in zip(
+                ranked, rows, noise
+            ):
                 # The column mentioned closest to the number is almost
                 # always the compared one; reward it ordinally.
                 nearest = 3.0 if affinity == best_affinity and affinity > 0 else 0.0
-                predicate = Predicate(
-                    left=ref, op=op, right=Literal(mention.value)
-                )
                 out.append(
-                    (
-                        score + affinity + nearest + 0.8 + self._gumbel(0.5),
-                        predicate,
-                    )
+                    (score + affinity + nearest + 0.8 + g, predicate, slot)
                 )
         return out
+
+    # -- stage 3: where (plain predicates + nested subqueries) -----------
 
     def stage_where(self, state: _State):
         """Stage 3: fill WHERE predicates or construct the nested subquery."""
@@ -889,25 +1053,31 @@ class _Context:
         pool = self._predicate_candidates(state.tables, kinds)
         if not pool:
             return [(-3.0, state)]
-        combos: list[tuple[float, tuple[Predicate, ...]]] = [(0.0, ())]
+        # Each combo carries the ``(key, op)`` slots of its predicates.
+        combos: list[tuple[float, tuple[Predicate, ...], tuple]] = [
+            (0.0, (), ())
+        ]
         for __ in range(sketch.n_predicates):
             expanded = []
-            for combo_score, preds in combos:
-                used = {(p.left, p.op) for p in preds}
+            append = expanded.append
+            for combo_score, preds, used in combos:
                 picked = 0
-                for score, predicate in pool:
-                    if (predicate.left, predicate.op) in used:
+                for score, predicate, slot in pool:
+                    if slot in used:
                         continue
-                    expanded.append((combo_score + score, preds + (predicate,)))
+                    append(
+                        (combo_score + score, preds + (predicate,), used + (slot,))
+                    )
                     picked += 1
                     if picked >= 3:
                         break
                 if picked == 0:
-                    expanded.append((combo_score, preds))
-            combos = sorted(expanded, key=lambda item: -item[0])[:5]
+                    append((combo_score, preds, used))
+            expanded.sort(key=_by_score, reverse=True)
+            combos = expanded[:5]
         connector = "or" if sketch.has_or else "and"
         choices = []
-        for score, preds in combos:
+        for score, preds, __ in combos:
             if not preds:
                 continue
             connectors = tuple(connector for __ in range(len(preds) - 1))
@@ -929,7 +1099,8 @@ class _Context:
         if sketch.shape == "nested:scalar":
             anchor = self.prepared.find_marker(("average", "mean", "total"))
             choices = []
-            for score, ref in self._ranked_columns(state.tables, NUMBER)[:3]:
+            for score, column in self._ranked_columns(state.tables, NUMBER)[:3]:
+                ref = column.ref
                 score = score + self.prepared.near_bonus(ref, anchor, weight=3.0)
                 inner = SelectQuery(
                     select=(AggExpr(func="avg", arg=ref),),
@@ -957,7 +1128,7 @@ class _Context:
             )
             inner_pool = self._predicate_candidates((child,), ("eq", "cmp"))
             inner_options: list[tuple[float, Condition | None]] = [(0.0, None)]
-            for score, predicate in inner_pool[:2]:
+            for score, predicate, __ in inner_pool[:2]:
                 inner_options.append(
                     (score, Condition(predicates=(predicate,)))
                 )
@@ -981,7 +1152,7 @@ class _Context:
                         state._replace(where_predicates=(predicate,)),
                     )
                 )
-        choices.sort(key=lambda item: -item[0])
+        choices.sort(key=_by_score, reverse=True)
         return beamlib.LogNormalized(choices[:4])
 
     # -- stage 4/5: group + having ----------------------------------------
@@ -991,12 +1162,13 @@ class _Context:
         if not state.sketch.has_group:
             return []
         choices = []
-        for score, ref in self._ranked_columns(state.tables, TEXT)[:3]:
+        for score, column in self._ranked_columns(state.tables, TEXT)[:3]:
+            ref = column.ref
             score = score + self.prepared.near_bonus(ref, self._group_pos)
             choices.append((score, state._replace(group_by=(ref,))))
         if not choices:
-            for score, ref in self._ranked_columns(state.tables)[:2]:
-                choices.append((score, state._replace(group_by=(ref,))))
+            for score, column in self._ranked_columns(state.tables)[:2]:
+                choices.append((score, state._replace(group_by=(column.ref,))))
         return beamlib.LogNormalized(choices)
 
     def _count_threshold(self) -> tuple[int, str]:
@@ -1018,7 +1190,7 @@ class _Context:
         having = Condition(
             predicates=(
                 Predicate(
-                    left=AggExpr(func="count", arg=Star()),
+                    left=_COUNT_STAR,
                     op=op,
                     right=Literal(threshold),
                 ),
@@ -1050,7 +1222,7 @@ class _Context:
                 limit = ints[0] if ints else 3
         choices = []
         if sketch.order_on_agg:
-            expr = AggExpr(func="count", arg=Star())
+            expr = _COUNT_STAR
             for existing in state.select:
                 if isinstance(existing, AggExpr):
                     expr = existing
@@ -1065,11 +1237,12 @@ class _Context:
                 )
             )
             return choices
-        for score, ref in self._ranked_columns(state.tables, NUMBER)[:3]:
+        for score, column in self._ranked_columns(state.tables, NUMBER)[:3]:
+            ref = column.ref
             score = (
                 score
                 + self.prepared.near_bonus(ref, self._order_pos)
-                + self.prepared.key_penalty(ref)
+                + column.penalty
             )
             choices.append(
                 (
@@ -1102,7 +1275,7 @@ class _Context:
             return []
         pool = self._predicate_candidates(state.tables, ("eq", "neq", "cmp"))
         choices = []
-        for score, predicate in pool[:3]:
+        for score, predicate, __ in pool[:3]:
             right = SelectQuery(
                 select=(ref,),
                 from_=FromClause(tables=state.tables, joins=state.joins),
@@ -1114,7 +1287,8 @@ class _Context:
     def _stage_from_subquery(self, state: _State):
         choices = []
         threshold, __ = self._count_threshold()
-        for score, ref in self._ranked_columns(state.tables, TEXT)[:3]:
+        for score, column in self._ranked_columns(state.tables, TEXT)[:3]:
+            ref = column.ref
             inner = SelectQuery(
                 select=(ref,),
                 from_=FromClause(tables=(ref.table,)),
@@ -1122,7 +1296,7 @@ class _Context:
                 having=Condition(
                     predicates=(
                         Predicate(
-                            left=AggExpr(func="count", arg=Star()),
+                            left=_COUNT_STAR,
                             op=">",
                             right=Literal(threshold),
                         ),
@@ -1143,7 +1317,7 @@ class _Context:
             if state.from_inner is None:
                 return None
             query: Query = SelectQuery(
-                select=(AggExpr(func="count", arg=Star()),),
+                select=(_COUNT_STAR,),
                 from_=FromClause(subquery=state.from_inner),
             )
             return self._strip_values(query)
@@ -1190,6 +1364,16 @@ class _Context:
 
 # ----------------------------------------------------------------------
 # Helpers.
+
+
+def _fk_join(fk) -> JoinCond:
+    """The join condition of one foreign key, child side left."""
+    return JoinCond(
+        left=ColumnRef(column=fk.child_column.lower(), table=fk.child_table.lower()),
+        right=ColumnRef(
+            column=fk.parent_column.lower(), table=fk.parent_table.lower()
+        ),
+    )
 
 
 def _replace_literals(query: Query) -> Query:

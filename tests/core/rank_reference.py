@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.align import phrase_features, question_view, sentence_features
+from repro.core.align import (
+    phrase_features,
+    phrase_words,
+    question_view,
+    sentence_features,
+)
 from repro.nn.autograd import Tensor
 
 
@@ -35,11 +40,11 @@ def stage1_rank(ranker, question, sql_texts, top_k=10):
 def stage2_score(ranker, question, surface, phrases) -> float:
     """Eq. 5 for one candidate: ``y_G + y_L``."""
     view = question_view(question)
-    sentence = sentence_features(view, surface, phrases)
+    group = phrases or (surface,)
+    words = phrase_words(group)
+    sentence = sentence_features(view, surface, phrases, words)
     y_global = float(ranker._coarse_head(Tensor(sentence)).numpy()[0])
-    features = np.stack(
-        [phrase_features(view, p) for p in (phrases or (surface,))]
-    )
+    features = np.stack([phrase_features(view, p, words) for p in group])
     phrase_scores = ranker._fine_head(Tensor(features)).numpy().reshape(-1)
     return y_global + float(phrase_scores.mean())
 

@@ -98,7 +98,18 @@ class TestTextFeaturizer:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        texts=st.lists(st.text(alphabet="ab cd efg 12", max_size=60), max_size=6),
+        # Free text, and texts over a few words, so that words (and their
+        # trigrams) repeat within a text and across the texts of a call.
+        texts=st.lists(
+            st.one_of(
+                st.text(alphabet="ab cd efg 12", max_size=60),
+                st.lists(
+                    st.sampled_from(["ab", "abc", "cd", "efg", "12", "a", "ab12"]),
+                    max_size=12,
+                ).map(" ".join),
+            ),
+            max_size=8,
+        ),
         buckets=st.sampled_from([1, 7, 32, 2048]),
         include_chars=st.booleans(),
     )
