@@ -8,7 +8,8 @@ the sha256 of each question's top-1 SQL ('' when there is none), plus
 the EM and EX counts.
 
 It also pins the decoders themselves, which the top-1 answers only see
-through the rankers: ``lgesql``, ``bridge`` (which keeps values) and
+through the rankers: ``lgesql`` and ``gap`` (the two presets that decode
+the ``'value'`` placeholder), ``bridge`` (which keeps values) and
 ``chatgpt`` are fitted with metadata on the same training split, and
 every dev question is decoded with no metadata and with its gold
 metadata under each correctness indicator.  One sha256 per model covers
@@ -105,6 +106,10 @@ PINNED_DECODE = {
         "2cb357376495c707c42e0a1ddad887c3"
         "c867f78a670dac9bc527ef62878be9a7"
     ),
+    "gap": (
+        "fbf65ca832394e78f7cc9ddf23a8761a"
+        "3cb39f16f9f6ba62dda02bf74baf589f"
+    ),
     "bridge": (
         "3e4b42a4ba2ea91e3b88085a8019b24f"
         "41fc24b7d2c35ceab70cd017b49c54b7"
@@ -119,7 +124,7 @@ PINNED_DECODE = {
     ),
 }
 
-DECODE_MODELS = ("lgesql", "bridge", "chatgpt")
+DECODE_MODELS = ("lgesql", "gap", "bridge", "chatgpt")
 
 #: sha256 over every trained parameter's bytes and every fit's
 #: per-epoch losses (``float.hex``), in :func:`weights_fingerprint` order.
