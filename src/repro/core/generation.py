@@ -65,11 +65,16 @@ def generation_order(
     return [(i, generated[i].score) for i in order[:top]]
 
 
+#: Candidates decoded under each metadata composition.
+BEAM_PER_CONDITION = 2
+
+#: Candidates decoded without metadata, when the set is not yet full.
+UNCONDITIONED_BEAM = 3
+
+
 @dataclass
 class GeneratorConfig:
-    """Candidate-generation knobs (beam sizes, caps, grounding, lint)."""
-    beam_per_condition: int = 2
-    unconditioned_beam: int = 3
+    """Candidate-generation knobs (cap, grounding, lint)."""
     max_candidates: int = 24
     ground_placeholder_values: bool = True
     #: Run the schema-aware semantic analyzer over every candidate and
@@ -212,7 +217,7 @@ class CandidateGenerator:
                         question,
                         db,
                         metadata=metadata,
-                        beam_size=config.beam_per_condition,
+                        beam_size=BEAM_PER_CONDITION,
                         prepared=prepared,
                     )
                 except Exception as exc:  # repolint: allow[broad-except] — isolation
@@ -242,7 +247,7 @@ class CandidateGenerator:
                     beam = self.model.translate(
                         question,
                         db,
-                        beam_size=config.unconditioned_beam,
+                        beam_size=UNCONDITIONED_BEAM,
                         prepared=prepared,
                     )
                 except Exception as exc:  # repolint: allow[broad-except] — isolation

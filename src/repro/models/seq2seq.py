@@ -64,6 +64,9 @@ _SOFT_TAGS = frozenset({"agg", "limit", "having"})
 #: ``COUNT(*)``; the AST is immutable, so every decode shares it.
 _COUNT_STAR = AggExpr(func="count", arg=Star())
 
+#: The ``'value'`` placeholder, shared the same way.
+_PLACEHOLDER = Literal(PLACEHOLDER)
+
 #: Sort key of ``(score, ...)`` choices.  ``sort(key=_by_score,
 #: reverse=True)`` is stable, so equal scores keep their order, as they do
 #: under ``key=lambda item: -item[0]``.
@@ -352,6 +355,10 @@ class QuestionContext:
       op)``;
     - the sketches grouped by operator tags.
 
+    Every literal of a decode is built by :attr:`literal`, decided once
+    from ``model.predicts_values``: the question's value, or the
+    ``'value'`` placeholder for a model that leaves values to grounding.
+
     Metadata only filters and re-weights these.  The per-decision Gumbel
     draws stay with each decode's own ``_Context``, seeded per ``(question,
     metadata)``.  The context is request-local: nothing keeps it after the
@@ -371,6 +378,8 @@ class QuestionContext:
         self.db = db
         self.cues = cues
         self.sketches = tuple(sketches)
+        #: ``literal(value)`` builds the literal a predicate compares with.
+        self.literal = Literal if model.predicts_values else _placeholder
         self.tokens = set(content_tokens(question))
         self.qtokens = question_tokens(question)
         self.mentions = extract_mentions(question)
@@ -612,10 +621,10 @@ class QuestionContext:
             best_value, evidence = found
             if kind == "like":
                 token = best_value.split()[0]
-                right = Literal(f"%{token}%")
+                right = self.literal(f"%{token}%")
                 op = "like"
             else:
-                right = Literal(best_value)
+                right = self.literal(best_value)
                 op = "=" if kind == "eq" else "!="
             entry = (
                 Predicate(left=column.ref, op=op, right=right),
@@ -640,12 +649,12 @@ class QuestionContext:
                 predicate = Predicate(
                     left=column.ref,
                     op="between",
-                    right=Literal(low),
-                    right2=Literal(high),
+                    right=self.literal(low),
+                    right2=self.literal(high),
                 )
             else:
                 predicate = Predicate(
-                    left=column.ref, op=op, right=Literal(mention.value)
+                    left=column.ref, op=op, right=self.literal(mention.value)
                 )
             entry = (
                 self.proximity(column.ref, mention),
@@ -982,7 +991,8 @@ class _Context:
         candidates: list[tuple[float, Predicate, tuple[str, str]]] = []
         kind_pool = kinds if kinds else ("eq", "cmp")
         # Iterated as a set, so the draw order follows the hash seed
-        # (ROADMAP item 2).
+        # (ROADMAP item 1).  It stays a set until the answers pinned in
+        # ``benchmarks/e2e/expected.json`` at hash seed 0 are re-pinned.
         for kind in set(kind_pool):
             if kind in ("eq", "neq", "like"):
                 candidates.extend(self._text_predicates(tables, kind))
@@ -1192,7 +1202,7 @@ class _Context:
                 Predicate(
                     left=_COUNT_STAR,
                     op=op,
-                    right=Literal(threshold),
+                    right=self.prepared.literal(threshold),
                 ),
             )
         )
@@ -1298,7 +1308,7 @@ class _Context:
                         Predicate(
                             left=_COUNT_STAR,
                             op=">",
-                            right=Literal(threshold),
+                            right=self.prepared.literal(threshold),
                         ),
                     )
                 ),
@@ -1316,11 +1326,10 @@ class _Context:
         if sketch.shape == "from_subquery":
             if state.from_inner is None:
                 return None
-            query: Query = SelectQuery(
+            return SelectQuery(
                 select=(_COUNT_STAR,),
                 from_=FromClause(subquery=state.from_inner),
             )
-            return self._strip_values(query)
         if not state.tables:
             return None
         where = None
@@ -1350,20 +1359,17 @@ class _Context:
                 return None
             op = sketch.shape.split(":", 1)[1]
             left = replace(main, where=None) if op == "except" and where is None else main
-            query = SetQuery(op=op, left=left, right=state.setop_right)
-        else:
-            query = main
-        return self._strip_values(query)
-
-    def _strip_values(self, query: Query) -> Query:
-        """Replace literal values with placeholders for non-value models."""
-        if self.profile.predicts_values:
-            return query
-        return _replace_literals(query)
+            return SetQuery(op=op, left=left, right=state.setop_right)
+        return main
 
 
 # ----------------------------------------------------------------------
 # Helpers.
+
+
+def _placeholder(value) -> Literal:
+    """The placeholder, whatever the question's *value*."""
+    return _PLACEHOLDER
 
 
 def _fk_join(fk) -> JoinCond:
@@ -1373,44 +1379,4 @@ def _fk_join(fk) -> JoinCond:
         right=ColumnRef(
             column=fk.parent_column.lower(), table=fk.parent_table.lower()
         ),
-    )
-
-
-def _replace_literals(query: Query) -> Query:
-    """Rewrite every predicate literal to the 'value' placeholder."""
-    if isinstance(query, SetQuery):
-        return SetQuery(
-            op=query.op,
-            left=_replace_literals(query.left),
-            right=_replace_literals(query.right),
-        )
-
-    def fix_condition(condition: Condition | None) -> Condition | None:
-        if condition is None:
-            return None
-        fixed = []
-        for predicate in condition.predicates:
-            right = predicate.right
-            if isinstance(right, Literal):
-                right = Literal(PLACEHOLDER)
-            elif isinstance(right, (SelectQuery, SetQuery)):
-                right = _replace_literals(right)
-            elif isinstance(right, tuple):
-                right = tuple(Literal(PLACEHOLDER) for __ in right)
-            right2 = predicate.right2
-            if isinstance(right2, Literal):
-                right2 = Literal(PLACEHOLDER)
-            fixed.append(replace(predicate, right=right, right2=right2))
-        return Condition(
-            predicates=tuple(fixed), connectors=condition.connectors
-        )
-
-    from_ = query.from_
-    if from_.subquery is not None:
-        from_ = FromClause(subquery=_replace_literals(from_.subquery))
-    return replace(
-        query,
-        from_=from_,
-        where=fix_condition(query.where),
-        having=fix_condition(query.having),
     )

@@ -31,10 +31,7 @@ def example(tiny_benchmark):
 
 class TestGenerate:
     def test_one_beam_per_condition(self, meta_model, tiny_benchmark, example):
-        generator = CandidateGenerator(
-            meta_model,
-            GeneratorConfig(beam_per_condition=1),
-        )
+        generator = CandidateGenerator(meta_model)
         db = tiny_benchmark.dev.database(example.db_id)
         gold_meta = extract_metadata(example.sql)
         simple = QueryMetadata(tags=frozenset({"project"}), rating=100)

@@ -8,13 +8,39 @@ penalty, each text predicate with its value evidence and each number
 predicate with its proximity.  They draw noise one value at a time through
 the context's ``_gumbel``, ``_random`` and ``_skip``, and sort by
 ``-score``.  Each takes a ``_Context`` as its first argument, so a test can
-run it on a twin of the decode's context and compare the choices.
+run it on a twin of the decode's context and compare the choices.  Like
+the model, they build the question's literals, or the ``'value'``
+placeholder for a model without ``predicts_values``.
+
+``replace_literals`` is the whole-query rewrite that the placeholder
+models once applied to every finished decode; those models now build the
+placeholder where each literal is made.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.schema.schema import NUMBER, TEXT
-from repro.sqlkit.ast import AggExpr, Arith, ColumnRef, Literal, Predicate, Star
+from repro.sqlkit.ast import (
+    PLACEHOLDER,
+    AggExpr,
+    Arith,
+    ColumnRef,
+    Condition,
+    FromClause,
+    Literal,
+    Predicate,
+    Query,
+    SelectQuery,
+    SetQuery,
+    Star,
+)
+
+
+def literal(ctx, value):
+    """*value* as the decode's model writes it."""
+    return Literal(value if ctx.profile.predicts_values else PLACEHOLDER)
 
 
 def columns(ctx, tables, ctype=None):
@@ -145,10 +171,12 @@ def text_predicates(ctx, tables, kind):
         best_value, evidence = found
         if kind == "like":
             token = best_value.split()[0]
-            predicate = Predicate(left=ref, op="like", right=Literal(f"%{token}%"))
+            predicate = Predicate(
+                left=ref, op="like", right=literal(ctx, f"%{token}%")
+            )
         else:
             op = "=" if kind == "eq" else "!="
-            predicate = Predicate(left=ref, op=op, right=Literal(best_value))
+            predicate = Predicate(left=ref, op=op, right=literal(ctx, best_value))
         out.append((score + evidence + ctx._gumbel(0.5), predicate))
     return out
 
@@ -164,7 +192,10 @@ def number_predicates(ctx, tables, kind):
         for score, ref in ranked:
             affinity = ctx.prepared.proximity(ref, bounds[0])
             predicate = Predicate(
-                left=ref, op="between", right=Literal(low), right2=Literal(high)
+                left=ref,
+                op="between",
+                right=literal(ctx, low),
+                right2=literal(ctx, high),
             )
             out.append((score + affinity + 1.0 + ctx._gumbel(0.5), predicate))
         return out
@@ -183,8 +214,50 @@ def number_predicates(ctx, tables, kind):
         best_affinity = max((a for a, __, __ in affinities), default=0.0)
         for affinity, score, ref in affinities:
             nearest = 3.0 if affinity == best_affinity and affinity > 0 else 0.0
-            predicate = Predicate(left=ref, op=op, right=Literal(mention.value))
+            predicate = Predicate(
+                left=ref, op=op, right=literal(ctx, mention.value)
+            )
             out.append(
                 (score + affinity + nearest + 0.8 + ctx._gumbel(0.5), predicate)
             )
     return out
+
+
+def replace_literals(query: Query) -> Query:
+    """Rewrite every predicate literal to the 'value' placeholder."""
+    if isinstance(query, SetQuery):
+        return SetQuery(
+            op=query.op,
+            left=replace_literals(query.left),
+            right=replace_literals(query.right),
+        )
+
+    def fix_condition(condition: Condition | None) -> Condition | None:
+        if condition is None:
+            return None
+        fixed = []
+        for predicate in condition.predicates:
+            right = predicate.right
+            if isinstance(right, Literal):
+                right = Literal(PLACEHOLDER)
+            elif isinstance(right, (SelectQuery, SetQuery)):
+                right = replace_literals(right)
+            elif isinstance(right, tuple):
+                right = tuple(Literal(PLACEHOLDER) for __ in right)
+            right2 = predicate.right2
+            if isinstance(right2, Literal):
+                right2 = Literal(PLACEHOLDER)
+            fixed.append(replace(predicate, right=right, right2=right2))
+        return Condition(
+            predicates=tuple(fixed), connectors=condition.connectors
+        )
+
+    from_ = query.from_
+    if from_.subquery is not None:
+        from_ = FromClause(subquery=replace_literals(from_.subquery))
+    return replace(
+        query,
+        from_=from_,
+        where=fix_condition(query.where),
+        having=fix_condition(query.having),
+    )
