@@ -56,8 +56,6 @@ from repro.sqlkit.ast import (
 from repro.sqlkit.hardness import RATING_BASE, RATING_SCORES
 from repro.sqlkit.printer import to_sql
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
-
 #: Operator tags a metadata filter may relax when no sketch matches exactly.
 _SOFT_TAGS = frozenset({"agg", "limit", "having"})
 
