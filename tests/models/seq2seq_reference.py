@@ -2,7 +2,7 @@
 
 ``stage_select``, ``predicate_candidates``, ``text_predicates`` and
 ``number_predicates`` recompute on every call what
-:class:`~repro.models.seq2seq.QuestionContext` now keeps per request:
+:class:`~repro.models.question_context.QuestionContext` now keeps per request:
 the noise-free column list, each projected column's region bonus and key
 penalty, each text predicate with its value evidence and each number
 predicate with its proximity.  They draw noise one value at a time through
