@@ -44,7 +44,7 @@ def _final_states(model, conditions, monkeypatch):
 
     def recording(initial, stages, width):
         final = run(initial, stages, width)
-        context = stages[0].__self__
+        context = stages[0].__self__  # the stages are the decode's methods
         finals[-1] = [
             (float(item.score).hex(), context.finalize(item.state))
             for item in final
