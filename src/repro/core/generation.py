@@ -20,12 +20,11 @@ candidate is kept (the gate fails open, never killing the set).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.core.metadata import QueryMetadata
 from repro.core.resilience import TranslationReport, fire
-from repro.obs.trace import current_tracer
+from repro.obs.trace import maybe_span
 from repro.core.values import ground_values, question_values
 from repro.models.base import Candidate, TranslationModel
 from repro.models.cues import CueEvidence
@@ -120,7 +119,6 @@ class CandidateGenerator:
         candidate is visible in the trace tree.
         """
         fire("generator.generate")
-        tracer = current_tracer()
         config = self.config
         collected: list[GeneratedCandidate] = []
         seen: set[str] = set()
@@ -177,11 +175,7 @@ class CandidateGenerator:
             candidate: Candidate, metadata: QueryMetadata | None
         ) -> None:
             try:
-                with (
-                    tracer.span("ground", candidate=len(collected))
-                    if tracer is not None
-                    else nullcontext()
-                ):
+                with maybe_span("ground", candidate=len(collected)):
                     add(candidate, metadata)
             except Exception as exc:  # repolint: allow[broad-except] — candidate isolation
                 if report is not None:
@@ -192,11 +186,7 @@ class CandidateGenerator:
                         fallback="skip",
                     )
 
-        with (
-            tracer.span("generate.prepare")
-            if tracer is not None
-            else nullcontext()
-        ):
+        with maybe_span("generate.prepare"):
             try:
                 prepared = self.model.prepare(question, db, cues=cues)
             except Exception as exc:  # repolint: allow[broad-except] — isolation
@@ -207,10 +197,8 @@ class CandidateGenerator:
                 return []
 
         for condition_index, metadata in enumerate(compositions):
-            with (
-                tracer.span("generate.condition", condition=condition_index)
-                if tracer is not None
-                else nullcontext()
+            with maybe_span(
+                "generate.condition", condition=condition_index
             ) as span:
                 try:
                     beam = self.model.translate(
@@ -238,11 +226,7 @@ class CandidateGenerator:
                 break
 
         if len(collected) < config.max_candidates:
-            with (
-                tracer.span("generate.unconditioned")
-                if tracer is not None
-                else nullcontext()
-            ):
+            with maybe_span("generate.unconditioned"):
                 try:
                     beam = self.model.translate(
                         question,
