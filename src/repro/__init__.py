@@ -6,8 +6,8 @@ The package is organised bottom-up:
   hardness rating, unit decomposition and rule-based SQL-to-NL templates.
 - :mod:`repro.schema` -- relational schema model, in-memory database and a
   SQL executor used for execution-accuracy evaluation.
-- :mod:`repro.nn` -- a from-scratch numpy ML substrate (autograd, layers,
-  optimizers, losses, text encoders).
+- :mod:`repro.nn` -- a from-scratch numpy ML substrate (layers with
+  hand-written gradients, Adam, losses, the TF-IDF text featurizer).
 - :mod:`repro.data` -- synthetic Spider-like and ScienceBenchmark-like
   benchmark generators.
 - :mod:`repro.models` -- simulated base NL2SQL translation models

@@ -21,7 +21,6 @@ from repro.core.metadata import TAG_VOCABULARY, extract_metadata
 from repro.core.resilience import fire
 from repro.data.dataset import Dataset
 from repro.models.cues import CueEvidence, extract_cues
-from repro.nn.autograd import Tensor
 from repro.nn.layers import MLP
 from repro.nn.losses import bce_with_logits
 from repro.nn.optim import Adam
@@ -141,15 +140,19 @@ class MetadataClassifier:
             batches = 0
             for start in range(0, n, self.config.batch_size):
                 index = order[start : start + self.config.batch_size]
-                logits = self._net(Tensor(features[index]))
-                loss = bce_with_logits(logits, Tensor(targets[index]))
                 optimizer.zero_grad()
-                loss.backward()
+                epoch_loss += self._batch_loss(features[index], targets[index])
                 optimizer.step()
-                epoch_loss += loss.item()
                 batches += 1
             self._losses.append(epoch_loss / max(batches, 1))
         return self
+
+    def _batch_loss(self, features: np.ndarray, targets: np.ndarray) -> float:
+        """BCE of one batch; its gradients go into the network."""
+        logits, inputs = self._net.forward(features)
+        loss, grad = bce_with_logits(logits, targets)
+        self._net.backward(inputs, grad)
+        return float(loss)
 
     # ------------------------------------------------------------------
 

@@ -42,7 +42,6 @@ from repro.models.llm import FewShotLLM
 from repro.models.lexicon import Lexicon
 from repro.models.registry import MODEL_PRESETS
 from repro.models.sketch import Sketch, SketchModel
-from repro.nn.encoder import EncoderTower
 from repro.nn.layers import MLP, Linear
 from repro.nn.text import TextFeaturizer
 from repro.sqlkit.errors import (
@@ -196,19 +195,18 @@ def _sketch_model_from_json(data: dict) -> SketchModel:
 def _named_layers(pipeline: MetaSQL) -> dict[str, Linear]:
     """Every trained layer of *pipeline* under its checkpoint key prefix.
 
-    The classifier MLP's two layers keep the ``hidden``/``output`` names
-    of the towers; the stage-2 heads number theirs.
+    The two-layer MLPs of the classifier and the stage-1 towers name
+    their layers ``hidden`` and ``output``; the stage-2 heads number theirs.
     """
-    classifier = pipeline.classifier._net
-    named = dict(
-        zip(("classifier.hidden", "classifier.output"), classifier.layers)
-    )
-    for prefix, tower in (
+    named = {}
+    for prefix, net in (
+        ("classifier", pipeline.classifier._net),
         ("stage1.query", pipeline.stage1._query_tower),
         ("stage1.sql", pipeline.stage1._sql_tower),
     ):
-        named[f"{prefix}.hidden"] = tower.hidden
-        named[f"{prefix}.output"] = tower.output
+        named.update(
+            zip((f"{prefix}.hidden", f"{prefix}.output"), net.layers)
+        )
     for prefix, head in (
         ("stage2.coarse", pipeline.stage2._coarse_head),
         ("stage2.fine", pipeline.stage2._fine_head),
@@ -515,12 +513,12 @@ def _restore_pipeline(
     # Stage 1.
     stage1 = pipeline.stage1
     stage1._featurizer._idf = weights["stage1.featurizer.idf"]
-    stage1._query_tower = EncoderTower(
-        stage1._featurizer, stage1.config.embed_dim, rng, hidden_dim=128
-    )
-    stage1._sql_tower = EncoderTower(
-        stage1._featurizer, stage1.config.embed_dim, rng, hidden_dim=128
-    )
+    tower_sizes = [
+        *weights["stage1.query.hidden.weight"].shape,
+        stage1.config.embed_dim,
+    ]
+    stage1._query_tower = MLP(tower_sizes, rng)
+    stage1._sql_tower = MLP(tower_sizes, rng)
 
     # Every layer's trained weights (the stage-2 heads exist from birth).
     for name, layer in _named_layers(pipeline).items():

@@ -2,7 +2,7 @@
 
 The paper initialises both towers from a pre-trained sentence transformer
 and fine-tunes on (NL, SQL, similarity) triples.  Here each tower is a
-trainable projection over TF-IDF features (:mod:`repro.nn.encoder`); SQL
+two-layer tanh MLP over TF-IDF features (:class:`repro.nn.layers.MLP`); SQL
 queries enter the SQL tower as their canonical text concatenated with the
 rule-based NL description (:mod:`repro.sqlkit.sql2nl`), which bridges the
 two modalities the same way sub-word pre-training does for BERT-style
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.resilience import fire
-from repro.nn.autograd import Tensor
-from repro.nn.encoder import EncoderTower
+from repro.nn.layers import MLP
+from repro.nn.losses import mse_loss
 from repro.nn.optim import Adam
 from repro.nn.text import TextFeaturizer
 from repro.schema.schema import Schema
@@ -66,8 +66,8 @@ class DualTowerRanker:
     def __init__(self, config: Stage1Config | None = None) -> None:
         self.config = config or Stage1Config()
         self._featurizer = TextFeaturizer(buckets=self.config.buckets)
-        self._query_tower: EncoderTower | None = None
-        self._sql_tower: EncoderTower | None = None
+        self._query_tower: MLP | None = None
+        self._sql_tower: MLP | None = None
         self._losses: list[float] = []
 
     # ------------------------------------------------------------------
@@ -79,16 +79,13 @@ class DualTowerRanker:
         rng = np.random.default_rng(self.config.seed)
         corpus = [t.question for t in triples] + [t.sql_text for t in triples]
         self._featurizer.fit(corpus)
-        self._query_tower = EncoderTower(
-            self._featurizer, self.config.embed_dim, rng, hidden_dim=128
-        )
-        self._sql_tower = EncoderTower(
-            self._featurizer, self.config.embed_dim, rng, hidden_dim=128
-        )
-        question_features = self._featurizer.transform_many(
+        sizes = [self.config.buckets, 128, self.config.embed_dim]
+        self._query_tower = MLP(sizes, rng)
+        self._sql_tower = MLP(sizes, rng)
+        question_rows, question_index = self._featurize_distinct(
             [t.question for t in triples]
         )
-        sql_features = self._featurizer.transform_many(
+        sql_rows, sql_index = self._featurize_distinct(
             [t.sql_text for t in triples]
         )
         targets = np.array([t.target for t in triples])
@@ -102,29 +99,45 @@ class DualTowerRanker:
             epoch_loss, batches = 0.0, 0
             for start in range(0, n, self.config.batch_size):
                 index = order[start : start + self.config.batch_size]
-                q_emb = self._query_tower.encode_features(
-                    question_features[index]
-                )
-                s_emb = self._sql_tower.encode_features(sql_features[index])
-                cosines = _batch_cosine(q_emb, s_emb)
-                diff = cosines - Tensor(targets[index])
-                loss = (diff * diff).mean()
                 optimizer.zero_grad()
-                loss.backward()
+                epoch_loss += self._batch_loss(
+                    question_rows[question_index[index]],
+                    sql_rows[sql_index[index]],
+                    targets[index],
+                )
                 optimizer.step()
-                epoch_loss += loss.item()
                 batches += 1
             self._losses.append(epoch_loss / max(batches, 1))
         return self
 
+    def _batch_loss(
+        self,
+        question_features: np.ndarray,
+        sql_features: np.ndarray,
+        targets: np.ndarray,
+    ) -> float:
+        """MSE of one batch's cosines; its gradients go into both towers."""
+        q_emb, q_inputs = self._query_tower.forward(question_features)
+        s_emb, s_inputs = self._sql_tower.forward(sql_features)
+        loss, q_grad, s_grad = _cosine_mse(q_emb, s_emb, targets)
+        self._query_tower.backward(q_inputs, q_grad)
+        self._sql_tower.backward(s_inputs, s_grad)
+        return float(loss)
+
     # ------------------------------------------------------------------
 
-    def _embed(self, tower: EncoderTower, texts: list[str]) -> np.ndarray:
+    def _featurize_distinct(
+        self, texts: list[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Feature rows of the distinct *texts*, and each text's row index."""
+        row: dict[str, int] = {}
+        index = np.array([row.setdefault(text, len(row)) for text in texts])
+        return self._featurizer.transform_many(list(row)), index
+
+    def _embed(self, tower: MLP, texts: list[str]) -> np.ndarray:
         """Embeddings for *texts*: distinct texts featurized and embedded once."""
-        unique = list(dict.fromkeys(texts))
-        embedded = tower.embed_array(self._featurizer.transform_many(unique))
-        row = {text: index for index, text in enumerate(unique)}
-        return embedded[[row[text] for text in texts]]
+        rows, index = self._featurize_distinct(texts)
+        return tower.forward_array(rows)[index]
 
     def rank(
         self, question: str, sql_texts: list[str], top_k: int = 10
@@ -156,7 +169,26 @@ class DualTowerRanker:
         return list(self._losses)
 
 
-def _batch_cosine(a: Tensor, b: Tensor) -> Tensor:
+def _cosine_mse(
+    a: np.ndarray, b: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MSE of the row cosines of *a* and *b* against *targets*, and its
+    gradients with respect to *a* and *b*."""
     dot = (a * b).sum(axis=1)
-    norms = a.norm(axis=1) * b.norm(axis=1)
-    return dot / norms
+    power_a = (a * a).sum(axis=1) + 1e-12
+    power_b = (b * b).sum(axis=1) + 1e-12
+    norm_a, norm_b = power_a**0.5, power_b**0.5
+    norms = norm_a * norm_b
+    loss, grad = mse_loss(dot / norms, targets)
+    grad_dot = (grad / norms)[:, None]
+    grad_norms = -grad * dot / norms**2
+    grads = []
+    for x, other, power, partner_norm in (
+        (a, b, power_a, norm_b),
+        (b, a, power_b, norm_a),
+    ):
+        grad_power = grad_norms * partner_norm * 0.5 * power**-0.5
+        # x reaches the loss through x * other, then twice through x * x.
+        norm_term = grad_power[:, None] * x
+        grads.append(grad_dot * other + norm_term + norm_term)
+    return loss, grads[0], grads[1]

@@ -35,9 +35,8 @@ from repro.core.align import (
     sentence_features,
 )
 from repro.core.resilience import fire
-from repro.nn.autograd import Tensor
 from repro.nn.layers import MLP
-from repro.nn.losses import neural_ndcg_loss
+from repro.nn.losses import mse_loss, neural_ndcg_loss
 from repro.nn.optim import Adam
 
 
@@ -131,11 +130,9 @@ class MultiGrainedRanker:
             epoch_loss, count = 0.0, 0
             for index in order:
                 (sentence, per_phrase), targets = prepared[int(index)]
-                loss = self._list_loss(sentence, per_phrase, targets)
                 optimizer.zero_grad()
-                loss.backward()
+                epoch_loss += self._list_loss(sentence, per_phrase, targets)
                 optimizer.step()
-                epoch_loss += loss.item()
                 count += 1
             self._losses.append(epoch_loss / max(count, 1))
         self._fitted = True
@@ -146,41 +143,63 @@ class MultiGrainedRanker:
         sentence: np.ndarray,
         per_phrase: list[np.ndarray],
         targets: np.ndarray,
-    ) -> Tensor:
-        y_global = self._coarse_head(Tensor(sentence)).reshape(-1)
-        diff = y_global - Tensor(targets)
-        loss = (diff * diff).mean()
-        loss = loss + self.config.ndcg_weight * neural_ndcg_loss(
-            y_global * 0.1, targets * 0.3, tau=0.5
+    ) -> float:
+        """Multi-scale loss of one list; its gradients go into the heads."""
+        coarse, coarse_inputs = self._coarse_head.forward(sentence)
+        mse, ndcg, grad_global = self._listwise(coarse.reshape(-1), targets)
+        loss = mse + ndcg
+        self._coarse_head.backward(
+            coarse_inputs, grad_global.reshape(coarse.shape)
         )
         if not self.config.phrase_supervision:
-            return loss
+            return float(loss)
 
-        local_scores = []
-        phrase_score_tensors = []
-        for features in per_phrase:
-            scores = self._fine_head(Tensor(features)).reshape(-1)
-            phrase_score_tensors.append(scores)
-            local_scores.append(scores.mean())
-        y_local = Tensor.stack(local_scores)
-        local_diff = y_local - Tensor(targets)
-        loss = loss + (local_diff * local_diff).mean()
-        loss = loss + self.config.ndcg_weight * neural_ndcg_loss(
-            y_local * 0.1, targets * 0.3, tau=0.5
-        )
+        forwards = [self._fine_head.forward(x) for x in per_phrase]
+        scores = [out.reshape(-1) for out, __ in forwards]
+        y_local = np.stack([s.sum() * (1.0 / s.size) for s in scores])
+        mse, ndcg, grad_local = self._listwise(y_local, targets)
+        loss = loss + mse + ndcg
+        # d y_L / d phrase score: each group's mean spreads evenly.
+        grad_scores = [
+            np.full(s.size, grad_local[i] * (1.0 / s.size))
+            for i, s in enumerate(scores)
+        ]
+        groups = list(range(len(scores)))
 
         # Phrase triplet (hinge): the worst candidate's phrases should score
         # below the best candidate's phrases by a margin.
         order = np.argsort(-targets)
         best, worst = int(order[0]), int(order[-1])
         if targets[best] - targets[worst] >= 2.0:
-            positive = phrase_score_tensors[best].mean()
-            negative = phrase_score_tensors[worst].mean()
-            hinge = (
-                negative - positive + self.config.triplet_margin
-            ).clip_min(0.0)
+            margin = self.config.triplet_margin
+            hinge = max(y_local[worst] - y_local[best] + margin, 0.0)
             loss = loss + self.config.triplet_weight * hinge
-        return loss
+            slope = self.config.triplet_weight * (hinge > 0.0)
+            for group, sign in ((best, -1.0), (worst, 1.0)):
+                size = scores[group].size
+                grad_scores[group] += sign * slope * (1.0 / size)
+            # The reference engine adds the fine head's gradients group by
+            # group, the hinge's two groups last (worst, then best); the
+            # same order gives the same bits.
+            groups = [g for g in groups if g not in (best, worst)]
+            groups += [worst, best]
+        for group in groups:
+            out, inputs = forwards[group]
+            self._fine_head.backward(
+                inputs, grad_scores[group].reshape(out.shape)
+            )
+        return float(loss)
+
+    def _listwise(
+        self, scores: np.ndarray, targets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """MSE and weighted NeuralNDCG of one score list, and their gradient."""
+        weight = self.config.ndcg_weight
+        mse, grad = mse_loss(scores, targets)
+        ndcg, grad_ndcg = neural_ndcg_loss(
+            scores * 0.1, targets * 0.3, tau=0.5, scale=weight
+        )
+        return mse, weight * ndcg, grad + grad_ndcg * 0.1
 
     # ------------------------------------------------------------------
 

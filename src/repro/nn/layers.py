@@ -1,36 +1,28 @@
-"""Dense layers built on the autograd Tensor."""
+"""Dense layers on plain arrays, with a hand-written backward pass."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+
+class Parameter:
+    """A trainable array and the gradient accumulated into it."""
+
+    __slots__ = ("data", "grad")
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data = data
+        self.grad: np.ndarray | None = None
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add *grad* (a new array this parameter may keep) into ``grad``."""
+        if self.grad is None:
+            self.grad = grad
+        else:
+            self.grad += grad
 
 
-class Module:
-    """Base class providing parameter collection."""
-
-    def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for value in self.__dict__.values():
-            if isinstance(value, Tensor) and value.requires_grad:
-                params.append(value)
-            elif isinstance(value, Module):
-                params.extend(value.parameters())
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        params.extend(item.parameters())
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        params.append(item)
-        return params
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.grad = None
-
-
-class Linear(Module):
+class Linear:
     """Affine layer ``y = x W + b`` with Xavier-uniform initialisation."""
 
     def __init__(
@@ -38,14 +30,11 @@ class Linear(Module):
     ) -> None:
         bound = np.sqrt(6.0 / (in_features + out_features))
         weight = rng.uniform(-bound, bound, size=(in_features, out_features))
-        self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        self.weight = Parameter(weight)
+        self.bias = Parameter(np.zeros(out_features))
 
 
-class MLP(Module):
+class MLP:
     """Multi-layer perceptron with tanh hidden activations."""
 
     def __init__(self, sizes: list[int], rng: np.random.Generator) -> None:
@@ -55,18 +44,38 @@ class MLP(Module):
             Linear(sizes[i], sizes[i + 1], rng) for i in range(len(sizes) - 1)
         ]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def parameters(self) -> list[Parameter]:
+        """Every layer's weight and bias, input layer first."""
+        return [p for layer in self.layers for p in (layer.weight, layer.bias)]
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Output for the ``(batch, features)`` array *x*, and each layer's input.
+
+        The inputs are what :meth:`backward` needs: *x* and every hidden
+        tanh activation.
+        """
+        inputs = []
         for layer in self.layers[:-1]:
-            x = layer(x).tanh()
-        return self.layers[-1](x)
+            inputs.append(x)
+            x = np.tanh(x @ layer.weight.data + layer.bias.data)
+        inputs.append(x)
+        last = self.layers[-1]
+        return x @ last.weight.data + last.bias.data, inputs
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """No-grad batched forward for the inference hot path.
+        """The output alone: the inference hot path."""
+        return self.forward(x)[0]
 
-        Same arithmetic as :meth:`__call__` without building the
-        autograd graph; *x* is a 2-D ``(batch, features)`` array.
+    def backward(self, inputs: list[np.ndarray], grad: np.ndarray) -> None:
+        """Accumulate the parameter gradients of one :meth:`forward`.
+
+        *grad* is the loss gradient with respect to the output.  Each
+        layer's bias gradient is the column sum, its weight gradient
+        ``input.T @ grad``; the input's own gradient is never formed.
         """
-        for layer in self.layers[:-1]:
-            x = np.tanh(x @ layer.weight.data + layer.bias.data)
-        last = self.layers[-1]
-        return x @ last.weight.data + last.bias.data
+        for index in range(len(self.layers) - 1, -1, -1):
+            layer, x = self.layers[index], inputs[index]
+            layer.bias.accumulate(grad.sum(axis=0))
+            layer.weight.accumulate(x.T @ grad)
+            if index:
+                grad = (grad @ layer.weight.data.T) * (1.0 - x**2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn.layers import Parameter
 
 
 class Adam:
@@ -19,7 +19,7 @@ class Adam:
 
     def __init__(
         self,
-        params: list[Tensor],
+        params: list[Parameter],
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,

@@ -3,7 +3,8 @@
 Replaces pre-trained sentence encoders: text is mapped to a fixed-size sparse
 bag-of-features vector (word unigrams + bigrams + character trigrams hashed
 into a fixed number of buckets, TF-IDF weighted), which the trainable
-:mod:`repro.nn.encoder` towers project into a dense embedding space.
+stage-1 towers (two-layer :class:`repro.nn.layers.MLP` networks) project
+into a dense embedding space.
 
 ``transform`` and ``transform_many`` share one feature-accumulation path
 (:func:`_count_matrix`), so single-text ``transform`` is exactly the

@@ -1,4 +1,4 @@
-"""Per-item reference rankers: one autograd forward pass per candidate.
+"""Per-item reference rankers: one network forward per candidate.
 
 The plain reading of Eq. 1 (stage 1) and Eq. 5 (stage 2), which the
 library's batched ``rank`` paths are checked against.
@@ -14,7 +14,6 @@ from repro.core.align import (
     question_view,
     sentence_features,
 )
-from repro.nn.autograd import Tensor
 
 
 def _ranked(scores: list[float]) -> list[tuple[int, float]]:
@@ -26,7 +25,7 @@ def stage1_rank(ranker, question, sql_texts, top_k=10):
 
     def embed(tower, text):
         features = ranker._featurizer.transform(text)
-        return tower.encode_features(features).numpy()
+        return tower.forward_array(features)
 
     q = embed(ranker._query_tower, question)
     scores = []
@@ -43,9 +42,9 @@ def stage2_score(ranker, question, surface, phrases) -> float:
     group = phrases or (surface,)
     words = phrase_words(group)
     sentence = sentence_features(view, surface, phrases, words)
-    y_global = float(ranker._coarse_head(Tensor(sentence)).numpy()[0])
+    y_global = float(ranker._coarse_head.forward_array(sentence)[0])
     features = np.stack([phrase_features(view, p, words) for p in group])
-    phrase_scores = ranker._fine_head(Tensor(features)).numpy().reshape(-1)
+    phrase_scores = ranker._fine_head.forward_array(features).reshape(-1)
     return y_global + float(phrase_scores.mean())
 
 

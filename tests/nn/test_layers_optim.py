@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.autograd import Tensor
-from repro.nn.layers import MLP, Linear, Module
+from repro.nn.layers import MLP, Linear, Parameter
 from repro.nn.losses import mse_loss
 from repro.nn.optim import Adam
+from tests.nn import autograd_reference as ref
 
 
 class ReferenceAdam:
@@ -46,13 +46,11 @@ class ReferenceAdam:
 
 class TestLinear:
     def test_output_shape(self, rng):
-        layer = Linear(4, 3, rng)
-        out = layer(Tensor(np.ones((5, 4))))
+        out = MLP([4, 3], rng).forward_array(np.ones((5, 4)))
         assert out.shape == (5, 3)
 
     def test_parameters_collected(self, rng):
-        layer = Linear(4, 3, rng)
-        assert len(layer.parameters()) == 2
+        assert len(MLP([4, 3], rng).parameters()) == 2
 
     def test_bias_starts_zero(self, rng):
         layer = Linear(4, 3, rng)
@@ -68,20 +66,33 @@ class TestMLP:
         mlp = MLP([4, 8, 2], rng)
         assert len(mlp.parameters()) == 4
 
-    def test_nested_module_collection(self, rng):
-        class Wrapper(Module):
-            def __init__(self):
-                self.inner = MLP([2, 2], rng)
-                self.towers = [Linear(2, 2, rng), Linear(2, 2, rng)]
-
-        assert len(Wrapper().parameters()) == 6
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 7), min_size=2, max_size=4),
+        batch=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_backward_matches_reference(self, sizes, batch, seed):
+        """Forward and backward of any depth give the engine's bytes."""
+        rng = np.random.default_rng(seed)
+        mlp = MLP(sizes, rng)
+        x = rng.normal(size=(batch, sizes[0]))
+        grad = rng.normal(size=(batch, sizes[-1]))
+        leaves = ref.leaves(mlp)
+        expected = ref.mlp_forward(leaves, ref.Tensor(x))
+        (expected * ref.Tensor(grad)).sum().backward()
+        out, inputs = mlp.forward(x)
+        mlp.backward(inputs, grad)
+        assert out.tobytes() == expected.data.tobytes()
+        for param, leaf in zip(mlp.parameters(), leaves):
+            assert param.grad.tobytes() == leaf.grad.tobytes()
 
     def test_zero_grad(self, rng):
         mlp = MLP([3, 2], rng)
-        out = mlp(Tensor(np.ones((1, 3)))).sum()
-        out.backward()
+        out, inputs = mlp.forward(np.ones((1, 3)))
+        mlp.backward(inputs, np.ones_like(out))
         assert mlp.layers[0].weight.grad is not None
-        mlp.zero_grad()
+        Adam(mlp.parameters()).zero_grad()
         assert mlp.layers[0].weight.grad is None
 
 
@@ -94,21 +105,21 @@ class TestOptimizers:
 
     def test_fits_linear_regression(self, rng):
         features, targets = self._regression_task(rng)
-        model = Linear(5, 1, rng)
+        model = MLP([5, 1], rng)
         optimizer = Adam(model.parameters(), lr=0.05)
         first = None
         for __ in range(300):
-            predictions = model(Tensor(features)).reshape(-1)
-            loss = mse_loss(predictions, Tensor(targets))
+            predictions, inputs = model.forward(features)
+            loss, grad = mse_loss(predictions.reshape(-1), targets)
             if first is None:
-                first = loss.item()
+                first = loss
             optimizer.zero_grad()
-            loss.backward()
+            model.backward(inputs, grad.reshape(-1, 1))
             optimizer.step()
-        assert loss.item() < first * 0.05
+        assert loss < first * 0.05
 
     def test_adam_skips_gradless_params(self, rng):
-        a = Tensor(np.ones(3), requires_grad=True)
+        a = Parameter(np.ones(3))
         optimizer = Adam([a], lr=0.1)
         optimizer.step()  # no grad: must not move or crash
         assert np.allclose(a.data, 1.0)
@@ -134,9 +145,9 @@ class TestOptimizers:
         rng = np.random.default_rng(seed)
         shapes = [(6, 4), (4,), *extra_shapes, (3, 5)]
         initial = [rng.normal(size=shape) for shape in shapes]
-        ours = [Tensor(value.copy(), requires_grad=True) for value in initial]
-        ref = [Tensor(value.copy(), requires_grad=True) for value in initial]
-        optimizer, reference = Adam(ours, lr=lr), ReferenceAdam(ref, lr=lr)
+        ours = [Parameter(value.copy()) for value in initial]
+        theirs = [Parameter(value.copy()) for value in initial]
+        optimizer, reference = Adam(ours, lr=lr), ReferenceAdam(theirs, lr=lr)
         for gap in gaps:
             for index, shape in enumerate(shapes):
                 if gap and index == len(shapes) - 1:
@@ -144,8 +155,8 @@ class TestOptimizers:
                 else:
                     grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 2)
                 ours[index].grad = None if grad is None else grad.copy()
-                ref[index].grad = grad
+                theirs[index].grad = grad
             optimizer.step()
             reference.step()
-            for mine, theirs in zip(ours, ref):
-                assert np.array_equal(mine.data, theirs.data)
+            for mine, their in zip(ours, theirs):
+                assert np.array_equal(mine.data, their.data)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.encoder import EncoderTower
+from repro.nn.layers import MLP
 from repro.nn.text import (
     TextFeaturizer,
     _count_matrix,
@@ -15,6 +15,7 @@ from repro.nn.text import (
     text_features,
     tokenize_text,
 )
+from tests.nn import autograd_reference as ref
 
 
 def reference_count_matrix(texts, buckets, include_chars):
@@ -139,21 +140,24 @@ class TestTextFeaturizer:
 
 
 class TestEncoderTower:
+    """The stage-1 towers: two-layer MLPs over TF-IDF features."""
+
     def test_embedding_shape(self, rng):
         featurizer = TextFeaturizer(buckets=128).fit(["hello world"])
-        tower = EncoderTower(featurizer, embed_dim=16, rng=rng)
-        out = tower.encode_features(featurizer.transform("hello"))
+        tower = MLP([featurizer.buckets, 32, 16], rng)
+        out = tower.forward_array(featurizer.transform("hello"))
         assert out.shape == (16,)
 
     def test_batch_encoding(self, rng):
         featurizer = TextFeaturizer(buckets=128).fit(["hello world"])
-        tower = EncoderTower(featurizer, embed_dim=16, rng=rng)
+        tower = MLP([featurizer.buckets, 32, 16], rng)
         features = featurizer.transform_many(["a", "b", "c"])
-        out = tower.embed_array(features)
+        out = tower.forward_array(features)
         assert out.shape == (3, 16)
-        assert np.array_equal(out, tower.encode_features(features).numpy())
+        expected = ref.mlp_forward(ref.leaves(tower), ref.Tensor(features))
+        assert np.array_equal(out, expected.data)
 
     def test_trainable_parameters(self, rng):
         featurizer = TextFeaturizer(buckets=128).fit(["x"])
-        tower = EncoderTower(featurizer, embed_dim=8, rng=rng)
+        tower = MLP([featurizer.buckets, 16, 8], rng)
         assert len(tower.parameters()) == 4
