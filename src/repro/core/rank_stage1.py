@@ -134,26 +134,28 @@ class DualTowerRanker:
         index = np.array([row.setdefault(text, len(row)) for text in texts])
         return self._featurizer.transform_many(list(row)), index
 
-    def _embed(self, tower: MLP, texts: list[str]) -> np.ndarray:
-        """Embeddings for *texts*: distinct texts featurized and embedded once."""
-        rows, index = self._featurize_distinct(texts)
-        return tower.forward_array(rows)[index]
-
     def rank(
         self, question: str, sql_texts: list[str], top_k: int = 10
     ) -> list[tuple[int, float]]:
         """Indices of the top-k SQL texts with their cosine scores (Eq. 1).
 
-        One featurization and one tower forward each for the question
-        and the candidate texts, then one vectorized cosine.
+        One featurization of the question and the distinct candidate
+        texts, row 0 through the query tower and the other rows through
+        the SQL tower, then one vectorized cosine.
         """
         fire("stage1.rank")
         if not sql_texts:
             return []
         if self._query_tower is None or self._sql_tower is None:
             raise RuntimeError("stage-1 ranker is not fitted")
-        q = self._embed(self._query_tower, [question])[0]
-        sql_embeddings = self._embed(self._sql_tower, sql_texts)
+        rows, index = self._featurize_distinct([question, *sql_texts])
+        q = self._query_tower.forward_array(rows[:1])[0]
+        sql_index = index[1:]
+        # A candidate text equal to the question shares its row 0.
+        first = 0 if (sql_index == 0).any() else 1
+        sql_embeddings = self._sql_tower.forward_array(rows[first:])[
+            sql_index - first
+        ]
         denominators = float(np.linalg.norm(q)) * np.linalg.norm(
             sql_embeddings, axis=1
         )

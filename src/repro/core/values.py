@@ -10,7 +10,6 @@ the NL question.
 
 from __future__ import annotations
 
-import re
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -151,15 +150,8 @@ class _Grounder:
         """Picklist search: the column value best covered by the question."""
         token_set = self.tokens
         best_value, best_score = None, 0.0
-        seen: set[str] = set()
-        for value in self.db.column_values(ref.table, ref.column):
-            if not isinstance(value, str) or value in seen:
-                continue
-            seen.add(value)
-            words = set(re.findall(r"[a-z0-9]+", value.lower()))
-            if not words:
-                continue
-            coverage = len(words & token_set) / len(words)
+        for value, __, words in self.db.index.values(ref.table, ref.column):
+            coverage = len(token_set.intersection(words)) / len(words)
             score = coverage * (1.0 + 0.1 * len(words))
             if coverage == 1.0 and score > best_score:
                 best_score, best_value = score, value

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.models.mentions import extract_mentions, question_tokens
+from repro.nn.text import tokenize_text
 from repro.schema.database import Database
 
 if TYPE_CHECKING:
@@ -60,6 +61,8 @@ _SUPERLATIVE_RE = re.compile(
     r"(?:with|has) the (highest|largest|most|lowest|smallest|least)"
 )
 _DISTINCT_CUES = ("different", "distinct", "unique")
+# The projection is phrased before the first of/from/for.
+_PROJECTION_END_RE = re.compile(r"\s(?:of|from|for)\s")
 
 _COUNT_OPENERS = (
     "how many",
@@ -125,29 +128,13 @@ def find_mentioned_values(
     """
     tokens = set(question_tokens(question))
     hits: list[tuple[str, str, str, float]] = []
-    seen_values: set[str] = set()
-    for table in db.schema.tables:
-        for column in table.columns:
-            if column.ctype != "text":
+    for (table, column), values in db.index.text_values.items():
+        seen: set[str] = set()
+        for value, lower, words in values:
+            if not tokens.issuperset(words) or lower in seen:
                 continue
-            for value in db.column_values(table.name, column.name):
-                if not isinstance(value, str):
-                    continue
-                key = value.lower()
-                value_tokens = set(re.findall(r"[a-z0-9]+", key))
-                if not value_tokens or not value_tokens <= tokens:
-                    continue
-                if (table.name, column.name, key) in seen_values:
-                    continue
-                seen_values.add((table.name, column.name, key))
-                hits.append(
-                    (
-                        table.name.lower(),
-                        column.name.lower(),
-                        value,
-                        float(len(value_tokens)),
-                    )
-                )
+            seen.add(lower)
+            hits.append((table, column, value, float(len(words))))
     hits.sort(key=lambda h: -h[3])
     # Keep at most one hit per (token-coverage) value string: prefer longest.
     deduped: list[tuple[str, str, str, float]] = []
@@ -263,7 +250,7 @@ def extract_cues(question: str, db: Database) -> CueEvidence:
     evidence.has_or = " or " in text and evidence.setop != "union"
 
     # Projection count: " and "-separated heads before the table mention.
-    projection_region = re.split(r"\s(?:of|from|for)\s", text, maxsplit=1)[0]
+    projection_region = _PROJECTION_END_RE.split(text, maxsplit=1)[0]
     evidence.n_select_hint = min(projection_region.count(" and ") + 1, 3)
 
     # Join hint: distinct tables mentioned in plural form (the renderer says
@@ -281,7 +268,7 @@ def extract_cues(question: str, db: Database) -> CueEvidence:
 
 def _value_position(tokens: list[str], value: str) -> int:
     """Start position of the contiguous occurrence of *value* in *tokens*."""
-    words = re.findall(r"[a-z0-9]+", value.lower())
+    words = tokenize_text(value)
     if not words:
         return -1
     for start in range(len(tokens) - len(words) + 1):

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 
 from repro.data.dataset import Dataset
 from repro.nn.text import tokenize_text
-from repro.schema.schema import Table
+from repro.schema.database import Database
 from repro.sqlkit.ast import (
     Query,
     iter_column_refs,
@@ -107,34 +107,31 @@ class Lexicon:
         return score
 
     @staticmethod
-    def _name_overlap(tokens: set[str], phrases: list[str]) -> float:
+    def _name_overlap(
+        tokens: set[str], phrase_words: tuple[tuple[str, ...], ...]
+    ) -> float:
         """String-matching signal: identifier/phrase tokens in the question."""
         best = 0.0
-        for phrase in phrases:
-            phrase_tokens = set(tokenize_text(phrase))
-            if not phrase_tokens:
-                continue
-            hit = len(phrase_tokens & tokens) / len(phrase_tokens)
+        for words in phrase_words:
+            hit = len(tokens.intersection(words)) / len(words)
             best = max(best, hit)
         return best
 
-    def score_table(self, question: str, db_id: str, table: Table) -> float:
-        """Alignment score between the question and a table."""
-        tokens = content_tokens(question)
+    def score_table(self, tokens: list[str], db: Database, table: str) -> float:
+        """Alignment score between the question's ``content_tokens`` and a
+        table of *db*."""
         token_set = set(tokens)
+        words = db.index.table(table)
         learned = self._association(
-            f"{db_id}:tab:{table.name.lower()}", tokens
+            f"{db.schema.db_id}:tab:{table.lower()}", tokens
         )
-        phrases = [table.name, table.nl, *table.synonyms]
-        overlap = self._name_overlap(token_set, phrases)
+        overlap = self._name_overlap(token_set, words.phrase_words)
         # Column coverage: a table whose column phrases blanket the question
         # is almost certainly in the FROM clause.
         column_hits = sorted(
             (
-                self._name_overlap(
-                    token_set, [c.name, c.nl, *c.synonyms]
-                )
-                for c in table.columns
+                self._name_overlap(token_set, column.phrase_words)
+                for column in words.columns.values()
             ),
             reverse=True,
         )
@@ -142,14 +139,12 @@ class Lexicon:
         return learned + 3.0 * overlap + 1.2 * coverage
 
     def score_column(
-        self, question: str, db_id: str, table: Table, column_name: str
+        self, tokens: list[str], db: Database, table: str, column: str
     ) -> float:
-        """Alignment score between the question and one column."""
-        tokens = content_tokens(question)
-        token_set = set(tokens)
-        column = table.column(column_name)
-        key = f"{table.name.lower()}.{column.name.lower()}"
-        learned = self._association(f"{db_id}:col:{key}", tokens)
-        phrases = [column.name, column.nl, *column.synonyms]
-        overlap = self._name_overlap(token_set, phrases)
+        """Alignment score between the question's ``content_tokens`` and one
+        column of *db*."""
+        words = db.index.column(table, column)
+        key = f"{table.lower()}.{column.lower()}"
+        learned = self._association(f"{db.schema.db_id}:col:{key}", tokens)
+        overlap = self._name_overlap(set(tokens), words.phrase_words)
         return learned + 4.0 * overlap

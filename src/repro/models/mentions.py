@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-_TOKEN_RE = re.compile(r"\d+\.\d+|[a-z0-9]+")
+from repro.nn.text import question_tokens
+
 _NUMBER_RE = re.compile(r"^\d+(?:\.\d+)?$")
 
 #: cue word(s) -> comparison operator; bigrams are checked before unigrams.
@@ -46,11 +47,6 @@ class NumberMention:
     is_count_threshold: bool = False  # "... more than 3 records"
     is_limit: bool = False  # "top 3 ..."
     is_between_bound: bool = False
-
-
-def question_tokens(question: str) -> list[str]:
-    """Lowercased question tokens with positions preserved."""
-    return _TOKEN_RE.findall(question.lower())
 
 
 def extract_mentions(question: str) -> list[NumberMention]:
@@ -100,5 +96,5 @@ def extract_mentions(question: str) -> list[NumberMention]:
 
 def phrase_positions(tokens: list[str], phrase: str) -> list[int]:
     """Token positions in *tokens* where any word of *phrase* occurs."""
-    words = set(_TOKEN_RE.findall(phrase.lower()))
+    words = set(question_tokens(phrase))
     return [i for i, t in enumerate(tokens) if t in words]

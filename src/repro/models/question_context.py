@@ -8,7 +8,6 @@ and finalisation stay in :mod:`repro.models.seq2seq`.
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.models.lexicon import content_tokens
@@ -18,6 +17,7 @@ from repro.models.mentions import (
     question_tokens,
 )
 from repro.models.sketch import Sketch
+from repro.nn.text import tokenize_text
 from repro.schema.database import Database
 from repro.sqlkit.ast import (
     PLACEHOLDER,
@@ -102,8 +102,14 @@ class QuestionContext:
         self.sketches = tuple(sketches)
         #: ``literal(value)`` builds the literal a predicate compares with.
         self.literal = Literal if model.predicts_values else _placeholder
-        self.tokens = set(content_tokens(question))
+        #: the lexicon's view of the question, as a list and a set.
+        self.content_tokens = content_tokens(question)
+        self.tokens = set(self.content_tokens)
         self.qtokens = question_tokens(question)
+        #: positions of each question token.
+        self.token_positions: dict[str, list[int]] = {}
+        for position, token in enumerate(self.qtokens):
+            self.token_positions.setdefault(token, []).append(position)
         self.mentions = extract_mentions(question)
         #: indices into ``mentions`` of those usable as WHERE comparison values.
         self.cmp_indices = [
@@ -179,9 +185,8 @@ class QuestionContext:
         """Noise-free lexicon score of one table."""
         score = self._table_scores.get(table_name)
         if score is None:
-            schema = self.db.schema
             score = self.model.lexicon.score_table(
-                self.question, schema.db_id, schema.table(table_name)
+                self.content_tokens, self.db, table_name
             )
             self._table_scores[table_name] = score
         return score
@@ -241,9 +246,8 @@ class QuestionContext:
 
     def column_score(self, table_name: str, column_name: str) -> float:
         """Noise-free lexicon score of one column."""
-        schema = self.db.schema
         return self.model.lexicon.score_column(
-            self.question, schema.db_id, schema.table(table_name), column_name
+            self.content_tokens, self.db, table_name, column_name
         )
 
     def columns(
@@ -309,15 +313,8 @@ class QuestionContext:
         if ref in self._text_values:
             return self._text_values[ref]
         best_value, best_hit = None, 0.0
-        seen_values = set()
-        for value in self.db.column_values(ref.table, ref.column):
-            if not isinstance(value, str) or value in seen_values:
-                continue
-            seen_values.add(value)
-            value_tokens = set(re.findall(r"[a-z0-9]+", value.lower()))
-            if not value_tokens:
-                continue
-            hit = len(value_tokens & self.tokens) / len(value_tokens)
+        for value, __, words in self.db.index.values(ref.table, ref.column):
+            hit = len(self.tokens.intersection(words)) / len(words)
             if hit > best_hit:
                 best_hit, best_value = hit, value
         found = None
@@ -397,35 +394,21 @@ class QuestionContext:
         the shared word "battle".
         """
         key = ref.key()
-        if key in self.phrase_positions:
-            return self.phrase_positions[key]
-        schema = self.db.schema
-        table = schema.table(ref.table) if ref.table else None
-        phrases = [ref.column.replace("_", " ")]
-        table_words: set[str] = set()
-        if table is not None:
-            table_words = set(question_tokens(table.nl)) | set(
-                question_tokens(table.name.replace("_", " "))
-            )
-            if table.has_column(ref.column):
-                column = table.column(ref.column)
-                phrases.append(column.nl)
-                phrases.extend(column.synonyms)
-        exact: list[int] = []
-        loose: list[int] = []
-        for phrase in phrases:
-            words = question_tokens(phrase)
-            if not words:
-                continue
+        positions = self.phrase_positions.get(key)
+        if positions is not None:
+            return positions
+        exact: set[int] = set()
+        loose: set[int] = set()
+        for words, distinctive in self.db.index.column(
+            ref.table, ref.column
+        ).mention_words:
             # Contiguous full-phrase match.
-            for start in range(len(self.qtokens) - len(words) + 1):
+            for start in self.token_positions.get(words[0], ()):
                 if self.qtokens[start : start + len(words)] == words:
-                    exact.extend(range(start, start + len(words)))
-            distinctive = [w for w in words if w not in table_words] or words
-            loose.extend(
-                i for i, t in enumerate(self.qtokens) if t in set(distinctive)
-            )
-        positions = sorted(set(exact)) if exact else sorted(set(loose))
+                    exact.update(range(start, start + len(words)))
+            for word in distinctive:
+                loose.update(self.token_positions.get(word, ()))
+        positions = sorted(exact or loose)
         self.phrase_positions[key] = positions
         return positions
 
@@ -439,7 +422,7 @@ class QuestionContext:
 
     def value_proximity(self, ref: ColumnRef, value: str) -> float:
         """Affinity between a column mention and a literal value mention."""
-        value_words = re.findall(r"[a-z0-9]+", value.lower())
+        value_words = tokenize_text(value)
         if not value_words:
             return 0.0
         value_positions = [

@@ -256,12 +256,22 @@ class SketchColumns:
 
 
 class _SignatureTable(NamedTuple):
-    """The per-signature part of a sketch score, most frequent first."""
+    """The question-independent parts of a sketch score.
+
+    The per-signature part, most frequent signature first, and the
+    naive-Bayes terms of every facet value, in the order of
+    ``_facet_value_counts`` (facet, then value).
+    """
 
     columns: SketchColumns
     facet_keys: list[tuple[int, object]]  # (FACET_NAMES position, value)
     facet_codes: np.ndarray  # (facet, row) -> index into facet_keys
     prior: np.ndarray
+    facet_values: list[tuple[str, list]]  # each facet's values, in row order
+    token_columns: dict[str, int]  # vocabulary token -> column of log_terms
+    log_base: np.ndarray  # per facet value: log of its training frequency
+    #: (facet value, token): log of the token's smoothed probability.
+    log_terms: np.ndarray
 
 
 class SketchModel:
@@ -272,10 +282,11 @@ class SketchModel:
     log-posteriors plus a signature prior.  Only signatures observed in
     training are considered.
 
-    The per-signature part of that score (facet-value codes, prior term
-    and the sketch columns the cue bonus reads) lives in a signature table
-    built on first use and dropped by ``fit``: :mod:`repro.core.persist`
-    restores the counts without calling ``fit``.
+    The question-independent part of that score (facet-value codes,
+    prior term and the sketch columns the cue bonus reads, and each facet
+    value's log terms) lives in a signature table built on first use and
+    dropped by ``fit``: :mod:`repro.core.persist` restores the counts
+    without calling ``fit``.
     """
 
     def __init__(self, smoothing: float = 0.3) -> None:
@@ -328,8 +339,49 @@ class SketchModel:
                 prior=np.array(
                     [0.35 * math.log(count + 1.0) for __, count in counted]
                 ),
+                **self._log_table(),
             )
         return self._table
+
+    def _log_table(self) -> dict:
+        """Each facet value's naive-Bayes terms, by ``math.log``.
+
+        One row per facet value: the log of its frequency, and per
+        vocabulary token the log of ``(count + smoothing) / denominator``;
+        a token the value never saw has the row's default, the log of
+        ``smoothing / denominator``.
+        """
+        token_columns = {t: i for i, t in enumerate(sorted(self._vocab))}
+        vocab_size = max(len(self._vocab), 1)
+        rows = sum(map(len, self._facet_value_counts.values()))
+        log_base = np.empty(rows)
+        log_terms = np.empty((rows, len(token_columns)))
+        facet_values = []
+        row = 0
+        for facet, value_counts in self._facet_value_counts.items():
+            facet_values.append((facet, list(value_counts)))
+            for value, count in value_counts.items():
+                log_base[row] = math.log(count / self._total)
+                denominator = (
+                    self._facet_token_totals[(facet, value)]
+                    + self.smoothing * vocab_size
+                )
+                # Multinomial smoothing: rare classes do not win on unseen
+                # tokens (their denominator shrinks too).
+                log_terms[row] = math.log(self.smoothing / denominator)
+                for token, n in self._facet_token_counts[(facet, value)].items():
+                    column = token_columns.get(token)
+                    if column is not None:
+                        log_terms[row, column] = math.log(
+                            (n + self.smoothing) / denominator
+                        )
+                row += 1
+        return {
+            "facet_values": facet_values,
+            "token_columns": token_columns,
+            "log_base": log_base,
+            "log_terms": log_terms,
+        }
 
     @property
     def signatures(self) -> list[Sketch]:
@@ -339,30 +391,34 @@ class SketchModel:
     def facet_log_posteriors(
         self, question: str
     ) -> dict[str, dict[object, float]]:
-        """Per-facet normalised log-posteriors given *question*."""
-        tokens = [t for t in set(content_tokens(question)) if t in self._vocab]
-        vocab_size = max(len(self._vocab), 1)
+        """Per-facet normalised log-posteriors given *question*.
+
+        Each facet value's log-posterior is its base term plus the log
+        term of every question token in the vocabulary: one gathered
+        column of the table per token, added in the order of the
+        question's token set, so every sum is the scalar loop's float.
+        """
+        table = self._signature_table()
+        columns = table.token_columns
+        # Iterated as a set, so the order of the additions, and with it the
+        # last bits of each sum, follows the string hash seed.
+        tokens = [columns[t] for t in set(content_tokens(question)) if t in columns]
+        logps = table.log_base.copy()
+        for terms in table.log_terms[:, tokens].T:
+            logps += terms
+        values = logps.tolist()
         result: dict[str, dict[object, float]] = {}
-        for facet, value_counts in self._facet_value_counts.items():
-            logps: dict[object, float] = {}
-            for value, count in value_counts.items():
-                logp = math.log(count / self._total)
-                token_counter = self._facet_token_counts[(facet, value)]
-                denominator = (
-                    self._facet_token_totals[(facet, value)]
-                    + self.smoothing * vocab_size
-                )
-                for token in tokens:
-                    # Multinomial smoothing: rare classes do not win on
-                    # unseen tokens (their denominator shrinks too).
-                    p = (token_counter.get(token, 0) + self.smoothing) / denominator
-                    logp += math.log(p)
-                logps[value] = logp
+        start = 0
+        for facet, facet_values in table.facet_values:
+            logp = values[start : start + len(facet_values)]
+            start += len(facet_values)
             # Normalise within the facet.
-            peak = max(logps.values())
-            total = sum(math.exp(v - peak) for v in logps.values())
+            peak = max(logp)
+            total = sum(math.exp(v - peak) for v in logp)
             log_norm = peak + math.log(total)
-            result[facet] = {v: lp - log_norm for v, lp in logps.items()}
+            result[facet] = {
+                value: lp - log_norm for value, lp in zip(facet_values, logp)
+            }
         return result
 
     def score_sketches(

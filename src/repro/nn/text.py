@@ -23,11 +23,18 @@ from array import array
 import numpy as np
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+_QUESTION_TOKEN_RE = re.compile(r"\d+\.\d+|[a-z0-9]+")
 
 
 def tokenize_text(text: str) -> list[str]:
     """Lowercase word tokens (alphanumeric runs)."""
     return _WORD_RE.findall(text.lower())
+
+
+def question_tokens(question: str) -> list[str]:
+    """Lowercased question tokens with positions preserved; a decimal
+    number such as ``2.5`` stays one token."""
+    return _QUESTION_TOKEN_RE.findall(question.lower())
 
 
 @functools.lru_cache(maxsize=1 << 16)

@@ -3,13 +3,14 @@
 Rows are stored as plain dicts keyed by lowercase column name.  The database
 validates inserted rows against the schema and provides the value lookups
 used by MetaSQL's value-grounding step (finding which column holds a literal
-mentioned in an NL question).
+mentioned in an NL question), tokenized once in its :attr:`Database.index`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.schema.index import DatabaseIndex
 from repro.schema.schema import Schema
 from repro.sqlkit.errors import SchemaError
 
@@ -20,6 +21,9 @@ class Database:
 
     schema: Schema
     rows: dict[str, list[dict[str, object]]] = field(default_factory=dict)
+    _index: DatabaseIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for table in self.schema.tables:
@@ -38,10 +42,26 @@ class Database:
         for column in table_obj.columns:
             clean.setdefault(column.name.lower(), None)
         self.rows[table_obj.name.lower()].append(clean)
+        self._index = None
 
     def insert_many(self, table: str, rows: list[dict[str, object]]) -> None:
         for row in rows:
             self.insert(table, row)
+
+    @property
+    def index(self) -> DatabaseIndex:
+        """The stored values and schema phrases, tokenized on first read.
+
+        Serving workers share a database, so the index is built into a
+        local and published with one attribute assignment: a reader sees
+        no index or a whole one, and two first readers at worst both build
+        it.  ``insert`` drops it; rows changed any other way need a new
+        ``Database``.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = DatabaseIndex(self)
+        return index
 
     def table_rows(self, table: str) -> list[dict[str, object]]:
         lowered = table.lower()

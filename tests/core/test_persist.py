@@ -142,6 +142,25 @@ class TestSignatureTable:
                 (to_sql(c.query), c.score) for c in original
             ]
 
+    def test_restored_model_has_the_fitted_posteriors(
+        self, saved_dir, trained_pipeline, tiny_benchmark
+    ):
+        loaded = load_pipeline(saved_dir).model.sketch_model
+        assert loaded._table is None  # rebuilt from the restored counts
+        fitted = trained_pipeline.model.sketch_model
+
+        def hexed(model, question):
+            posteriors = model.facet_log_posteriors(question)
+            return [
+                (facet, [(value, lp.hex()) for value, lp in values.items()])
+                for facet, values in posteriors.items()
+            ]
+
+        for example in tiny_benchmark.dev.examples:
+            assert hexed(loaded, example.question) == hexed(
+                fitted, example.question
+            )
+
     def test_second_fit_rebuilds_the_table(self, tiny_benchmark):
         from repro.data.dataset import Dataset
         from repro.models.sketch import SketchModel

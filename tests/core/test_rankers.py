@@ -16,6 +16,7 @@ from repro.core.rank_stage2 import (
     Stage2Config,
 )
 from repro.sqlkit.parser import parse_sql
+from tests.core import rank_reference
 
 
 def _synthetic_triples(n: int = 120, seed: int = 0) -> list[RankingTriple]:
@@ -75,6 +76,24 @@ class TestStage1:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             DualTowerRanker().rank("x", ["y"])
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["eta zeta", "alpha eta", "eta zeta"],
+            ["eta zeta", "alpha beta gamma", "alpha eta", "alpha beta gamma"],
+        ],
+        ids=["distinct", "question-among-candidates"],
+    )
+    def test_rank_matches_reference(self, ranker, texts):
+        """One featurization of the question and the candidates, also when a
+        candidate is the question's own text."""
+        ranked = ranker.rank("alpha beta gamma", texts)
+        want = rank_reference.stage1_rank(ranker, "alpha beta gamma", texts)
+        assert [i for i, __ in ranked] == [i for i, __ in want]
+        np.testing.assert_allclose(
+            [s for __, s in ranked], [s for __, s in want], atol=1e-9
+        )
 
     def test_sql_surface_includes_description(self, world_db):
         query = parse_sql("SELECT name FROM country WHERE code = 'ABW'")

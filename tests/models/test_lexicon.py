@@ -21,37 +21,30 @@ class TestLexicon:
         return Lexicon().fit(tiny_benchmark.train)
 
     def test_learned_table_association(self, lexicon, tiny_benchmark):
-        schema = tiny_benchmark.train.schema("pets")
-        student = schema.table("student")
-        pets = schema.table("pets")
-        question = "What is the major of every student?"
-        assert lexicon.score_table(question, "pets", student) > lexicon.score_table(
-            question, "pets", pets
+        db = tiny_benchmark.train.database("pets")
+        tokens = content_tokens("What is the major of every student?")
+        assert lexicon.score_table(tokens, db, "student") > lexicon.score_table(
+            tokens, db, "pets"
         )
 
     def test_synonym_overlap_scores(self, lexicon, tiny_benchmark):
-        schema = tiny_benchmark.train.schema("battle_death")
-        ship = schema.table("ship")
-        question = "List all vessels"  # synonym of ship
-        battle = schema.table("battle")
-        assert lexicon.score_table(question, "battle_death", ship) > (
-            lexicon.score_table(question, "battle_death", battle)
+        db = tiny_benchmark.train.database("battle_death")
+        tokens = content_tokens("List all vessels")  # synonym of ship
+        assert lexicon.score_table(tokens, db, "ship") > (
+            lexicon.score_table(tokens, db, "battle")
         )
 
     def test_column_scores_favor_mentioned(self, lexicon, tiny_benchmark):
-        schema = tiny_benchmark.train.schema("pets")
-        student = schema.table("student")
-        question = "Find the age of students"
-        age = lexicon.score_column(question, "pets", student, "age")
-        major = lexicon.score_column(question, "pets", student, "major")
+        db = tiny_benchmark.train.database("pets")
+        tokens = content_tokens("Find the age of students")
+        age = lexicon.score_column(tokens, db, "student", "age")
+        major = lexicon.score_column(tokens, db, "student", "major")
         assert age > major
 
     def test_unseen_schema_uses_name_overlap(self, lexicon, world_db):
         """Zero-shot: identifier matching works without any training."""
-        country = world_db.schema.table("country")
-        cl = world_db.schema.table("countrylanguage")
-        question = "What is the population of each country?"
-        assert lexicon.score_table(question, "world", country) > 0
+        tokens = content_tokens("What is the population of each country?")
+        assert lexicon.score_table(tokens, world_db, "country") > 0
         assert lexicon.score_column(
-            question, "world", country, "population"
-        ) > lexicon.score_column(question, "world", cl, "percentage")
+            tokens, world_db, "country", "population"
+        ) > lexicon.score_column(tokens, world_db, "countrylanguage", "percentage")
