@@ -12,8 +12,8 @@ against the schema — unknown columns, aggregate misuse, arity mismatches
 — can never be the correct translation, so spending ranking budget on it
 is pure waste.  Error-severity diagnostics prune the candidate (counted
 per diagnostic code in the report, from which the pipeline derives the
-metric); warnings are attached to the surviving
-:class:`GeneratedCandidate` for downstream consumers.  An analyzer crash on one candidate is isolated: it is
+metric); a candidate with only warnings is kept.  An analyzer crash on
+one candidate is isolated: it is
 recorded as a :class:`~repro.core.resilience.FaultRecord` and the
 candidate is kept (the gate fails open, never killing the set).
 """
@@ -31,7 +31,7 @@ from repro.models.cues import CueEvidence
 from repro.schema.database import Database
 from repro.sqlkit.analyze import SemanticAnalyzer
 from repro.sqlkit.ast import Query
-from repro.sqlkit.diagnostics import Diagnostic, error_codes
+from repro.sqlkit.diagnostics import error_codes
 from repro.sqlkit.printer import to_sql
 
 
@@ -42,9 +42,6 @@ class GeneratedCandidate:
     query: Query
     score: float
     metadata: QueryMetadata | None
-    #: Warning-severity analyzer findings for the candidate (annotation
-    #: only; error-severity findings prune before a candidate is built).
-    diagnostics: tuple[Diagnostic, ...] = ()
     #: Canonical SQL text, rendered once by the generator's dedupe and
     #: reused by the stage-1 surface rendering instead of printing again.
     sql_text: str = ""
@@ -131,10 +128,10 @@ class CandidateGenerator:
             else None
         )
 
-        def lint(query: Query) -> tuple[bool, tuple[Diagnostic, ...]]:
-            """Gate one candidate: (keep, warnings-to-annotate)."""
+        def lint(query: Query) -> bool:
+            """Gate one candidate: whether to keep it."""
             if analyzer is None:
-                return True, ()
+                return True
             try:
                 diagnostics = analyzer.analyze(query)
             except Exception as exc:  # repolint: allow[broad-except] — gate fails open, candidate kept
@@ -142,13 +139,13 @@ class CandidateGenerator:
                     report.record_exception(
                         "lint", exc, candidate=len(collected), fallback="keep"
                     )
-                return True, ()
+                return True
             codes = error_codes(diagnostics)
             if codes:
                 if report is not None:
                     report.record_lint_rejection(sorted(set(codes)))
-                return False, ()
-            return True, tuple(diagnostics)
+                return False
+            return True
 
         def add(candidate: Candidate, metadata: QueryMetadata | None) -> None:
             query = candidate.query
@@ -158,15 +155,13 @@ class CandidateGenerator:
             if key in seen:
                 return
             seen.add(key)
-            keep, diagnostics = lint(query)
-            if not keep:
+            if not lint(query):
                 return
             collected.append(
                 GeneratedCandidate(
                     query=query,
                     score=candidate.score,
                     metadata=metadata,
-                    diagnostics=diagnostics,
                     sql_text=key,
                 )
             )

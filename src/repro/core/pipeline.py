@@ -21,11 +21,11 @@ losses from stage-2 training.
 
 Every inference stage is wrapped by the resilience layer
 (:mod:`repro.core.resilience`): a failing candidate is recorded and
-skipped, a failing stage degrades to the previous stage's ordering
-(stage-2 -> stage-1 -> generation order, classifier -> observed
-compositions), after a fixed retry budget for transient faults and
-behind a circuit breaker per stage, and the :class:`TranslationReport`
-attached to the output says exactly what was absorbed.
+skipped, a failing stage degrades on its first fault to the previous
+stage's ordering (stage-2 -> stage-1 -> generation order, classifier ->
+observed compositions) behind a circuit breaker per stage, and the
+:class:`TranslationReport` attached to the output says exactly what was
+absorbed.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from repro.obs.trace import Span, Tracer, current_tracer, trace_scope
 from repro.schema.database import Database
 from repro.sqlkit.ast import Query
 from repro.sqlkit.errors import PipelineStateError
-from repro.sqlkit.normalize import normalize
 from repro.sqlkit.printer import to_sql
 from repro.sqlkit.sql2nl import unit_phrases
 
@@ -131,35 +130,6 @@ def _record_failpoint_trigger(site: str) -> None:
 
 # The process-wide injector reports armed firings to the metrics layer.
 FAULTS.on_trigger = _record_failpoint_trigger
-
-
-def _dedupe_candidates(
-    generated: list[GeneratedCandidate],
-    surfaces: list[str],
-) -> tuple[list[GeneratedCandidate], list[str], int]:
-    """Drop candidates whose normalized SQL duplicates another's.
-
-    The generator already removes byte-identical SQL *within* one
-    candidate set, but distinct metadata compositions can still yield
-    queries that normalize to the same canonical form; featurizing and
-    scoring each copy is pure waste.  The best beam score survives and
-    the original candidate order is preserved.  Returns the kept
-    candidates, their surfaces, and the number of duplicates dropped.
-    """
-    best: dict[str, int] = {}
-    for position, candidate in enumerate(generated):
-        key = to_sql(normalize(candidate.query))
-        held = best.get(key)
-        if held is None or generated[held].score < candidate.score:
-            best[key] = position
-    if len(best) == len(generated):
-        return generated, surfaces, 0
-    keep = sorted(best.values())
-    return (
-        [generated[i] for i in keep],
-        [surfaces[i] for i in keep],
-        len(generated) - len(keep),
-    )
 
 
 @dataclass(frozen=True)
@@ -546,9 +516,9 @@ class MetaSQL:
         """Two-stage ranking with fault isolation and a resilience report.
 
         Never raises for stage or candidate failures: each one is either
-        retried (transient), isolated (per candidate), or absorbed by the
-        degradation chain, and shows up as a :class:`FaultRecord` in the
-        returned report.  Only lifecycle misuse (untrained pipeline)
+        isolated (per candidate) or absorbed by the degradation chain on
+        its first occurrence, and shows up as a :class:`FaultRecord` in
+        the returned report.  Only lifecycle misuse (untrained pipeline)
         raises.
 
         A *deadline* is checked cooperatively at every stage
@@ -623,12 +593,12 @@ class MetaSQL:
                 span.attributes["candidates"] = 0
                 return []
 
+            span.attributes["generated"] = len(generated)
             schema = db.schema
-            generated, surfaces, deduped = self._render_surfaces(
+            generated, surfaces = self._render_surfaces(
                 schema, generated, report
             )
             span.attributes["candidates"] = len(generated)
-            span.attributes["deduped"] = deduped
             if report.lint_rejected:
                 span.attributes["lint_rejected"] = report.lint_rejected
         if not generated:
@@ -764,13 +734,7 @@ class MetaSQL:
             attributes[stage.name] = stage.attributes
 
         generate = attributes.get("generate", {})
-        if "deduped" in generate:
-            if generate["deduped"]:
-                registry.counter(
-                    "metasql_candidates_deduped_total",
-                    "Duplicate candidates (same normalized SQL) dropped "
-                    "before stage-1 scoring.",
-                ).inc(generate["deduped"])
+        if "generated" in generate:
             registry.counter(
                 "metasql_candidates_generated_total",
                 "Candidates surviving generation and surface rendering.",
@@ -860,14 +824,14 @@ class MetaSQL:
         schema,
         generated: list[GeneratedCandidate],
         report: TranslationReport,
-    ) -> tuple[list[GeneratedCandidate], list[str], int]:
-        """Stage-1 surfaces for a candidate set, duplicates dropped.
+    ) -> tuple[list[GeneratedCandidate], list[str]]:
+        """Stage-1 surfaces for a candidate set.
 
         Per-candidate rendering failures are isolated (recorded and
-        skipped); normalized-SQL duplicates are collapsed to the
-        best-scoring copy.  Shared by the main translate path and the
-        repair loop's regeneration pass.  Returns ``(kept candidates, surfaces,
-        duplicates dropped)``.
+        skipped).  The set is the generator's, already free of
+        byte-identical SQL.  Shared by the main translate path and the
+        repair loop's regeneration pass.  Returns ``(kept candidates,
+        surfaces)``.
         """
         surfaces: list[str] = []
         kept: list[GeneratedCandidate] = []
@@ -883,7 +847,7 @@ class MetaSQL:
                 continue
             surfaces.append(surface)
             kept.append(candidate)
-        return _dedupe_candidates(kept, surfaces)
+        return kept, surfaces
 
     def _stage1_pruned(
         self,

@@ -200,7 +200,11 @@ def _attempt_once(
     report: TranslationReport,
     deadline: Deadline | None,
 ) -> tuple[list, VerifyResult | None]:
-    """One regenerate -> re-rank -> re-verify pass under new conditions."""
+    """One regenerate -> re-rank -> re-verify pass under new conditions.
+
+    The regenerated set is the generator's own output, already free of
+    byte-identical SQL; rendering its surfaces only isolates faults.
+    """
     fire("repair.regenerate")
     generated = pipeline.generator.generate(
         question, db, compositions, report=report
@@ -208,9 +212,7 @@ def _attempt_once(
     if not generated:
         return [], None
     schema = db.schema
-    generated, surfaces, __ = pipeline._render_surfaces(
-        schema, generated, report
-    )
+    generated, surfaces = pipeline._render_surfaces(schema, generated, report)
     if not generated:
         return [], None
     pruned = pipeline._stage1_pruned(question, surfaces, report)

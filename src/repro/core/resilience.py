@@ -14,9 +14,9 @@ pieces the pipeline threads through every stage:
 - :func:`guarded_call` — the one fallback rule every stage shares:
   stage-2 failure falls back to stage-1 ordering, stage-1 failure to
   generation order, classifier failure to the composer's observed
-  compositions.  Transient faults first get :data:`MAX_RETRIES`
-  deterministic retries, and each inference stage has a
-  :class:`CircuitBreaker` on the pipeline's :class:`BreakerBoard`.
+  compositions.  A stage runs once: its first fault applies the
+  fallback.  Each inference stage has a :class:`CircuitBreaker` on the
+  pipeline's :class:`BreakerBoard`.
 - :class:`TranslationReport` / :class:`FaultRecord` — structured
   observability attached to pipeline output: which stages degraded, which
   candidates were skipped, and why.
@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator
 
-from repro.sqlkit.errors import PipelineError, StageError
+from repro.sqlkit.errors import PipelineError
 
 #: Named injection sites, one per guarded pipeline stage.  ``fire(site)``
 #: is called at the entry of the corresponding function.
@@ -57,11 +57,9 @@ FAILPOINTS: tuple[str, ...] = (
 class InjectedFault(PipelineError):
     """The fault raised by an armed failpoint (test-controlled)."""
 
-    def __init__(self, site: str, transient: bool = False) -> None:
-        kind = "transient" if transient else "fatal"
-        super().__init__(f"injected {kind} fault at {site!r}")
+    def __init__(self, site: str) -> None:
+        super().__init__(f"injected fault at {site!r}")
         self.site = site
-        self.transient = transient
 
 
 @dataclass
@@ -71,7 +69,6 @@ class _ArmedSite:
     site: str
     exc: Callable[[], BaseException] | BaseException | None
     times: int | None  # None = every call
-    transient: bool
     fired: int = 0
 
     def trigger(self) -> None:
@@ -82,7 +79,7 @@ class _ArmedSite:
             # Accept a factory (class or zero-arg callable) or a ready
             # exception instance — instances are not callable.
             raise self.exc() if callable(self.exc) else self.exc
-        raise InjectedFault(self.site, transient=self.transient)
+        raise InjectedFault(self.site)
 
 
 class FaultInjector:
@@ -117,7 +114,6 @@ class FaultInjector:
         site: str,
         exc: Callable[[], BaseException] | BaseException | None = None,
         times: int | None = 1,
-        transient: bool = False,
     ) -> None:
         """Make *site* raise on its next *times* firings (None = always).
 
@@ -125,9 +121,7 @@ class FaultInjector:
         instance; by default an :class:`InjectedFault` is raised.
         """
         self._check(site)
-        self._armed[site] = _ArmedSite(
-            site=site, exc=exc, times=times, transient=transient
-        )
+        self._armed[site] = _ArmedSite(site=site, exc=exc, times=times)
 
     def disarm(self, site: str | None = None) -> None:
         """Disarm one site, or every site when *site* is None."""
@@ -164,10 +158,9 @@ class FaultInjector:
         site: str,
         exc: Callable[[], BaseException] | BaseException | None = None,
         times: int | None = 1,
-        transient: bool = False,
     ) -> Iterator["FaultInjector"]:
         """Context manager: arm *site* on entry, disarm it on exit."""
-        self.arm(site, exc=exc, times=times, transient=transient)
+        self.arm(site, exc=exc, times=times)
         try:
             yield self
         finally:
@@ -235,8 +228,7 @@ class CircuitBreaker:
     """Closed / open / half-open breaker for one pipeline stage.
 
     - **closed** — calls pass through; ``threshold`` *consecutive*
-      terminal faults (transient faults absorbed by retry count as
-      recoveries, per the PR-1 taxonomy) trip the breaker open.
+      faults trip the breaker open.
     - **open** — calls are refused (``allow() is False``) so the stage's
       existing degradation fallback applies without paying for the call;
       after ``cooldown`` seconds the next ``allow()`` admits one probe.
@@ -268,7 +260,7 @@ class CircuitBreaker:
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._state = "closed"
-        self._failures = 0  # consecutive terminal faults while closed
+        self._failures = 0  # consecutive faults while closed
         self._opened_at = 0.0
         self._probing = False
         self._opened_total = 0  # times tripped, for health snapshots
@@ -331,7 +323,7 @@ class CircuitBreaker:
         self._notify()
 
     def record_failure(self) -> None:
-        """A guarded call failed terminally: count, maybe trip open."""
+        """A guarded call failed: count, maybe trip open."""
         with self._lock:
             state = self._state_locked()
             if state == "half-open":
@@ -413,11 +405,7 @@ class BreakerBoard:
 
 
 # ----------------------------------------------------------------------
-# Retry budget and observability.
-
-#: Deterministic retries a stage gets for a transient fault before its
-#: fallback applies.
-MAX_RETRIES = 2
+# Observability.
 
 
 @dataclass(frozen=True)
@@ -429,9 +417,7 @@ class FaultRecord:
     error: str  # exception message
     site: str | None = None  # failpoint name when known
     candidate: int | None = None  # candidate index for isolated faults
-    retries: int = 0  # retries consumed before this record
-    fallback: str | None = None  # degradation applied ("retry" = recovered)
-    transient: bool = False  # taxonomy class: retryable at a higher level
+    fallback: str | None = None  # degradation applied
 
     def as_dict(self) -> dict:
         """JSON-ready representation (round-trips via :meth:`from_dict`)."""
@@ -477,8 +463,8 @@ class TranslationReport:
 
     @property
     def degraded(self) -> bool:
-        """True when any fallback other than a clean retry was applied."""
-        return any(record.fallback != "retry" for record in self.faults)
+        """True when any fault was recorded (every fault degrades)."""
+        return bool(self.faults)
 
     @property
     def skipped_candidates(self) -> int:
@@ -502,7 +488,6 @@ class TranslationReport:
         exc: BaseException,
         site: str | None = None,
         candidate: int | None = None,
-        retries: int = 0,
         fallback: str | None = None,
     ) -> FaultRecord:
         """Append a :class:`FaultRecord` built from a caught exception."""
@@ -512,9 +497,7 @@ class TranslationReport:
             error=str(exc),
             site=getattr(exc, "site", site),
             candidate=candidate,
-            retries=retries,
             fallback=fallback,
-            transient=is_transient(exc),
         )
         self.record(record)
         return record
@@ -645,11 +628,6 @@ class TranslationReport:
         }
 
 
-def is_transient(exc: BaseException) -> bool:
-    """Whether *exc* is retryable under :func:`guarded_call`."""
-    return bool(getattr(exc, "transient", False))
-
-
 def guarded_call(
     stage: str,
     fn: Callable[[], object],
@@ -658,20 +636,19 @@ def guarded_call(
     site: str | None = None,
     breaker: CircuitBreaker | None = None,
 ) -> tuple[bool, object]:
-    """Run *fn* with up to :data:`MAX_RETRIES` retries for transient faults.
+    """Run *fn* once, absorbing its fault into *report*.
 
-    Returns ``(True, value)`` on success — recording a ``retry`` record if
-    transient faults were absorbed on the way — or ``(False, None)`` after
-    recording the terminal fault with the *fallback* label the caller is
-    about to apply.  Only :class:`Exception` is absorbed; interrupts and
-    system exits propagate.
+    Returns ``(True, value)`` on success, or ``(False, None)`` after
+    recording the fault with the *fallback* label the caller is about to
+    apply.  Only :class:`Exception` is absorbed; interrupts and system
+    exits propagate.
 
     When a *breaker* is supplied the call first asks it for admission: an
     open breaker short-circuits to ``(False, None)`` with a
     ``BreakerOpen`` fault record (the caller's fallback applies without
-    paying for a doomed call), a terminal fault feeds
-    :meth:`CircuitBreaker.record_failure`, and a success — including a
-    retry that absorbed transient faults — feeds ``record_success``.
+    paying for a doomed call), a fault feeds
+    :meth:`CircuitBreaker.record_failure`, and a success feeds
+    ``record_success``.
     """
     if breaker is not None and not breaker.allow():
         report.record(
@@ -684,26 +661,13 @@ def guarded_call(
             )
         )
         return False, None
-    last_exc: BaseException | None = None
-    for attempt in range(MAX_RETRIES + 1):
-        try:
-            value = fn()
-        except Exception as exc:  # repolint: allow[broad-except] — isolation boundary
-            last_exc = exc
-            if is_transient(exc) and attempt < MAX_RETRIES:
-                continue
-            report.record_exception(
-                stage, exc, site=site, retries=attempt, fallback=fallback
-            )
-            if breaker is not None:
-                breaker.record_failure()
-            return False, None
-        if attempt and last_exc is not None:
-            report.record_exception(
-                stage, last_exc, site=site, retries=attempt, fallback="retry"
-            )
+    try:
+        value = fn()
+    except Exception as exc:  # repolint: allow[broad-except] — isolation boundary
+        report.record_exception(stage, exc, site=site, fallback=fallback)
         if breaker is not None:
-            breaker.record_success()
-        return True, value
-    # Unreachable: the loop always returns.
-    raise StageError(stage, "retry loop exited without a result")
+            breaker.record_failure()
+        return False, None
+    if breaker is not None:
+        breaker.record_success()
+    return True, value

@@ -3,12 +3,14 @@
 A :class:`Schema` describes tables, typed columns and foreign keys, plus the
 natural-language phrases used by the benchmark generators and the SQL-to-NL
 templates.  Identifiers are matched case-insensitively; the canonical form is
-lowercase.
+lowercase.  Lookups read a lowercased name map built on first use; when
+two names differ only in case, the first one declared wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.sqlkit.errors import SchemaError
 
@@ -52,16 +54,20 @@ class Table:
             return self.phrase
         return self.name.replace("_", " ").lower()
 
+    @cached_property
+    def _by_name(self) -> dict[str, Column]:
+        return _first_by_lowered_name(self.columns)
+
     def column(self, name: str) -> Column:
-        lowered = name.lower()
-        for column in self.columns:
-            if column.name.lower() == lowered:
-                return column
-        raise SchemaError(f"no column {name!r} in table {self.name!r}")
+        try:
+            return self._by_name[name.lower()]
+        except KeyError:
+            raise SchemaError(
+                f"no column {name!r} in table {self.name!r}"
+            ) from None
 
     def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(c.name.lower() == lowered for c in self.columns)
+        return name.lower() in self._by_name
 
 
 @dataclass(frozen=True)
@@ -82,16 +88,20 @@ class Schema:
     tables: tuple[Table, ...]
     foreign_keys: tuple[ForeignKey, ...] = ()
 
+    @cached_property
+    def _by_name(self) -> dict[str, Table]:
+        return _first_by_lowered_name(self.tables)
+
     def table(self, name: str) -> Table:
-        lowered = name.lower()
-        for table in self.tables:
-            if table.name.lower() == lowered:
-                return table
-        raise SchemaError(f"no table {name!r} in database {self.db_id!r}")
+        try:
+            return self._by_name[name.lower()]
+        except KeyError:
+            raise SchemaError(
+                f"no table {name!r} in database {self.db_id!r}"
+            ) from None
 
     def has_table(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(t.name.lower() == lowered for t in self.tables)
+        return name.lower() in self._by_name
 
     def tables_of_column(self, column: str) -> list[Table]:
         """All tables containing a column with the given name."""
@@ -168,19 +178,30 @@ class Schema:
     # Vocabulary protocol (repro.sqlkit.sql2nl.Vocabulary).
 
     def table_phrase(self, table: str) -> str:
-        if self.has_table(table):
-            return self.table(table).nl
+        found = self._by_name.get(table.lower())
+        if found is not None:
+            return found.nl
         return table.replace("_", " ").lower()
 
     def column_phrase(self, column: str, table: str | None = None) -> str:
-        if table is not None and self.has_table(table):
-            owner = self.table(table)
-            if owner.has_column(column):
-                return owner.column(column).nl
-        for owner in self.tables_of_column(column):
-            return owner.column(column).nl
+        lowered = column.lower()
+        if table is not None:
+            owner = self._by_name.get(table.lower())
+            if owner is not None and lowered in owner._by_name:
+                return owner._by_name[lowered].nl
+        for owner in self.tables:
+            if lowered in owner._by_name:
+                return owner._by_name[lowered].nl
         return column.replace("_", " ").lower()
 
     def column_pairs(self) -> list[tuple[Table, Column]]:
         """Every (table, column) pair in schema order."""
         return [(t, c) for t in self.tables for c in t.columns]
+
+
+def _first_by_lowered_name(items) -> dict:
+    """Lowercased name -> item, keeping the first of names equal in case."""
+    index: dict = {}
+    for item in items:
+        index.setdefault(item.name.lower(), item)
+    return index

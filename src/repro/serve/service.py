@@ -11,9 +11,8 @@ pipeline's per-translation fault isolation:
   :class:`~repro.core.resilience.Deadline` (explicit or the configured
   default), passed to the pipeline so its cooperative stage-boundary
   checkpoints observe it and degrade an expired request to the best
-  answer produced so far.  Transient faults are retried inside the
-  pipeline, per stage, up to
-  :data:`~repro.core.resilience.MAX_RETRIES` times; the service adds
+  answer produced so far.  Nothing is retried: a faulting stage
+  degrades on its first fault inside the pipeline, and the service adds
   no retry layer of its own.
 - **Health/readiness** — :meth:`TranslationService.health` snapshots
   queue depth, per-stage circuit-breaker states, counters, uptime, and

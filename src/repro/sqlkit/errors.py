@@ -7,10 +7,8 @@ Two branches share the :class:`SqlError` root so callers with an existing
 - **pipeline errors** — lifecycle misuse, whole-stage failures and the
   serving and checkpoint errors.
 
-Retries are decided by a truthy ``transient`` attribute, not by a class:
-:func:`repro.core.resilience.guarded_call` retries any exception that
-carries one (an armed failpoint's ``InjectedFault(transient=True)``,
-for instance).
+No error is retried: :func:`repro.core.resilience.guarded_call` runs a
+stage once and applies the stage's fallback on its first fault.
 """
 
 
@@ -87,11 +85,9 @@ class ServiceError(PipelineError):
 class Overloaded(ServiceError):
     """Admission control shed this request: the work queue is full.
 
-    Transient by design — the client may retry after backoff; the server
-    sheds instead of queueing unboundedly.
+    The client may retry after backoff; the server sheds instead of
+    queueing unboundedly.
     """
-
-    transient = True
 
     def __init__(self, queue_depth: int, capacity: int) -> None:
         super().__init__(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.data.spider import build_databases
 from repro.schema.schema import NUMBER, Column, ForeignKey, Schema, Table
 from repro.sqlkit.errors import SchemaError
 
@@ -46,6 +47,46 @@ class TestLookups:
             ),
         )
         assert schema.resolve_column("name", ("a", "b")) is None
+
+
+def _scan(items, name):
+    """The first item whose name equals *name* ignoring case, or None."""
+    for item in items:
+        if item.name.lower() == name.lower():
+            return item
+    return None
+
+
+def _cases(name):
+    mixed = "".join(
+        ch.upper() if i % 2 else ch.lower() for i, ch in enumerate(name)
+    )
+    return (name.lower(), name.upper(), mixed)
+
+
+class TestNameMaps:
+    def test_maps_agree_with_a_scan_in_every_case(self):
+        duplicated = Table("t", (Column("Name"), Column("name", NUMBER)))
+        schemas = [db.schema for db in build_databases().values()]
+        schemas.append(Schema(db_id="dup", tables=(duplicated, Table("T", ()))))
+        for schema in schemas:
+            for table in schema.tables:
+                for name in _cases(table.name):
+                    assert schema.table(name) is _scan(schema.tables, name)
+                    assert schema.has_table(name)
+                for column in table.columns:
+                    for name in _cases(column.name):
+                        assert table.column(name) is _scan(table.columns, name)
+                        assert table.has_column(name)
+                with pytest.raises(SchemaError):
+                    table.column("no_such_column")
+                assert not table.has_column("no_such_column")
+            with pytest.raises(SchemaError):
+                schema.table("no_such_table")
+            assert not schema.has_table("no_such_table")
+        # The first of two names equal but for case wins, as in the scan.
+        assert duplicated.column("NAME").ctype != NUMBER
+        assert schemas[-1].table("t") is duplicated
 
 
 class TestJoins:

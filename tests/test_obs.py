@@ -436,7 +436,6 @@ def test_translation_report_round_trips_through_json():
             error_type="ValueError",
             error="boom",
             fallback="skip",
-            transient=True,
         )
     )
     report.deadline_budget = 1.5
@@ -447,7 +446,6 @@ def test_translation_report_round_trips_through_json():
     )
     assert revived.as_dict() == report.as_dict()
     assert revived.faults[0].stage == "generate"
-    assert revived.faults[0].transient is True
     assert revived.degraded and revived.deadline_expired
 
 

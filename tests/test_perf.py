@@ -12,15 +12,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.pipeline import _dedupe_candidates
-from repro.core.generation import GeneratedCandidate
 from repro.core.rank_stage1 import DualTowerRanker, Stage1Config
 from repro.core.rank_stage2 import MultiGrainedRanker, Stage2Config
 from repro.nn.text import TextFeaturizer, _fnv1a, _hash_token
 from repro.obs.metrics import MetricsRegistry, registry_scope
 from repro.perf.cache import MISS, LRUCache
-from repro.sqlkit.parser import parse_sql
-from repro.sqlkit.printer import to_sql
 from tests.core import rank_reference
 
 pytestmark = pytest.mark.perf
@@ -229,44 +225,11 @@ class TestStage2Batching:
 
 
 # ----------------------------------------------------------------------
-# Pipeline: normalized-SQL dedupe and the stage spans.
+# Pipeline: the stage spans.
 
 
-def _candidate(sql: str, score: float) -> GeneratedCandidate:
-    query = parse_sql(sql)
-    return GeneratedCandidate(
-        query=query, score=score, metadata=None, sql_text=to_sql(query)
-    )
-
-
-class TestCandidateDedupe:
-    def test_keeps_best_score_and_order(self):
-        candidates = [
-            _candidate("SELECT name FROM country", 0.4),
-            _candidate("SELECT code FROM country", 0.9),
-            _candidate("SELECT name FROM country", 0.8),  # dup, better
-        ]
-        surfaces = ["s0", "s1", "s2"]
-        kept, kept_surfaces, dropped = _dedupe_candidates(
-            candidates, surfaces
-        )
-        assert dropped == 1
-        # The higher-scoring copy survives at its own position; relative
-        # candidate order among survivors is preserved.
-        assert [c.score for c in kept] == [0.9, 0.8]
-        assert kept_surfaces == ["s1", "s2"]
-
-    def test_no_duplicates_is_identity(self):
-        candidates = [
-            _candidate("SELECT name FROM country", 0.4),
-            _candidate("SELECT code FROM country", 0.9),
-        ]
-        kept, surfaces, dropped = _dedupe_candidates(candidates, ["a", "b"])
-        assert dropped == 0
-        assert kept == candidates
-        assert surfaces == ["a", "b"]
-
-    def test_dedupe_count_lands_on_generate_span(
+class TestStageSpans:
+    def test_candidate_counts_land_on_generate_span(
         self, trained_pipeline, tiny_benchmark
     ):
         example = tiny_benchmark.dev.examples[0]
@@ -279,11 +242,9 @@ class TestCandidateDedupe:
             for child in outcome.report.trace["children"]
             if child["name"] == "generate"
         )
-        assert "deduped" in generate["attributes"]
-        assert generate["attributes"]["deduped"] >= 0
+        attributes = generate["attributes"]
+        assert 0 < attributes["candidates"] <= attributes["generated"]
 
-
-class TestStageSpans:
     def test_stage_spans_carry_batch_size(
         self, trained_pipeline, tiny_benchmark
     ):

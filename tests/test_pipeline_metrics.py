@@ -5,12 +5,12 @@ requests under a scoped :class:`MetricsRegistry`, traced by one
 :class:`Tracer` whose clock advances one second per read, and the
 registry's Prometheus text must equal ``tests/golden/pipeline_metrics.prom``
 byte for byte.  The mix reaches every ``metasql_*`` family a request can
-write: plain requests (some with lint-rejected candidates), one whose
-generator repeats a candidate (so dedupe drops it), an injected stage-1
-fault, transient classifier and generator faults absorbed by retry, a
-stage-2 breaker tripped open, refusing a call, then reset, deadlines
-expiring at ``classify`` and at ``stage1``, and executor failures that
-make verify demote and repair run, once failing and once succeeding.
+write: plain requests (some with lint-rejected candidates), an injected
+stage-1 fault, a stage-2 breaker tripped open, refusing a call, then
+reset, deadlines expiring at ``classify`` and at ``stage1``, and
+executor failures that make verify demote and repair run, once failing
+and once succeeding.  A stage fault degrades on its first occurrence:
+nothing is retried.
 
 Training runs outside the scoped registry, so only served requests count.
 The answers depend on the string hash seed, so the exposition is taken
@@ -63,27 +63,12 @@ def exposition() -> str:
     registry = MetricsRegistry()
     tracer = Tracer(clock=itertools.count().__next__)
     with registry_scope(registry), trace_scope(tracer):
-        for index in range(12):
+        for index in range(13):
             ask(index)
-
-        generate = pipeline.generator.generate
-
-        def generate_with_a_repeat(*args, **kwargs):
-            found = generate(*args, **kwargs)
-            return found + found[:1]
-
-        pipeline.generator.generate = generate_with_a_repeat
-        try:
-            ask(12)
-        finally:
-            del pipeline.generator.generate
-
         with FAULTS.inject("stage1.rank"):
             ask(13)
-        with FAULTS.inject("classifier.predict", transient=True):
-            ask(14)
-        with FAULTS.inject("generator.generate", transient=True):
-            ask(15)
+        ask(14)
+        ask(15)
 
         with FAULTS.inject("stage2.rank", times=None):
             for index in range(16, 22):

@@ -203,14 +203,6 @@ class TestFaultInjector:
         with pytest.raises(SqlExecutionError, match="ready-made"):
             injector.fire("executor.execute")
 
-    def test_transient_flag_carried(self):
-        injector = FaultInjector()
-        injector.arm("stage1.rank", transient=True)
-        with pytest.raises(InjectedFault) as excinfo:
-            injector.fire("stage1.rank")
-        assert excinfo.value.transient is True
-        assert excinfo.value.site == "stage1.rank"
-
     def test_registered_sites_cover_the_pipeline(self):
         assert set(PIPELINE_FAILPOINTS) | NON_TRANSLATE_FAILPOINTS == set(
             FAULTS.sites
@@ -268,23 +260,6 @@ class TestDegradationChain:
                 example.question, db
             )
         assert result.report.degraded
-
-    def test_transient_fault_recovers_via_retry(
-        self, trained_pipeline, tiny_benchmark
-    ):
-        example = tiny_benchmark.dev.examples[0]
-        db = tiny_benchmark.dev.database(example.db_id)
-        baseline = trained_pipeline.translate_ranked(example.question, db)
-        with FAULTS.inject("stage1.rank", times=1, transient=True):
-            result = trained_pipeline.translate_ranked_report(
-                example.question, db
-            )
-        # Retried and fully recovered: same output, not degraded.
-        assert not result.report.degraded
-        assert "retry" in result.report.fallbacks()
-        assert [r.sql for r in result.translations] == [
-            r.sql for r in baseline
-        ]
 
     def test_stage2_fault_falls_back_to_stage1_order(
         self, trained_pipeline, tiny_benchmark

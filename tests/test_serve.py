@@ -1,5 +1,5 @@
 """Serving + durability layer tests: deadlines, breakers, admission
-control, the single retry layer, crash-safe checkpointing and
+control, run-once stage faults, crash-safe checkpointing and
 warm-start recovery.
 
 Everything is deterministic: clocks are injected, faults come from the
@@ -18,7 +18,6 @@ from repro.core.persist import load_pipeline, save_pipeline
 from repro.core.pipeline import RankedResult, RankedTranslation
 from repro.core.resilience import (
     FAULTS,
-    MAX_RETRIES,
     BreakerBoard,
     CircuitBreaker,
     Deadline,
@@ -236,23 +235,6 @@ class TestCircuitBreaker:
         )
         assert not ok
         assert report.faults[-1].error_type == "BreakerOpen"
-
-    def test_transient_recovery_counts_as_success(self):
-        report = TranslationReport(question="q")
-        breaker = CircuitBreaker("stage1", threshold=1, cooldown=30.0)
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise InjectedFault("stage1.rank", transient=True)
-            return "value"
-
-        ok, value = guarded_call(
-            "stage1", flaky, report, fallback="skip", breaker=breaker
-        )
-        assert ok and value == "value"
-        assert breaker.state == "closed"
 
 
 # ----------------------------------------------------------------------
@@ -530,27 +512,26 @@ class TestServiceLock:
             service.shutdown()
 
 
-class TestServiceRetry:
-    def test_retries_stop_at_the_budget(
+class TestServiceFaults:
+    def test_faulting_stage_runs_once(
         self, trained_pipeline, tiny_benchmark, fake_board
     ):
-        """A persistent transient fault is retried by the pipeline only."""
+        """A faulting stage runs once per request: no retry anywhere."""
         example = tiny_benchmark.dev.examples[0]
         db = tiny_benchmark.dev.database(example.db_id)
         service = TranslationService(trained_pipeline, ServiceConfig(workers=1))
         try:
-            with FAULTS.inject("generator.generate", transient=True, times=None):
-                result = service.translate(example.question, db, timeout=30)
-                fired = FAULTS.fired("generator.generate")
+            with FAULTS.inject("generator.generate", times=None):
+                for request in (1, 2):
+                    result = service.translate(
+                        example.question, db, timeout=30
+                    )
+                    assert FAULTS.fired("generator.generate") == request
+                    assert result.translations == []
+                    generate = result.report.stage_faults("generate")
+                    assert [f.fallback for f in generate] == ["empty"]
         finally:
             service.shutdown()
-        # One pipeline pass: the stage's own retries, nothing on top.
-        assert fired == MAX_RETRIES + 1
-        assert result.translations == []
-        generate = result.report.stage_faults("generate")
-        assert [(f.fallback, f.transient) for f in generate] == [
-            ("empty", True)
-        ]
 
 
 class TestServiceHealth:

@@ -312,7 +312,7 @@ class _RepairingPipeline(_StubPipeline):
         self.generator = _OkGenerator(sql)
 
     def _render_surfaces(self, schema, generated, report):
-        return generated, [c.sql_text or "s" for c in generated], 0
+        return generated, [c.sql_text or "s" for c in generated]
 
     def _stage1_pruned(self, question, surfaces, report):
         return [(i, 1.0) for i in range(len(surfaces))]
