@@ -16,8 +16,8 @@
 
 Ablation flags reproduce Table 9: ``use_classifier=False`` conditions on
 *all* observed compositions; ``use_stage2=False`` stops after the
-first-stage ranker; ``phrase_supervision=False`` removes the fine-grained
-losses from stage-2 training.
+first-stage ranker; ``stage2=Stage2Config(phrase_supervision=False)``
+removes the fine-grained losses from stage-2 training.
 
 Every inference stage is wrapped by the resilience layer
 (:mod:`repro.core.resilience`): a failing candidate is recorded and
@@ -31,7 +31,7 @@ absorbed.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class MetaSQLConfig:
     ranker_train_questions: int = 400  # subsample for ranker supervision
     use_classifier: bool = True  # Table 9 ablation
     use_stage2: bool = True  # Table 9 ablation
-    phrase_supervision: bool = True  # Table 9 ablation
     negative_samples: int = 120  # Section III-B1 augmentation for rankers
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     composer: ComposerConfig = field(default_factory=ComposerConfig)
@@ -174,18 +173,11 @@ class MetaSQL:
     ) -> None:
         self.model = model
         self.config = config or MetaSQLConfig()
-        # Copy the stage-2 sub-config before applying the pipeline-level
-        # ablation flag: mutating config.stage2 in place would clobber a
-        # Stage2Config (or MetaSQLConfig) shared with another pipeline.
-        stage2_config = replace(
-            self.config.stage2,
-            phrase_supervision=self.config.phrase_supervision,
-        )
         self.classifier = MetadataClassifier(self.config.classifier)
         self.composer = MetadataComposer(self.config.composer)
         self.generator = CandidateGenerator(model, self.config.generator)
         self.stage1 = DualTowerRanker(self.config.stage1)
-        self.stage2 = MultiGrainedRanker(stage2_config)
+        self.stage2 = MultiGrainedRanker(self.config.stage2)
         self._trained = False
         self.breakers = BreakerBoard(on_transition=_record_breaker_transition)
         # "Not known broken": a restored pipeline (persist.load_pipeline)

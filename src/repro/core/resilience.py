@@ -19,7 +19,8 @@ pieces the pipeline threads through every stage:
   pipeline's :class:`BreakerBoard`.
 - :class:`TranslationReport` / :class:`FaultRecord` — structured
   observability attached to pipeline output: which stages degraded, which
-  candidates were skipped, and why.
+  candidates were skipped, and why.  The report's one JSON form is
+  :meth:`TranslationReport.journal_fields`, the request's journal line.
 
 The module is deliberately dependency-light (stdlib + the error taxonomy
 in :mod:`repro.sqlkit.errors`) so low-level modules such as
@@ -31,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.sqlkit.errors import PipelineError
@@ -419,14 +420,6 @@ class FaultRecord:
     candidate: int | None = None  # candidate index for isolated faults
     fallback: str | None = None  # degradation applied
 
-    def as_dict(self) -> dict:
-        """JSON-ready representation (round-trips via :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultRecord":
-        return cls(**{f.name: data.get(f.name) for f in fields(cls)})
-
 
 @dataclass
 class TranslationReport:
@@ -465,11 +458,6 @@ class TranslationReport:
     def degraded(self) -> bool:
         """True when any fault was recorded (every fault degrades)."""
         return bool(self.faults)
-
-    @property
-    def skipped_candidates(self) -> int:
-        """Number of per-candidate faults that were isolated and skipped."""
-        return sum(1 for r in self.faults if r.candidate is not None)
 
     def stage_faults(self, stage: str) -> list[FaultRecord]:
         """Fault records for one logical stage."""
@@ -549,49 +537,6 @@ class TranslationReport:
         )
         self.record(record)
         return record
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (round-trips via :meth:`from_dict`).
-
-        Includes the derived flags (``degraded``, ``deadline_expired``)
-        so journal consumers need not recompute them, and the attached
-        span tree verbatim.
-        """
-        return {
-            "question": self.question,
-            "faults": [record.as_dict() for record in self.faults],
-            "lint_rejected": self.lint_rejected,
-            "lint_codes": dict(sorted(self.lint_codes.items())),
-            "verify_demoted": self.verify_demoted,
-            "verify_outcomes": dict(sorted(self.verify_outcomes.items())),
-            "repair_attempts": self.repair_attempts,
-            "repair_succeeded": self.repair_succeeded,
-            "deadline_budget": self.deadline_budget,
-            "deadline_stage": self.deadline_stage,
-            "degraded": self.degraded,
-            "deadline_expired": self.deadline_expired,
-            "skipped_candidates": self.skipped_candidates,
-            "trace": self.trace,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TranslationReport":
-        return cls(
-            question=data.get("question", ""),
-            faults=[
-                FaultRecord.from_dict(record)
-                for record in data.get("faults", [])
-            ],
-            lint_rejected=data.get("lint_rejected", 0),
-            lint_codes=dict(data.get("lint_codes") or {}),
-            verify_demoted=data.get("verify_demoted", 0),
-            verify_outcomes=dict(data.get("verify_outcomes") or {}),
-            repair_attempts=data.get("repair_attempts", 0),
-            repair_succeeded=bool(data.get("repair_succeeded", False)),
-            deadline_budget=data.get("deadline_budget"),
-            deadline_stage=data.get("deadline_stage"),
-            trace=data.get("trace"),
-        )
 
     def journal_fields(self) -> dict:
         """The request's fields of a journal line (DESIGN.md §10).

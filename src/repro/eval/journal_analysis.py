@@ -50,15 +50,6 @@ class LatencySummary:
             p99=float(p99),
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": round(self.mean, 6),
-            "p50": round(self.p50, 6),
-            "p90": round(self.p90, 6),
-            "p99": round(self.p99, 6),
-        }
-
 
 @dataclass
 class HardnessBucket:
@@ -98,19 +89,6 @@ class HardnessBucket:
             return 0.0
         return self.repair_succeeded / self.repair_records
 
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "em": round(self.em, 4),
-            "ex": round(self.ex, 4),
-            "degraded": self.degraded,
-            "verify_demoted": self.verify_demoted,
-            "demotion_rate": round(self.demotion_rate, 4),
-            "repair_attempts": self.repair_attempts,
-            "repair_success_rate": round(self.repair_success_rate, 4),
-            "latency": LatencySummary.of(self.latencies).as_dict(),
-        }
-
 
 @dataclass
 class JournalSummary:
@@ -131,31 +109,6 @@ class JournalSummary:
     by_hardness: dict[str, HardnessBucket] = field(default_factory=dict)
     stage_latencies: dict[str, list[float]] = field(default_factory=dict)
     latencies: list[float] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "eval_records": self.eval_records,
-            "serve_records": self.serve_records,
-            "degraded": self.degraded,
-            "deadline_expired": self.deadline_expired,
-            "lint_rejected": self.lint_rejected,
-            "lint_codes": dict(sorted(self.lint_codes.items())),
-            "verify_demoted": self.verify_demoted,
-            "verify_outcomes": dict(sorted(self.verify_outcomes.items())),
-            "repair_attempts": self.repair_attempts,
-            "repair_succeeded": self.repair_succeeded,
-            "fault_counts": dict(sorted(self.fault_counts.items())),
-            "latency": LatencySummary.of(self.latencies).as_dict(),
-            "by_hardness": {
-                level: bucket.as_dict()
-                for level, bucket in sorted(self.by_hardness.items())
-            },
-            "by_stage": {
-                stage: LatencySummary.of(values).as_dict()
-                for stage, values in sorted(self.stage_latencies.items())
-            },
-        }
 
     def render(self) -> str:
         """Human-readable breakdown table."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import MetaSQLConfig
+from repro.core.rank_stage2 import Stage2Config
 from repro.eval.report import format_table, pct
 from repro.experiments.common import ExperimentContext
 from repro.sqlkit.compare import exact_match
@@ -64,7 +65,9 @@ class Table9Result:
 _CONFIGS = {
     "full": {},
     "w/o multi-label classifier": {"use_classifier": False},
-    "w/o phrase-level supervision": {"phrase_supervision": False},
+    "w/o phrase-level supervision": {
+        "stage2": Stage2Config(phrase_supervision=False)
+    },
     "w/o second-stage ranking": {"use_stage2": False},
 }
 
@@ -80,9 +83,7 @@ def run(
     examples = dev.examples[:limit] if limit else dev.examples
     result.total = len(examples)
     for label, overrides in _CONFIGS.items():
-        config = MetaSQLConfig()
-        for attr, value in overrides.items():
-            setattr(config, attr, value)
+        config = MetaSQLConfig(**overrides)
         pipe = ctx.pipeline(model, config=config, key=label)
         generation_miss = 0
         ranking_miss = 0

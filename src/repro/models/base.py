@@ -72,10 +72,3 @@ class TranslationModel(abc.ABC):
         *prepared* is ``self.prepare(question, db)``, or None to build
         whatever question-level state the decode needs itself.
         """
-
-    def top1(self, question: str, db: Database, **kwargs) -> Query | None:
-        """Convenience: the best candidate's query, or None."""
-        candidates = self.translate(question, db, **kwargs)
-        if not candidates:
-            return None
-        return candidates[0].query

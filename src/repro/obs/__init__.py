@@ -16,7 +16,7 @@ without cycles):
   :mod:`repro.eval.journal_analysis`.
 """
 
-from repro.obs.journal import Journal, iter_journal, read_journal
+from repro.obs.journal import Journal, iter_journal
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -49,7 +49,6 @@ __all__ = [
     "get_registry",
     "iter_journal",
     "maybe_span",
-    "read_journal",
     "registry_scope",
     "trace_scope",
 ]

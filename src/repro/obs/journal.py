@@ -16,7 +16,7 @@ idioms):
 - **Torn-tail repair.**  A crash mid-write leaves at most one partial
   trailing line.  Reopening for append first terminates such a tail with
   a newline so later records never concatenate onto the torn prefix, and
-  :func:`read_journal` skips unparseable lines instead of failing the
+  :func:`iter_journal` skips unparseable lines instead of failing the
   replay — a crash costs at most the unacknowledged record.
 """
 
@@ -36,7 +36,7 @@ class Journal:
 
     >>> journal = Journal(tmp_path / "events.jsonl")
     >>> journal.append({"event": "translate", "ok": True})
-    >>> read_journal(journal.path)[0]["event"]
+    >>> next(iter_journal(journal.path))["event"]
     'translate'
     """
 
@@ -142,11 +142,6 @@ def _parse_line(raw: bytes) -> dict | None:
     except (json.JSONDecodeError, UnicodeDecodeError):
         return None  # torn write from a crash: skip, don't fail
     return record if isinstance(record, dict) else None
-
-
-def read_journal(path: str | pathlib.Path) -> list[dict]:
-    """Every intact record in the journal, in append order."""
-    return list(iter_journal(path))
 
 
 def _fsync_dir(path: pathlib.Path) -> None:

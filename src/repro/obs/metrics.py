@@ -7,15 +7,14 @@ layer need to report:
   rejections, faults by stage/site, breaker trips);
 - :class:`Gauge` — point-in-time levels (queue depth, in-flight);
 - :class:`Histogram` — distributions over fixed log-scaled buckets
-  (stage latency, queue wait, end-to-end latency) with streaming
-  quantile estimates interpolated from the cumulative bucket counts —
-  O(1) memory, no samples retained.
+  (stage latency, queue wait, end-to-end latency): a count per bucket
+  plus the sum, O(1) memory, no samples retained.
 
 Instruments are created through a :class:`MetricsRegistry` with
 get-or-create semantics (the second ``registry.counter("x")`` returns the
 first one), optional label dimensions
-(``family.labels(stage="stage1").inc()``), and a deterministic
-``render_prometheus()`` text rendering next to a JSON ``as_dict()``.
+(``family.labels(stage="stage1").inc()``), and one deterministic
+output, the ``render_prometheus()`` text exposition.
 
 Like the ambient deadline/tracer, a process-wide default registry is
 reachable via :func:`get_registry`, and :func:`registry_scope` installs a
@@ -133,23 +132,6 @@ class _Family:
     def _render_lines(self) -> list[str]:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _child_dict(self) -> dict:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot of the whole family."""
-        series = []
-        for key, child in self._sorted_children():
-            entry = {"labels": dict(zip(self.labelnames, key))}
-            entry.update(child._child_dict())
-            series.append(entry)
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "help": self.help,
-            "series": series,
-        }
-
 
 class Counter(_Family):
     """A monotonically increasing total."""
@@ -170,9 +152,6 @@ class Counter(_Family):
     def value(self) -> float:
         with self._lock:
             return self._value
-
-    def _child_dict(self) -> dict:
-        return {"value": self._value}
 
     def _render_lines(self) -> list[str]:
         lines = []
@@ -209,9 +188,6 @@ class Gauge(_Family):
         with self._lock:
             return self._value
 
-    def _child_dict(self) -> dict:
-        return {"value": self._value}
-
     def _render_lines(self) -> list[str]:
         lines = []
         for key, child in self._sorted_children():
@@ -223,13 +199,13 @@ class Gauge(_Family):
 
 
 class Histogram(_Family):
-    """Fixed-bucket distribution with streaming quantile estimates.
+    """Fixed-bucket distribution: per-bucket counts, sum and count.
 
     Buckets follow Prometheus ``le`` semantics: an observation lands in
     the first bucket whose upper bound is **>=** the value; anything
     above the last bound lands in the implicit ``+Inf`` bucket.  The
-    per-bucket counts are non-cumulative internally (numpy-friendly via
-    :attr:`bucket_counts`) and cumulated at render time.
+    per-bucket counts are non-cumulative internally and cumulated at
+    render time.
     """
 
     kind = "histogram"
@@ -247,8 +223,6 @@ class Histogram(_Family):
         self._counts = [0] * (len(bounds) + 1)  # last slot: +Inf
         self._sum = 0.0
         self._count = 0
-        self._min = math.inf
-        self._max = -math.inf
 
     def _make_child(self) -> "Histogram":
         child = Histogram(self.name, self.help, buckets=self.bounds)
@@ -263,10 +237,6 @@ class Histogram(_Family):
             self._counts[index] += 1
             self._sum += value
             self._count += 1
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
 
     @property
     def count(self) -> int:
@@ -277,66 +247,6 @@ class Histogram(_Family):
     def sum(self) -> float:
         with self._lock:
             return self._sum
-
-    @property
-    def bucket_counts(self) -> np.ndarray:
-        """Per-bucket (non-cumulative) counts; last entry is +Inf."""
-        with self._lock:
-            return np.asarray(self._counts, dtype=np.int64)
-
-    def quantile(self, q: float) -> float:
-        """Streaming quantile estimate interpolated within its bucket.
-
-        The estimate is exact at observed min/max, linear inside the
-        containing bucket, and clamped to the observed range — the same
-        trade-off as ``histogram_quantile`` in PromQL, without retaining
-        samples.  Returns NaN with no observations.
-
-        Edge buckets interpolate against the *observed* range, not an
-        imaginary one: the first bucket's lower edge is the observed min
-        (there is no lower bound to extrapolate from — assuming 0.0
-        skews every estimate for data far below the first bound, and is
-        simply wrong for negative observations), every bucket's upper
-        edge is capped at the observed max, and the +Inf bucket has no
-        finite edge at all so it answers with the observed max.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise MetricError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            if self._count == 0:
-                return math.nan
-            rank = q * self._count
-            seen = 0
-            for index, count in enumerate(self._counts):
-                if count == 0:
-                    continue
-                if seen + count >= rank:
-                    if index < len(self.bounds):
-                        upper = min(self.bounds[index], self._max)
-                        lower = (
-                            self.bounds[index - 1]
-                            if index
-                            else min(self._min, upper)
-                        )
-                    else:  # +Inf bucket: fall back to the observed max
-                        return self._max
-                    fraction = (rank - seen) / count
-                    estimate = lower + (upper - lower) * fraction
-                    return min(max(estimate, self._min), self._max)
-                seen += count
-            return self._max
-
-    def _child_dict(self) -> dict:
-        cumulative = np.cumsum(self._counts).tolist()
-        return {
-            "count": self._count,
-            "sum": self._sum,
-            "min": None if self._count == 0 else self._min,
-            "max": None if self._count == 0 else self._max,
-            "buckets": dict(
-                zip([*map(str, self.bounds), "+Inf"], cumulative)
-            ),
-        }
 
     def _render_lines(self) -> list[str]:
         lines = []
@@ -401,16 +311,6 @@ class MetricsRegistry:
         """The registered family called *name*, if any."""
         with self._lock:
             return self._families.get(name)
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._families)
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot of every family (sorted by name)."""
-        with self._lock:
-            families = sorted(self._families.items())
-        return {name: family.as_dict() for name, family in families}
 
     def render_prometheus(self) -> str:
         """The registry in the Prometheus text exposition format.

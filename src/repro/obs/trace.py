@@ -16,10 +16,10 @@ Design choices mirror the resilience layer's primitives:
   installed every hook is a single ``is None`` branch.
 - **Injectable clock.**  Tests drive span durations deterministically;
   production uses :func:`time.perf_counter`.
-- **JSON-exportable.**  ``Span.as_dict()`` renders the subtree as plain
+- **One JSON form.**  ``Span.as_dict()`` renders the subtree as plain
   dicts (start offsets relative to the tracer origin, durations in
-  seconds) suitable for attaching to a ``TranslationReport`` and for the
-  JSONL event journal.
+  seconds); the pipeline attaches the root's tree to every
+  ``TranslationReport`` as ``report.trace``.
 
 The module imports nothing from :mod:`repro` so every layer — including
 :mod:`repro.core.resilience` — may use it without cycles.
@@ -152,10 +152,6 @@ class Tracer:
         finally:
             opened.end = self._clock()
             self._stack.pop()
-
-    def export(self) -> list[dict]:
-        """Every root span's subtree as JSON-ready dicts."""
-        return [root.as_dict() for root in self.roots]
 
 
 #: Ambient tracer, mirroring the resilience layer's ambient deadline: the

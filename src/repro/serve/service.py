@@ -25,8 +25,9 @@ pipeline's per-translation fault isolation:
   format, and an optional :class:`~repro.obs.journal.Journal` records a
   per-request JSONL summary for offline analysis
   (:mod:`repro.eval.journal_analysis`).  Those views — plus the span
-  tree on every report and :meth:`TranslationService.health` — are the
-  service's only outputs besides the answers themselves.
+  tree on every report and the :class:`HealthSnapshot` that
+  :meth:`TranslationService.health` returns — are the service's only
+  outputs besides the answers themselves; none has a second JSON form.
 
 A service holds the pipeline it was built with for its whole life; to
 serve another model, start a new service, e.g.
@@ -46,7 +47,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.core.pipeline import MetaSQL, RankedResult
 from repro.core.resilience import Deadline, fire
@@ -124,21 +125,6 @@ class HealthSnapshot:
         if not (self.accepting and self.queue_depth < self.queue_capacity):
             return False
         return "open" not in self.breakers.values()
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (round-trips via :meth:`from_dict`).
-
-        The derived ``ready`` flag is included for readers of the dict
-        but ignored on the way back in.
-        """
-        record = asdict(self)
-        record["ready"] = self.ready
-        return record
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HealthSnapshot":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass

@@ -176,15 +176,6 @@ class Diagnostic:
     def is_error(self) -> bool:
         return self.severity == ERROR
 
-    def as_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "name": self.name,
-            "severity": self.severity,
-            "message": self.message,
-            "path": self.path,
-        }
-
     def render(self) -> str:
         """Compiler-style one-line rendering."""
         location = f" at {self.path}" if self.path else ""

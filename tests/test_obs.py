@@ -9,7 +9,6 @@ span tree, populated histograms, and a replayable journal.
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 import threading
 
@@ -27,12 +26,12 @@ from repro.obs import (
     Tracer,
     current_tracer,
     get_registry,
+    iter_journal,
     maybe_span,
-    read_journal,
     registry_scope,
     trace_scope,
 )
-from repro.serve import HealthSnapshot, ServiceConfig, TranslationService
+from repro.serve import ServiceConfig, TranslationService
 
 pytestmark = pytest.mark.obs
 
@@ -95,10 +94,10 @@ class TestTracer:
         with tracer.span("root", stage="demo"):
             with tracer.span("leaf"):
                 pass
-        exported = json.loads(json.dumps(tracer.export()))
-        assert exported[0]["name"] == "root"
-        assert exported[0]["attributes"] == {"stage": "demo"}
-        assert exported[0]["children"][0]["name"] == "leaf"
+        exported = json.loads(json.dumps(tracer.roots[0].as_dict()))
+        assert exported["name"] == "root"
+        assert exported["attributes"] == {"stage": "demo"}
+        assert exported["children"][0]["name"] == "leaf"
 
     def test_ambient_tracer_scope(self):
         assert current_tracer() is None
@@ -163,12 +162,23 @@ class TestCounter:
 
 class TestHistogram:
     def test_bucket_edges_are_le_inclusive(self):
-        h = Histogram("h_seconds", buckets=(0.1, 0.2, 0.4))
+        registry = MetricsRegistry()
+        h = registry.histogram("h_seconds", buckets=(0.1, 0.2, 0.4))
         h.observe(0.05)  # -> le=0.1
         h.observe(0.2)  # exactly a bound -> le=0.2 (inclusive)
         h.observe(0.2000001)  # just above -> le=0.4
         h.observe(5.0)  # -> +Inf
-        assert h.bucket_counts.tolist() == [1, 1, 1, 1]
+        buckets = [
+            line
+            for line in registry.render_prometheus().splitlines()
+            if line.startswith("h_seconds_bucket")
+        ]
+        assert buckets == [  # cumulative: one observation per bucket
+            'h_seconds_bucket{le="0.1"} 1',
+            'h_seconds_bucket{le="0.2"} 2',
+            'h_seconds_bucket{le="0.4"} 3',
+            'h_seconds_bucket{le="+Inf"} 4',
+        ]
         assert h.count == 4
         assert h.sum == pytest.approx(5.4500001)
 
@@ -184,53 +194,15 @@ class TestHistogram:
         with pytest.raises(MetricError, match="sorted and unique"):
             Histogram("bad_seconds", buckets=(0.1, 0.1))
 
-    def test_quantiles_interpolate_and_clamp(self):
-        h = Histogram("q_seconds", buckets=(1.0, 2.0, 4.0))
-        assert math.isnan(h.quantile(0.5))
-        for value in (0.5, 1.5, 1.5, 3.0):
-            h.observe(value)
-        assert h.quantile(0.0) == pytest.approx(0.5)  # clamped to min
-        assert h.quantile(1.0) == pytest.approx(3.0)  # clamped to max
-        median = h.quantile(0.5)
-        assert 1.0 <= median <= 2.0  # inside the containing bucket
-        with pytest.raises(MetricError, match="quantile"):
-            h.quantile(1.5)
-
-    def test_quantile_in_inf_bucket_falls_back_to_max(self):
-        h = Histogram("inf_seconds", buckets=(1.0,))
-        h.observe(10.0)
-        h.observe(20.0)
-        assert h.quantile(0.99) == 20.0
-
-    def test_quantile_in_first_bucket_stays_in_observed_range(self):
-        # All observations land far below the first bound: interpolating
-        # from an imaginary 0.0 lower edge used to report values ~100x
-        # larger than anything observed.
-        h = Histogram("first_seconds", buckets=(1.0, 2.0))
-        for value in (0.001, 0.002, 0.003):
-            h.observe(value)
-        for q in (0.1, 0.5, 0.9, 0.99):
-            assert 0.001 <= h.quantile(q) <= 0.003
-
-    def test_quantile_first_bucket_handles_negative_observations(self):
-        h = Histogram("neg_units", buckets=(1.0,))
-        h.observe(-5.0)
-        h.observe(-3.0)
-        assert -5.0 <= h.quantile(0.5) <= -3.0
-
-    def test_quantile_single_observation_is_exact(self):
-        h = Histogram("one_seconds", buckets=(1.0, 2.0))
-        h.observe(0.25)
-        assert h.quantile(0.0) == pytest.approx(0.25)
-        assert h.quantile(0.5) == pytest.approx(0.25)
-        assert h.quantile(1.0) == pytest.approx(0.25)
-
-
 class TestRegistry:
     def test_get_or_create_deduplicates(self):
         registry = MetricsRegistry()
-        assert registry.counter("x_total") is registry.counter("x_total")
-        assert registry.names() == ["x_total"]
+        counter = registry.counter("x_total")
+        assert registry.counter("x_total") is counter
+        assert registry.get("x_total") is counter
+        assert registry.render_prometheus() == (
+            "# TYPE x_total counter\nx_total 0\n"
+        )
 
     def test_kind_and_label_mismatch_rejected(self):
         registry = MetricsRegistry()
@@ -352,16 +324,6 @@ def test_prometheus_label_escaping():
     assert "\\n" in rendered and "\\\\slash" in rendered
 
 
-def test_registry_as_dict_is_json_ready():
-    snapshot = json.loads(json.dumps(_demo_registry().as_dict()))
-    histogram = snapshot["demo_latency_seconds"]["series"][0]
-    assert histogram["count"] == 4
-    assert histogram["buckets"]["+Inf"] == 4
-    assert snapshot["demo_requests_total"]["series"][0]["labels"] == {
-        "outcome": "completed"
-    }
-
-
 # ----------------------------------------------------------------------
 # Journal: durability and replay.
 
@@ -372,7 +334,7 @@ class TestJournal:
         journal.append({"event": "a", "n": 1})
         journal.append({"event": "b"}, stamp=False)
         journal.close()
-        records = read_journal(journal.path)
+        records = list(iter_journal(journal.path))
         assert [r["event"] for r in records] == ["a", "b"]
         assert records[0]["ts"] == 123.0
         assert "ts" not in records[1]
@@ -384,7 +346,7 @@ class TestJournal:
         # Simulate a crash mid-write: a partial, unterminated record.
         with open(path, "ab") as handle:
             handle.write(b'{"event":"torn","half')
-        records = read_journal(path)
+        records = list(iter_journal(path))
         assert [r["event"] for r in records] == ["before"]
 
     def test_reopen_repairs_torn_tail_before_appending(self, tmp_path):
@@ -397,7 +359,7 @@ class TestJournal:
         # torn prefix: the tail is newline-terminated on reopen.
         with Journal(path) as journal:
             journal.append({"event": "after"})
-        records = read_journal(path)
+        records = list(iter_journal(path))
         assert [r["event"] for r in records] == ["before", "after"]
         assert path.read_bytes().count(b"\n") == 3
 
@@ -417,7 +379,7 @@ class TestJournal:
         for t in pool:
             t.join()
         journal.close()
-        records = read_journal(journal.path)
+        records = list(iter_journal(journal.path))
         assert len(records) == threads * per_thread
         assert {(r["w"], r["i"]) for r in records} == {
             (w, i) for w in range(threads) for i in range(per_thread)
@@ -425,10 +387,10 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# Serialization round-trips.
+# The report's journal line.
 
 
-def test_translation_report_round_trips_through_json():
+def test_journal_fields_survive_json():
     report = TranslationReport(question="q")
     report.record(
         FaultRecord(
@@ -438,40 +400,25 @@ def test_translation_report_round_trips_through_json():
             fallback="skip",
         )
     )
+    report.record_lint_rejection(["SQL002", "SQL001"])
+    report.record_lint_rejection(["SQL002"])
     report.deadline_budget = 1.5
     report.deadline_stage = "stage2"
-    report.trace = {"name": "translate", "duration": 0.5, "children": []}
-    revived = TranslationReport.from_dict(
-        json.loads(json.dumps(report.as_dict()))
-    )
-    assert revived.as_dict() == report.as_dict()
-    assert revived.faults[0].stage == "generate"
-    assert revived.degraded and revived.deadline_expired
-
-
-def test_health_snapshot_round_trips_through_json():
-    snapshot = HealthSnapshot(
-        accepting=True,
-        queue_depth=2,
-        queue_capacity=16,
-        workers=2,
-        in_flight=1,
-        completed=10,
-        rejected=4,
-        failed=1,
-        degraded_rate=0.25,
-        deadline_expired=2,
-        uptime_seconds=12.5,
-        breakers={"stage1": "open"},
-    )
-    data = json.loads(json.dumps(snapshot.as_dict()))
-    assert data["ready"] is snapshot.ready
-    revived = HealthSnapshot.from_dict(data)
-    assert revived == snapshot
-    # A snapshot written by an older version carries a field that is
-    # gone now; reading it back ignores that key.
-    older = {**data, "shard_epoch": 3}
-    assert HealthSnapshot.from_dict(older) == snapshot
+    report.trace = {
+        "name": "translate",
+        "duration": 0.5,
+        "children": [
+            {"name": "generate", "duration": 0.25},
+            {"name": "stage2", "duration": 0.125},
+        ],
+    }
+    fields = json.loads(json.dumps(report.journal_fields()))
+    assert fields["faults"] == [{"stage": "generate", "fallback": "skip"}]
+    assert fields["degraded"] is True
+    assert fields["lint_rejected"] == 2
+    assert fields["lint_codes"] == {"SQL001": 1, "SQL002": 2}
+    assert fields["deadline_expired"] is True
+    assert fields["stages"] == {"generate": 0.25, "stage2": 0.125}
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +547,7 @@ class TestServiceObservability:
                 float(line.rsplit(" ", 1)[1])
 
         # (4) The journal recorded the request with per-stage latencies.
-        records = read_journal(journal_path)
+        records = list(iter_journal(journal_path))
         assert len(records) == 1
         record = records[0]
         assert record["event"] == "translate"
@@ -642,7 +589,7 @@ class TestEvalJournal:
         result = evaluate_metasql(
             trained_pipeline, tiny_benchmark.dev, limit=4, journal=path
         )
-        records = read_journal(path)
+        records = list(iter_journal(path))
         assert len(records) == len(result.records) == 4
         for record in records:
             assert record["event"] == "eval"
@@ -657,8 +604,7 @@ class TestEvalJournal:
         assert sum(
             b.total for b in summary.by_hardness.values()
         ) == 4
-        snapshot = json.loads(json.dumps(summary.as_dict()))
-        assert snapshot["latency"]["count"] == 4
+        assert len(summary.latencies) == 4
         rendered = summary.render()
         assert "by hardness:" in rendered and "by stage:" in rendered
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.core.resilience import (
     TranslationReport,
     guarded_call,
 )
-from repro.obs.journal import read_journal
+from repro.obs.journal import iter_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServiceConfig, TranslationService
 from repro.serve.service import HealthSnapshot
@@ -587,12 +588,13 @@ class TestServiceHealth:
             health = service.health()
         assert health.completed == 1
         assert set(health.breakers) == set(BreakerBoard.STAGES)
-        # as_dict/from_dict round-trip keeps the breaker section; unknown
-        # keys (the derived ``ready``, a newer field) are ignored.
-        data = {**health.as_dict(), "from_a_newer_version": 1}
-        clone = HealthSnapshot.from_dict(data)
-        assert clone == health
-        assert clone.ready == health.ready
+        assert health.ready
+        # The breaker section decides readiness: one open stage is enough.
+        tripped = replace(
+            health, breakers={**health.breakers, "stage2": "open"}
+        )
+        assert not tripped.ready
+        assert replace(tripped, breakers=health.breakers) == health
 
     def test_open_breaker_makes_service_not_ready(self):
         snapshot = HealthSnapshot(
@@ -609,10 +611,7 @@ class TestServiceHealth:
             breakers={"stage1": "closed", "stage2": "open"},
         )
         assert not snapshot.ready
-        assert snapshot.as_dict()["ready"] is False
-        half_open = HealthSnapshot.from_dict(
-            {**snapshot.as_dict(), "breakers": {"stage2": "half-open"}}
-        )
+        half_open = replace(snapshot, breakers={"stage2": "half-open"})
         assert half_open.ready
 
     def test_open_breaker_on_the_live_shard_makes_service_not_ready(
@@ -769,7 +768,7 @@ class TestServiceUnderFire:
         # Every completed request, and only those, left a journal line.
         journaled = {
             r["question"]
-            for r in read_journal(journal_path)
+            for r in iter_journal(journal_path)
             if r["event"] == "translate"
         }
         assert journaled == set(results)
