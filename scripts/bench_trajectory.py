@@ -11,7 +11,11 @@ loop in ``benchmarks/e2e/README.md``::
 
 One entry is appended per call: the two commits and, per workload and
 end-to-end metric of ``BENCHMARK.json``, the median and quartiles of each
-side and the number of pairs the change won.
+side, the number of pairs the change won, the gap between the medians
+(positive when the change is better), the parent's interquartile range and
+whether the gain rule holds: at least ``MIN_PAIRS`` pairs, the change
+winning at least nine in ten of them, and a gap above the parent's IQR.
+One line per workload metric is printed.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_e2e.json"
+#: The fewest pairs a claimed gain may rest on.
+MIN_PAIRS = 10
 
 
 def read_run(path: pathlib.Path) -> dict:
@@ -56,12 +62,23 @@ def fold(commit: str, parent_commit: str, parent: list[dict], change: list[dict]
             before = [run["metrics"][key]["value"] for run in parent]
             after = [run["metrics"][key]["value"] for run in change]
             sign = 1 if metric["better"] == "higher" else -1
+            parent_spread, change_spread = spread(before), spread(after)
+            gap = sign * (change_spread["median"] - parent_spread["median"])
+            parent_iqr = parent_spread["q3"] - parent_spread["q1"]
+            wins = sum(sign * (b - a) > 0 for a, b in zip(before, after))
             metrics[workload][metric["name"]] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                "parent": spread(before),
-                "change": spread(after),
-                "change_wins": sum(sign * (b - a) > 0 for a, b in zip(before, after)),
+                "parent": parent_spread,
+                "change": change_spread,
+                "change_wins": wins,
+                "median_gap": gap,
+                "parent_iqr": parent_iqr,
+                "gain_holds": (
+                    len(parent) >= MIN_PAIRS
+                    and 10 * wins >= 9 * len(parent)
+                    and gap > parent_iqr
+                ),
             }
     return {
         "commit": commit,
@@ -94,6 +111,14 @@ def main(argv=None) -> int:
         trajectory = json.loads(args.out.read_text())
     trajectory["entries"].append(entry)
     args.out.write_text(json.dumps(trajectory, indent=1) + "\n")
+    for workload, metrics in entry["metrics"].items():
+        for name, row in metrics.items():
+            print(
+                f"{workload}.{name}: median gap {row['median_gap']:+.4g} {row['unit']}"
+                f" (parent IQR {row['parent_iqr']:.4g}, change won"
+                f" {row['change_wins']}/{entry['pairs']}): gain"
+                f" {'holds' if row['gain_holds'] else 'does not hold'}"
+            )
     print(f"{args.out}: {len(trajectory['entries'])} entries")
     return 0
 

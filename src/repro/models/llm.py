@@ -29,7 +29,7 @@ import numpy as np
 from repro.data.dataset import Dataset, Example
 from repro.models.base import Candidate
 from repro.models.cues import cue_bonus
-from repro.models.seq2seq import GrammarSeq2Seq, ModelProfile
+from repro.models.seq2seq import GrammarSeq2Seq, ModelProfile, estimate_rating
 from repro.models.sketch import Sketch, SketchColumns, extract_sketch
 from repro.nn.text import TextFeaturizer
 from repro.schema.database import Database
@@ -165,8 +165,6 @@ class FewShotLLM(GrammarSeq2Seq):
                     scored = matching
             rating = getattr(metadata, "rating", None)
             if rating is not None:
-                from repro.models.seq2seq import estimate_rating
-
                 scored = [
                     (s - abs(estimate_rating(sk) - rating) / 300.0, sk)
                     for s, sk in scored

@@ -45,7 +45,6 @@ from repro.sqlkit.ast import (
     SetQuery,
     Star,
 )
-from repro.sqlkit.hardness import RATING_BASE, RATING_SCORES
 from repro.sqlkit.printer import to_sql
 
 #: Operator tags a metadata filter may relax when no sketch matches exactly.
@@ -74,7 +73,12 @@ class ModelProfile:
 
 
 class _State(NamedTuple):
-    """Partial decode state for one sketch (stages derive it by ``_replace``)."""
+    """Partial decode state for one sketch.
+
+    A stage offers each choice as ``(score, state, changes)``;
+    :mod:`repro.models.beam` builds ``state._replace(**changes)`` only for
+    the choices that survive the step.
+    """
 
     sketch: Sketch
     tables: tuple[str, ...] = ()
@@ -90,35 +94,9 @@ class _State(NamedTuple):
     from_inner: Query | None = None
 
 
-def estimate_rating(sketch: Sketch) -> int:
-    """Approximate hardness rating implied by a sketch's structure."""
-    rating = RATING_BASE
-    if sketch.n_tables > 1:
-        rating += RATING_SCORES["join"] * (sketch.n_tables - 1)
-    if sketch.n_predicates > 0:
-        rating += RATING_SCORES["where"]
-        rating += RATING_SCORES["extra_predicate"] * (sketch.n_predicates - 1)
-    if sketch.shape.startswith("nested:"):
-        rating += RATING_SCORES["subquery"] + RATING_SCORES["where"]
-    if sketch.shape == "from_subquery":
-        rating += RATING_SCORES["subquery"] + RATING_SCORES["group"]
-        rating += RATING_SCORES["having"]
-    if sketch.shape.startswith("setop:"):
-        rating += RATING_SCORES["setop"] + RATING_SCORES["where"]
-    if sketch.has_group:
-        rating += RATING_SCORES["group"]
-    if sketch.has_having:
-        rating += RATING_SCORES["having"]
-    if sketch.order != "none":
-        rating += RATING_SCORES["order"]
-    if sketch.limit != "none":
-        rating += RATING_SCORES["limit"]
-    n_aggs = len(sketch.select_aggs) + (1 if sketch.count_star else 0)
-    if sketch.order_on_agg:
-        n_aggs += 1
-    if n_aggs > 1:
-        rating += RATING_SCORES["agg"] * (n_aggs - 1)
-    return rating
+#: Approximate hardness rating implied by a sketch's structure, computed
+#: once per sketch (:meth:`Sketch.estimated_rating`).
+estimate_rating = Sketch.estimated_rating
 
 
 class GrammarSeq2Seq(TranslationModel):
@@ -209,17 +187,10 @@ class GrammarSeq2Seq(TranslationModel):
             beamlib.Beam(score=score, state=_State(sketch=sk))
             for score, sk in sketches
         ]
-        stages = [
-            context.stage_tables,
-            context.stage_select,
-            context.stage_where,
-            context.stage_group,
-            context.stage_having,
-            context.stage_order,
-            context.stage_setop,
-        ]
         width = max(beam_size * 3, 8)
-        final = beamlib.run(initial, stages, width)
+        final = beamlib.run(
+            initial, context.stages([sk for __, sk in sketches]), width
+        )
 
         candidates: list[Candidate] = []
         seen: set[str] = set()
@@ -325,8 +296,32 @@ class _Context:
         self._group_pos = prepared.group_pos
         self._order_pos = prepared.order_pos
         self._raw: list[float] = []
-        self._std: list[float] = []
+        self._noisy: list[float] = []
         self._drawn = 0
+
+    def stages(self, sketches: list[Sketch]) -> list[beamlib.Stage]:
+        """The stages, in decode order, that some of *sketches* can use.
+
+        Every stage returns ``[]``, before any draw, for a state whose
+        sketch does not use it, and a step in which no state has a choice
+        leaves the beam as it was: a stage no sketch uses changes no score
+        and no draw, so it is left out.
+        """
+        stages = [self.stage_tables, self.stage_select]
+        if any(sk.n_predicates or sk.shape.startswith("nested:") for sk in sketches):
+            stages.append(self.stage_where)
+        if any(sk.has_group for sk in sketches):
+            stages.append(self.stage_group)
+        if any(sk.has_having for sk in sketches):
+            stages.append(self.stage_having)
+        if any(sk.order != "none" for sk in sketches):
+            stages.append(self.stage_order)
+        if any(
+            sk.shape == "from_subquery" or sk.shape.startswith("setop:")
+            for sk in sketches
+        ):
+            stages.append(self.stage_setop)
+        return stages
 
     # -- noise ---------------------------------------------------------
 
@@ -337,7 +332,10 @@ class _Context:
         so every decision sees the value it always did.  ``uniform(lo,
         hi)`` is ``lo + (hi - lo) * raw``; the standard Gumbel transform is
         applied to the whole block with ``np.log``, which matches the
-        scalar calls bit for bit (``math.log`` does not).
+        scalar calls bit for bit (``math.log`` does not).  The block is
+        kept multiplied by the decode's ``noise``: Python evaluates ``std *
+        noise * scale`` as ``(std * noise) * scale``, so a draw times
+        ``scale`` keeps its bits.
         """
         if self._drawn == len(self._raw):
             self._refill()
@@ -349,7 +347,7 @@ class _Context:
         raw = self.rng.random(_NOISE_BLOCK)
         u = 1e-9 + ((1.0 - 1e-9) - 1e-9) * raw
         self._raw = raw.tolist()
-        self._std = (-np.log(-np.log(u))).tolist()
+        self._noisy = (-np.log(-np.log(u)) * self.noise).tolist()
         self._drawn = 0
 
     def _skip(self, n: int) -> None:
@@ -363,19 +361,18 @@ class _Context:
 
     def _gumbel(self, scale: float = 1.0) -> float:
         index = self._draw()  # may replace the block: index it afterwards
-        return self._std[index] * self.noise * scale
+        return self._noisy[index] * scale
 
     def _gumbels(self, n: int, scale: float = 1.0) -> list[float]:
         """The next *n* draws, as *n* calls to :meth:`_gumbel` return them:
         sliced from the block, refilled only when a draw needs it."""
-        noise = self.noise
         out: list[float] = []
         while n > 0:
             if self._drawn == len(self._raw):
                 self._refill()
             start = self._drawn
-            stop = min(start + n, len(self._std))
-            out.extend([std * noise * scale for std in self._std[start:stop]])
+            stop = min(start + n, len(self._noisy))
+            out.extend([noisy * scale for noisy in self._noisy[start:stop]])
             self._drawn = stop
             n -= stop - start
         return out
@@ -417,7 +414,7 @@ class _Context:
                 reverse=True,
             )
             for score, name in scored[:3]:
-                choices.append((score, state._replace(tables=(name,))))
+                choices.append((score, state, {"tables": (name,)}))
             return beamlib.LogNormalized(choices)
         # Join: FK-linked pairs, or FK chains of three tables.
         chain = sketch.n_tables >= 3
@@ -432,7 +429,7 @@ class _Context:
             scored.append((score, tables, joins))
         scored.sort(key=_by_score, reverse=True)
         for score, tables, joins in scored[:4]:
-            choices.append((score, state._replace(tables=tables, joins=joins)))
+            choices.append((score, state, {"tables": tables, "joins": joins}))
         return beamlib.LogNormalized(choices)
 
     # -- stage 2: select ---------------------------------------------------
@@ -511,7 +508,7 @@ class _Context:
         for score, items, __ in combos:
             if not items:
                 continue
-            choices.append((score, state._replace(select=items)))
+            choices.append((score, state, {"select": items}))
         return beamlib.LogNormalized(choices)
 
     # -- predicates --------------------------------------------------------
@@ -595,7 +592,7 @@ class _Context:
         kinds = sketch.predicate_kinds
         pool = self._predicate_candidates(state.tables, kinds)
         if not pool:
-            return [(-3.0, state)]
+            return [(-3.0, state, {})]
         # Each combo carries the ``(key, op)`` slots of its predicates.
         combos: list[tuple[float, tuple[Predicate, ...], tuple]] = [
             (0.0, (), ())
@@ -627,9 +624,8 @@ class _Context:
             choices.append(
                 (
                     score,
-                    state._replace(
-                        where_predicates=preds, connectors=connectors
-                    ),
+                    state,
+                    {"where_predicates": preds, "connectors": connectors},
                 )
             )
         return beamlib.LogNormalized(choices)
@@ -655,7 +651,7 @@ class _Context:
                 op = ">" if direction_up else "<"
                 predicate = Predicate(left=ref, op=op, right=inner)
                 choices.append(
-                    (score, state._replace(where_predicates=(predicate,)))
+                    (score, state, {"where_predicates": (predicate,)})
                 )
             return beamlib.LogNormalized(choices)
         # nested:in / nested:not_in over a foreign key.
@@ -692,7 +688,8 @@ class _Context:
                 choices.append(
                     (
                         link_score + extra + self._gumbel(0.5),
-                        state._replace(where_predicates=(predicate,)),
+                        state,
+                        {"where_predicates": (predicate,)},
                     )
                 )
         choices.sort(key=_by_score, reverse=True)
@@ -708,10 +705,10 @@ class _Context:
         for score, column in self._ranked_columns(state.tables, TEXT)[:3]:
             ref = column.ref
             score = score + self.prepared.near_bonus(ref, self._group_pos)
-            choices.append((score, state._replace(group_by=(ref,))))
+            choices.append((score, state, {"group_by": (ref,)}))
         if not choices:
             for score, column in self._ranked_columns(state.tables)[:2]:
-                choices.append((score, state._replace(group_by=(column.ref,))))
+                choices.append((score, state, {"group_by": (column.ref,)}))
         return beamlib.LogNormalized(choices)
 
     def _count_threshold(self) -> tuple[int, str]:
@@ -739,7 +736,7 @@ class _Context:
                 ),
             )
         )
-        return [(0.0, state._replace(having=having))]
+        return [(0.0, state, {"having": having})]
 
     # -- stage 6: order + limit ------------------------------------------
 
@@ -773,10 +770,11 @@ class _Context:
             choices.append(
                 (
                     0.5,
-                    state._replace(
-                        order_by=(OrderItem(expr=expr, desc=desc),),
-                        limit=limit,
-                    ),
+                    state,
+                    {
+                        "order_by": (OrderItem(expr=expr, desc=desc),),
+                        "limit": limit,
+                    },
                 )
             )
             return choices
@@ -790,10 +788,11 @@ class _Context:
             choices.append(
                 (
                     score,
-                    state._replace(
-                        order_by=(OrderItem(expr=ref, desc=desc),),
-                        limit=limit,
-                    ),
+                    state,
+                    {
+                        "order_by": (OrderItem(expr=ref, desc=desc),),
+                        "limit": limit,
+                    },
                 )
             )
         return beamlib.LogNormalized(choices)
@@ -824,7 +823,7 @@ class _Context:
                 from_=FromClause(tables=state.tables, joins=state.joins),
                 where=Condition(predicates=(predicate,)),
             )
-            choices.append((score, state._replace(setop_right=right)))
+            choices.append((score, state, {"setop_right": right}))
         return beamlib.LogNormalized(choices)
 
     def _stage_from_subquery(self, state: _State):
@@ -846,7 +845,7 @@ class _Context:
                     )
                 ),
             )
-            choices.append((score, state._replace(from_inner=inner)))
+            choices.append((score, state, {"from_inner": inner}))
         return beamlib.LogNormalized(choices)
 
     # -- finalisation -------------------------------------------------------

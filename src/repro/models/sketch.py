@@ -32,6 +32,7 @@ from repro.sqlkit.ast import (
     SetQuery,
     Star,
 )
+from repro.sqlkit.hardness import RATING_BASE, RATING_SCORES
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,41 @@ class Sketch:
         ):
             tags.add("agg")
         return frozenset(tags)
+
+    def estimated_rating(self) -> int:
+        """Approximate hardness rating implied by this structure."""
+        return self._estimated_rating
+
+    @cached_property
+    def _estimated_rating(self) -> int:
+        # Computed once per sketch: a rating filter asks for it per decode.
+        rating = RATING_BASE
+        if self.n_tables > 1:
+            rating += RATING_SCORES["join"] * (self.n_tables - 1)
+        if self.n_predicates > 0:
+            rating += RATING_SCORES["where"]
+            rating += RATING_SCORES["extra_predicate"] * (self.n_predicates - 1)
+        if self.shape.startswith("nested:"):
+            rating += RATING_SCORES["subquery"] + RATING_SCORES["where"]
+        if self.shape == "from_subquery":
+            rating += RATING_SCORES["subquery"] + RATING_SCORES["group"]
+            rating += RATING_SCORES["having"]
+        if self.shape.startswith("setop:"):
+            rating += RATING_SCORES["setop"] + RATING_SCORES["where"]
+        if self.has_group:
+            rating += RATING_SCORES["group"]
+        if self.has_having:
+            rating += RATING_SCORES["having"]
+        if self.order != "none":
+            rating += RATING_SCORES["order"]
+        if self.limit != "none":
+            rating += RATING_SCORES["limit"]
+        n_aggs = len(self.select_aggs) + (1 if self.count_star else 0)
+        if self.order_on_agg:
+            n_aggs += 1
+        if n_aggs > 1:
+            rating += RATING_SCORES["agg"] * (n_aggs - 1)
+        return rating
 
 
 FACET_NAMES = tuple(Sketch().facets().keys())

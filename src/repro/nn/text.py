@@ -8,10 +8,14 @@ into a dense embedding space.
 
 ``transform`` and ``transform_many`` share one feature-accumulation path
 (:func:`_count_matrix`), so single-text ``transform`` is exactly the
-one-row case of ``transform_many``; token hashes are memoized
-(:func:`_fnv1a` keeps a bounded per-token memo independent of the bucket
-count) because the same question/SQL tokens recur across every candidate
-of every request.
+one-row case of ``transform_many``.  Hashes are memoized in two bounded
+process-wide memos because the same question/SQL words recur across every
+candidate of every request, and a question's words in the classifier, the
+stage-1 ranker and the few-shot retriever: :func:`_fnv1a` per token,
+independent of the bucket count, and :func:`_word_buckets` per ``(word,
+buckets, include_chars)``, the buckets of a word's unigram and character
+trigrams.  A bigram is hashed per occurrence (through :func:`_fnv1a`):
+neither a process-wide nor a per-call bigram memo paid for its memory.
 """
 
 from __future__ import annotations
@@ -72,31 +76,35 @@ def text_features(text: str, include_chars: bool = True) -> list[str]:
     return features
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _word_buckets(word: str, buckets: int, include_chars: bool) -> array:
+    """Memoized buckets of *word*'s unigram and, with *include_chars*, its
+    character trigrams.  The array is shared: callers must not mutate it."""
+    features = [word] + _trigrams(word) if include_chars else [word]
+    return array("q", [_hash_token(f, buckets) for f in features])
+
+
 def _count_matrix(
     texts: list[str], buckets: int, include_chars: bool
 ) -> np.ndarray:
     """Shared accumulation path: hashed-feature counts, one row per text.
 
-    The features are those of :func:`text_features`.  Each distinct word's
-    unigram and character trigrams are hashed once per call (the texts of
-    one call share most of their words), and one unit-weight
-    ``np.bincount`` over ``row * buckets + bucket`` counts every row into
-    the float matrix.  The counts are small exact integers, so it equals
-    the matrix a ``+= 1.0`` per feature would build.
+    The features are those of :func:`text_features`.  Each word's unigram
+    and character trigrams are hashed once per process (the bounded
+    :func:`_word_buckets` memo: a question's words recur in the
+    classifier, the stage-1 ranker and the few-shot retriever), each
+    bigram per occurrence, and one unit-weight ``np.bincount`` over ``row
+    * buckets + bucket`` counts every row into the float matrix.  The
+    counts are small exact integers, so it equals the matrix a ``+= 1.0``
+    per feature would build.
     """
-    word_buckets: dict[str, array] = {}
     indices = array("q")
     lengths: list[int] = []
     for text in texts:
         start = len(indices)
         words = tokenize_text(text)
         for word in words:
-            hashed = word_buckets.get(word)
-            if hashed is None:
-                features = [word] + _trigrams(word) if include_chars else [word]
-                hashed = array("q", [_hash_token(f, buckets) for f in features])
-                word_buckets[word] = hashed
-            indices.extend(hashed)
+            indices.extend(_word_buckets(word, buckets, include_chars))
         indices.extend(
             array("q", [_hash_token(f, buckets) for f in _bigrams(words)])
         )

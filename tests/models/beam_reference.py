@@ -3,7 +3,8 @@
 ``log_normalize`` is the stage-side rescaling each decode stage applied to
 its own choices, with one small numpy array per list; ``expand`` and
 ``run`` are the plain beam step over frozen-dataclass beams, sorted by
-``-score``.
+``-score``, which builds every choice's state
+``parent._replace(**changes)`` before pruning.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ def log_normalize(choices):
     """Rescale stage choices to log-probabilities (length-bias free)."""
     if not choices:
         return choices
-    scores = np.array([score for score, __ in choices])
+    scores = np.array([score for score, __, __ in choices])
     peak = scores.max()
     lse = peak + np.log(np.exp(scores - peak).sum())
-    return [(float(score - lse), state) for score, state in choices]
+    return [
+        (float(score - lse), parent, changes) for score, parent, changes in choices
+    ]
 
 
 def expand(beams, expander, width):
@@ -36,8 +39,10 @@ def expand(beams, expander, width):
         if not choices:
             next_beams.append(beam)
             continue
-        for logprob, next_state in choices:
-            next_beams.append(Beam(score=beam.score + logprob, state=next_state))
+        for logprob, parent, changes in choices:
+            next_beams.append(
+                Beam(score=beam.score + logprob, state=parent._replace(**changes))
+            )
     next_beams.sort(key=lambda b: -b.score)
     return next_beams[:width]
 

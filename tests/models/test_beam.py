@@ -1,5 +1,7 @@
 """Generic beam-search tests."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,29 +18,74 @@ _SCORES = st.one_of(
 )
 
 
+class Path(NamedTuple):
+    """A test state: the choices taken so far."""
+
+    steps: tuple = ()
+
+
+def path(*steps):
+    return Path(steps)
+
+
 def make_expander(choices):
     def expander(state):
-        return [(lp, state + [c]) for lp, c in choices]
+        return [(lp, state, {"steps": state.steps + (c,)}) for lp, c in choices]
 
     return expander
 
 
+class Counted:
+    """A state that counts the states built from it by ``_replace``."""
+
+    def __init__(self, name, built):
+        self.name = name
+        self.built = built
+
+    def _replace(self, name):
+        self.built.append(name)
+        return Counted(name, self.built)
+
+
 class TestExpand:
     def test_keeps_top_width(self):
-        beams = [Beam(score=0.0, state=[])]
+        beams = [Beam(score=0.0, state=path())]
         expander = make_expander([(-1.0, "a"), (-0.5, "b"), (-2.0, "c")])
         result = expand(beams, expander, width=2)
-        assert [b.state[-1] for b in result] == ["b", "a"]
+        assert [b.state.steps[-1] for b in result] == ["b", "a"]
 
     def test_empty_expansion_keeps_state(self):
-        beams = [Beam(score=-1.0, state=["x"])]
+        beams = [Beam(score=-1.0, state=path("x"))]
         result = expand(beams, lambda s: [], width=3)
         assert result == beams
 
     def test_scores_accumulate(self):
-        beams = [Beam(score=-1.0, state=[])]
+        beams = [Beam(score=-1.0, state=path())]
         result = expand(beams, make_expander([(-0.5, "a")]), width=1)
         assert result[0].score == -1.5
+
+    def test_builds_only_surviving_states(self):
+        """One ``_replace`` per surviving choice, none for a pruned one;
+        a kept (unexpanded) state is passed on, not rebuilt."""
+        built = []
+
+        def expander(state):
+            if state.name == "kept":
+                return []
+            return [
+                (score, state, {"name": f"{state.name}{k}"})
+                for k, score in enumerate((-3.0, -0.5, -2.0, -0.1))
+            ]
+
+        beams = [
+            Beam(score=0.0, state=Counted("p", built)),
+            Beam(score=-1.0, state=Counted("kept", built)),
+            Beam(score=-1.5, state=Counted("q", built)),
+        ]
+        result = expand(beams, expander, width=4)
+        assert [b.state.name for b in result] == ["p3", "p1", "kept", "q3"]
+        assert built == ["p3", "p1", "q3"]
+        assert result[2].state is beams[1].state
 
 
 class TestRun:
@@ -47,8 +94,8 @@ class TestRun:
             make_expander([(-0.1, "a1"), (-1.0, "a2")]),
             make_expander([(-0.2, "b1"), (-0.05, "b2")]),
         ]
-        final = run([Beam(score=0.0, state=[])], stages, width=4)
-        assert final[0].state == ["a1", "b2"]
+        final = run([Beam(score=0.0, state=path())], stages, width=4)
+        assert final[0].state == path("a1", "b2")
 
     def test_width_one_is_greedy(self):
         stages = [
@@ -56,51 +103,68 @@ class TestRun:
             # After 'good' the only continuation is expensive; greedy
             # cannot recover — the hallmark of local decoding.
         ]
-        final = run([Beam(score=0.0, state=[])], stages, width=1)
+        final = run([Beam(score=0.0, state=path())], stages, width=1)
         assert len(final) == 1
-        assert final[0].state == ["good"]
+        assert final[0].state == path("good")
 
     def test_initial_beams_pruned(self):
-        initial = [Beam(score=-i, state=[i]) for i in range(10)]
+        initial = [Beam(score=-i, state=path(i)) for i in range(10)]
         final = run(initial, [], width=3)
         assert len(final) == 3
-        assert final[0].state == [0]
+        assert final[0].state == path(0)
+
+    def test_step_without_choices_keeps_the_beam(self):
+        initial = [Beam(score=-i, state=path(i)) for i in range(3)]
+        stages = [lambda s: [], make_expander([(-1.0, "a")]), lambda s: []]
+        final = run(initial, stages, width=3)
+        assert final == [
+            Beam(score=-1.0 - i, state=path(i, "a")) for i in range(3)
+        ]
 
 
 class TestTieOrder:
     def test_equal_scores_keep_insertion_order_through_expand(self):
-        beams = [Beam(score=0.0, state=["p"]), Beam(score=0.0, state=["q"])]
+        beams = [Beam(score=0.0, state=path("p")), Beam(score=0.0, state=path("q"))]
         expander = make_expander([(-1.0, "a"), (-1.0, "b"), (-1.0, "c")])
         result = expand(beams, expander, width=6)
-        assert [b.state for b in result] == [
-            ["p", "a"], ["p", "b"], ["p", "c"],
-            ["q", "a"], ["q", "b"], ["q", "c"],
+        assert [b.state.steps for b in result] == [
+            ("p", "a"), ("p", "b"), ("p", "c"),
+            ("q", "a"), ("q", "b"), ("q", "c"),
         ]
 
     def test_equal_scores_keep_insertion_order_through_run(self):
-        initial = [Beam(score=0.0, state=[name]) for name in "xyz"]
+        initial = [Beam(score=0.0, state=path(name)) for name in "xyz"]
         stages = [make_expander([(-0.5, "a"), (-0.5, "b")]), lambda s: []]
         final = run(initial, stages, width=4)
-        assert [b.state for b in final] == [
-            ["x", "a"], ["x", "b"], ["y", "a"], ["y", "b"],
+        assert [b.state.steps for b in final] == [
+            ("x", "a"), ("x", "b"), ("y", "a"), ("y", "b"),
         ]
 
     def test_returns_named_beams(self):
-        final = run([Beam(score=0.0, state=[])], [make_expander([(-1.0, "a")])], 2)
+        final = run([Beam(score=0.0, state=path())], [make_expander([(-1.0, "a")])], 2)
         assert isinstance(final[0], Beam)
-        assert final[0] == Beam(score=-1.0, state=["a"])
+        assert final[0] == Beam(score=-1.0, state=path("a"))
+
+
+class _Node(NamedTuple):
+    depth: int
+    index: int
+    marked: bool
 
 
 class TestLogNormalized:
     def test_marked_list_rescaled_unmarked_kept(self):
         def expander(state):
-            choices = [(2.0, state + ["hi"]), (0.0, state + ["lo"])]
-            if state == ["marked"]:
+            choices = [
+                (2.0, state, {"steps": state.steps + ("hi",)}),
+                (0.0, state, {"steps": state.steps + ("lo",)}),
+            ]
+            if state == path("marked"):
                 return LogNormalized(choices)
             return choices
 
-        beams = [Beam(score=0.0, state=["marked"]), Beam(score=0.0, state=["raw"])]
-        result = {tuple(b.state): b.score for b in expand(beams, expander, 4)}
+        beams = [Beam(score=0.0, state=path("marked")), Beam(score=0.0, state=path("raw"))]
+        result = {b.state.steps: b.score for b in expand(beams, expander, 4)}
         lse = 2.0 + np.log1p(np.exp(-2.0))
         assert result[("raw", "hi")] == 2.0
         assert result[("raw", "lo")] == 0.0
@@ -110,7 +174,7 @@ class TestLogNormalized:
         assert probabilities.sum() == pytest.approx(1.0)
 
     def test_empty_marked_list_keeps_state(self):
-        beams = [Beam(score=-1.0, state=["x"])]
+        beams = [Beam(score=-1.0, state=path("x"))]
         assert expand(beams, lambda s: LogNormalized(), width=3) == beams
 
     @settings(max_examples=500, deadline=None)
@@ -128,7 +192,7 @@ class TestLogNormalized:
     def test_partitions_equal_per_list_formula(self, lists):
         """One ``np.exp``/``np.log`` over a step's lists gives each list's
         ``peak + np.log(np.exp(s - peak).sum())``, as ``float.hex``."""
-        marked = [[(score, None) for score in scores] for scores in lists]
+        marked = [[(score, None, {}) for score in scores] for scores in lists]
         want = []
         for scores in lists:
             array = np.array(scores)
@@ -159,7 +223,15 @@ class TestLogNormalized:
                 if depth == 2:
                     return []
                 choices = [
-                    (score, (depth + 1, (index + k) % 5, k % 2 == 0))
+                    (
+                        score,
+                        state,
+                        {
+                            "depth": depth + 1,
+                            "index": (index + k) % 5,
+                            "marked": k % 2 == 0,
+                        },
+                    )
                     for k, score in enumerate(lists[index])
                 ]
                 return normalize(choices) if marked else choices
@@ -167,7 +239,10 @@ class TestLogNormalized:
             return expander
 
         initial = [
-            (0.0 if parent is None else parent, (0, index, parent is not None))
+            (
+                0.0 if parent is None else parent,
+                _Node(0, index, parent is not None),
+            )
             for index, parent in enumerate(parents)
         ]
         got = run(

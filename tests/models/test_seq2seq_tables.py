@@ -5,7 +5,8 @@ Every dev question of the tiny pipeline is translated with each decode's
 of the predicate builders, runs the old form
 (:mod:`tests.models.seq2seq_reference`) on a twin of its noise stream
 first and records any difference: in a score's ``float.hex``, in a state
-or predicate, or in where the stream stands afterwards.  Generation
+(built from a choice's ``parent._replace(**changes)``) or predicate, or in
+where the stream stands afterwards.  Generation
 isolates each decode's exceptions, so differences are collected, not
 raised.
 """
@@ -27,7 +28,7 @@ from tests.models import seq2seq_reference as reference
 def _twin(ctx):
     """A context over the same prepared question at the same stream point."""
     twin = seq2seq._Context(ctx.prepared, rng=copy.deepcopy(ctx.rng), noise=ctx.noise)
-    twin._raw, twin._std, twin._drawn = list(ctx._raw), list(ctx._std), ctx._drawn
+    twin._raw, twin._noisy, twin._drawn = list(ctx._raw), list(ctx._noisy), ctx._drawn
     return twin
 
 
@@ -37,6 +38,13 @@ def _stream(ctx):
 
 def _hexed(choices):
     return [(score.hex(), state) for score, state in choices]
+
+
+def _built(choices):
+    """``(score, parent, changes)`` choices as ``(hex, built state)`` pairs."""
+    return [
+        (score.hex(), parent._replace(**changes)) for score, parent, changes in choices
+    ]
 
 
 def _predicates(choices):
@@ -58,7 +66,7 @@ def _checked_context(calls: Counter, mismatches: list):
             twin = _twin(self)
             want = reference.stage_select(twin, state)
             got = super().stage_select(state)
-            same = type(got) is beamlib.LogNormalized and _hexed(got) == _hexed(want)
+            same = type(got) is beamlib.LogNormalized and _built(got) == _hexed(want)
             self._compare("stage_select", twin, want, got, same)
             return got
 

@@ -12,6 +12,7 @@ from repro.nn.text import (
     TextFeaturizer,
     _count_matrix,
     _hash_token,
+    _word_buckets,
     text_features,
     tokenize_text,
 )
@@ -121,6 +122,33 @@ class TestTextFeaturizer:
         expected = reference_count_matrix(texts, buckets, include_chars)
         assert counts.dtype == expected.dtype
         assert counts.tobytes() == expected.tobytes()
+
+    def test_word_memo_serves_every_featurizer_shape(self):
+        """The process-wide word memo is keyed by bucket count and
+        ``include_chars`` as well as the word: interleaved featurizers of
+        different shapes each count what the per-feature loop counts."""
+        texts = [
+            "how many singers are older than 30",
+            "singers older than 30 and younger than 40",
+            "show the name of every singer",
+            "",
+        ]
+        shapes = [(1024, True), (2048, True), (2048, False), (1024, False)]
+        for __ in range(2):  # the second round reads the memo the first filled
+            for text in texts:
+                for buckets, include_chars in shapes:
+                    for batch in ([text], texts):
+                        counts = _count_matrix(batch, buckets, include_chars)
+                        expected = reference_count_matrix(
+                            batch, buckets, include_chars
+                        )
+                        assert counts.tobytes() == expected.tobytes()
+        for buckets, include_chars in shapes:
+            featurizer = TextFeaturizer(buckets=buckets, include_chars=include_chars)
+            assert featurizer.transform_many(texts).shape == (len(texts), buckets)
+        info = _word_buckets.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+        assert info.hits > 0
 
     def test_transform_many_peak_memory_is_bounded(self):
         """The matrix is built in place: the traced peak stays under 2.5x
