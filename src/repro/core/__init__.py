@@ -22,9 +22,6 @@ _EXPORTS = {
     "VerifyResult": ("repro.core.verify", "VerifyResult"),
     "verify_candidates": ("repro.core.verify", "verify_candidates"),
     "RepairConfig": ("repro.core.repair", "RepairConfig"),
-    "save_pipeline": ("repro.core.persist", "save_pipeline"),
-    "load_pipeline": ("repro.core.persist", "load_pipeline"),
-    "verify_checkpoint": ("repro.core.persist", "verify_checkpoint"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -180,9 +180,8 @@ class MetaSQL:
         self.stage2 = MultiGrainedRanker(self.config.stage2)
         self._trained = False
         self.breakers = BreakerBoard(on_transition=_record_breaker_transition)
-        # "Not known broken": a restored pipeline (persist.load_pipeline)
-        # keeps these True; a guarded training failure flips them so
-        # inference degrades instead of raising.
+        # "Not known broken": True until a guarded training failure
+        # flips one, so inference degrades instead of raising.
         self._classifier_ok = True
         self._stage1_ok = True
         self._stage2_ok = True
@@ -488,8 +487,8 @@ class MetaSQL:
         """The metadata-conditioned candidate set for *question*."""
         if not self._trained:
             raise PipelineStateError(
-                "MetaSQL pipeline is not trained; call train() or "
-                "load_pipeline() before requesting candidates"
+                "MetaSQL pipeline is not trained; call train() before "
+                "requesting candidates"
             )
         cues = None
         if compositions is None:
@@ -529,8 +528,8 @@ class MetaSQL:
         """
         if not self._trained:
             raise PipelineStateError(
-                "MetaSQL pipeline is not trained; call train() or "
-                "load_pipeline() before translating"
+                "MetaSQL pipeline is not trained; call train() before "
+                "translating"
             )
         report = TranslationReport(question=question)
         if deadline is not None:

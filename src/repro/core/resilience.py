@@ -49,8 +49,6 @@ FAILPOINTS: tuple[str, ...] = (
     "executor.execute",
     "verify.execute",
     "repair.regenerate",
-    "persist.save",
-    "persist.finalize",
     "serve.handle",
 )
 

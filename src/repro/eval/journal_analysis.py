@@ -59,11 +59,8 @@ class HardnessBucket:
     em_hits: int = 0
     ex_hits: int = 0
     degraded: int = 0
-    #: Candidates the verify stage demoted (sum over records).
-    verify_demoted: int = 0
     #: Records with at least one verify demotion.
     demoted_records: int = 0
-    repair_attempts: int = 0
     #: Records that attempted at least one repair.
     repair_records: int = 0
     repair_succeeded: int = 0
@@ -218,11 +215,9 @@ def _fold_eval(summary: JournalSummary, record: dict) -> None:
     bucket.degraded += bool(record.get("degraded"))
     demoted = record.get("verify_demoted")
     if isinstance(demoted, int) and demoted > 0:
-        bucket.verify_demoted += demoted
         bucket.demoted_records += 1
     attempts = record.get("repair_attempts")
     if isinstance(attempts, int) and attempts > 0:
-        bucket.repair_attempts += attempts
         bucket.repair_records += 1
         bucket.repair_succeeded += bool(record.get("repair_succeeded"))
     latency = record.get("latency_s")

@@ -109,8 +109,8 @@ class FewShotLLM(GrammarSeq2Seq):
     # Sketch proposals from retrieval instead of the NB classifier.
 
     def _demo_sketches(self) -> _DemoTable:
-        """The pool's sketch table, built on first use and dropped by ``fit``
-        (:mod:`repro.core.persist` restores the pool without calling it)."""
+        """The pool's sketch table, built on first use and dropped by ``fit``,
+        so a refit pool rebuilds it."""
         if self._demo_table is None:
             index: dict[Sketch, int] = {}
             rows = {}

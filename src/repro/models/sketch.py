@@ -321,8 +321,11 @@ class SketchModel:
     The question-independent part of that score (facet-value codes,
     prior term and the sketch columns the cue bonus reads, and each facet
     value's log terms) lives in a signature table built on first use and
-    dropped by ``fit``: :mod:`repro.core.persist` restores the counts
-    without calling ``fit``.
+    dropped by ``fit``, so a refit scores with the new counts.  It stays
+    lazy because :class:`~repro.models.llm.FewShotLLM` proposes sketches
+    from its retrieved demonstrations and reads :attr:`signatures` only
+    on its tag-filter fallback, so a model that bypasses sketch scoring
+    never builds it.
     """
 
     def __init__(self, smoothing: float = 0.3) -> None:

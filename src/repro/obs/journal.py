@@ -5,10 +5,7 @@ evaluation harness one per scored example; offline tooling
 (:mod:`repro.eval.journal_analysis`) replays the file into per-stage /
 per-hardness breakdowns.
 
-Durability follows the same contract as :mod:`repro.core.persist`, adapted
-to an append-only file (this module cannot import ``persist`` — that would
-cycle through the pipeline — so it re-implements the two small fsync
-idioms):
+Durability contract:
 
 - **Synced appends.**  Every record is one ``\\n``-terminated line,
   flushed and (by default) fsynced before :meth:`Journal.append` returns,

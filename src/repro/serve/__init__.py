@@ -5,9 +5,8 @@
   deadlines and a health/readiness snapshot around the one pipeline it
   holds for its whole life.
 
-Checkpoints are written and read by :mod:`repro.core.persist`
-(``save_pipeline``/``load_pipeline``); a service warm-starts as
-``TranslationService(load_pipeline(path), config)``.
+Serving another model means starting a new service on a newly trained
+pipeline.
 """
 
 from repro.serve.service import (

@@ -30,9 +30,7 @@ pipeline's per-translation fault isolation:
   outputs besides the answers themselves; none has a second JSON form.
 
 A service holds the pipeline it was built with for its whole life; to
-serve another model, start a new service, e.g.
-``TranslationService(load_pipeline(path), config)`` with
-:func:`repro.core.persist.load_pipeline`.
+serve another model, start a new service on a newly trained pipeline.
 
 The service is deliberately synchronous-thread-pool shaped: the pipeline
 is pure CPU-bound Python/numpy, so a small worker pool bounded by a

@@ -5,7 +5,7 @@ Two branches share the :class:`SqlError` root so callers with an existing
 
 - **substrate errors** (tokenize / parse / execute / schema), and
 - **pipeline errors** — lifecycle misuse, whole-stage failures and the
-  serving and checkpoint errors.
+  serving errors.
 
 No error is retried: :func:`repro.core.resilience.guarded_call` runs a
 stage once and applies the stage's fallback on its first fault.
@@ -111,38 +111,3 @@ class ConfigError(SqlError, ValueError):
     :class:`ValueError` so callers with an existing ``except ValueError``
     net keep catching construction failures.
     """
-
-
-# ----------------------------------------------------------------------
-# Checkpoint taxonomy (used by repro.core.persist / repro.serve).
-
-
-class CheckpointError(SqlError, ValueError):
-    """A pipeline checkpoint could not be written or restored.
-
-    Also a :class:`ValueError` for backward compatibility with callers
-    that caught the bare ``ValueError`` older ``load_pipeline`` versions
-    raised on a format-version mismatch.
-    """
-
-    def __init__(self, message: str, path=None) -> None:
-        super().__init__(message)
-        self.path = str(path) if path is not None else None
-
-
-class CheckpointCorrupt(CheckpointError):
-    """A checkpoint file is truncated, bit-flipped, or missing."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """A checkpoint was written by an incompatible format version."""
-
-    def __init__(self, found: int, supported: tuple[int, ...], path=None) -> None:
-        versions = ", ".join(str(v) for v in supported)
-        super().__init__(
-            f"unsupported pipeline format version {found} "
-            f"(supported: {versions})",
-            path=path,
-        )
-        self.found = found
-        self.supported = supported

@@ -114,3 +114,24 @@ class TestSketchModel:
             question, cues=extract_cues(question, db)
         )[0][1]
         assert with_cues.count_star
+
+
+class TestSignatureTable:
+    """The sketch model's lazily built signature table follows its counts."""
+
+    def test_second_fit_rebuilds_the_table(self, tiny_benchmark):
+        from repro.data.dataset import Dataset
+        from repro.models.sketch import SketchModel
+
+        train = tiny_benchmark.train
+        head = Dataset(train.name, train.examples[:20], train.databases)
+        question = "How many pets are there?"
+        scored_between = SketchModel().fit(head)
+        first = scored_between.score_sketches(question)  # builds the table
+        scored_between.fit(train)
+        # The same two fits with no scoring in between never saw a table.
+        unscored = SketchModel().fit(head).fit(train)
+        rebuilt = scored_between.score_sketches(question)
+        assert rebuilt != first
+        assert rebuilt == unscored.score_sketches(question)
+        assert scored_between.signatures == unscored.signatures

@@ -1,10 +1,14 @@
 """Failure-injection and robustness tests across the stack."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.classifier import ClassifierConfig
 from repro.core.metadata import QueryMetadata
 from repro.core.pipeline import MetaSQL, MetaSQLConfig
@@ -36,13 +40,11 @@ pytestmark = pytest.mark.robustness
 #: is reached by the EX metric and the verify stage (covered
 #: separately); ``repair.regenerate`` only fires when the verified top-1
 #: hard-fails (exercised in ``tests/test_verify_repair.py``); the
-#: persist and serve sites belong to the durability/serving layer and
-#: are exercised in ``tests/test_serve.py``.
+#: serve site belongs to the serving layer and is exercised in
+#: ``tests/test_serve.py``.
 NON_TRANSLATE_FAILPOINTS = {
     "executor.execute",
     "repair.regenerate",
-    "persist.save",
-    "persist.finalize",
     "serve.handle",
 }
 PIPELINE_FAILPOINTS = [
@@ -207,6 +209,22 @@ class TestFaultInjector:
         assert set(PIPELINE_FAILPOINTS) | NON_TRANSLATE_FAILPOINTS == set(
             FAULTS.sites
         )
+
+    def test_catalog_matches_the_fired_sites(self):
+        """``FAILPOINTS`` names exactly the sites that some module under
+        ``src/repro`` fires by literal name: no entry outlives its site."""
+        fired = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func).rsplit(".", 1)[-1] == "fire"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    fired.add(node.args[0].value)
+        assert fired == set(FAILPOINTS)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Serving + durability layer tests: deadlines, breakers, admission
-control, run-once stage faults, crash-safe checkpointing and
-warm-start recovery.
+"""Serving layer tests: deadlines, breakers, admission control and
+run-once stage faults.
 
 Everything is deterministic: clocks are injected, faults come from the
 ``FAULTS`` registry, and blocking jobs are gated on events rather than
@@ -15,8 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.persist import load_pipeline, save_pipeline
-from repro.core.pipeline import RankedResult, RankedTranslation
+from repro.core.pipeline import MetaSQL, RankedResult, RankedTranslation
 from repro.core.resilience import (
     FAULTS,
     BreakerBoard,
@@ -32,7 +30,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServiceConfig, TranslationService
 from repro.serve.service import HealthSnapshot
 from repro.sqlkit.errors import (
-    CheckpointError,
     ConfigError,
     Overloaded,
     ServiceStopped,
@@ -295,20 +292,25 @@ class TestPipelineBreakers:
         trained_pipeline.translate_ranked_report(example.question, db)
         assert board["stage1"].state == "open"
 
-    def test_restored_pipeline_builds_the_default_board(
-        self, trained_pipeline, example_db, tmp_path
+    def test_constructor_builds_the_default_board(
+        self, trained_pipeline, example_db
     ):
-        """No fake board: a real pipeline's stage-1 breaker trips at 5."""
+        """No fake board: a new pipeline's stage-1 breaker trips at 5."""
         example, db = example_db
-        save_pipeline(trained_pipeline, tmp_path)
-        pipeline = load_pipeline(tmp_path)
-        board = pipeline.breakers
+        board = MetaSQL(
+            trained_pipeline.model, trained_pipeline.config
+        ).breakers
         assert set(board.states()) == set(BreakerBoard.STAGES)
-        FAULTS.arm("stage1.rank", times=None)
-        for _ in range(4):
-            pipeline.translate_ranked_report(example.question, db)
-        assert board["stage1"].state == "closed"
-        pipeline.translate_ranked_report(example.question, db)
+        previous = trained_pipeline.breakers
+        trained_pipeline.breakers = board
+        try:
+            FAULTS.arm("stage1.rank", times=None)
+            for _ in range(4):
+                trained_pipeline.translate_ranked_report(example.question, db)
+            assert board["stage1"].state == "closed"
+            trained_pipeline.translate_ranked_report(example.question, db)
+        finally:
+            trained_pipeline.breakers = previous
         assert FAULTS.fired("stage1.rank") == 5
         assert board["stage1"].state == "open"
 
@@ -691,12 +693,9 @@ class TestServiceEndToEnd:
 
 
 class TestServiceUnderFire:
-    def test_concurrent_hammer_and_failpoints(
-        self, world_db, trained_pipeline, tmp_path
-    ):
+    def test_concurrent_hammer_and_failpoints(self, world_db, tmp_path):
         """Hammer the service from four threads and arm the
-        ``serve.handle`` and ``persist.save`` failpoints mid-traffic.
-        Asserts: zero dropped requests (every admitted future
+        ``serve.handle`` failpoint mid-traffic.  Asserts: zero dropped requests (every admitted future
         resolves), no fault records, and one journal record per
         completed request.
         """
@@ -731,18 +730,8 @@ class TestServiceUnderFire:
             for thread in threads:
                 thread.start()
 
-            # Mid-traffic: a failpoint storm on the serve path...
+            # Mid-traffic: a failpoint storm on the serve path.
             FAULTS.arm("serve.handle", times=5)
-            # ...and persist.save fires mid-write while traffic flows: a torn
-            # checkpoint save must not disturb serving.
-            FAULTS.arm("persist.save", times=1)
-            try:
-                with pytest.raises(SqlError):
-                    save_pipeline(trained_pipeline, tmp_path / "ckpt")
-                # The torn save left no litter: no checkpoint, no staging.
-                assert [p.name for p in tmp_path.iterdir()] == ["fire.jsonl"]
-            finally:
-                FAULTS.disarm("persist.save")
 
             stop.set()
             for thread in threads:
@@ -825,73 +814,3 @@ class TestServiceUnderFire:
         assert not errors
         assert len(resolved) == 2
         assert service.health().completed == sum(resolved)
-
-
-# ----------------------------------------------------------------------
-# Crash-safe checkpointing (acceptance: interrupted save leaves the
-# previous checkpoint loadable) and warm-start recovery.
-
-
-def _ranked_sqls(pipeline, example, db):
-    return [
-        to_sql(r.query)
-        for r in pipeline.translate_ranked(example.question, db)
-    ]
-
-
-class TestCrashSafeCheckpointing:
-    @pytest.fixture()
-    def example_db(self, tiny_benchmark):
-        example = tiny_benchmark.dev.examples[0]
-        return example, tiny_benchmark.dev.database(example.db_id)
-
-    @pytest.mark.parametrize("site", ["persist.save", "persist.finalize"])
-    def test_interrupted_save_preserves_previous_checkpoint(
-        self, site, trained_pipeline, example_db, tmp_path
-    ):
-        example, db = example_db
-        target = tmp_path / "ckpt"
-        save_pipeline(trained_pipeline, target)
-        baseline = _ranked_sqls(load_pipeline(target), example, db)
-
-        with FAULTS.inject(site):
-            with pytest.raises(InjectedFault):
-                save_pipeline(trained_pipeline, target)
-
-        # The torn save left no staging litter and the previous
-        # checkpoint loads and translates exactly as before.
-        assert not (tmp_path / ".ckpt.staging").exists()
-        assert _ranked_sqls(load_pipeline(target), example, db) == baseline
-
-    def test_save_over_existing_checkpoint_replaces_it(
-        self, trained_pipeline, example_db, tmp_path
-    ):
-        example, db = example_db
-        target = tmp_path / "ckpt"
-        save_pipeline(trained_pipeline, target)
-        save_pipeline(trained_pipeline, target)  # idempotent overwrite
-        assert _ranked_sqls(
-            load_pipeline(target), example, db
-        ) == _ranked_sqls(trained_pipeline, example, db)
-
-
-class TestWarmStart:
-    def test_service_from_single_checkpoint(
-        self, trained_pipeline, tiny_benchmark, tmp_path
-    ):
-        example = tiny_benchmark.dev.examples[0]
-        db = tiny_benchmark.dev.database(example.db_id)
-        target = tmp_path / "ckpt"
-        save_pipeline(trained_pipeline, target)
-        for source in (target, str(target)):  # a path or its str
-            with TranslationService(
-                load_pipeline(source), ServiceConfig(workers=1, queue_limit=2)
-            ) as service:
-                result = service.translate(example.question, db, timeout=60)
-            assert [to_sql(r.query) for r in result.translations] == (
-                _ranked_sqls(trained_pipeline, example, db)
-            )
-
-    def test_missing_path_raises_typed_error(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            load_pipeline(tmp_path / "missing")

@@ -786,7 +786,6 @@ class TestJournalAnalysis:
     def test_per_hardness_rates(self, summary):
         hard = summary.by_hardness["hard"]
         assert hard.total == 2
-        assert hard.verify_demoted == 3
         assert hard.demotion_rate == 1.0
         assert hard.repair_records == 2
         assert hard.repair_success_rate == 0.5
