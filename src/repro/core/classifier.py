@@ -113,12 +113,20 @@ class MetadataClassifier:
         self._labels.extend(("rating", r) for r in sorted(observed_ratings))
         self._label_index = {label: i for i, label in enumerate(self._labels)}
 
-        self._featurizer.fit([e.question for e in train.examples])
-        features = np.stack(
-            [
-                self._features(e.question, train.database(e.db_id))
-                for e in train.examples
-            ]
+        questions = [e.question for e in train.examples]
+        self._featurizer.fit(questions)
+        # CSR rows of _features (text, then cues), densified one batch at
+        # a time: see SparseRows.
+        features = self._featurizer.sparse_rows(
+            questions,
+            extra=np.stack(
+                [
+                    _cue_feature_vector(
+                        extract_cues(e.question, train.database(e.db_id))
+                    )
+                    for e in train.examples
+                ]
+            ),
         )
         targets = np.zeros((len(train.examples), len(self._labels)))
         for row, meta in enumerate(metadata):
@@ -128,11 +136,11 @@ class MetadataClassifier:
             rating_label = ("rating", meta.rating)
             targets[row, self._label_index[rating_label]] = 1.0
 
-        self._net = MLP([features.shape[1], 96, len(self._labels)], rng)
+        self._net = MLP([features.width, 96, len(self._labels)], rng)
         optimizer = Adam(
             self._net.parameters(), lr=self.config.learning_rate
         )
-        n = features.shape[0]
+        n = len(train.examples)
         self._losses = []
         for epoch in range(self.config.epochs):
             order = rng.permutation(n)
@@ -141,10 +149,13 @@ class MetadataClassifier:
             for start in range(0, n, self.config.batch_size):
                 index = order[start : start + self.config.batch_size]
                 optimizer.zero_grad()
-                epoch_loss += self._batch_loss(features[index], targets[index])
+                epoch_loss += self._batch_loss(
+                    features.take(index), targets[index]
+                )
                 optimizer.step()
                 batches += 1
             self._losses.append(epoch_loss / max(batches, 1))
+        optimizer.zero_grad()  # inference reads no gradient
         return self
 
     def _batch_loss(self, features: np.ndarray, targets: np.ndarray) -> float:

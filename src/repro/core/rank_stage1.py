@@ -82,12 +82,11 @@ class DualTowerRanker:
         sizes = [self.config.buckets, 128, self.config.embed_dim]
         self._query_tower = MLP(sizes, rng)
         self._sql_tower = MLP(sizes, rng)
-        question_rows, question_index = self._featurize_distinct(
-            [t.question for t in triples]
-        )
-        sql_rows, sql_index = self._featurize_distinct(
-            [t.sql_text for t in triples]
-        )
+        questions, question_index = _distinct([t.question for t in triples])
+        sql_texts, sql_index = _distinct([t.sql_text for t in triples])
+        # CSR rows, densified one batch at a time: see SparseRows.
+        question_rows = self._featurizer.sparse_rows(questions)
+        sql_rows = self._featurizer.sparse_rows(sql_texts)
         targets = np.array([t.target for t in triples])
 
         params = self._query_tower.parameters() + self._sql_tower.parameters()
@@ -101,13 +100,14 @@ class DualTowerRanker:
                 index = order[start : start + self.config.batch_size]
                 optimizer.zero_grad()
                 epoch_loss += self._batch_loss(
-                    question_rows[question_index[index]],
-                    sql_rows[sql_index[index]],
+                    question_rows.take(question_index[index]),
+                    sql_rows.take(sql_index[index]),
                     targets[index],
                 )
                 optimizer.step()
                 batches += 1
             self._losses.append(epoch_loss / max(batches, 1))
+        optimizer.zero_grad()  # inference reads no gradient
         return self
 
     def _batch_loss(
@@ -126,14 +126,6 @@ class DualTowerRanker:
 
     # ------------------------------------------------------------------
 
-    def _featurize_distinct(
-        self, texts: list[str]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Feature rows of the distinct *texts*, and each text's row index."""
-        row: dict[str, int] = {}
-        index = np.array([row.setdefault(text, len(row)) for text in texts])
-        return self._featurizer.transform_many(list(row)), index
-
     def rank(
         self, question: str, sql_texts: list[str], top_k: int = 10
     ) -> list[tuple[int, float]]:
@@ -148,7 +140,8 @@ class DualTowerRanker:
             return []
         if self._query_tower is None or self._sql_tower is None:
             raise RuntimeError("stage-1 ranker is not fitted")
-        rows, index = self._featurize_distinct([question, *sql_texts])
+        distinct, index = _distinct([question, *sql_texts])
+        rows = self._featurizer.transform_many(distinct)
         q = self._query_tower.forward_array(rows[:1])[0]
         sql_index = index[1:]
         # A candidate text equal to the question shares its row 0.
@@ -169,6 +162,13 @@ class DualTowerRanker:
     def training_losses(self) -> list[float]:
         """Per-epoch training losses (for convergence checks)."""
         return list(self._losses)
+
+
+def _distinct(texts: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct *texts* in first-seen order, and each text's position."""
+    row: dict[str, int] = {}
+    index = np.array([row.setdefault(text, len(row)) for text in texts])
+    return list(row), index
 
 
 def _cosine_mse(

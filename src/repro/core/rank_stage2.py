@@ -135,6 +135,7 @@ class MultiGrainedRanker:
                 optimizer.step()
                 count += 1
             self._losses.append(epoch_loss / max(count, 1))
+        optimizer.zero_grad()  # inference reads no gradient
         self._fitted = True
         return self
 

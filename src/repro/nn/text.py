@@ -8,14 +8,26 @@ into a dense embedding space.
 
 ``transform`` and ``transform_many`` share one feature-accumulation path
 (:func:`_count_matrix`), so single-text ``transform`` is exactly the
-one-row case of ``transform_many``.  Hashes are memoized in two bounded
-process-wide memos because the same question/SQL words recur across every
-candidate of every request, and a question's words in the classifier, the
-stage-1 ranker and the few-shot retriever: :func:`_fnv1a` per token,
-independent of the bucket count, and :func:`_word_buckets` per ``(word,
-buckets, include_chars)``, the buckets of a word's unigram and character
-trigrams.  A bigram is hashed per occurrence (through :func:`_fnv1a`):
-neither a process-wide nor a per-call bigram memo paid for its memory.
+one-row case of ``transform_many``.  Every step of a row (counts, ``log``,
+``+1``, ``*idf``, the norm along the row) reads that row alone, so
+``transform_many`` builds a long list a block of :data:`TEXT_BLOCK` texts
+at a time, and every block's row is the whole matrix's row bit for bit.
+
+Hashes are memoized in two bounded process-wide memos because the same
+question/SQL words recur across every candidate of every request, and a
+question's words in the classifier, the stage-1 ranker and the few-shot
+retriever: :func:`_fnv1a` per token, independent of the bucket count, and
+:func:`_word_buckets` per ``(word, buckets, include_chars)``, the buckets
+of a word's unigram and character trigrams.  A bigram is hashed per
+occurrence (through :func:`_fnv1a`): neither a process-wide nor a
+per-call bigram memo paid for its memory.
+
+The fits of the metadata classifier and the stage-1 ranker hold their
+training rows as :class:`SparseRows` (CSR: a TF-IDF row has ~69 of its
+1,024 buckets set), built block by block by
+:meth:`TextFeaturizer.sparse_rows`, and densify one batch at a time with
+:meth:`SparseRows.take`: every batch is the dense batch bit for bit.
+Inference (``transform`` and ``transform_many``) stays dense.
 """
 
 from __future__ import annotations
@@ -23,11 +35,15 @@ from __future__ import annotations
 import functools
 import re
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _QUESTION_TOKEN_RE = re.compile(r"\d+\.\d+|[a-z0-9]+")
+#: The most texts featurized in one dense block: by ``transform_many`` on a
+#: long list, and by ``sparse_rows`` for each block of its CSR rows.
+TEXT_BLOCK = 64
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -109,9 +125,9 @@ def _count_matrix(
             array("q", [_hash_token(f, buckets) for f in _bigrams(words)])
         )
         lengths.append(len(indices) - start)
-    # The indices sit in one int64 buffer, not a list of Python ints: the
-    # stage-1 fit counts ~1,000 texts in one call, and with a list the
-    # set-up's peak RSS was ~1.5 MB higher.
+    # The indices sit in one int64 buffer, not a list of Python ints
+    # (8 bytes a feature, not a pointer and an int object).  Callers count
+    # at most TEXT_BLOCK texts a call, a few thousand features.
     flat = np.frombuffer(indices, dtype=np.int64)
     flat += np.repeat(np.arange(len(texts), dtype=np.int64) * buckets, lengths)
     counts = np.bincount(
@@ -119,6 +135,36 @@ def _count_matrix(
     )
     # Over no features at all bincount returns int64 zeros.
     return counts.astype(np.float64, copy=False).reshape(len(texts), buckets)
+
+
+class SparseRows(NamedTuple):
+    """Rows of a ``(len(indptr) - 1, width)`` float64 matrix in CSR form.
+
+    Row ``i`` holds ``values[indptr[i]:indptr[i + 1]]`` at those
+    ``columns``; every other entry is ``0.0``.  A ``-0.0`` is stored, so
+    :meth:`take` restores every row bit for bit.
+    """
+
+    indptr: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+    width: int
+
+    def take(self, index: np.ndarray) -> np.ndarray:
+        """The dense C-contiguous float64 rows at *index*, in its order."""
+        index = np.asarray(index, dtype=np.int64)
+        starts = self.indptr[index]
+        lengths = self.indptr[index + 1] - starts
+        # Entry k of output row r sits at starts[r] + k in columns/values.
+        offsets = np.cumsum(lengths) - lengths
+        positions = np.arange(lengths.sum()) + np.repeat(
+            starts - offsets, lengths
+        )
+        rows = np.zeros((len(index), self.width))
+        rows[np.repeat(np.arange(len(index)), lengths), self.columns[positions]] = (
+            self.values[positions]
+        )
+        return rows
 
 
 class TextFeaturizer:
@@ -152,13 +198,31 @@ class TextFeaturizer:
         return self.transform_many([text])[0]
 
     def transform_many(self, texts: list[str]) -> np.ndarray:
-        """L2-normalised ``(1 + log tf) * idf`` rows, built in the count matrix.
+        """L2-normalised ``(1 + log tf) * idf`` rows, one per text.
+
+        A call over more than :data:`TEXT_BLOCK` texts transforms them a
+        block at a time (:meth:`_block`) into the result, so it holds no
+        full-size temporary.  A row depends on its own text alone, so the
+        result is the one-block result bit for bit.
+        """
+        if len(texts) <= TEXT_BLOCK:
+            return self._block(texts)
+        matrix = np.empty((len(texts), self.buckets))
+        for start in range(0, len(texts), TEXT_BLOCK):
+            matrix[start : start + TEXT_BLOCK] = self._block(
+                texts[start : start + TEXT_BLOCK]
+            )
+        return matrix
+
+    def _block(self, texts: list[str]) -> np.ndarray:
+        """The rows of *texts*, built in their count matrix.
 
         Each step writes into the matrix it reads (``out=``, and ``where=``
         so zero counts stay zero), with the same ufuncs in the same order
         as the out-of-place formula, so the result is bit-identical to it
         while the only full-size temporary is the one ``np.linalg.norm``
-        squares into.
+        squares into.  Every step but the norm acts element by element,
+        and the norm sums along the row alone.
         """
         matrix = _count_matrix(texts, self.buckets, self.include_chars)
         positive = matrix > 0
@@ -170,3 +234,33 @@ class TextFeaturizer:
         norms[norms == 0.0] = 1.0
         matrix /= norms
         return matrix
+
+    def sparse_rows(
+        self, texts: list[str], extra: np.ndarray | None = None
+    ) -> SparseRows:
+        """The :meth:`transform_many` rows of *texts* as :class:`SparseRows`,
+        each followed by its row of the dense ``(len(texts), k)`` *extra*
+        columns when given.
+
+        The rows are built a block of :data:`TEXT_BLOCK` texts at a time,
+        so no dense matrix larger than one block is held.
+        """
+        width = self.buckets + (0 if extra is None else extra.shape[1])
+        # lengths starts with indptr[0] == 0; columns and values with an
+        # empty array, so that no text at all still concatenates.
+        lengths = [np.zeros(1, dtype=np.int64)]
+        columns, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        for start in range(0, len(texts), TEXT_BLOCK):
+            block = self._block(texts[start : start + TEXT_BLOCK])
+            if extra is not None:
+                block = np.hstack([block, extra[start : start + TEXT_BLOCK]])
+            stored = (block != 0.0) | np.signbit(block)
+            lengths.append(stored.sum(axis=1))
+            columns.append(np.nonzero(stored)[1])
+            values.append(block[stored])
+        return SparseRows(
+            indptr=np.cumsum(np.concatenate(lengths)),
+            columns=np.concatenate(columns),
+            values=np.concatenate(values),
+            width=width,
+        )
