@@ -31,7 +31,7 @@ def _traced_peak(fit) -> int:
 
 
 def test_classifier_fit_peak_is_below_its_dense_rows(tiny_benchmark):
-    """2,250 rows of 1,024 + 17 float64 features: 17.9 MB dense.  The CSR
+    """2,250 rows of 1,024 + 17 float64 features: 18.7 MB dense.  The CSR
     fit peaks at about half of that (the dense fit, which also stacked a
     copy of its rows, at about twice)."""
     config = ClassifierConfig(epochs=1)
@@ -49,7 +49,7 @@ def test_classifier_fit_peak_is_below_its_dense_rows(tiny_benchmark):
 
 def test_stage1_fit_peak_is_below_its_dense_rows():
     """1,500 distinct questions and 1,500 distinct SQL texts of 1,024
-    float64 buckets: 23.4 MB dense.  The CSR fit peaks at about 58% of
+    float64 buckets: 24.6 MB dense.  The CSR fit peaks at about 58% of
     that (the dense fit at about 166%)."""
     rng = np.random.default_rng(0)
     words = [f"w{i}" for i in range(300)]
